@@ -7,10 +7,12 @@ from .analysis import (DifferenceSample, EvaluationContext, FunctionalSpec,
                        fourth_moment_bound, gamma_terms,
                        pilot_standardization, poincare_bound,
                        second_difference)
-from .census import (CensusReport, GraphClass, canonical_form, census,
-                     components, edge_class, enumerate_classes, path_class,
-                     single_vertex_class, weighted_count)
+from .census import (CensusReport, Component, ComponentTable, GraphClass,
+                     canonical_form, census, components, edge_class,
+                     enumerate_classes, path_class, single_vertex_class,
+                     weighted_count)
 from .connection import ConnectionFunction
+from .experiments import VERSION as __version__
 from .experiments import (ConfigError, ExperimentResult, Scenario,
                           covariance_experiment, emit, expectation_experiment,
                           load_scenario, run_scenario,
@@ -23,5 +25,3 @@ from .moments import (MomentEstimate, asy_cov, asy_cov_kl,
                       sigma_total_partial)
 from .sampling import (PointSet, RcmGraph, build_coupled, build_rcm,
                        sample_poisson)
-
-__version__ = "0.1.0"

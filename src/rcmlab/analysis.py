@@ -17,12 +17,11 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.stats import norm
 
-from .census import (K_MAX, GraphClass, canonical_form, component_labels)
+from .census import Component, ComponentTable, GraphClass, canonical_form
 from .connection import ConnectionFunction
-from .geometry import Window, lex_less, unit_ball_volume
+from .geometry import Window, lex_order, unit_ball_volume
 from .marks import PairMarkSource
 from .moments import MomentEstimate
 from .sampling import PointSet, RcmGraph, build_rcm, sample_poisson
@@ -88,19 +87,6 @@ class FunctionalSpec:
 # ---------------------------------------------------------------------------
 # incremental evaluation
 
-@dataclass
-class _CompInfo:
-    ids: np.ndarray
-    order: int
-    n_inside: int
-    lexmin_pos: np.ndarray
-    lexmin_inside: bool
-    all_inside: bool
-    boundary: bool
-    class_id: str
-    edges: list          # retained only for small components
-
-
 class EvaluationContext:
     """Base-realization census with support for fresh-point insertions."""
 
@@ -109,59 +95,28 @@ class EvaluationContext:
         self.spec = spec
         self.window = spec.window
         self.region = graph.points.region
-        pts = graph.points.points
-        labels = component_labels(graph.n, graph.edges)
-        self.labels = labels
-        comp_edges: dict[int, list] = {}
-        for i, j in graph.edges:
-            comp_edges.setdefault(int(labels[int(i)]), []).append(
-                (int(i), int(j)))
-        self.comps: dict[int, _CompInfo] = {}
-        blocks: dict[int, list] = {}
-        for i, lab in enumerate(labels):
-            blocks.setdefault(int(lab), []).append(i)
-        keep_edges_cap = K_MAX
-        for root, members in blocks.items():
-            ids = np.array(members, dtype=np.int64)
-            pos = pts[ids]
-            inside = self.window.contains(pos)
-            boundary = bool(len(pos) and
-                            np.min(self.region.boundary_distance(pos))
-                            < graph.rmax)
-            order = len(ids)
-            cls_id = None
-            edges = comp_edges.get(root, [])
-            if order <= spec.k_max and not boundary:
-                cls_id = _component_class(ids, pos, edges).class_id
-            self.comps[root] = _CompInfo(
-                ids=ids, order=order, n_inside=int(np.sum(inside)),
-                lexmin_pos=pos[0], lexmin_inside=bool(inside[0]),
-                all_inside=bool(np.all(inside)), boundary=boundary,
-                class_id=cls_id,
-                edges=edges if order <= keep_edges_cap else None)
-        self.base_value = sum(self._contribution(c)
-                              for c in self.comps.values())
+        self.comps = ComponentTable(graph, spec.window, spec.k_max)
+        # summed one term at a time in label order: a pairwise np.sum
+        # rounds non-integer weights differently
+        self.base_value = float(sum(self._contribution(self.comps).tolist()))
 
-    def _contribution(self, c: _CompInfo) -> float:
+    def _contribution(self, c):
+        """f's share of one Component, or of each row of a ComponentTable."""
         spec = self.spec
         if spec.statistic == "point_count":
-            return float(c.n_inside)
-        if c.boundary:
-            return 0.0
+            return c.n_inside * 1.0
         counted = c.lexmin_inside if spec.mode == "lexmin" else c.all_inside
         if spec.statistic == "total_components":
-            return 1.0 if c.all_inside else 0.0
-        if not counted:
-            return 0.0
-        if spec.statistic == "count_order":
-            return 1.0 if c.order == spec.k else 0.0
-        if spec.statistic == "count_class":
-            return 1.0 if c.class_id == spec.cls.class_id else 0.0
-        # weighted
-        for w, cls in zip(spec.a, spec.classes):
-            if c.class_id == cls.class_id:
-                return float(w)
-        return 0.0
+            value = c.all_inside
+        elif spec.statistic == "count_order":
+            value = counted & (c.order == spec.k)
+        else:
+            pairs = (((1.0, spec.cls),) if spec.statistic == "count_class"
+                     else zip(spec.a, spec.classes))
+            value = counted * sum(
+                w * ((c.order == g.order) & (c.canon == g.canon))
+                for w, g in pairs)
+        return np.where(c.boundary, 0.0, value)
 
     def value_with_additions(self, additions) -> float:
         """f of the realization augmented by fresh points.
@@ -202,10 +157,10 @@ class EvaluationContext:
                 i = parent[i]
             return i
 
-        touched: dict[int, int] = {}   # base component root -> group leader
+        touched: dict[int, int] = {}   # base component label -> group leader
         for u, nbrs in enumerate(base_nbrs):
             for b in nbrs:
-                root = int(self.labels[int(b)])
+                root = int(self.comps.labels[int(b)])
                 if root in touched:
                     ra, rb = find(touched[root]), find(u)
                     parent[ra] = rb
@@ -227,7 +182,7 @@ class EvaluationContext:
                 base_nbrs, add_edges)
             value += merged
             for root in g["roots"]:
-                value -= self._contribution(self.comps[root])
+                value -= float(self._contribution(self.comps[root]))
         return value
 
     def _merged_contribution(self, adds, roots, add_pos, add_ids,
@@ -243,25 +198,17 @@ class EvaluationContext:
             return float(n_inside)
         if boundary:
             return 0.0
-        lexmin_pos = None
-        for c in comps:
-            if lexmin_pos is None or lex_less(c.lexmin_pos, lexmin_pos):
-                lexmin_pos = c.lexmin_pos
-        for u in adds:
-            if lexmin_pos is None or lex_less(add_pos[u], lexmin_pos):
-                lexmin_pos = add_pos[u]
+        cands = np.array([c.lexmin_pos for c in comps] + list(add_pos[adds]))
+        lexmin_pos = cands[lex_order(cands)[0]]
         lexmin_inside = bool(self.window.contains(lexmin_pos)[0])
-        all_inside = all(c.all_inside for c in comps) and bool(
-            np.all(pos_in_w))
-        cls_id = None
+        canon = -1
         if order <= spec.k_max:
-            cls_id = self._merged_class(adds, comps, add_ids, base_nbrs,
-                                        add_edges).class_id
-        info = _CompInfo(ids=None, order=order, n_inside=n_inside,
-                         lexmin_pos=lexmin_pos, lexmin_inside=lexmin_inside,
-                         all_inside=all_inside, boundary=False,
-                         class_id=cls_id, edges=None)
-        return self._contribution(info)
+            canon = self._merged_class(adds, comps, add_ids, base_nbrs,
+                                       add_edges).canon
+        merged = Component(order=order, n_inside=n_inside, boundary=False,
+                           lexmin_pos=lexmin_pos,
+                           lexmin_inside=lexmin_inside, canon=canon)
+        return float(self._contribution(merged))
 
     def _merged_class(self, adds, comps, add_ids, base_nbrs,
                       add_edges) -> GraphClass:
@@ -287,16 +234,6 @@ class EvaluationContext:
                 a, b = local[add_ids[u]], local[add_ids[v]]
                 adj[a, b] = adj[b, a] = True
         return canonical_form(adj)
-
-
-def _component_class(ids, pos, edges) -> GraphClass:
-    local = {int(i): n for n, i in enumerate(ids)}
-    k = len(ids)
-    adj = np.zeros((k, k), dtype=bool)
-    for i, j in edges:
-        a, b = local[i], local[j]
-        adj[a, b] = adj[b, a] = True
-    return canonical_form(adj)
 
 
 def evaluate(spec: FunctionalSpec, graph: RcmGraph) -> float:
@@ -741,17 +678,10 @@ def cluster_tail(phi: ConnectionFunction, beta: float, m: int,
         nbrs = graph.neighbors_of_point(np.zeros(phi.dim), -1)
         if len(nbrs) == 0:
             continue
-        labels = component_labels(graph.n, graph.edges)
-        roots = np.unique(labels[nbrs])
-        total = 0
-        uncertain = False
-        for root in roots:
-            members = np.flatnonzero(labels == root)
-            total += len(members)
-            dmin = np.min(window.boundary_distance(
-                graph.points.points[members]))
-            if dmin < graph.rmax:
-                uncertain = True
+        table = ComponentTable(graph, window, k_max=0)
+        roots = np.unique(table.labels[nbrs])
+        total = int(np.sum(table.order[roots]))
+        uncertain = bool(np.any(table.boundary[roots]))
         hits_hi[i] = 1.0 if (total >= m or uncertain) else 0.0
         hits_lo[i] = 1.0 if (total >= m and not uncertain) else 0.0
 
@@ -790,30 +720,3 @@ def dkw_bound(n: int, confidence: float = 0.99) -> float:
     """Dvoretzky-Kiefer-Wolfowitz envelope for the Kolmogorov statistic."""
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
 
-
-def boundary_profile_integral(window: Window, chi, alpha: float,
-                              upper: float) -> float:
-    """(1/volume) * integral of chi(distance to window)^alpha over R^d.
-
-    Exact for convex windows in d <= 2 via the tube formula; chi is a
-    monotone radial profile and upper bounds its support (or effective
-    support) radius.
-    """
-    d = window.dim
-    lam = window.volume
-
-    def prof(t):
-        return chi(t) ** alpha
-
-    if d == 1:
-        tail, _ = integrate.quad(prof, 0.0, upper, limit=200)
-        return (lam + 2.0 * tail) / lam
-    if d == 2:
-        if window.shape == "box":
-            per = 8.0 * window.extent
-        else:
-            per = 2.0 * math.pi * window.extent
-        i1, _ = integrate.quad(prof, 0.0, upper, limit=200)
-        i2, _ = integrate.quad(lambda t: t * prof(t), 0.0, upper, limit=200)
-        return (lam + per * i1 + 2.0 * math.pi * i2) / lam
-    raise NotImplementedError("boundary profile integral only for d <= 2")

@@ -11,44 +11,20 @@ permutations.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-from .geometry import Window
+from .geometry import Window, lex_order
 from .sampling import RcmGraph
 
 K_MAX = 8
 
 _perm_cache: dict[int, tuple] = {}
 _canon_cache: dict[tuple, int] = {}
-
-
-class UnionFind:
-    """Array-based union-find with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        root = i
-        while p[root] != root:
-            root = p[root]
-        while p[i] != root:
-            p[i], i = root, p[i]
-        return int(root)
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
 
 
 @dataclass(frozen=True, order=True)
@@ -73,12 +49,16 @@ class GraphClass:
 
     def adjacency(self) -> np.ndarray:
         """A representative k x k boolean adjacency matrix."""
-        k = self.order
-        iu = np.triu_indices(k, 1)
-        bits = (self.canon >> np.arange(len(iu[0]))) & 1
-        a = np.zeros((k, k), dtype=bool)
-        a[iu] = bits.astype(bool)
-        return a | a.T
+        return _unpack(self.order, self.canon)
+
+
+def _unpack(k: int, packed: int) -> np.ndarray:
+    """The k x k adjacency matrix whose upper triangle packs to `packed`."""
+    iu = np.triu_indices(k, 1)
+    bits = (packed >> np.arange(len(iu[0]))) & 1
+    a = np.zeros((k, k), dtype=bool)
+    a[iu] = bits.astype(bool)
+    return a | a.T
 
 
 def _perm_tables(k: int):
@@ -157,20 +137,165 @@ def enumerate_classes(k: int) -> list[GraphClass]:
 
 
 def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
-    """Root label per vertex id under the given edge set."""
-    uf = UnionFind(n)
-    for i, j in edges:
-        uf.union(int(i), int(j))
-    return np.array([uf.find(i) for i in range(n)], dtype=np.int64)
+    """Component label per vertex id under the given edge set.
+
+    Labels run over 0..(number of components - 1), numbered in order of
+    each component's smallest vertex id.
+    """
+    graph = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                       shape=(n, n))
+    return connected_components(graph, directed=False)[1].astype(np.int64)
 
 
 def components(graph: RcmGraph) -> list[np.ndarray]:
     """Vertex id blocks of the connected components, each sorted ascending."""
     labels = component_labels(graph.n, graph.edges)
-    blocks = defaultdict(list)
-    for i, lab in enumerate(labels):
-        blocks[int(lab)].append(i)
-    return [np.array(b, dtype=np.int64) for b in blocks.values()]
+    ids = np.argsort(labels, kind="stable")
+    return np.split(ids, np.cumsum(np.bincount(labels)))[:-1]
+
+
+@dataclass(frozen=True)
+class Component:
+    """One connected component of a realization relative to a window.
+
+    canon is the canonical bitset of the component's isomorphism class,
+    or -1 where the class is not resolved. ids and edges are None for a
+    component that exists only in a difference-operator evaluation.
+    """
+
+    order: int
+    n_inside: int
+    boundary: bool
+    lexmin_pos: np.ndarray
+    lexmin_inside: bool
+    canon: int
+    ids: np.ndarray = None
+    edges: np.ndarray = None
+
+    @property
+    def all_inside(self) -> bool:
+        return self.n_inside == self.order
+
+
+class ComponentTable(Mapping):
+    """The connected components of one realization, one row per label.
+
+    Every count the census and the difference operators read comes from
+    these per-component arrays:
+      order          number of vertices
+      n_inside       vertices inside the window
+      all_inside     n_inside == order
+      boundary       some vertex lies within rmax of the sampled region's
+                     boundary, so the component may extend beyond it
+      lexmin         vertex id of the lexicographic minimum
+      lexmin_inside  the lexicographic minimum lies inside the window
+      canon          canonical class bitset for non-boundary components
+                     of order <= k_max, else -1
+    Vertex ids are grouped by label in `vertices[vertex_start[c]:
+    vertex_start[c + 1]]`, in lexicographic order of their points, and
+    edge rows likewise in `edges[edge_index[edge_start[c]:
+    edge_start[c + 1]]]`. As a mapping, the table takes a label to its
+    Component.
+    """
+
+    def __init__(self, graph: RcmGraph, window: Window, k_max: int):
+        if k_max > K_MAX:
+            raise ValueError(f"k_max exceeds K_MAX={K_MAX}")
+        pts = graph.points.points
+        edges = graph.edges
+        labels = component_labels(graph.n, edges)
+        n_comp = int(labels.max()) + 1 if len(labels) else 0
+        self.points = pts
+        self.edges = edges
+        self.labels = labels
+        self.order = np.bincount(labels, minlength=n_comp)
+
+        by_lex = lex_order(pts)
+        self.vertices = by_lex[np.argsort(labels[by_lex], kind="stable")]
+        self.vertex_start = np.concatenate(([0], np.cumsum(self.order)))
+        self.lexmin = self.vertices[self.vertex_start[:-1]]
+        edge_label = labels[edges[:, 0]]
+        self.edge_index = np.argsort(edge_label, kind="stable")
+        self.edge_start = np.concatenate(([0], np.cumsum(
+            np.bincount(edge_label, minlength=n_comp))))
+
+        inside = window.contains(pts)
+        self.n_inside = np.bincount(labels[inside], minlength=n_comp)
+        self.lexmin_inside = inside[self.lexmin]
+        dmin = np.full(n_comp, np.inf)
+        np.minimum.at(dmin, labels,
+                      graph.points.region.boundary_distance(pts))
+        self.boundary = dmin < graph.rmax
+        self.all_inside = self.n_inside == self.order
+        self.canon = self._classes(edge_label,
+                                   ~self.boundary & (self.order <= k_max))
+
+    def _classes(self, edge_label: np.ndarray,
+                 resolve: np.ndarray) -> np.ndarray:
+        """Canonical bitsets of the components flagged in `resolve`.
+
+        Each component's adjacency is packed in the lexicographic vertex
+        order of the table; canonical_form runs once per distinct packing.
+        """
+        canon = np.full(len(resolve), -1, dtype=np.int64)
+        if not np.any(resolve):
+            return canon
+        n = len(self.labels)
+        local = np.empty(n, dtype=np.int64)
+        group_start = self.vertex_start[self.labels[self.vertices]]
+        local[self.vertices] = np.arange(n) - group_start
+        sel = resolve[edge_label]
+        lab = edge_label[sel]
+        a = local[self.edges[sel, 0]]
+        b = local[self.edges[sel, 1]]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        k = self.order[lab]
+        # position of (lo, hi) in np.triu_indices(k, 1)
+        bit = lo * (2 * k - lo - 1) // 2 + hi - lo - 1
+        packed = np.zeros(len(resolve), dtype=np.int64)
+        np.add.at(packed, lab, np.left_shift(1, bit))
+        codes = packed[resolve] * (K_MAX + 1) + self.order[resolve]
+        uniq, inverse = np.unique(codes, return_inverse=True)
+        classes = np.array([
+            canonical_form(_unpack(int(c) % (K_MAX + 1),
+                                   int(c) // (K_MAX + 1))).canon
+            for c in uniq], dtype=np.int64)
+        canon[resolve] = classes[inverse]
+        return canon
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __iter__(self):
+        return iter(range(len(self)))
+
+    def __getitem__(self, c) -> Component:
+        if not 0 <= c < len(self):
+            raise KeyError(c)
+        vs, ve = self.vertex_start[c], self.vertex_start[c + 1]
+        es, ee = self.edge_start[c], self.edge_start[c + 1]
+        return Component(
+            order=int(self.order[c]), n_inside=int(self.n_inside[c]),
+            boundary=bool(self.boundary[c]),
+            lexmin_pos=self.points[self.lexmin[c]],
+            lexmin_inside=bool(self.lexmin_inside[c]),
+            canon=int(self.canon[c]), ids=self.vertices[vs:ve],
+            edges=self.edges[self.edge_index[es:ee]])
+
+    def class_counts(self, mask: np.ndarray) -> dict:
+        """class_id -> number of resolved components selected by mask."""
+        mask = mask & (self.canon >= 0)
+        codes, counts = np.unique(
+            self.canon[mask] * (K_MAX + 1) + self.order[mask],
+            return_counts=True)
+        return {GraphClass(order=int(c) % (K_MAX + 1),
+                           canon=int(c) // (K_MAX + 1)).class_id: int(m)
+                for c, m in zip(codes, counts)}
+
+    def order_counts(self, mask: np.ndarray) -> dict:
+        """order -> number of components selected by mask."""
+        orders, counts = np.unique(self.order[mask], return_counts=True)
+        return {int(k): int(m) for k, m in zip(orders, counts)}
 
 
 @dataclass
@@ -198,16 +323,6 @@ class CensusReport:
         return self.order_counts_inside.get(k, 0)
 
 
-def _component_adjacency(ids: np.ndarray, comp_edges: list) -> np.ndarray:
-    k = len(ids)
-    pos = {int(v): i for i, v in enumerate(ids)}
-    adj = np.zeros((k, k), dtype=bool)
-    for i, j in comp_edges:
-        a, b = pos[int(i)], pos[int(j)]
-        adj[a, b] = adj[b, a] = True
-    return adj
-
-
 def census(graph: RcmGraph, window: Window, k_max: int = 5) -> CensusReport:
     """Count components of the realization relative to the window.
 
@@ -216,47 +331,16 @@ def census(graph: RcmGraph, window: Window, k_max: int = 5) -> CensusReport:
     the sampled-region boundary may extend beyond the sample, so it is
     excluded from all counts and tallied separately.
     """
-    if k_max > K_MAX:
-        raise ValueError(f"k_max exceeds K_MAX={K_MAX}")
-    labels = component_labels(graph.n, graph.edges)
-    blocks = defaultdict(list)
-    for i, lab in enumerate(labels):
-        blocks[int(lab)].append(i)
-    edges_by_root = defaultdict(list)
-    for i, j in graph.edges:
-        edges_by_root[int(labels[int(i)])].append((int(i), int(j)))
-
-    pts = graph.points.points
-    region = graph.points.region
-    report = CensusReport(k_max=k_max)
-    for root, members in blocks.items():
-        ids = np.array(members, dtype=np.int64)
-        pos = pts[ids]
-        if len(pos) and np.min(region.boundary_distance(pos)) < graph.rmax:
-            report.boundary_touching += 1
-            continue
-        k = len(ids)
-        inside = window.contains(pos)
-        all_inside = bool(np.all(inside))
-        # ids are assigned in lexicographic order, so the component's
-        # lexicographic minimum is just its smallest id
-        lexmin_inside = bool(inside[0])
-        cls_id = None
-        if k <= k_max:
-            adj = _component_adjacency(ids, edges_by_root.get(root, []))
-            cls_id = canonical_form(adj).class_id
-        if lexmin_inside:
-            report.order_counts_lexmin[k] = report.order_counts_lexmin.get(k, 0) + 1
-            if cls_id is not None:
-                report.class_counts_lexmin[cls_id] = \
-                    report.class_counts_lexmin.get(cls_id, 0) + 1
-        if all_inside:
-            report.alpha += 1
-            report.order_counts_inside[k] = report.order_counts_inside.get(k, 0) + 1
-            if cls_id is not None:
-                report.class_counts_inside[cls_id] = \
-                    report.class_counts_inside.get(cls_id, 0) + 1
-    return report
+    table = ComponentTable(graph, window, k_max)
+    lexmin = ~table.boundary & table.lexmin_inside
+    inside = ~table.boundary & table.all_inside
+    return CensusReport(
+        class_counts_lexmin=table.class_counts(lexmin),
+        order_counts_lexmin=table.order_counts(lexmin),
+        class_counts_inside=table.class_counts(inside),
+        order_counts_inside=table.order_counts(inside),
+        alpha=int(np.sum(inside)),
+        boundary_touching=int(np.sum(table.boundary)), k_max=k_max)
 
 
 def weighted_count(report: CensusReport, a, classes,

@@ -188,7 +188,7 @@ def _run_replicate(scenario: Scenario, rung: int, rep: int,
     values = [_value_from_report(spec, report, graph, window)
               for spec in specs]
     n_in_window = int(np.sum(window.contains(points.points)))
-    return values, n_in_window, report
+    return values, n_in_window
 
 
 def _value_from_report(spec, report, graph, window):
@@ -211,7 +211,11 @@ def _value_from_report(spec, report, graph, window):
 def _thread_count(requested: int = None) -> int:
     env = os.environ.get("RCMLAB_THREADS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"RCMLAB_THREADS: expected an integer, got {env!r}") from None
     if requested is not None:
         return max(1, requested)
     return 1
@@ -231,7 +235,7 @@ def _rung_samples(scenario: Scenario, rung: int, threads: int):
         results = [work(rep) for rep in reps]
     values = np.array([r[0] for r in results])      # (reps, n_stats)
     n_points = np.array([r[1] for r in results], dtype=float)
-    return values, n_points, results
+    return values, n_points
 
 
 @dataclass
@@ -275,7 +279,7 @@ def _standardize_and_distances(values: np.ndarray):
 
 def _make_rung(scenario, rung, threads) -> RungResult:
     window = scenario.window(rung)
-    values, n_points, _ = _rung_samples(scenario, rung, threads)
+    values, n_points = _rung_samples(scenario, rung, threads)
     means = np.mean(values, axis=0)
     variances = np.var(values, axis=0, ddof=1)
     mecke_mean = float(np.mean(n_points))

@@ -1,10 +1,12 @@
 """Seeded Poisson sampling and random connection model construction.
 
-A sample lives on a padded region around the observation window. Points
-are stored sorted by lexicographic order and carry ids 0..n-1 in that
-order, so the lexicographic minimum of any subset is simply its smallest
-id. Edges follow from deterministic pair marks: {i, j} is an edge iff
-mark(i, j) <= phi(x_i - x_j).
+A sample lives on a padded region around the observation window.
+Sampled points are stored in lexicographic order and carry ids 0..n-1
+in that order. Ids need not follow that order in general: the census
+takes each component's lexicographic minimum from the coordinates, so
+point sets assembled in any order count correctly. Edges follow from
+deterministic pair marks: {i, j} is an edge iff mark(i, j) <=
+phi(x_i - x_j).
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from .marks import PairMarkSource
 
 @dataclass(frozen=True)
 class PointSet:
-    """A lex-sorted Poisson sample on a (padded) region."""
+    """A Poisson sample on a (padded) region; id i is row i of points."""
 
-    points: np.ndarray          # (n, d), sorted lexicographically
+    points: np.ndarray          # (n, d)
     seed: int
     region: Window
     beta: float
@@ -56,16 +58,26 @@ def sample_poisson(window: Window, padding: float, beta: float,
     return PointSet(points=pts, seed=int(seed), region=region, beta=float(beta))
 
 
-def _candidate_pairs(points: np.ndarray, rmax: float) -> np.ndarray:
-    """All id pairs (i < j) within distance rmax, as an (m, 2) array."""
+def _candidate_pairs(points: np.ndarray, rmax: float):
+    """All id pairs (i < j) within distance rmax, as an (m, 2) array,
+    and the kd-tree that found them (None for fewer than two points)."""
     if len(points) < 2:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty((0, 2), dtype=np.int64), None
     tree = cKDTree(points)
     pairs = tree.query_pairs(rmax, output_type="ndarray")
-    if len(pairs) == 0:
-        return np.empty((0, 2), dtype=np.int64)
     pairs.sort(axis=1)
-    return pairs.astype(np.int64)
+    return pairs.astype(np.int64), tree
+
+
+def _marked_edges(points: np.ndarray, pairs: np.ndarray,
+                  phi: ConnectionFunction,
+                  marks: PairMarkSource) -> np.ndarray:
+    """The pairs whose mark is at most phi of their distance."""
+    if len(pairs) == 0:
+        return pairs
+    dist = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
+    m = np.atleast_1d(marks.mark(pairs[:, 0], pairs[:, 1]))
+    return pairs[m <= phi.phi_of_dist(dist)]
 
 
 @dataclass(frozen=True)
@@ -127,15 +139,10 @@ def build_rcm(points: PointSet, phi: ConnectionFunction,
     if points.dim != phi.dim:
         raise ValueError("dimension mismatch between points and phi")
     rmax = phi.truncation_radius(eps_trunc)
-    pairs = _candidate_pairs(points.points, rmax)
-    if len(pairs):
-        disp = points.points[pairs[:, 0]] - points.points[pairs[:, 1]]
-        dist = np.linalg.norm(disp, axis=1)
-        m = marks.mark(pairs[:, 0], pairs[:, 1])
-        keep = np.atleast_1d(m) <= phi.phi_of_dist(dist)
-        pairs = pairs[keep]
+    pairs, tree = _candidate_pairs(points.points, rmax)
     return RcmGraph(points=points, phi=phi, marks=marks,
-                    edges=pairs, rmax=rmax)
+                    edges=_marked_edges(points.points, pairs, phi, marks),
+                    rmax=rmax, _tree=tree)
 
 
 def build_coupled(points: PointSet, phi: ConnectionFunction,
@@ -144,24 +151,15 @@ def build_coupled(points: PointSet, phi: ConnectionFunction,
     """Two RCM graphs on shared points and marks, with psi <= phi.
 
     Both graphs use the search radius of phi, so the edge sets are nested
-    by construction: an edge of the psi graph is always a phi edge.
+    by construction: an edge of the psi graph is always a phi edge, and
+    since psi <= phi the psi edges are the phi edges whose mark is at
+    most psi of their distance.
     """
     if not phi.dominates(psi):
         raise ValueError("psi must be dominated by phi")
-    rmax = phi.truncation_radius(eps_trunc)
-    pairs = _candidate_pairs(points.points, rmax)
-    if len(pairs):
-        disp = points.points[pairs[:, 0]] - points.points[pairs[:, 1]]
-        dist = np.linalg.norm(disp, axis=1)
-        m = np.atleast_1d(marks.mark(pairs[:, 0], pairs[:, 1]))
-        keep_phi = m <= phi.phi_of_dist(dist)
-        keep_psi = m <= psi.phi_of_dist(dist)
-        g_phi = pairs[keep_phi]
-        g_psi = pairs[keep_psi]
-    else:
-        g_phi = g_psi = pairs
-    graph_phi = RcmGraph(points=points, phi=phi, marks=marks,
-                         edges=g_phi, rmax=rmax)
-    graph_psi = RcmGraph(points=points, phi=psi, marks=marks,
-                         edges=g_psi, rmax=rmax)
+    graph_phi = build_rcm(points, phi, marks, eps_trunc)
+    graph_psi = RcmGraph(
+        points=points, phi=psi, marks=marks,
+        edges=_marked_edges(points.points, graph_phi.edges, psi, marks),
+        rmax=graph_phi.rmax, _tree=graph_phi._tree)
     return graph_phi, graph_psi

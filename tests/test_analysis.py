@@ -2,6 +2,7 @@
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy import stats
@@ -18,7 +19,7 @@ from rcmlab.census import census, edge_class, single_vertex_class
 from rcmlab.connection import ConnectionFunction
 from rcmlab.geometry import Window
 from rcmlab.marks import PairMarkSource
-from rcmlab.sampling import PointSet, build_rcm, sample_poisson
+from rcmlab.sampling import PointSet, RcmGraph, build_rcm, sample_poisson
 
 GILBERT = ConnectionFunction("gilbert", 2, r=1.0)
 W = Window("box", 3.0, 2)
@@ -113,25 +114,61 @@ def test_difference_against_full_recount():
         n = len(pts)
         allp = np.vstack([pts, x[None]])
         ids = list(range(n)) + [-1]
-        from rcmlab.census import UnionFind
-        uf = UnionFind(n + 1)
+        full = nx.empty_graph(n + 1)
         for a in range(n + 1):
             for b in range(a + 1, n + 1):
                 d = float(np.linalg.norm(allp[a] - allp[b]))
                 if d <= g.rmax and \
                         g.marks.mark(ids[a], ids[b]) <= GILBERT.phi_of_dist(d):
-                    uf.union(a, b)
-        comps = {}
-        for v in range(n + 1):
-            comps.setdefault(uf.find(v), []).append(v)
+                    full.add_edge(a, b)
         region = g.points.region
         val = 0.0
-        for members in comps.values():
-            P = allp[members]
+        for members in nx.connected_components(full):
+            P = allp[sorted(members)]
             if np.min(region.boundary_distance(P)) < g.rmax:
                 continue
             val += float(np.all(W.contains(P)))
         assert incremental == pytest.approx(val)
+
+
+class _RelabeledMarks:
+    """The marks of a graph whose ids were permuted: id i is perm[i] there.
+
+    Negative (inserted-point) ids keep their marks.
+    """
+
+    def __init__(self, marks, perm):
+        self.marks = marks
+        self.perm = perm
+
+    def _id(self, i):
+        i = np.asarray(i, dtype=np.int64)
+        return np.where(i >= 0, self.perm[np.maximum(i, 0)], i)
+
+    def mark(self, i, j):
+        return self.marks.mark(self._id(i), self._id(j))
+
+
+def test_lexmin_independent_of_id_order():
+    """Lexmin counts follow the coordinates, not the order of the ids."""
+    spec = FunctionalSpec("count_order", W, GILBERT, 1.0, k=2, mode="lexmin")
+    rng = np.random.default_rng(11)
+    for seed in range(20):
+        g = _graph(seed, spec)
+        perm = rng.permutation(g.n)
+        points = PointSet(points=g.points.points[perm], seed=g.points.seed,
+                          region=g.points.region, beta=g.points.beta)
+        edges = np.sort(np.argsort(perm)[g.edges], axis=1)
+        shuffled = RcmGraph(points=points, phi=g.phi,
+                            marks=_RelabeledMarks(g.marks, perm),
+                            edges=edges, rmax=g.rmax)
+        assert census(shuffled, W) == census(g, W)
+        ctx = EvaluationContext(g, spec)
+        ctx_shuffled = EvaluationContext(shuffled, spec)
+        assert ctx_shuffled.base_value == ctx.base_value
+        for x in rng.uniform(-4, 4, (3, 2)):
+            assert ctx_shuffled.value_with_additions([(x, -1)]) == \
+                ctx.value_with_additions([(x, -1)])
 
 
 def test_per_sample_difference_bounds():

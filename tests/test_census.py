@@ -1,18 +1,20 @@
 """Canonical labeling, class enumeration, component census."""
 
 import itertools
+from collections import Counter
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcmlab.census import (GraphClass, canonical_form, census, components,
-                           edge_class, enumerate_classes, path_class,
-                           single_vertex_class, weighted_count)
+from rcmlab.census import (ComponentTable, GraphClass, canonical_form,
+                           census, components, edge_class, enumerate_classes,
+                           path_class, single_vertex_class, weighted_count)
 from rcmlab.connection import ConnectionFunction
 from rcmlab.geometry import Window
 from rcmlab.marks import PairMarkSource
-from rcmlab.sampling import build_rcm, sample_poisson
+from rcmlab.sampling import PointSet, build_rcm, sample_poisson
 
 
 def _brute_canon(adj):
@@ -170,6 +172,64 @@ def test_census_boundary_rule():
         pos = g.points.points[labels == root]
         if np.min(region.boundary_distance(pos)) < g.rmax:
             n_boundary += 1
+    assert rep.boundary_touching == n_boundary
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                max_size=40, unique=True),
+       st.floats(0.3, 1.5), st.integers(0, 2 ** 32 - 1))
+def test_table_and_census_match_networkx(coords, r, seed):
+    """Components of small point sets, ids in arbitrary order, recounted
+    with networkx, plain coordinate comparisons and brute-force classes."""
+    k_max = 5
+    region = Window("box", 3.0, 2)
+    window = Window("box", 1.5, 2)
+    pts = np.array(coords, dtype=float).reshape(-1, 2)
+    g = build_rcm(PointSet(points=pts, seed=0, region=region, beta=1.0),
+                  ConnectionFunction("gilbert", 2, r=r), PairMarkSource(seed))
+    table = ComponentTable(g, window, k_max)
+    rep = census(g, window, k_max=k_max)
+
+    graph = nx.empty_graph(len(pts))
+    graph.add_edges_from(map(tuple, g.edges.tolist()))
+    lexmin, inside = Counter(), Counter()
+    lexmin_cls, inside_cls = Counter(), Counter()
+    n_boundary = 0
+    for comp in nx.connected_components(graph):
+        ids = sorted(comp)
+        sup = np.abs(pts[ids]).max(axis=1)
+        lex = min(pts[i].tolist() for i in ids)
+        (label,) = set(table.labels[ids])
+        row = table[label]
+        assert sorted(row.ids) == ids
+        assert row.order == len(ids)
+        assert row.lexmin_pos.tolist() == lex
+        assert row.boundary == bool(np.min(3.0 - sup) < g.rmax)
+        if row.boundary:
+            n_boundary += 1
+            assert row.canon == -1
+            continue
+        counted_lexmin = max(abs(lex[0]), abs(lex[1])) <= 1.5
+        counted_inside = bool(np.all(sup <= 1.5))
+        lexmin[len(ids)] += counted_lexmin
+        inside[len(ids)] += counted_inside
+        if len(ids) <= k_max:
+            adj = nx.to_numpy_array(graph, nodelist=ids).astype(bool)
+            assert row.canon == _brute_canon(adj)
+            cid = GraphClass(len(ids), row.canon).class_id
+            lexmin_cls[cid] += counted_lexmin
+            inside_cls[cid] += counted_inside
+        else:
+            assert row.canon == -1
+    assert len(table) == nx.number_connected_components(graph)
+    assert rep.order_counts_lexmin == {k: v for k, v in lexmin.items() if v}
+    assert rep.order_counts_inside == {k: v for k, v in inside.items() if v}
+    assert rep.class_counts_lexmin == {
+        c: v for c, v in lexmin_cls.items() if v}
+    assert rep.class_counts_inside == {
+        c: v for c, v in inside_cls.items() if v}
+    assert rep.alpha == sum(inside.values())
     assert rep.boundary_touching == n_boundary
 
 

@@ -130,3 +130,11 @@ def test_threads_flag_and_env(tmp_path, config_path, monkeypatch):
     a = os.path.join(out1, "results", run, "0", "census.csv")
     b = os.path.join(out2, "results", run, "0", "census.csv")
     assert filecmp.cmp(a, b, shallow=False)
+
+
+def test_non_integer_threads_env_is_config_error(tmp_path, config_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.setenv("RCMLAB_THREADS", "abc")
+    rc = main(["census", "--config", config_path, "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert "RCMLAB_THREADS" in capsys.readouterr().err

@@ -132,6 +132,32 @@ def test_emit_layout_and_precision(tmp_path):
     assert "means" in doc and "mecke_mean" in doc
 
 
+def test_emit_output_contract(tmp_path):
+    """The files, columns and keys the README documents for `emit`."""
+    res = run_scenario(_base_config(), threads=1)
+    emit(res, str(tmp_path))
+    base = tmp_path / "results" / res.scenario_hash
+    assert sorted(p.name for p in base.iterdir()) == \
+        ["0", "1", "2", "summary.json"]
+    for rung in range(3):
+        rdir = base / str(rung)
+        assert sorted(p.name for p in rdir.iterdir()) == \
+            ["census.csv", "distances.csv", "moments.json", "summary.json"]
+        with open(rdir / "census.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == ["replicate", "statistic", "value"]
+        with open(rdir / "distances.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == ["statistic", "d_K", "d_1"]
+        doc = json.loads((rdir / "summary.json").read_text())
+        assert sorted(doc) == ["kind", "replicates", "rung", "scenario_hash",
+                               "seed_base", "statistics", "version"]
+        doc = json.loads((rdir / "moments.json").read_text())
+        assert sorted(doc) == ["extent", "extras", "means", "mecke_mean",
+                               "mecke_se", "variances", "volume"]
+    doc = json.loads((base / "summary.json").read_text())
+    assert sorted(doc) == ["extras", "kind", "n_rungs", "regression",
+                           "scenario_hash", "seed_base", "version"]
+
+
 def test_expectation_experiment_prediction():
     cfg = _base_config(
         statistics=[{"statistic": "count_class", "class": "1:0"}],

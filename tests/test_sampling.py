@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from rcmlab.connection import ConnectionFunction
 from rcmlab.geometry import Window, lex_less
@@ -76,6 +77,29 @@ def test_neighbors_of_point_consistent():
     np.testing.assert_array_equal(n1, np.flatnonzero(d <= 1.0))
 
 
+def test_one_kdtree_per_graph(monkeypatch):
+    """neighbors_of_point reuses the kd-tree that built the edge set."""
+    from rcmlab import sampling
+    built = []
+
+    def counting_tree(points):
+        built.append(len(points))
+        return cKDTree(points)
+
+    monkeypatch.setattr(sampling, "cKDTree", counting_tree)
+    w = Window("box", 3.0, 2)
+    phi = ConnectionFunction("gilbert", 2, r=1.0)
+    psi = ConnectionFunction("gilbert", 2, r=0.5)
+    pts = sample_poisson(w, 0.0, 1.0, 4)
+    g = build_rcm(pts, phi, PairMarkSource(4))
+    g.neighbors_of_point(np.array([0.1, 0.2]), -1)
+    g_phi, g_psi = build_coupled(pts, phi, psi, PairMarkSource(4))
+    g_phi.neighbors_of_point(np.array([0.1, 0.2]), -1)
+    g_psi.neighbors_of_point(np.array([0.1, 0.2]), -1)
+    assert built == [pts.n, pts.n]
+    assert g_psi.rmax == g_phi.rmax
+
+
 def test_coupled_edges_nested():
     w = Window("box", 4.0, 2)
     phi = ConnectionFunction("gilbert", 2, r=1.0)
@@ -86,6 +110,9 @@ def test_coupled_edges_nested():
         e_phi = set(map(tuple, g_phi.edges))
         e_psi = set(map(tuple, g_psi.edges))
         assert e_psi <= e_phi
+        # the same edges as a graph built from psi alone
+        alone = build_rcm(pts, psi, PairMarkSource(seed))
+        assert e_psi == set(map(tuple, alone.edges))
 
 
 def test_coupled_requires_domination():
