@@ -176,6 +176,13 @@ def radial_sampler(phi: ConnectionFunction, eps: float = 1e-6,
     return draw, density
 
 
+def random_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n unit vectors drawn uniformly on the sphere S^(d-1), as (n, d)."""
+    dirs = rng.standard_normal((n, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs
+
+
 def sample_displacements(phi: ConnectionFunction, rng: np.random.Generator,
                          n: int, eps: float = 1e-6, widen: float = 1.0):
     """n proposal displacements in R^d with their proposal densities.
@@ -186,9 +193,7 @@ def sample_displacements(phi: ConnectionFunction, rng: np.random.Generator,
     d = phi.dim
     draw, radial_density = radial_sampler(phi, eps=eps, widen=widen)
     radii = draw(rng, n)
-    dirs = rng.standard_normal((n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    disp = dirs * radii[:, None]
+    disp = random_directions(rng, n, d) * radii[:, None]
     surface = d * unit_ball_volume(d)
     with np.errstate(divide="ignore", invalid="ignore"):
         dens = radial_density(radii) / (surface * radii ** (d - 1))

@@ -26,7 +26,8 @@ from .census import census as run_census
 from .connection import ConnectionFunction
 from .geometry import Window
 from .marks import PairMarkSource
-from .moments import asy_cov, expected_count_intensity, sigma_total_partial
+from .moments import (asy_cov, cluster_exponent_supported,
+                      expected_count_intensity, sigma_total_partial)
 from .sampling import build_rcm, sample_poisson
 
 VERSION = "0.1.0"
@@ -314,6 +315,16 @@ def _rate_regression(rungs: list, stat_index: int = 0) -> dict:
             "slope_se": slope_se, "n": len(xs)}
 
 
+def _require_cluster_moments(scenario: Scenario, experiment: str):
+    """ConfigError, before any replicate runs, when the experiment's
+    analytic moments cannot be evaluated for the scenario's phi."""
+    if not cluster_exponent_supported(scenario.phi):
+        raise ConfigError(
+            f"phi: the {experiment} experiment needs moments of "
+            f"{scenario.phi.kind} clusters, which are available only in "
+            f"dimension <= 2")
+
+
 def run_scenario(config, threads: int = None) -> ExperimentResult:
     """Replicate ladder with empirical moments, distances, and the
     log-log rate regression of the Kolmogorov distance."""
@@ -332,6 +343,14 @@ def covariance_experiment(config, threads: int = None) -> ExperimentResult:
         load_scenario(config)
     if len(scenario.statistics) < 2:
         raise ConfigError("statistics: covariance experiment needs >= 2")
+    classes = []
+    for spec in scenario.specs(0):
+        if spec.statistic != "count_class":
+            raise ConfigError(
+                "statistics: covariance experiment compares count_class"
+                " statistics against the analytic matrix")
+        classes.append(spec.cls)
+    _require_cluster_moments(scenario, "covariance")
     threads = _thread_count(threads)
     rungs = []
     for i in range(len(scenario.extents)):
@@ -341,14 +360,6 @@ def covariance_experiment(config, threads: int = None) -> ExperimentResult:
         rung.extras["empirical_min_eigenvalue"] = float(
             np.min(np.linalg.eigvalsh(cov)))
         rungs.append(rung)
-    specs = scenario.specs(0)
-    classes = []
-    for spec in specs:
-        if spec.statistic != "count_class":
-            raise ConfigError(
-                "statistics: covariance experiment compares count_class"
-                " statistics against the analytic matrix")
-        classes.append(spec.cls)
     m = len(classes)
     mat = np.zeros((m, m))
     err = np.zeros((m, m))
@@ -377,6 +388,7 @@ def total_components_experiment(config, threads: int = None,
     if not any(s.get("statistic") == "total_components"
                for s in scenario.statistics):
         raise ConfigError("statistics: total_components not configured")
+    _require_cluster_moments(scenario, "total")
     threads = _thread_count(threads)
     rungs = []
     for i in range(len(scenario.extents)):
@@ -401,10 +413,13 @@ def expectation_experiment(config, threads: int = None) -> ExperimentResult:
     """Empirical per-volume intensities vs the analytic predictions."""
     scenario = config if isinstance(config, Scenario) else \
         load_scenario(config)
+    specs = scenario.specs(0)
+    # order-1 intensities are closed forms; larger orders need the engine
+    if any(s.statistic == "count_class" and s.cls.order > 1 for s in specs):
+        _require_cluster_moments(scenario, "expectation")
     threads = _thread_count(threads)
     rungs = [_make_rung(scenario, i, threads)
              for i in range(len(scenario.extents))]
-    specs = scenario.specs(0)
     preds = []
     for n, spec in enumerate(specs):
         if spec.statistic == "count_class":

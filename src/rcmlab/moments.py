@@ -5,7 +5,11 @@ connectivity or isomorphism probabilities times exponential interaction
 terms. They are evaluated by importance sampling: cluster coordinates
 are drawn along spanning trees with radial proposal densities built from
 the dominator profile, which keeps the weights bounded on the support of
-the integrand.
+the integrand. Each sample draws one uniform Pruefer code, so the
+proposal is the uniform mixture over all k^(k-2) labeled trees; its
+density, a sum over those trees of products of edge densities, is one
+determinant of the reduced weighted Laplacian (Kirchhoff's matrix-tree
+theorem).
 
 Sorted-tuple indicators are removed analytically: the remaining
 integrand is symmetric under relabeling the free points of a cluster, so
@@ -26,7 +30,7 @@ from scipy.special import roots_legendre
 
 from .census import GraphClass
 from .connection import ConnectionFunction, radial_sampler, \
-    sample_displacements
+    random_directions
 from .geometry import Window, lex_order, unit_ball_volume
 
 ENUM_CAP = 6
@@ -275,6 +279,13 @@ def _is_indicator(phi: ConnectionFunction) -> bool:
     return phi.kind in ("gilbert", "scaled_indicator")
 
 
+def cluster_exponent_supported(phi: ConnectionFunction) -> bool:
+    """Whether mixed_exponent can evaluate clusters of two or more points
+    of phi: exact ball intersections for indicator kinds exist only in
+    d <= 2."""
+    return not _is_indicator(phi) or phi.dim <= 2
+
+
 def _indicator_params(phi: ConnectionFunction):
     if phi.kind == "gilbert":
         return phi.r, 1.0
@@ -370,101 +381,91 @@ def q_kl(X1: np.ndarray, X2: np.ndarray, phi: ConnectionFunction,
 # ---------------------------------------------------------------------------
 # spanning-tree importance sampling
 
-def _labeled_trees(k: int):
-    """Edge lists of all labeled trees on k vertices (Pruefer decoding)."""
-    if k == 1:
-        return [[]]
-    if k == 2:
-        return [[(0, 1)]]
-    import heapq
-    trees = []
-    for seq in itertools.product(range(k), repeat=k - 2):
-        deg = [1] * k
-        for v in seq:
-            deg[v] += 1
-        edges = []
-        leaves = [i for i in range(k) if deg[i] == 1]
-        heapq.heapify(leaves)
-        for v in seq:
-            leaf = heapq.heappop(leaves)
-            edges.append((min(leaf, v), max(leaf, v)))
-            deg[leaf] -= 1
-            deg[v] -= 1
-            if deg[v] == 1:
-                heapq.heappush(leaves, v)
-        last = [i for i in range(k) if deg[i] == 1]
-        edges.append((min(last), max(last)))
-        trees.append(edges)
-    return trees
+def prufer_decode(codes: np.ndarray, k: int):
+    """Labeled trees on k vertices from their Pruefer codes, batched.
 
-
-_tree_cache: dict = {}
-
-
-def _tree_orders(k: int):
-    """For each labeled tree on k vertices: edges ordered root-outward."""
-    if k not in _tree_cache:
-        ordered = []
-        for edges in _labeled_trees(k):
-            adj = {i: [] for i in range(k)}
-            for a, b in edges:
-                adj[a].append(b)
-                adj[b].append(a)
-            seq = []
-            seen = {0}
-            queue = [0]
-            while queue:
-                v = queue.pop(0)
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        seq.append((v, w))
-                        queue.append(w)
-            ordered.append(seq)
-        _tree_cache[k] = ordered
-    return _tree_cache[k]
-
-
-class ClusterProposal:
-    """Positions of a k-cluster drawn along uniformly mixed labeled trees.
-
-    The anchor vertex sits at the origin; every other vertex is the
-    parent plus a displacement with radial density proportional to
-    phi_tilde(t)^(1/3) t^(d-1). The proposal density is the mixture over
-    all labeled trees, which covers every configuration the integrand
-    can reach.
+    codes: (n, k-2) integers in [0, k). Returns (child, parent), each of
+    shape (n, k-1): edge e of tree s joins child[s, e] to parent[s, e].
+    Edges come in leaf-removal order (smallest leaf first), so every
+    tree is rooted at vertex k-1 and each parent is either the root or
+    a child of a later edge.
     """
+    n = len(codes)
+    child = np.empty((n, max(k - 1, 0)), dtype=np.intp)
+    parent = np.empty_like(child)
+    if k < 2:
+        return child, parent
+    rows = np.arange(n)
+    deg = 1 + np.sum(codes[:, :, None] == np.arange(k), axis=1)
+    for i in range(k - 2):
+        leaf = np.argmax(deg == 1, axis=1)
+        child[:, i] = leaf
+        parent[:, i] = codes[:, i]
+        deg[rows, leaf] = 0
+        deg[rows, codes[:, i]] -= 1
+    # two vertices remain, and the larger one is always k-1
+    child[:, -1] = np.argmax(deg == 1, axis=1)
+    parent[:, -1] = k - 1
+    return child, parent
 
-    def __init__(self, phi: ConnectionFunction, k: int,
-                 eps_trunc: float = 1e-6):
+
+class _RadialProposal:
+    """Displacements with uniform directions and radial density
+    proportional to phi_tilde(t/widen)^(1/3) t^(d-1), from one radial
+    grid built per proposal."""
+
+    def __init__(self, phi: ConnectionFunction, eps_trunc: float,
+                 widen: float = 1.0):
         self.phi = phi
-        self.k = k
         self.d = phi.dim
         self.eps_trunc = eps_trunc
-        self.trees = _tree_orders(k)
-        self._draw, self._radial = radial_sampler(phi, eps=eps_trunc)
+        self._draw, self._radial = radial_sampler(phi, eps=eps_trunc,
+                                                  widen=widen)
         self._surface = self.d * unit_ball_volume(self.d)
+
+    def _displacements(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        radii = self._draw(rng, n)
+        return random_directions(rng, n, self.d) * radii[:, None]
 
     def _disp_density(self, dist: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self._radial(dist) / (self._surface * dist ** (self.d - 1))
         return np.where(dist > 0, out, 0.0)
 
+
+class ClusterProposal(_RadialProposal):
+    """Positions of a k-cluster drawn along uniformly mixed labeled trees.
+
+    Each sample picks one of the k^(k-2) labeled trees through a uniform
+    Pruefer code and joins every tree edge by an iid displacement with
+    radial density proportional to phi_tilde(t)^(1/3) t^(d-1); the
+    cluster is then shifted so that the anchor vertex 0 sits at the
+    origin. The proposal density is the uniform mixture over all
+    labeled trees of the products of the edge densities f, which covers
+    every configuration the integrand can reach. By Kirchhoff's
+    matrix-tree theorem that sum over trees is the determinant of the
+    weighted Laplacian with weights f(|x_i - x_j|), vertex 0 deleted.
+    """
+
+    def __init__(self, phi: ConnectionFunction, k: int,
+                 eps_trunc: float = 1e-6):
+        super().__init__(phi, eps_trunc)
+        self.k = k
+        # Pruefer indices of the labeled trees the proposal mixes over
+        self.trees = range(k ** max(k - 2, 0))
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         k, d = self.k, self.d
         X = np.zeros((n, k, d))
         if k == 1:
             return X
-        which = rng.integers(0, len(self.trees), size=n)
-        for t, order in enumerate(self.trees):
-            idx = np.flatnonzero(which == t)
-            if len(idx) == 0:
-                continue
-            for parent, child in order:
-                disp, _ = sample_displacements(self.phi, rng, len(idx),
-                                               eps=self.eps_trunc)
-                X[idx, child, :] = X[idx, parent, :] + disp
-        return X
+        child, parent = prufer_decode(rng.integers(0, k, size=(n, k - 2)), k)
+        disp = self._displacements(rng, n * (k - 1)).reshape(n, k - 1, d)
+        rows = np.arange(n)
+        # the root k-1 sits at the origin; later edges hold the parents
+        for e in range(k - 2, -1, -1):
+            X[rows, child[:, e]] = X[rows, parent[:, e]] + disp[:, e]
+        return X - X[:, :1, :]
 
     def density(self, X: np.ndarray) -> np.ndarray:
         n, k, _ = X.shape
@@ -472,22 +473,16 @@ class ClusterProposal:
             return np.ones(n)
         iu = _pair_index(k)
         disp = X[:, iu[0], :] - X[:, iu[1], :]
-        dist = np.sqrt(np.einsum("nij,nij->ni", disp, disp))
-        dens_e = self._disp_density(dist)
-        pair_col = {}
-        for e, (i, j) in enumerate(zip(*iu)):
-            pair_col[(int(i), int(j))] = e
-            pair_col[(int(j), int(i))] = e
-        total = np.zeros(n)
-        for order in self.trees:
-            prod = np.ones(n)
-            for parent, child in order:
-                prod = prod * dens_e[:, pair_col[(parent, child)]]
-            total += prod
-        return total / len(self.trees)
+        w = self._disp_density(np.sqrt(np.einsum("nij,nij->ni", disp, disp)))
+        lap = np.zeros((n, k, k))
+        lap[:, iu[0], iu[1]] = -w
+        lap[:, iu[1], iu[0]] = -w
+        diag = np.arange(k)
+        lap[:, diag, diag] = -lap.sum(axis=2)
+        return np.linalg.det(lap[:, 1:, 1:]) / len(self.trees)
 
 
-class AnchorProposal:
+class AnchorProposal(_RadialProposal):
     """Second-cluster anchor around a uniformly chosen first-cluster point.
 
     The radial profile is the dominator profile widened by a factor
@@ -497,25 +492,13 @@ class AnchorProposal:
 
     def __init__(self, phi: ConnectionFunction, widen: float,
                  eps_trunc: float = 1e-6):
-        self.phi = phi
-        self.d = phi.dim
+        super().__init__(phi, eps_trunc, widen=widen)
         self.widen = widen
-        self.eps_trunc = eps_trunc
-        self._draw, self._radial = radial_sampler(phi, eps=eps_trunc,
-                                                  widen=widen)
-        self._surface = self.d * unit_ball_volume(self.d)
-
-    def _disp_density(self, dist: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = self._radial(dist) / (self._surface * dist ** (self.d - 1))
-        return np.where(dist > 0, out, 0.0)
 
     def sample(self, rng: np.random.Generator, X1: np.ndarray) -> np.ndarray:
         n, k, d = X1.shape
         pick = rng.integers(0, k, size=n)
-        disp, _ = sample_displacements(self.phi, rng, n, eps=self.eps_trunc,
-                                       widen=self.widen)
-        return X1[np.arange(n), pick, :] + disp
+        return X1[np.arange(n), pick, :] + self._displacements(rng, n)
 
     def density(self, X1: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         diff = anchor[:, None, :] - X1

@@ -138,3 +138,37 @@ def test_non_integer_threads_env_is_config_error(tmp_path, config_path,
     rc = main(["census", "--config", config_path, "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
     assert "RCMLAB_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, phi, statistics", [
+    ("expectation", {"kind": "gilbert", "r": 1.0},
+     [{"statistic": "count_class", "class": "2:1"}]),
+    ("covariance", {"kind": "scaled_indicator", "p": 0.5, "r": 1.0},
+     [{"statistic": "count_class", "class": "1:0"},
+      {"statistic": "count_class", "class": "2:1"}]),
+    ("total", {"kind": "gilbert", "r": 1.0},
+     [{"statistic": "total_components"}]),
+])
+def test_indicator_moments_beyond_d2_are_config_errors(
+        tmp_path, monkeypatch, capsys, command, phi, statistics):
+    # exact ball intersections exist only for d <= 2, so the analytic
+    # side of these experiments is refused before any replicate runs
+    from rcmlab import experiments
+
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("a replicate ran before the config check")
+
+    monkeypatch.setattr(experiments, "_make_rung", no_replicates)
+    cfg = {
+        "dimension": 3, "beta": 1.0, "phi": phi,
+        "window": {"shape": "box", "extents": [1.5]},
+        "statistics": statistics, "replicates": 3, "seed_base": 1,
+        "budgets": {"mc_samples": 1000},
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg))
+    rc = main([command, "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "dimension <= 2" in err
+    assert "Traceback" not in err

@@ -4,19 +4,21 @@ asymptotic covariances."""
 import itertools
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from rcmlab.census import edge_class, path_class, single_vertex_class
-from rcmlab.connection import ConnectionFunction
-from rcmlab.geometry import Window
-from rcmlab.moments import (asy_cov, asy_cov_kl, asy_var_quadratic,
+from rcmlab.connection import ConnectionFunction, radial_sampler
+from rcmlab.geometry import Window, unit_ball_volume
+from rcmlab.moments import (AnchorProposal, ClusterProposal, asy_cov,
+                            asy_cov_kl, asy_var_quadratic,
                             expected_count_intensity,
                             finite_window_cross_moment, indicator_union_exponent,
                             inner_exponent, is_lex_sorted, joint_prob_coupled,
                             mixed_exponent, p_phi_k, prob_connected,
-                            prob_isomorphic, q_kl, sigma_total_partial,
-                            window_overlap_volume)
+                            prob_isomorphic, prufer_decode, q_kl,
+                            sigma_total_partial, window_overlap_volume)
 
 GILBERT = ConnectionFunction("gilbert", 2, r=1.0)
 
@@ -246,3 +248,97 @@ def test_finite_window_cross_moment_consistent_with_asymptotic():
     cov_per_vol = (fin.value - mean_count ** 2) / w.volume
     assert abs(cov_per_vol - SIGMA_11) < max(0.1 * SIGMA_11,
                                              4.0 * fin.std_error / w.volume)
+
+
+def _edge_density(phi):
+    """Proposal density of one tree edge's displacement, from the radial
+    sampler: radial density over the sphere's surface at that radius."""
+    _, radial = radial_sampler(phi)
+    d = phi.dim
+
+    def f(disp):
+        t = np.linalg.norm(disp, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = radial(t) / (d * unit_ball_volume(d) * t ** (d - 1))
+        return np.where(t > 0, out, 0.0)
+
+    return f
+
+
+@pytest.mark.parametrize("phi", [
+    GILBERT, ConnectionFunction("gaussian", 2, s=1.0),
+    ConnectionFunction("exponential", 3, theta=1.0)],
+    ids=["gilbert", "gaussian", "exponential-d3"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_cluster_density_equals_tree_sum(phi, k):
+    # matrix-tree determinant against the mixture over every labeled tree
+    prop = ClusterProposal(phi, k)
+    X = prop.sample(np.random.default_rng(20 + k), 16)
+    f = _edge_density(phi)
+    total = np.zeros(len(X))
+    codes = list(itertools.product(range(k), repeat=k - 2))
+    for code in codes:
+        tree = nx.from_prufer_sequence(list(code))
+        prod = np.ones(len(X))
+        for a, b in tree.edges:
+            prod *= f(X[:, a] - X[:, b])
+        total += prod
+    assert len(prop.trees) == len(codes) == k ** (k - 2)
+    np.testing.assert_allclose(prop.density(X), total / len(codes),
+                               rtol=1e-12, atol=0)
+
+
+def test_prufer_decode_matches_networkx():
+    rng = np.random.default_rng(21)
+    for k in (3, 4, 5, 6):
+        codes = rng.integers(0, k, size=(50, k - 2))
+        child, parent = prufer_decode(codes, k)
+        for code, c, p in zip(codes, child, parent):
+            tree = nx.from_prufer_sequence(code.tolist())
+            assert {frozenset(e) for e in zip(c, p)} == \
+                {frozenset(e) for e in tree.edges}
+            # rooted at k-1: each parent is the root or a later child,
+            # which is the order the sampler places vertices in
+            for e in range(k - 1):
+                assert p[e] == k - 1 or p[e] in c[e + 1:]
+    child, parent = prufer_decode(np.zeros((3, 0), dtype=int), 2)
+    assert child.tolist() == [[0]] * 3 and parent.tolist() == [[1]] * 3
+    child, parent = prufer_decode(np.zeros((3, 0), dtype=int), 1)
+    assert child.shape == parent.shape == (3, 0)
+
+
+def test_cluster_sample_matches_density():
+    # the path tree's edge-density product p is a normalized density of
+    # the anchored cluster, so E_q[p / q] = 1 under the proposal q
+    prop = ClusterProposal(GILBERT, 4)
+    X = prop.sample(np.random.default_rng(22), 200000)
+    assert np.all(X[:, 0] == 0.0)
+    f = _edge_density(GILBERT)
+    p = f(X[:, 1] - X[:, 0]) * f(X[:, 2] - X[:, 1]) * f(X[:, 3] - X[:, 2])
+    ratio = p / prop.density(X)
+    se = np.std(ratio, ddof=1) / math.sqrt(len(ratio))
+    assert abs(np.mean(ratio) - 1.0) < 4.0 * se
+
+
+def test_one_radial_grid_per_proposal(monkeypatch):
+    """Proposals draw from the sampler built once in their constructor."""
+    from rcmlab import connection, moments
+    built = []
+
+    def counting_sampler(*args, **kwargs):
+        built.append(args[0].kind)
+        return radial_sampler(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "radial_sampler", counting_sampler)
+    monkeypatch.setattr(connection, "radial_sampler", counting_sampler)
+    rng = np.random.default_rng(23)
+    prop = ClusterProposal(GILBERT, 5)
+    X = prop.sample(rng, 100)
+    prop.sample(rng, 100)
+    prop.density(X)
+    assert built == ["gilbert"]
+    anchor = AnchorProposal(GILBERT, widen=3.0)
+    a = anchor.sample(rng, X)
+    anchor.sample(rng, X)
+    anchor.density(X, a)
+    assert built == ["gilbert", "gilbert"]
