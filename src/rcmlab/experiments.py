@@ -26,7 +26,7 @@ from .census import census as run_census
 from .connection import ConnectionFunction
 from .geometry import Window
 from .marks import PairMarkSource
-from .moments import (asy_cov, cluster_exponent_supported,
+from .moments import (ENUM_CAP, asy_cov, cluster_exponent_supported,
                       expected_count_intensity, sigma_total_partial)
 from .sampling import build_rcm, sample_poisson
 
@@ -315,9 +315,16 @@ def _rate_regression(rungs: list, stat_index: int = 0) -> dict:
             "slope_se": slope_se, "n": len(xs)}
 
 
-def _require_cluster_moments(scenario: Scenario, experiment: str):
+def _require_cluster_moments(scenario: Scenario, experiment: str,
+                             orders: list[int]):
     """ConfigError, before any replicate runs, when the experiment's
-    analytic moments cannot be evaluated for the scenario's phi."""
+    analytic moments of clusters of these orders cannot be evaluated:
+    an order beyond the moment engine's enumeration cap, or a phi whose
+    cluster exponent has no exact evaluation."""
+    if max(orders) > ENUM_CAP:
+        raise ConfigError(
+            f"statistics: the {experiment} experiment needs moments of "
+            f"order {max(orders)}, beyond the enumeration cap {ENUM_CAP}")
     if not cluster_exponent_supported(scenario.phi):
         raise ConfigError(
             f"phi: the {experiment} experiment needs moments of "
@@ -350,7 +357,8 @@ def covariance_experiment(config, threads: int = None) -> ExperimentResult:
                 "statistics: covariance experiment compares count_class"
                 " statistics against the analytic matrix")
         classes.append(spec.cls)
-    _require_cluster_moments(scenario, "covariance")
+    _require_cluster_moments(scenario, "covariance",
+                             [c.order for c in classes])
     threads = _thread_count(threads)
     rungs = []
     for i in range(len(scenario.extents)):
@@ -388,7 +396,7 @@ def total_components_experiment(config, threads: int = None,
     if not any(s.get("statistic") == "total_components"
                for s in scenario.statistics):
         raise ConfigError("statistics: total_components not configured")
-    _require_cluster_moments(scenario, "total")
+    _require_cluster_moments(scenario, "total", [partial_cap])
     threads = _thread_count(threads)
     rungs = []
     for i in range(len(scenario.extents)):
@@ -415,8 +423,10 @@ def expectation_experiment(config, threads: int = None) -> ExperimentResult:
         load_scenario(config)
     specs = scenario.specs(0)
     # order-1 intensities are closed forms; larger orders need the engine
-    if any(s.statistic == "count_class" and s.cls.order > 1 for s in specs):
-        _require_cluster_moments(scenario, "expectation")
+    orders = [s.cls.order for s in specs
+              if s.statistic == "count_class" and s.cls.order > 1]
+    if orders:
+        _require_cluster_moments(scenario, "expectation", orders)
     threads = _thread_count(threads)
     rungs = [_make_rung(scenario, i, threads)
              for i in range(len(scenario.extents))]

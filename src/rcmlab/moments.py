@@ -15,6 +15,16 @@ Sorted-tuple indicators are removed analytically: the remaining
 integrand is symmetric under relabeling the free points of a cluster, so
 1{x_1 < ... < x_k} integrates to 1/(k-1)! times the unsorted integrand
 restricted to configurations whose anchor is the lexicographic minimum.
+
+Every Monte Carlo integrand is a graph probability times an interaction
+kernel (the exponential of the interaction exponent, or the two-cluster
+kernel). The drivers evaluate the probability only on draws that pass
+the lexmin test and have positive proposal density, and the costly
+kernel only on those of them whose probability is nonzero; for the
+indicator kinds that is a small share of the draws. Every reduction in
+the kernels runs row by row, so a draw's kernel value does not depend
+on which other draws share its batch, and each estimate is bit for bit
+the one a kernel evaluated on every draw would give.
 """
 
 from __future__ import annotations
@@ -204,7 +214,9 @@ def _balls_intersection_volume(centers: np.ndarray, radii: np.ndarray,
     upper = np.min(centers[:, None, :, 1] + half, axis=2)
     lower = np.max(centers[:, None, :, 1] - half, axis=2)
     chord = np.maximum(0.0, upper - lower)
-    return 0.5 * width * (chord @ weights)
+    # a row-wise sum, not a matrix-vector product: BLAS results depend on
+    # the batch, and each row's volume must not
+    return 0.5 * width * np.sum(chord * weights, axis=1)
 
 
 def indicator_union_exponent(X: np.ndarray, radii, scales,
@@ -364,18 +376,24 @@ def q_kl(X1: np.ndarray, X2: np.ndarray, phi: ConnectionFunction,
     times the joint exponent, minus the product of the two separate
     cluster exponents.
     """
-    n, k, d = X1.shape
-    l = X2.shape[1]
-    cross = np.ones(n)
-    for i in range(k):
-        disp = X2 - X1[:, i: i + 1, :]
-        dist = np.sqrt(np.einsum("nij,nij->ni", disp, disp))
-        cross *= np.prod(1.0 - phi.phi_of_dist(dist), axis=1)
+    k, l = X1.shape[1], X2.shape[1]
     Xall = np.concatenate([X1, X2], axis=1)
     e_joint = mixed_exponent(Xall, [phi] * k + [psi] * l, beta)
     e1 = mixed_exponent(X1, [phi] * k, beta)
     e2 = mixed_exponent(X2, [psi] * l, beta)
-    return cross * np.exp(e_joint) - np.exp(e1 + e2)
+    return _cross_phibar(X1, X2, phi) * np.exp(e_joint) - np.exp(e1 + e2)
+
+
+def _cross_phibar(X1: np.ndarray, X2: np.ndarray,
+                  phi: ConnectionFunction) -> np.ndarray:
+    """Product of phibar over all pairs with one point in each cluster:
+    the probability that no phi edge joins the two clusters."""
+    cross = np.ones(len(X1))
+    for i in range(X1.shape[1]):
+        disp = X2 - X1[:, i: i + 1, :]
+        dist = np.sqrt(np.einsum("nij,nij->ni", disp, disp))
+        cross *= np.prod(1.0 - phi.phi_of_dist(dist), axis=1)
+    return cross
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +524,22 @@ class AnchorProposal(_RadialProposal):
         return np.mean(self._disp_density(dist), axis=1)
 
 
+class BoxAnchor:
+    """Second-cluster anchor drawn uniformly from the cube [-half, half]^d,
+    whatever the first cluster; same interface as AnchorProposal."""
+
+    def __init__(self, half: float, d: int):
+        self.half = half
+        self.d = d
+        self._density = 1.0 / (2.0 * half) ** d
+
+    def sample(self, rng: np.random.Generator, X1: np.ndarray) -> np.ndarray:
+        return rng.uniform(-self.half, self.half, size=(len(X1), self.d))
+
+    def density(self, X1: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+        return np.full(len(anchor), self._density)
+
+
 def _is_anchor_lexmin(X: np.ndarray) -> np.ndarray:
     """True when vertex 0 of each cluster is its lexicographic minimum."""
     n, k, d = X.shape
@@ -540,17 +574,39 @@ def _mc_estimate(weights: np.ndarray, scale: float) -> tuple[float, float]:
     return scale * mean, scale * se
 
 
-def _cluster_pair_mc(phi, psi, beta, k, l, weight_fn, n_samples, seed,
-                     eps_trunc=1e-6, chunk=20000):
+def _importance_weights(Xs, dens, factor, prob_fn, kernel_fn):
+    """prob * kernel * factor / dens for one chunk of draws Xs.
+
+    Rows whose anchor cluster Xs[0] is not anchored at its lexicographic
+    minimum, or whose proposal density is 0, get weight 0 and no
+    probability; rows whose probability is 0 get weight 0 and no kernel.
+    """
+    w = np.zeros(len(dens))
+    rows = np.flatnonzero(_is_anchor_lexmin(Xs[0]) & (dens > 0))
+    if rows.size:
+        p = prob_fn(*(X[rows] for X in Xs))
+        live = p != 0
+        rows, p = rows[live], p[live]
+        if rows.size:
+            w[rows] = p * kernel_fn(*(X[rows] for X in Xs)) \
+                * factor / dens[rows]
+    return w
+
+
+def _cluster_pair_mc(phi, psi, beta, k, l, prob_fn, kernel_fn, n_samples,
+                     seed, anchor=None, eps_trunc=1e-6, chunk=20000):
     """Generic two-cluster importance-sampled integral.
 
-    weight_fn(X1, X2) returns the integrand value per sample; the sorted
-    indicators' combinatorial factors are applied here.
+    The integrand is prob_fn(X1, X2) * kernel_fn(X1, X2) per sample; the
+    sorted indicators' combinatorial factors are applied here. The
+    second cluster's anchor comes from `anchor` (default: an
+    AnchorProposal around the first cluster).
     """
     rng = np.random.default_rng(seed)
     prop1 = ClusterProposal(phi, k, eps_trunc)
-    prop2 = ClusterProposal(psi, l, eps_trunc) if l >= 1 else None
-    anchor = AnchorProposal(phi, widen=float(l + 2), eps_trunc=eps_trunc)
+    prop2 = ClusterProposal(psi, l, eps_trunc)
+    if anchor is None:
+        anchor = AnchorProposal(phi, widen=float(l + 2), eps_trunc=eps_trunc)
     factor = 1.0 / (math.factorial(k - 1) * math.factorial(l))
     weights = np.empty(n_samples)
     done = 0
@@ -561,19 +617,16 @@ def _cluster_pair_mc(phi, psi, beta, k, l, weight_fn, n_samples, seed,
         X2rel = prop2.sample(rng, m)
         X2 = X2rel + a2[:, None, :]
         dens = prop1.density(X1) * anchor.density(X1, a2) * prop2.density(X2rel)
-        w = np.zeros(m)
-        ok = _is_anchor_lexmin(X1) & (dens > 0)
-        if ok.any():
-            w[ok] = weight_fn(X1[ok], X2[ok]) * factor / dens[ok]
-        weights[done:done + m] = w
+        weights[done:done + m] = _importance_weights(
+            (X1, X2), dens, factor, prob_fn, kernel_fn)
         done += m
-    scale = beta ** (k + l)
-    return _mc_estimate(weights, scale)
+    return _mc_estimate(weights, beta ** (k + l))
 
 
-def _single_cluster_mc(phi, beta, k, weight_fn, n_samples, seed,
+def _single_cluster_mc(phi, beta, k, prob_fn, kernel_fn, n_samples, seed,
                        eps_trunc=1e-6, chunk=40000):
-    """Importance-sampled integral over one anchored cluster."""
+    """Importance-sampled integral of prob_fn(X) * kernel_fn(X) over one
+    anchored cluster."""
     rng = np.random.default_rng(seed)
     prop = ClusterProposal(phi, k, eps_trunc)
     factor = 1.0 / math.factorial(k - 1)
@@ -582,14 +635,24 @@ def _single_cluster_mc(phi, beta, k, weight_fn, n_samples, seed,
     while done < n_samples:
         m = min(chunk, n_samples - done)
         X = prop.sample(rng, m)
-        dens = prop.density(X)
-        w = np.zeros(m)
-        ok = _is_anchor_lexmin(X) & (dens > 0)
-        if ok.any():
-            w[ok] = weight_fn(X[ok]) * factor / dens[ok]
-        weights[done:done + m] = w
+        weights[done:done + m] = _importance_weights(
+            (X,), prop.density(X), factor, prob_fn, kernel_fn)
         done += m
     return _mc_estimate(weights, beta ** k)
+
+
+def _cluster_kernel(phi, beta, k):
+    """exp of the interaction exponent of a k-cluster of phi points."""
+    return lambda X: np.exp(mixed_exponent(X, [phi] * k, beta))
+
+
+def _shared_tuple_mc(phi, psi, beta, k, diag_prob, n_samples, seed):
+    """Term of a second moment where both counts see the same k-tuple;
+    diag_prob maps (pe_phi, pe_psi) to the coupled class probability."""
+    return _single_cluster_mc(
+        phi, beta, k,
+        lambda X: diag_prob(_pair_values(X, phi), _pair_values(X, psi)),
+        _cluster_kernel(phi, beta, k), max(n_samples // 2, 1000), seed + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -639,12 +702,9 @@ def expected_count_intensity(G: GraphClass, phi: ConnectionFunction,
                               std_error=0.0, n_samples=0,
                               truncation_radius=trunc, method="closed_form")
 
-    def weight(X):
-        pe = _pair_values(X, phi)
-        e = mixed_exponent(X, [phi] * k, beta)
-        return prob_isomorphic(pe, G) * np.exp(e)
-
-    value, se = _single_cluster_mc(phi, beta, k, weight, n_samples, seed)
+    value, se = _single_cluster_mc(
+        phi, beta, k, lambda X: prob_isomorphic(_pair_values(X, phi), G),
+        _cluster_kernel(phi, beta, k), n_samples, seed)
     return MomentEstimate(value=value, std_error=se, n_samples=n_samples,
                           truncation_radius=trunc, method="monte_carlo")
 
@@ -686,63 +746,31 @@ def finite_window_cross_moment(G: GraphClass, H: GraphClass,
     k, l = G.order, H.order
     trunc = phi.truncation_radius()
 
-    def weight_pair(X1, X2):
-        pe1 = _pair_values(X1, phi)
-        p1 = prob_isomorphic(pe1, G)
-        pe2 = _pair_values(X2, psi)
-        p2 = prob_isomorphic(pe2, H)
-        n = len(X1)
-        cross = np.ones(n)
-        for i in range(k):
-            disp = X2 - X1[:, i: i + 1, :]
-            dist = np.sqrt(np.einsum("nij,nij->ni", disp, disp))
-            cross *= np.prod(1.0 - phi.phi_of_dist(dist), axis=1)
+    def prob(X1, X2):
+        return prob_isomorphic(_pair_values(X1, phi), G) \
+            * prob_isomorphic(_pair_values(X2, psi), H)
+
+    def kernel(X1, X2):
         e = mixed_exponent(np.concatenate([X1, X2], axis=1),
                            [phi] * k + [psi] * l, beta)
         # the counted anchor of the second cluster is its lexicographic
         # minimum, and the overlap weight is evaluated there
         ov = np.array([window_overlap_volume(window, x)
                        for x in _lexmin_points(X2)])
-        return p1 * p2 * cross * np.exp(e) * ov
+        return _cross_phibar(X1, X2, phi) * np.exp(e) * ov
 
     # the anchor of the second cluster ranges over the whole difference
     # body of the window, not just near the first cluster: sample it
     # uniformly over the bounding box of the difference body
-    rng = np.random.default_rng(seed)
-    prop1 = ClusterProposal(phi, k)
-    prop2 = ClusterProposal(psi, l)
-    half = 2.0 * window.extent
-    d = window.dim
-    box_vol = (2.0 * half) ** d
-    factor = 1.0 / (math.factorial(k - 1) * math.factorial(l))
-    weights = np.empty(n_samples)
-    done = 0
-    chunk = 20000
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        X1 = prop1.sample(rng, m)
-        a2 = rng.uniform(-half, half, size=(m, d))
-        X2 = prop2.sample(rng, m) + a2[:, None, :]
-        dens = prop1.density(X1) * prop2.density(X2 - a2[:, None, :]) / box_vol
-        w = np.zeros(m)
-        ok = _is_anchor_lexmin(X1) & (dens > 0)
-        if ok.any():
-            w[ok] = weight_pair(X1[ok], X2[ok]) * factor / dens[ok]
-        weights[done:done + m] = w
-        done += m
-    v1, se1 = _mc_estimate(weights, beta ** (k + l))
+    v1, se1 = _cluster_pair_mc(
+        phi, psi, beta, k, l, prob, kernel,
+        n_samples, seed, anchor=BoxAnchor(2.0 * window.extent, window.dim))
 
     v2, se2 = 0.0, 0.0
     if k == l:
-        def weight_diag(X):
-            pe_phi = _pair_values(X, phi)
-            pe_psi = _pair_values(X, psi)
-            joint = joint_prob_coupled(pe_phi, pe_psi, G, H)
-            e = mixed_exponent(X, [phi] * k, beta)
-            return joint * np.exp(e)
-
-        v2, se2 = _single_cluster_mc(phi, beta, k, weight_diag,
-                                     max(n_samples // 2, 1000), seed + 1)
+        v2, se2 = _shared_tuple_mc(
+            phi, psi, beta, k,
+            lambda a, b: joint_prob_coupled(a, b, G, H), n_samples, seed)
         v2 *= window.volume
         se2 *= window.volume
     return MomentEstimate(value=v1 + v2,
@@ -761,22 +789,16 @@ def _asy_cov_generic(phi, psi, beta, k, l, prob1, prob2, diag_prob,
     """
     trunc = phi.truncation_radius()
 
-    def weight_pair(X1, X2):
-        p1 = prob1(_pair_values(X1, phi))
-        p2 = prob2(_pair_values(X2, psi))
-        return p1 * p2 * q_kl(X1, X2, phi, psi, beta)
+    def prob(X1, X2):
+        return prob1(_pair_values(X1, phi)) * prob2(_pair_values(X2, psi))
 
-    v1, se1 = _cluster_pair_mc(phi, psi, beta, k, l, weight_pair,
-                               n_samples, seed)
+    v1, se1 = _cluster_pair_mc(
+        phi, psi, beta, k, l, prob,
+        lambda X1, X2: q_kl(X1, X2, phi, psi, beta), n_samples, seed)
     v2, se2 = 0.0, 0.0
     if k == l and diag_prob is not None:
-        def weight_diag(X):
-            p = diag_prob(_pair_values(X, phi), _pair_values(X, psi))
-            e = mixed_exponent(X, [phi] * k, beta)
-            return p * np.exp(e)
-
-        v2, se2 = _single_cluster_mc(phi, beta, k, weight_diag,
-                                     max(n_samples // 2, 1000), seed + 1)
+        v2, se2 = _shared_tuple_mc(phi, psi, beta, k, diag_prob,
+                                   n_samples, seed)
     return MomentEstimate(value=v1 + v2, std_error=math.hypot(se1, se2),
                           n_samples=n_samples, truncation_radius=trunc,
                           method="monte_carlo")

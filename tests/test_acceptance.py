@@ -28,6 +28,10 @@ from rcmlab.marks import PairMarkSource
 from rcmlab.moments import asy_cov_kl, asy_var_quadratic, sigma_total_partial
 from rcmlab.sampling import build_coupled, build_rcm, sample_poisson
 
+# the whole module is the slow quantitative suite: `pytest -m "not
+# acceptance"` skips it for a quick development loop
+pytestmark = pytest.mark.acceptance
+
 GILBERT = ConnectionFunction("gilbert", 2, r=1.0)
 GAUSS = ConnectionFunction("gaussian", 2, s=1.0)
 

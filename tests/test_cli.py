@@ -98,9 +98,37 @@ def test_domination_failure_is_config_error(tmp_path):
                  "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
-def test_numerical_precondition_exit_code(tmp_path):
-    # birth-time style caps are surfaced as exit code 3 through ValueError;
-    # here: a covariance run with an order too large for enumeration
+def test_numerical_precondition_exit_code(tmp_path, capsys):
+    # numerical preconditions are surfaced as exit code 3 through
+    # ValueError; here: a Gaussian range so small that the radial
+    # proposal of the covariance integrals has zero mass on its grid
+    cfg = {
+        "dimension": 2, "beta": 1.0,
+        "phi": {"kind": "gaussian", "s": 1e-200},
+        "window": {"shape": "box", "extents": [2.0]},
+        "statistics": [{"statistic": "count_class", "class": "1:0"},
+                       {"statistic": "count_class", "class": "2:1"}],
+        "replicates": 5, "seed_base": 1,
+        "budgets": {"mc_samples": 1000},
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["covariance", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == EXIT_NUMERICAL
+    assert "degenerate radial proposal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["expectation", "covariance"])
+def test_orders_beyond_enumeration_cap_are_config_errors(
+        tmp_path, monkeypatch, capsys, command):
+    # the moment engine enumerates labeled copies only up to ENUM_CAP
+    # points, so a larger class is refused before any replicate runs
+    from rcmlab import experiments
+
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("a replicate ran before the config check")
+
+    monkeypatch.setattr(experiments, "_make_rung", no_replicates)
     cfg = {
         "dimension": 2, "beta": 1.0,
         "phi": {"kind": "gilbert", "r": 1.0},
@@ -113,8 +141,11 @@ def test_numerical_precondition_exit_code(tmp_path):
     }
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(cfg))
-    rc = main(["covariance", "--config", str(path), "--out", str(tmp_path)])
-    assert rc == EXIT_NUMERICAL
+    rc = main([command, "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "enumeration cap 6" in err
+    assert "Traceback" not in err
 
 
 def test_threads_flag_and_env(tmp_path, config_path, monkeypatch):

@@ -7,6 +7,7 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcmlab.census import edge_class, path_class, single_vertex_class
 from rcmlab.connection import ConnectionFunction, radial_sampler
@@ -19,8 +20,10 @@ from rcmlab.moments import (AnchorProposal, ClusterProposal, asy_cov,
                             mixed_exponent, p_phi_k, prob_connected,
                             prob_isomorphic, prufer_decode, q_kl,
                             sigma_total_partial, window_overlap_volume)
+from rcmlab.moments import _is_anchor_lexmin, _mc_estimate, _pair_values
 
 GILBERT = ConnectionFunction("gilbert", 2, r=1.0)
+GAUSS = ConnectionFunction("gaussian", 2, s=1.0)
 
 # Derived oracles, frozen from independent adaptive quadrature (see the
 # closed-form reductions in the corresponding tests):
@@ -342,3 +345,81 @@ def test_one_radial_grid_per_proposal(monkeypatch):
     anchor.sample(rng, X)
     anchor.density(X, a)
     assert built == ["gilbert", "gilbert"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.sampled_from([1, 2]), st.integers(2, 40),
+       st.integers(0, 2 ** 32 - 1))
+def test_indicator_union_exponent_rows_independent_of_batch(m, d, n, seed):
+    # pruning rows from a batch must not change the remaining rows' bits
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.5, 1.5, size=(n, m, d))
+    radii = rng.uniform(0.5, 1.5, size=m)
+    scales = rng.uniform(0.2, 1.0, size=m)
+    batch = indicator_union_exponent(X, radii, scales, 1.3)
+    for s in range(n):
+        alone = indicator_union_exponent(X[s: s + 1], radii, scales, 1.3)
+        assert batch[s] == alone[0]
+
+
+def _dense_intensity(G, phi, beta, n, seed):
+    """expected_count_intensity with the kernel on every lexmin row,
+    from the same draws (one chunk); also returns the number of rows
+    with a nonzero probability."""
+    k = G.order
+    prop = ClusterProposal(phi, k)
+    X = prop.sample(np.random.default_rng(seed), n)
+    dens = prop.density(X)
+    ok = _is_anchor_lexmin(X) & (dens > 0)
+    p = prob_isomorphic(_pair_values(X[ok], phi), G)
+    kernel = np.exp(mixed_exponent(X[ok], [phi] * k, beta))
+    w = np.zeros(n)
+    w[ok] = p * kernel * (1.0 / math.factorial(k - 1)) / dens[ok]
+    return _mc_estimate(w, beta ** k), int(np.sum(p != 0)), int(ok.sum())
+
+
+@pytest.mark.parametrize("G, phi", [(path_class(5), GILBERT),
+                                    (edge_class(), GAUSS)],
+                         ids=["path5-gilbert", "edge-gaussian"])
+def test_kernel_only_on_nonzero_probability_rows(monkeypatch, G, phi):
+    from rcmlab import moments
+    n, seed = (4000, 41) if phi is GILBERT else (300, 42)
+    (value, se), live, lexmin_rows = _dense_intensity(G, phi, 1.0, n, seed)
+    rows = []
+
+    def counting_exponent(X, funcs, beta, **kwargs):
+        rows.append(len(X))
+        return mixed_exponent(X, funcs, beta, **kwargs)
+
+    monkeypatch.setattr(moments, "mixed_exponent", counting_exponent)
+    est = expected_count_intensity(G, phi, 1.0, n_samples=n, seed=seed)
+    assert sum(rows) == live
+    if phi is GILBERT:
+        assert 0 < live < lexmin_rows
+    else:
+        # no zero probabilities: nothing is pruned
+        assert live == lexmin_rows
+    assert (est.value, est.std_error) == (value, se)
+
+
+def test_pruned_pair_estimate_equals_dense_reference():
+    G, H = path_class(3), edge_class()
+    k, l, n, seed = 3, 2, 3000, 43
+    rng = np.random.default_rng(seed)
+    prop1, prop2 = ClusterProposal(GILBERT, k), ClusterProposal(GILBERT, l)
+    anchor = AnchorProposal(GILBERT, widen=float(l + 2))
+    X1 = prop1.sample(rng, n)
+    a2 = anchor.sample(rng, X1)
+    X2rel = prop2.sample(rng, n)
+    X2 = X2rel + a2[:, None, :]
+    dens = prop1.density(X1) * anchor.density(X1, a2) * prop2.density(X2rel)
+    ok = _is_anchor_lexmin(X1) & (dens > 0)
+    p = prob_isomorphic(_pair_values(X1[ok], GILBERT), G) \
+        * prob_isomorphic(_pair_values(X2[ok], GILBERT), H)
+    assert np.any(p == 0)
+    w = np.zeros(n)
+    w[ok] = p * q_kl(X1[ok], X2[ok], GILBERT, GILBERT, 1.0) \
+        * (1.0 / (math.factorial(k - 1) * math.factorial(l))) / dens[ok]
+    value, se = _mc_estimate(w, 1.0)
+    est = asy_cov(G, H, GILBERT, GILBERT, 1.0, n_samples=n, seed=seed)
+    assert (est.value, est.std_error) == (value, se)
