@@ -19,12 +19,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .census import Component, ComponentTable, GraphClass, canonical_form
+from .census import (K_MAX, Component, ComponentTable, GraphClass,
+                     canonical_form)
 from .connection import ConnectionFunction
 from .geometry import Window, lex_order, unit_ball_volume
 from .marks import PairMarkSource
 from .moments import MomentEstimate
 from .sampling import PointSet, RcmGraph, build_rcm, sample_poisson
+
+
+def _is_canonical(g: GraphClass) -> bool:
+    if not 1 <= g.order <= K_MAX:
+        return False
+    try:
+        return canonical_form(g.adjacency()) == g
+    except ValueError:      # not connected
+        return False
 
 
 @dataclass(frozen=True)
@@ -61,17 +71,33 @@ class FunctionalSpec:
         if self.statistic == "weighted":
             if not self.a or not self.classes or len(self.a) != len(self.classes):
                 raise ValueError("weighted statistic needs matching a, classes")
+        for g in self.named_classes:
+            if not _is_canonical(g):
+                raise ValueError(
+                    f"class {g.class_id} is not the canonical id of a "
+                    f"connected graph of order <= {K_MAX}")
+
+    @property
+    def named_classes(self) -> tuple:
+        """The isomorphism classes whose counts the statistic reads."""
+        if self.statistic == "count_class":
+            return (self.cls,)
+        if self.statistic == "weighted":
+            return self.classes
+        return ()
+
+    @property
+    def class_order(self) -> int:
+        """Largest order of a class the statistic names (0 for none);
+        isomorphism classes are resolved only up to this order."""
+        return max((g.order for g in self.named_classes), default=0)
 
     @property
     def max_order(self) -> int:
         """Largest component order that can contribute (None = unbounded)."""
-        if self.statistic == "count_class":
-            return self.cls.order
         if self.statistic == "count_order":
             return self.k
-        if self.statistic == "weighted":
-            return max(c.order for c in self.classes)
-        return None
+        return self.class_order or None
 
     def padding(self) -> float:
         """Sampling padding so that no contributing component is cut off."""
@@ -95,10 +121,11 @@ class EvaluationContext:
         self.spec = spec
         self.window = spec.window
         self.region = graph.points.region
-        self.comps = ComponentTable(graph, spec.window, spec.k_max)
+        self.comps = ComponentTable(graph, spec.window, spec.class_order)
+        self.contributions = self._contribution(self.comps)
         # summed one term at a time in label order: a pairwise np.sum
         # rounds non-integer weights differently
-        self.base_value = float(sum(self._contribution(self.comps).tolist()))
+        self.base_value = float(sum(self.contributions.tolist()))
 
     def _contribution(self, c):
         """f's share of one Component, or of each row of a ComponentTable."""
@@ -124,116 +151,67 @@ class EvaluationContext:
         additions: sequence of (position, negative id). Marks between an
         added point and every other point come from the graph's mark
         source keyed by the ids, so repeated evaluations are coupled.
+        Only the components that the fresh points join change: each
+        group of fresh points, with the base components it touches,
+        becomes one merged component.
         """
         if not additions:
             return self.base_value
-        graph = self.graph
-        pts = graph.points.points
-        n_add = len(additions)
-        add_pos = np.array([np.asarray(p, dtype=float) for p, _ in additions])
-        add_ids = [int(i) for _, i in additions]
-        if len(set(add_ids)) != n_add or any(i >= 0 for i in add_ids):
-            raise ValueError("added points need distinct negative ids")
-        for p in add_pos:
-            if len(pts) and np.any(np.all(pts == p, axis=1)):
-                raise ValueError("added point duplicates an existing point")
-        base_nbrs = [graph.neighbors_of_point(p, i)
-                     for p, i in zip(add_pos, add_ids)]
-        # edges among the added points themselves
-        add_edges = []
-        for u in range(n_add):
-            for v in range(u + 1, n_add):
-                dist = float(np.linalg.norm(add_pos[u] - add_pos[v]))
-                if dist <= graph.rmax:
-                    mark = graph.marks.mark(add_ids[u], add_ids[v])
-                    if mark <= graph.phi.phi_of_dist(dist):
-                        add_edges.append((u, v))
-        # group the added points and the base components they touch
-        parent = list(range(n_add))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        touched: dict[int, int] = {}   # base component label -> group leader
-        for u, nbrs in enumerate(base_nbrs):
-            for b in nbrs:
-                root = int(self.comps.labels[int(b)])
-                if root in touched:
-                    ra, rb = find(touched[root]), find(u)
-                    parent[ra] = rb
-                else:
-                    touched[root] = u
-        for u, v in add_edges:
-            parent[find(u)] = find(v)
-        groups: dict[int, dict] = {}
-        for u in range(n_add):
-            g = find(u)
-            groups.setdefault(g, {"adds": [], "roots": set()})["adds"].append(u)
-        for root, u in touched.items():
-            groups[find(u)]["roots"].add(root)
-
+        fresh = self.graph.fresh_edges(additions)
+        labels = self.comps.labels
+        pos = {int(i): p for p, i in additions}
+        # every fresh edge joins a fresh point (negative id) to another
+        # one or to a base component (its label); each of these nodes
+        # maps to a representative of its group
+        ends = [(u, v if v < 0 else int(labels[v]))
+                for u, v in fresh.tolist()]
+        group = {k: k for k in [*pos, *(v for _, v in ends)]}
+        for u, v in ends:
+            a, b = group[u], group[v]
+            if a != b:
+                group = {k: a if g == b else g for k, g in group.items()}
         value = self.base_value
-        for g in groups.values():
-            merged = self._merged_contribution(
-                g["adds"], sorted(g["roots"]), add_pos, add_ids,
-                base_nbrs, add_edges)
-            value += merged
-            for root in g["roots"]:
-                value -= float(self._contribution(self.comps[root]))
+        for g in dict.fromkeys(group[u] for u in pos):
+            members = [k for k, h in group.items() if h == g]
+            adds = [k for k in members if k < 0]
+            roots = [k for k in members if k >= 0]
+            value += float(self._contribution(self._merged(
+                adds, [pos[u] for u in adds], roots, fresh)))
+            # subtracted in set order, which fixes how non-integer
+            # weights round
+            for root in set(roots):
+                value -= float(self.contributions[root])
         return value
 
-    def _merged_contribution(self, adds, roots, add_pos, add_ids,
-                             base_nbrs, add_edges) -> float:
-        spec = self.spec
-        comps = [self.comps[r] for r in roots]
-        order = sum(c.order for c in comps) + len(adds)
-        pos_in_w = self.window.contains(add_pos[adds])
-        n_inside = sum(c.n_inside for c in comps) + int(np.sum(pos_in_w))
-        boundary = any(c.boundary for c in comps) or bool(np.any(
-            self.region.boundary_distance(add_pos[adds]) < self.graph.rmax))
-        if spec.statistic == "point_count":
-            return float(n_inside)
-        if boundary:
-            return 0.0
-        cands = np.array([c.lexmin_pos for c in comps] + list(add_pos[adds]))
-        lexmin_pos = cands[lex_order(cands)[0]]
-        lexmin_inside = bool(self.window.contains(lexmin_pos)[0])
+    def _merged(self, ids, pos, roots, fresh) -> Component:
+        """The component that fresh points form with the base components
+        labelled roots, joined by the fresh edges."""
+        t = self.comps
+        pos = np.array(pos, dtype=float)
+        roots = np.array(roots, dtype=np.int64)
+        order = int(t.order[roots].sum()) + len(ids)
+        boundary = bool(t.boundary[roots].any() or (
+            self.region.boundary_distance(pos) < self.graph.rmax).any())
+        # lexicographic minimum among the components' and the fresh points
+        cands = np.concatenate([t.points[t.lexmin[roots]], pos])
+        inside = np.concatenate([t.lexmin_inside[roots],
+                                 self.window.contains(pos)])
+        first = lex_order(cands)[0]
         canon = -1
-        if order <= spec.k_max:
-            canon = self._merged_class(adds, comps, add_ids, base_nbrs,
-                                       add_edges).canon
-        merged = Component(order=order, n_inside=n_inside, boundary=False,
-                           lexmin_pos=lexmin_pos,
-                           lexmin_inside=lexmin_inside, canon=canon)
-        return float(self._contribution(merged))
-
-    def _merged_class(self, adds, comps, add_ids, base_nbrs,
-                      add_edges) -> GraphClass:
-        local = {}
-        for c in comps:
-            for i in c.ids:
-                local[int(i)] = len(local)
-        for u in adds:
-            local[add_ids[u]] = len(local)
-        k = len(local)
-        adj = np.zeros((k, k), dtype=bool)
-        for c in comps:
-            for i, j in c.edges:
-                a, b = local[i], local[j]
-                adj[a, b] = adj[b, a] = True
-        for u in adds:
-            for b in base_nbrs[u]:
-                if int(b) in local:
-                    a, bb = local[add_ids[u]], local[int(b)]
-                    adj[a, bb] = adj[bb, a] = True
-        for u, v in add_edges:
-            if u in adds and v in adds:
-                a, b = local[add_ids[u]], local[add_ids[v]]
-                adj[a, b] = adj[b, a] = True
-        return canonical_form(adj)
+        if not boundary and order <= self.spec.class_order:
+            comps = [t[r] for r in roots]
+            vertices = np.concatenate([c.ids for c in comps] + [ids])
+            edges = np.concatenate([c.edges for c in comps]
+                                   + [fresh[np.isin(fresh[:, 0], ids)]])
+            by_id = np.argsort(vertices)
+            local = by_id[np.searchsorted(vertices, edges, sorter=by_id)]
+            adj = np.zeros((order, order), dtype=bool)
+            adj[local[:, 0], local[:, 1]] = adj[local[:, 1], local[:, 0]] = True
+            canon = canonical_form(adj).canon
+        return Component(
+            order=order, boundary=boundary, canon=canon,
+            n_inside=int(t.n_inside[roots].sum() + inside[len(roots):].sum()),
+            lexmin_pos=cands[first], lexmin_inside=bool(inside[first]))
 
 
 def evaluate(spec: FunctionalSpec, graph: RcmGraph) -> float:
@@ -292,21 +270,10 @@ def neighbors_with_additions(graph: RcmGraph, additions):
     id -> list of adjacent ids.
     """
     base_adj = graph.adjacency()
-    add_pos = {int(i): np.asarray(p, dtype=float) for p, i in additions}
-    extra: dict[int, list] = {i: [] for i in add_pos}
-    for i, p in add_pos.items():
-        for b in graph.neighbors_of_point(p, i):
-            extra[i].append(int(b))
-            extra.setdefault(int(b), []).append(i)
-    ids = sorted(add_pos)
-    for a in range(len(ids)):
-        for b in range(a + 1, len(ids)):
-            u, v = ids[a], ids[b]
-            dist = float(np.linalg.norm(add_pos[u] - add_pos[v]))
-            if dist <= graph.rmax:
-                if graph.marks.mark(u, v) <= graph.phi.phi_of_dist(dist):
-                    extra[u].append(v)
-                    extra[v].append(u)
+    extra: dict[int, list] = {int(i): [] for _, i in additions}
+    for u, v in graph.fresh_edges(additions).tolist():
+        extra[u].append(v)
+        extra.setdefault(v, []).append(u)
 
     def neighbors(v: int):
         out = list(base_adj[v]) if 0 <= v < graph.n else []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import FunctionalSpec, empirical_distance
-from .census import K_MAX, GraphClass
+from .census import GraphClass
 from .census import census as run_census
 from .connection import ConnectionFunction
 from .geometry import Window
@@ -185,7 +185,8 @@ def _run_replicate(scenario: Scenario, rung: int, rep: int,
     padding = max(s.padding() for s in specs)
     points = sample_poisson(window, padding, scenario.beta, seed)
     graph = build_rcm(points, scenario.phi, PairMarkSource(seed))
-    report = run_census(graph, window, k_max=min(scenario.k_max, K_MAX))
+    report = run_census(graph, window,
+                        k_max=max(s.class_order for s in specs))
     values = [_value_from_report(spec, report, graph, window)
               for spec in specs]
     n_in_window = int(np.sum(window.contains(points.points)))

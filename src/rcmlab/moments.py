@@ -663,23 +663,6 @@ def is_lex_sorted(X: np.ndarray) -> bool:
     return bool(np.all(order == np.arange(len(X))))
 
 
-def p_phi_G(x, phi: ConnectionFunction, G: GraphClass) -> float:
-    """Probability that the tuple forms a labeled copy of G, with the
-    sorted-tuple indicator of the anchored counting convention."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    k = len(X)
-    if k != G.order:
-        raise ValueError("tuple length must match the class order")
-    if k > ENUM_CAP:
-        raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
-    if len(np.unique(X, axis=0)) != k:
-        raise ValueError("points must be distinct")
-    if not is_lex_sorted(X):
-        return 0.0
-    pe = _pair_values(X[None, :, :], phi)
-    return float(prob_isomorphic(pe, G)[0])
-
-
 def p_phi_k(x, phi: ConnectionFunction) -> float:
     """Connectivity probability with the sorted-tuple indicator."""
     X = np.atleast_2d(np.asarray(x, dtype=float))

@@ -11,6 +11,7 @@ phi(x_i - x_j).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,15 +70,21 @@ def _candidate_pairs(points: np.ndarray, rmax: float):
     return pairs.astype(np.int64), tree
 
 
+def _joined(i, j, dist, phi: ConnectionFunction,
+            marks: PairMarkSource) -> np.ndarray:
+    """Which id pairs (i, j) at these distances are edges: the pair's
+    mark is at most phi of its distance."""
+    return np.atleast_1d(marks.mark(i, j)) <= phi.phi_of_dist(dist)
+
+
 def _marked_edges(points: np.ndarray, pairs: np.ndarray,
                   phi: ConnectionFunction,
                   marks: PairMarkSource) -> np.ndarray:
-    """The pairs whose mark is at most phi of their distance."""
+    """The id pairs, ids being rows of points, that are edges."""
     if len(pairs) == 0:
         return pairs
     dist = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
-    m = np.atleast_1d(marks.mark(pairs[:, 0], pairs[:, 1]))
-    return pairs[m <= phi.phi_of_dist(dist)]
+    return pairs[_joined(pairs[:, 0], pairs[:, 1], dist, phi, marks)]
 
 
 @dataclass(frozen=True)
@@ -128,9 +135,35 @@ class RcmGraph:
         if len(cand) == 0:
             return cand
         dist = np.linalg.norm(pts[cand] - np.asarray(x, dtype=float), axis=1)
-        m = self.marks.mark(np.full(len(cand), new_id, dtype=np.int64), cand)
-        keep = np.atleast_1d(m) <= self.phi.phi_of_dist(dist)
+        keep = _joined(np.full(len(cand), new_id, dtype=np.int64), cand,
+                       dist, self.phi, self.marks)
         return np.sort(cand[keep])
+
+    def fresh_edges(self, additions) -> np.ndarray:
+        """The edges that fresh points add to the graph, as (m, 2) id rows.
+
+        additions: sequence of (position, id) with distinct negative ids,
+        none at the position of a base point. The rows are (fresh id,
+        base id) for each fresh point in turn, base ids ascending, then
+        the edges among fresh points in ascending (smaller id, larger id)
+        order. Marks come from the graph's mark source keyed by the ids,
+        so repeated queries are coupled with each other and the graph.
+        """
+        pos = {int(i): np.asarray(p, dtype=float) for p, i in additions}
+        if len(pos) != len(additions) or any(i >= 0 for i in pos):
+            raise ValueError("added points need distinct negative ids")
+        pts = self.points.points
+        if len(pts) and any(np.any(np.all(pts == p, axis=1))
+                            for p in pos.values()):
+            raise ValueError("added point duplicates an existing point")
+        rows = [(i, b) for i, p in pos.items()
+                for b in self.neighbors_of_point(p, i).tolist()]
+        for u, v in itertools.combinations(sorted(pos), 2):
+            dist = float(np.linalg.norm(pos[u] - pos[v]))
+            if dist <= self.rmax and _joined(u, v, dist, self.phi,
+                                             self.marks)[0]:
+                rows.append((u, v))
+        return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 def build_rcm(points: PointSet, phi: ConnectionFunction,

@@ -13,11 +13,13 @@ from rcmlab.analysis import (DifferenceSample, EvaluationContext,
                              connects_to_window, degree_with_additions,
                              difference, dkw_bound, empirical_distance,
                              evaluate, fourth_moment_bound, gamma_terms,
-                             hops_between, pilot_standardization,
+                             hop_ball, hops_between, neighbors_with_additions,
+                             pilot_standardization,
                              poincare_bound, second_difference)
-from rcmlab.census import census, edge_class, single_vertex_class
+from rcmlab.census import (canonical_form, census, edge_class, path_class,
+                           single_vertex_class)
 from rcmlab.connection import ConnectionFunction
-from rcmlab.geometry import Window
+from rcmlab.geometry import Window, lex_order
 from rcmlab.marks import PairMarkSource
 from rcmlab.sampling import PointSet, RcmGraph, build_rcm, sample_poisson
 
@@ -100,6 +102,47 @@ def test_second_difference_symmetry():
         assert a.second == pytest.approx(b.second)
 
 
+def _recount(spec, g, additions):
+    """f of the graph plus fresh points, from a rebuild in which every
+    pair is re-tested with the same marks and networkx finds the
+    components; classes come from canonical_form of each component."""
+    pts = np.vstack([g.points.points] + [np.asarray(p)[None]
+                                         for p, _ in additions])
+    ids = np.array(list(range(g.n)) + [i for _, i in additions])
+    inside = W.contains(pts)
+    if spec.statistic == "point_count":
+        return float(np.sum(inside))
+    a, b = np.triu_indices(len(pts), 1)
+    d = np.linalg.norm(pts[a] - pts[b], axis=1)
+    near = d <= g.rmax
+    a, b, d = a[near], b[near], d[near]
+    joined = g.marks.mark(ids[a], ids[b]) <= spec.phi.phi_of_dist(d)
+    full = nx.empty_graph(len(pts))
+    full.add_edges_from(zip(a[joined].tolist(), b[joined].tolist()))
+    region = g.points.region
+    weights = (dict(zip(spec.classes, spec.a)) if spec.statistic == "weighted"
+               else {spec.cls: 1.0} if spec.statistic == "count_class"
+               else {})
+    val = 0.0
+    for members in nx.connected_components(full):
+        idx = sorted(members)
+        if np.min(region.boundary_distance(pts[idx])) < g.rmax:
+            continue
+        if spec.statistic == "total_components":
+            val += float(np.all(inside[idx]))
+            continue
+        counted = (inside[idx][lex_order(pts[idx])[0]]
+                   if spec.mode == "lexmin" else np.all(inside[idx]))
+        if not counted:
+            continue
+        if spec.statistic == "count_order":
+            val += float(len(idx) == spec.k)
+        elif len(idx) <= max(c.order for c in weights):
+            adj = nx.to_numpy_array(full.subgraph(idx), dtype=bool)
+            val += weights.get(canonical_form(adj), 0.0)
+    return val
+
+
 def test_difference_against_full_recount():
     """Incremental insertion agrees with a from-scratch rebuild."""
     spec = FunctionalSpec("total_components", W, GILBERT, 1.0)
@@ -109,26 +152,71 @@ def test_difference_against_full_recount():
         x = rng.uniform(-5, 5, 2)
         ctx = EvaluationContext(g, spec)
         incremental = ctx.value_with_additions([(x, -1)])
-        # rebuild: every pair re-tested with the same marks
-        pts = g.points.points
-        n = len(pts)
-        allp = np.vstack([pts, x[None]])
-        ids = list(range(n)) + [-1]
-        full = nx.empty_graph(n + 1)
-        for a in range(n + 1):
-            for b in range(a + 1, n + 1):
-                d = float(np.linalg.norm(allp[a] - allp[b]))
-                if d <= g.rmax and \
-                        g.marks.mark(ids[a], ids[b]) <= GILBERT.phi_of_dist(d):
-                    full.add_edge(a, b)
-        region = g.points.region
-        val = 0.0
-        for members in nx.connected_components(full):
-            P = allp[sorted(members)]
-            if np.min(region.boundary_distance(P)) < g.rmax:
-                continue
-            val += float(np.all(W.contains(P)))
-        assert incremental == pytest.approx(val)
+        assert incremental == pytest.approx(_recount(spec, g, [(x, -1)]))
+    # every statistic, one to three fresh points placed close together
+    # so that they join each other and the same components
+    classes = (single_vertex_class(), edge_class(), path_class(3))
+    specs = [
+        FunctionalSpec("count_class", W, GILBERT, 1.0, cls=path_class(3)),
+        FunctionalSpec("count_order", W, GILBERT, 1.0, k=2, mode="inside"),
+        FunctionalSpec("weighted", W, GILBERT, 1.0, a=(0.3, -1.7, 2.9),
+                       classes=classes),
+        FunctionalSpec("weighted", W, GILBERT, 1.0, a=(0.3, -1.7, 2.9),
+                       classes=classes, mode="inside"),
+        FunctionalSpec("total_components", W, GILBERT, 1.0),
+        FunctionalSpec("point_count", W, GILBERT, 1.0),
+    ]
+    for spec in specs:
+        for seed in range(6):
+            g = _graph(seed, spec, beta=0.6)
+            ctx = EvaluationContext(g, spec)
+            for m in (1, 2, 3, 2, 3):
+                centre = rng.uniform(-3.5, 3.5, 2)
+                ids = rng.permutation([-1, -2, -3])[:m].tolist()
+                additions = [(centre + rng.normal(0, 0.6, 2), i)
+                             for i in ids]
+                incremental = ctx.value_with_additions(additions)
+                full = _recount(spec, g, additions)
+                if spec.statistic == "weighted":
+                    assert incremental == pytest.approx(full, abs=1e-12)
+                else:
+                    assert incremental == full
+
+
+def test_fresh_ids_are_validated():
+    """Fresh points need distinct negative ids; a nonnegative id would
+    be taken for a base vertex."""
+    spec = FunctionalSpec("count_order", W, GILBERT, 1.0, k=1)
+    g = _graph(1, spec)
+    x = -g.points.points[3]
+    y = x + 0.5
+    ctx = EvaluationContext(g, spec)
+    for additions in ([(x, 3)], [(x, 0)], [(x, -1), (y, -1)]):
+        vertex = additions[0][1]
+        with pytest.raises(ValueError, match="distinct negative ids"):
+            neighbors_with_additions(g, additions)
+        with pytest.raises(ValueError, match="distinct negative ids"):
+            degree_with_additions(g, additions, vertex)
+        with pytest.raises(ValueError, match="distinct negative ids"):
+            hop_ball(g, additions, vertex, 2)
+        with pytest.raises(ValueError, match="distinct negative ids"):
+            ctx.value_with_additions(additions)
+    with pytest.raises(ValueError, match="duplicates"):
+        neighbors_with_additions(g, [(g.points.points[3], -1)])
+
+
+def test_classes_resolved_beyond_k_max():
+    """The statistic's class, not k_max, sets which classes are resolved:
+    k_max only sets the padding of unbounded statistics."""
+    spec = FunctionalSpec("count_class", Window("box", 10.0, 2), GILBERT,
+                          1.0, cls=path_class(3), k_max=2)
+    assert spec.padding() == pytest.approx(4.0)
+    counts = []
+    for seed in range(5):
+        g = _graph(seed, spec)
+        counts.append(census(g, spec.window, k_max=5).eta_G(path_class(3)))
+        assert evaluate(spec, g) == counts[-1]
+    assert counts == [1, 4, 5, 2, 1]
 
 
 class _RelabeledMarks:

@@ -73,6 +73,23 @@ def test_bounds_subcommand(tmp_path, config_path):
     assert docs and all("poincare_bound" in d for d in docs)
 
 
+def test_bounds_with_k_max_above_class_limit(tmp_path):
+    # k_max pads unbounded statistics only; it no longer sets the class
+    # order of the component table, which is capped at K_MAX = 8
+    cfg = {
+        "dimension": 2, "beta": 1.0,
+        "phi": {"kind": "gilbert", "r": 1.0},
+        "window": {"shape": "box", "extents": [1.0]},
+        "statistics": [{"statistic": "count_order", "k": 1}],
+        "replicates": 2, "seed_base": 3, "k_max": 9,
+        "budgets": {"inner": 2},
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["bounds", "--config", str(path),
+                 "--out", str(tmp_path)]) == EXIT_OK
+
+
 def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dimension": 2}))
@@ -145,6 +162,30 @@ def test_orders_beyond_enumeration_cap_are_config_errors(
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG
     assert "enumeration cap 6" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("statistic", [
+    {"statistic": "count_class", "class": "3:5"},    # 3-path, not canonical
+    {"statistic": "count_class", "class": "3:1"},    # disconnected
+    {"statistic": "count_class", "class": "2:0"},    # disconnected
+    {"statistic": "count_class", "class": "9:1ff"},  # order above K_MAX
+    {"statistic": "weighted", "a": [1.0, 2.0], "classes": ["2:1", "3:5"]},
+], ids=["3:5", "3:1", "2:0", "9:1ff", "weighted-3:5"])
+def test_non_canonical_class_ids_are_config_errors(tmp_path, capsys,
+                                                   statistic):
+    cfg = {
+        "dimension": 2, "beta": 1.0,
+        "phi": {"kind": "gilbert", "r": 1.0},
+        "window": {"shape": "box", "extents": [5.0]},
+        "statistics": [statistic], "replicates": 4, "seed_base": 0,
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["census", "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "not the canonical id of a connected graph" in err
     assert "Traceback" not in err
 
 

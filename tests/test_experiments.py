@@ -8,10 +8,13 @@ import pathlib
 import numpy as np
 import pytest
 
+from rcmlab.census import census, path_class
 from rcmlab.experiments import (ConfigError, covariance_experiment, emit,
                                 expectation_experiment, load_scenario,
                                 replicate_seed, run_scenario,
                                 total_components_experiment)
+from rcmlab.marks import PairMarkSource
+from rcmlab.sampling import build_rcm, sample_poisson
 
 
 def _base_config(**overrides):
@@ -93,6 +96,26 @@ def test_run_scenario_and_regression():
             rung.mecke_se, 1.0)
     assert res.regression["n"] <= 3
     assert res.scenario_hash == res.scenario.scenario_hash
+
+
+def test_class_counts_beyond_k_max():
+    """A class above k_max is still resolved: the statistics set the
+    class order of the census, k_max only pads unbounded statistics."""
+    cfg = _base_config(
+        window={"shape": "box", "extents": [5.0]}, replicates=4,
+        seed_base=0, k_max=2,
+        statistics=[{"statistic": "count_class", "class": "3:3"}])
+    scn = load_scenario(cfg)
+    res = run_scenario(scn, threads=1)
+    expected = []
+    for rep in range(scn.replicates):
+        seed = replicate_seed(scn, 0, rep)
+        points = sample_poisson(scn.window(0), 4.0, scn.beta, seed)
+        graph = build_rcm(points, scn.phi, PairMarkSource(seed))
+        expected.append(census(graph, scn.window(0), k_max=5).eta_G(
+            path_class(3)))
+    assert res.rungs[0].values[:, 0].tolist() == expected
+    assert expected == [0, 0, 0, 1]
 
 
 def _tree_digest(root):
