@@ -15,17 +15,19 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import norm
 
 from .census import (K_MAX, Component, ComponentTable, GraphClass,
-                     canonical_form)
+                     batch_table, canonical_form)
 from .connection import ConnectionFunction
-from .geometry import Window, lex_order, unit_ball_volume
-from .marks import PairMarkSource
+from .geometry import Window, unit_ball_volume
+from .marks import PairMarkSource, pair_marks, stacked_keys
 from .moments import MomentEstimate
-from .sampling import PointSet, RcmGraph, build_rcm, sample_poisson
+from .sampling import (PointSet, RcmGraph, build_rcm, build_rcm_batch,
+                       sample_poisson)
 
 
 def _is_canonical(g: GraphClass) -> bool:
@@ -114,18 +116,36 @@ class FunctionalSpec:
 # incremental evaluation
 
 class EvaluationContext:
-    """Base-realization census with support for fresh-point insertions."""
+    """Base-realization census with support for fresh-point insertions.
+
+    The context reads its realization's rows of the component table over
+    the graph's whole batch, and f's share of every component of the
+    batch, both computed once per batch: realization r's labels c0 + c
+    and ids v0 + i are its own labels c and ids i.
+    """
 
     def __init__(self, graph: RcmGraph, spec: FunctionalSpec):
         self.graph = graph
         self.spec = spec
         self.window = spec.window
         self.region = graph.points.region
-        self.comps = ComponentTable(graph, spec.window, spec.class_order)
-        self.contributions = self._contribution(self.comps)
+        table = batch_table(graph, spec.window, spec.class_order)
+        self._table = table
+        self._shares = graph.batch.shared(
+            ("contributions", id(spec)), spec,
+            lambda: self._contribution(table))
+        r = graph.index
+        self._c0, c1 = table.label_start[r:r + 2].tolist()
+        self._v0 = int(table.starts[r])
+        self.contributions = self._shares[self._c0:c1]
         # summed one term at a time in label order: a pairwise np.sum
         # rounds non-integer weights differently
         self.base_value = float(sum(self.contributions.tolist()))
+
+    @cached_property
+    def comps(self) -> ComponentTable:
+        """The realization's component table, in its own labels and ids."""
+        return self._table.view(self.graph.index)
 
     def _contribution(self, c):
         """f's share of one Component, or of each row of a ComponentTable."""
@@ -158,50 +178,61 @@ class EvaluationContext:
         if not additions:
             return self.base_value
         fresh = self.graph.fresh_edges(additions)
-        labels = self.comps.labels
-        pos = {int(i): p for p, i in additions}
+        labels, c0, v0 = self._table.labels, self._c0, self._v0
+        ids = [int(i) for _, i in additions]
+        # where each fresh point lies, found once for all its groups
+        pos = np.array([p for p, _ in additions], dtype=float)
+        inside = self.window.contains(pos).tolist()
+        near_edge = (self.region.boundary_distance(pos)
+                     < self.graph.rmax).tolist()
+        row = {i: k for k, i in enumerate(ids)}
         # every fresh edge joins a fresh point (negative id) to another
         # one or to a base component (its label); each of these nodes
         # maps to a representative of its group
-        ends = [(u, v if v < 0 else int(labels[v]))
+        ends = [(u, v if v < 0 else int(labels[v0 + v]) - c0)
                 for u, v in fresh.tolist()]
-        group = {k: k for k in [*pos, *(v for _, v in ends)]}
+        group = {k: k for k in [*ids, *(v for _, v in ends)]}
         for u, v in ends:
             a, b = group[u], group[v]
             if a != b:
                 group = {k: a if g == b else g for k, g in group.items()}
         value = self.base_value
-        for g in dict.fromkeys(group[u] for u in pos):
+        for g in dict.fromkeys(group[u] for u in ids):
             members = [k for k, h in group.items() if h == g]
-            adds = [k for k in members if k < 0]
+            adds = [row[k] for k in members if k < 0]
             roots = [k for k in members if k >= 0]
             value += float(self._contribution(self._merged(
-                adds, [pos[u] for u in adds], roots, fresh)))
+                [ids[k] for k in adds], pos[adds], [inside[k] for k in adds],
+                any(near_edge[k] for k in adds), roots, fresh)))
             # subtracted in set order, which fixes how non-integer
             # weights round
             for root in set(roots):
-                value -= float(self.contributions[root])
+                value -= float(self._shares[c0 + root])
         return value
 
-    def _merged(self, ids, pos, roots, fresh) -> Component:
+    def _merged(self, ids, pos, inside, near_edge, roots,
+                fresh) -> Component:
         """The component that fresh points form with the base components
-        labelled roots, joined by the fresh edges."""
-        t = self.comps
-        pos = np.array(pos, dtype=float)
-        roots = np.array(roots, dtype=np.int64)
-        order = int(t.order[roots].sum()) + len(ids)
-        boundary = bool(t.boundary[roots].any() or (
-            self.region.boundary_distance(pos) < self.graph.rmax).any())
-        # lexicographic minimum among the components' and the fresh points
-        cands = np.concatenate([t.points[t.lexmin[roots]], pos])
-        inside = np.concatenate([t.lexmin_inside[roots],
-                                 self.window.contains(pos)])
-        first = lex_order(cands)[0]
+        labelled roots, joined by the fresh edges.
+
+        ids, pos, inside: the fresh points' ids, positions and window
+        membership; near_edge: some fresh point lies within rmax of the
+        region's boundary.
+        """
+        t, v0 = self._table, self._v0
+        roots = [self._c0 + r for r in roots]
+        order = len(ids) + sum(int(t.order[r]) for r in roots)
+        boundary = near_edge or any(t.boundary[r] for r in roots)
+        # lexicographic minimum among the components' and the fresh
+        # points, the first of them on ties
+        cands = ([(t.points[t.lexmin[r]], bool(t.lexmin_inside[r]))
+                  for r in roots] + list(zip(pos, inside)))
+        lexmin_pos, lexmin_inside = min(cands, key=lambda c: c[0].tolist())
         canon = -1
         if not boundary and order <= self.spec.class_order:
             comps = [t[r] for r in roots]
-            vertices = np.concatenate([c.ids for c in comps] + [ids])
-            edges = np.concatenate([c.edges for c in comps]
+            vertices = np.concatenate([c.ids - v0 for c in comps] + [ids])
+            edges = np.concatenate([c.edges - v0 for c in comps]
                                    + [fresh[np.isin(fresh[:, 0], ids)]])
             by_id = np.argsort(vertices)
             local = by_id[np.searchsorted(vertices, edges, sorter=by_id)]
@@ -209,9 +240,9 @@ class EvaluationContext:
             adj[local[:, 0], local[:, 1]] = adj[local[:, 1], local[:, 0]] = True
             canon = canonical_form(adj).canon
         return Component(
-            order=order, boundary=boundary, canon=canon,
-            n_inside=int(t.n_inside[roots].sum() + inside[len(roots):].sum()),
-            lexmin_pos=cands[first], lexmin_inside=bool(inside[first]))
+            order=order, boundary=bool(boundary), canon=canon,
+            n_inside=sum(int(t.n_inside[r]) for r in roots) + sum(inside),
+            lexmin_pos=lexmin_pos, lexmin_inside=lexmin_inside)
 
 
 def evaluate(spec: FunctionalSpec, graph: RcmGraph) -> float:
@@ -324,9 +355,52 @@ def hops_between(graph: RcmGraph, additions, a: int, b: int,
 # ---------------------------------------------------------------------------
 # variance bounds
 
-def _spec_graph(spec: FunctionalSpec, seed: int) -> RcmGraph:
+# The Monte Carlo estimators build their graphs in chunks of outer
+# draws, each chunk one disjoint union of at most this many points (each
+# graph counting one more) unless one draw alone has more: large enough
+# that per-graph set-up is shared, small enough that long runs never
+# hold more than one chunk and that graphs of thousands of points are
+# built one at a time.
+_CHUNK_POINTS = 1 << 12
+
+
+def _spec_sample(spec: FunctionalSpec, seed: int):
+    """The point set and mark source of the graph with this seed."""
     points = sample_poisson(spec.window, spec.padding(), spec.beta, seed)
-    return build_rcm(points, spec.phi, PairMarkSource(seed))
+    return points, PairMarkSource(seed)
+
+
+def _spec_draw(spec: FunctionalSpec, draw, seeds):
+    """An outer draw whose graphs are the spec's graphs of these seeds."""
+    samples = [_spec_sample(spec, s) for s in seeds]
+    return draw, [p for p, _ in samples], [m for _, m in samples]
+
+
+def _batched(spec: FunctionalSpec, draws):
+    """Each outer draw with the evaluation contexts of its graphs.
+
+    draws: iterable of (draw, point sets, mark sources). Consecutive
+    draws are collected up to _CHUNK_POINTS, and all their graphs are
+    built and labelled as one batch. The draws are taken in order, so a
+    random stream they share is read in the order of a loop over them.
+    """
+    chunk, size = [], 0
+    for item in draws:
+        n = sum(p.n + 1 for p in item[1])
+        if chunk and size + n > _CHUNK_POINTS:
+            yield from _chunk_contexts(spec, chunk)
+            chunk, size = [], 0
+        chunk.append(item)
+        size += n
+    yield from _chunk_contexts(spec, chunk)
+
+
+def _chunk_contexts(spec: FunctionalSpec, chunk):
+    graphs = iter(build_rcm_batch(
+        [p for _, sets, _ in chunk for p in sets], spec.phi,
+        [m for _, _, marks in chunk for m in marks]))
+    for draw, sets, _ in chunk:
+        yield draw, [EvaluationContext(next(graphs), spec) for _ in sets]
 
 
 def poincare_bound(spec: FunctionalSpec, n_outer: int = 200,
@@ -340,14 +414,12 @@ def poincare_bound(spec: FunctionalSpec, n_outer: int = 200,
         raise ValueError("budgets must be positive (n_outer >= 2)")
     rng = np.random.default_rng(seed)
     region = spec.window.pad(spec.padding())
+    draws = (_spec_draw(spec, region.sample_uniform(rng, n_points),
+                        [seed + 1 + i]) for i in range(n_outer))
     per_sample = np.empty(n_outer)
-    for i in range(n_outer):
-        graph = _spec_graph(spec, seed + 1 + i)
-        ctx = EvaluationContext(graph, spec)
-        xs = region.sample_uniform(rng, n_points)
-        vals = np.empty(n_points)
-        for j, x in enumerate(xs):
-            vals[j] = ctx.value_with_additions([(x, -1)]) - ctx.base_value
+    for i, (xs, (ctx,)) in enumerate(_batched(spec, draws)):
+        vals = np.array([ctx.value_with_additions([(x, -1)])
+                         - ctx.base_value for x in xs])
         per_sample[i] = np.mean(vals ** 2)
     scale = spec.beta * region.volume
     value = scale * float(np.mean(per_sample))
@@ -373,15 +445,27 @@ class _SplitMarkSource:
         self.b = b
         self.n_old = n_old
 
+    @staticmethod
+    def _select(n_old, key_a, key_b, i, j) -> np.ndarray:
+        use_a = (np.maximum(i, j) < n_old) & (np.minimum(i, j) >= 0)
+        return np.where(use_a, key_a, key_b)
+
+    def keys(self, i, j) -> np.ndarray:
+        """Each pair's hash key: source A's among old points, else B's."""
+        return self._select(self.n_old, self.a.keys(i, j),
+                            self.b.keys(i, j), i, j)
+
+    @staticmethod
+    def stacked_keys(sources, owner, i, j) -> np.ndarray:
+        """keys of many split sources at once; see marks.stacked_keys."""
+        return _SplitMarkSource._select(
+            np.array([s.n_old for s in sources])[owner],
+            stacked_keys([s.a for s in sources], owner, i, j),
+            stacked_keys([s.b for s in sources], owner, i, j), i, j)
+
     def mark(self, i, j):
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        use_a = (np.maximum(i, j) < self.n_old) & (np.minimum(i, j) >= 0)
-        out = np.where(use_a, self.a.mark(i, j) if np.any(use_a) else 0.0,
-                       self.b.mark(i, j) if np.any(~use_a) else 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        """Each pair hashed once, under the key of its source."""
+        return pair_marks(self.keys(i, j), i, j)
 
 
 def birth_time_variance(spec: FunctionalSpec, n_outer: int = 2000,
@@ -402,25 +486,30 @@ def birth_time_variance(spec: FunctionalSpec, n_outer: int = 2000,
     rng = np.random.default_rng(seed)
     vol = region.volume
     beta = spec.beta
+
+    def draws():
+        for i in range(n_outer):
+            t = rng.uniform()
+            x = region.sample_uniform(rng, 1)[0]
+            n_past = rng.poisson(beta * t * vol)
+            past = region.sample_uniform(rng, n_past)
+            past_marks = PairMarkSource(seed * 1000003 + 7 * i + 1)
+            sets, marks = [], []
+            for r in range(n_inner):
+                n_fut = rng.poisson(beta * (1.0 - t) * vol)
+                fut = region.sample_uniform(rng, n_fut)
+                pts = np.concatenate([past, fut], axis=0) if n_fut else past
+                sets.append(PointSet(points=pts, seed=0, region=region,
+                                     beta=beta))
+                fut_marks = PairMarkSource(seed * 2000003 + 7919 * i + r + 1)
+                marks.append(_SplitMarkSource(past_marks, fut_marks, n_past))
+            yield x, sets, marks
+
+    half = n_inner // 2
     outer_vals = np.empty(n_outer)
-    for i in range(n_outer):
-        t = rng.uniform()
-        x = region.sample_uniform(rng, 1)[0]
-        n_past = rng.poisson(beta * t * vol)
-        past = region.sample_uniform(rng, n_past)
-        past_marks = PairMarkSource(seed * 1000003 + 7 * i + 1)
-        deltas = np.empty(n_inner)
-        for r in range(n_inner):
-            n_fut = rng.poisson(beta * (1.0 - t) * vol)
-            fut = region.sample_uniform(rng, n_fut)
-            pts = np.concatenate([past, fut], axis=0) if n_fut else past
-            fut_marks = PairMarkSource(seed * 2000003 + 7919 * i + r + 1)
-            marks = _SplitMarkSource(past_marks, fut_marks, n_past)
-            pset = PointSet(points=pts, seed=0, region=region, beta=beta)
-            graph = build_rcm(pset, spec.phi, marks)
-            ctx = EvaluationContext(graph, spec)
-            deltas[r] = ctx.value_with_additions([(x, -1)]) - ctx.base_value
-        half = n_inner // 2
+    for i, (x, ctxs) in enumerate(_batched(spec, draws())):
+        deltas = np.array([ctx.value_with_additions([(x, -1)])
+                           - ctx.base_value for ctx in ctxs])
         outer_vals[i] = np.mean(deltas[:half]) * np.mean(deltas[half:])
     scale = beta * vol
     value = scale * float(np.mean(outer_vals))
@@ -446,8 +535,9 @@ class Standardization:
 
 def pilot_standardization(spec: FunctionalSpec, n_reps: int = 400,
                           seed: int = 0) -> Standardization:
-    vals = np.array([evaluate(spec, _spec_graph(spec, seed + i))
-                     for i in range(n_reps)])
+    draws = (_spec_draw(spec, None, [seed + i]) for i in range(n_reps))
+    vals = np.array([ctx.base_value
+                     for _, (ctx,) in _batched(spec, draws)])
     return Standardization(mean=float(np.mean(vals)),
                            variance=float(np.var(vals, ddof=1)),
                            source="pilot")
@@ -497,17 +587,21 @@ def gamma_terms(spec: FunctionalSpec, std: Standardization,
     acc = {name: np.empty(n_outer) for name in
            ("g1", "g2", "g3", "g4_inner", "g5", "g6")}
     f4 = np.empty(n_outer)
-    for i in range(n_outer):
-        x1 = region.sample_uniform(rng, 1)[0]
-        x3 = x1 + _ball_offset()
-        x2 = x3 + _ball_offset()
+
+    def draws():
+        for i in range(n_outer):
+            x1 = region.sample_uniform(rng, 1)[0]
+            x3 = x1 + _ball_offset()
+            x2 = x3 + _ball_offset()
+            yield _spec_draw(spec, (x1, x2, x3), range(
+                seed + 1 + i * n_inner, seed + 1 + (i + 1) * n_inner))
+
+    for i, ((x1, x2, x3), ctxs) in enumerate(_batched(spec, draws())):
         d1 = np.empty(n_inner)
         d2 = np.empty(n_inner)
         s13 = np.empty(n_inner)
         s23 = np.empty(n_inner)
-        for r in range(n_inner):
-            graph = _spec_graph(spec, seed + 1 + i * n_inner + r)
-            ctx = EvaluationContext(graph, spec)
+        for r, ctx in enumerate(ctxs):
             base = ctx.base_value
             v1 = ctx.value_with_additions([(x1, -1)])
             v2 = ctx.value_with_additions([(x2, -1)])
@@ -583,14 +677,12 @@ def fourth_moment_bound(spec: FunctionalSpec, std: Standardization,
     sd = math.sqrt(std.variance)
     inner_sqrt = np.empty(n_outer)
     inner_raw = np.empty(n_outer)
-    for i in range(n_outer):
-        x = region.sample_uniform(rng, 1)[0]
-        vals = np.empty(n_inner)
-        for r in range(n_inner):
-            graph = _spec_graph(spec, seed + 1 + i * n_inner + r)
-            ctx = EvaluationContext(graph, spec)
-            vals[r] = (ctx.value_with_additions([(x, -1)])
-                       - ctx.base_value) / sd
+    draws = (_spec_draw(spec, region.sample_uniform(rng, 1)[0], range(
+        seed + 1 + i * n_inner, seed + 1 + (i + 1) * n_inner))
+        for i in range(n_outer))
+    for i, (x, ctxs) in enumerate(_batched(spec, draws)):
+        vals = np.array([(ctx.value_with_additions([(x, -1)])
+                          - ctx.base_value) / sd for ctx in ctxs])
         m4 = max(float(np.mean(vals ** 4)), 0.0)
         inner_sqrt[i] = math.sqrt(m4)
         inner_raw[i] = m4

@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .geometry import Window, lex_order
-from .sampling import RcmGraph
+from .sampling import RcmBatch, RcmGraph
 
 K_MAX = 8
 
@@ -136,6 +137,23 @@ def enumerate_classes(k: int) -> list[GraphClass]:
     return sorted(classes)
 
 
+def _lexmin(points: np.ndarray, labels: np.ndarray,
+            n_comp: int) -> np.ndarray:
+    """Per label, the id of its lexicographically smallest point (the
+    smallest such id where points repeat), without sorting the points:
+    coordinate by coordinate, only the ids that attain their label's
+    minimum so far stay candidates."""
+    cand = np.arange(len(points))
+    for col in points.T:
+        value = col[cand]
+        best = np.full(n_comp, np.inf)
+        np.minimum.at(best, labels[cand], value)
+        cand = cand[value == best[labels[cand]]]
+    first = np.full(n_comp, len(points))
+    np.minimum.at(first, labels[cand], cand)
+    return first
+
+
 def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     """Component label per vertex id under the given edge set.
 
@@ -191,44 +209,101 @@ class ComponentTable(Mapping):
       lexmin_inside  the lexicographic minimum lies inside the window
       canon          canonical class bitset for non-boundary components
                      of order <= k_max, else -1
+      realization    index of the realization the component lies in
     Vertex ids are grouped by label in `vertices[vertex_start[c]:
     vertex_start[c + 1]]`, in lexicographic order of their points, and
     edge rows likewise in `edges[edge_index[edge_start[c]:
     edge_start[c + 1]]]`. As a mapping, the table takes a label to its
     Component.
+
+    Given an RcmBatch, the table covers all its realizations at once, in
+    union ids: realization r owns the ids starts[r]:starts[r + 1], the
+    edge rows edge_starts[r]:edge_starts[r + 1] and the labels
+    label_start[r]:label_start[r + 1], the labels in the order the
+    realization's own table would give them, and `view(r)` is that table.
     """
 
-    def __init__(self, graph: RcmGraph, window: Window, k_max: int):
+    def __init__(self, graph, window: Window, k_max: int):
         if k_max > K_MAX:
             raise ValueError(f"k_max exceeds K_MAX={K_MAX}")
-        pts = graph.points.points
+        if isinstance(graph, RcmBatch):
+            pts, starts = graph.points, graph.starts
+            region, edge_starts = graph.region, graph.edge_starts
+        else:
+            pts, starts = graph.points.points, np.array([0, graph.n])
+            region = graph.points.region
+            edge_starts = np.array([0, len(graph.edges)])
         edges = graph.edges
-        labels = component_labels(graph.n, edges)
+        # labels follow each component's smallest id, so the stacked
+        # realizations' labels are contiguous and in their own order
+        labels = component_labels(len(pts), edges)
         n_comp = int(labels.max()) + 1 if len(labels) else 0
         self.points = pts
         self.edges = edges
         self.labels = labels
+        self.starts = starts
+        self.edge_starts = edge_starts
         self.order = np.bincount(labels, minlength=n_comp)
-
-        by_lex = lex_order(pts)
-        self.vertices = by_lex[np.argsort(labels[by_lex], kind="stable")]
-        self.vertex_start = np.concatenate(([0], np.cumsum(self.order)))
-        self.lexmin = self.vertices[self.vertex_start[:-1]]
+        self.lexmin = _lexmin(pts, labels, n_comp)
+        self.realization = np.repeat(np.arange(len(starts) - 1),
+                                     np.diff(starts))[self.lexmin]
+        self.label_start = np.searchsorted(self.realization,
+                                           np.arange(len(starts)))
         edge_label = labels[edges[:, 0]]
-        self.edge_index = np.argsort(edge_label, kind="stable")
-        self.edge_start = np.concatenate(([0], np.cumsum(
-            np.bincount(edge_label, minlength=n_comp))))
 
         inside = window.contains(pts)
         self.n_inside = np.bincount(labels[inside], minlength=n_comp)
         self.lexmin_inside = inside[self.lexmin]
         dmin = np.full(n_comp, np.inf)
-        np.minimum.at(dmin, labels,
-                      graph.points.region.boundary_distance(pts))
+        np.minimum.at(dmin, labels, region.boundary_distance(pts))
         self.boundary = dmin < graph.rmax
         self.all_inside = self.n_inside == self.order
         self.canon = self._classes(edge_label,
                                    ~self.boundary & (self.order <= k_max))
+
+    def view(self, r: int) -> "ComponentTable":
+        """Realization r's rows, as its own table in its own ids.
+
+        Its components are those of realization r's edges in a batch
+        of one, and are numbered alike.
+        """
+        c0, c1 = self.label_start[r], self.label_start[r + 1]
+        v0, v1 = self.starts[r], self.starts[r + 1]
+        e0, e1 = self.edge_starts[r], self.edge_starts[r + 1]
+        t = object.__new__(ComponentTable)
+        t.points = self.points[v0:v1]
+        t.edges = self.edges[e0:e1] - v0
+        t.labels = self.labels[v0:v1] - c0
+        t.starts = np.array([0, v1 - v0])
+        t.edge_starts = np.array([0, e1 - e0])
+        t.lexmin = self.lexmin[c0:c1] - v0
+        t.realization = self.realization[c0:c1] - r
+        t.label_start = np.array([0, c1 - c0])
+        for name in ("order", "n_inside", "lexmin_inside", "boundary",
+                     "all_inside", "canon"):
+            setattr(t, name, getattr(self, name)[c0:c1])
+        return t
+
+    # the groupings below are read only to list a component's vertices
+    # and edges or to resolve classes, so they are built on first use
+
+    @cached_property
+    def vertex_start(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.order)))
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        by_lex = lex_order(self.points)
+        return by_lex[np.argsort(self.labels[by_lex], kind="stable")]
+
+    @cached_property
+    def edge_index(self) -> np.ndarray:
+        return np.argsort(self.labels[self.edges[:, 0]], kind="stable")
+
+    @cached_property
+    def edge_start(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(np.bincount(
+            self.labels[self.edges[:, 0]], minlength=len(self.order)))))
 
     def _classes(self, edge_label: np.ndarray,
                  resolve: np.ndarray) -> np.ndarray:
@@ -298,6 +373,21 @@ class ComponentTable(Mapping):
         return {int(k): int(m) for k, m in zip(orders, counts)}
 
 
+def batch_table(graph: RcmGraph, window: Window,
+                k_max: int) -> ComponentTable:
+    """The table over the graph's whole batch, labelled once per
+    (window, k_max) for every realization of the batch."""
+    batch = graph.batch
+    return batch.shared(("table", id(window), k_max), window,
+                        lambda: ComponentTable(batch, window, k_max))
+
+
+def component_table(graph: RcmGraph, window: Window,
+                    k_max: int) -> ComponentTable:
+    """The graph's table: its rows of the table over its whole batch."""
+    return batch_table(graph, window, k_max).view(graph.index)
+
+
 @dataclass
 class CensusReport:
     """Component counts of one realization, in both counting modes."""
@@ -331,7 +421,7 @@ def census(graph: RcmGraph, window: Window, k_max: int = 5) -> CensusReport:
     the sampled-region boundary may extend beyond the sample, so it is
     excluded from all counts and tallied separately.
     """
-    table = ComponentTable(graph, window, k_max)
+    table = component_table(graph, window, k_max)
     lexmin = ~table.boundary & table.lexmin_inside
     inside = ~table.boundary & table.all_inside
     return CensusReport(

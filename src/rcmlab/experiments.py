@@ -48,6 +48,19 @@ def _need(obj, key, typ, path):
     return val
 
 
+def _optional(obj, key, typ, path, default):
+    """obj[key], checked as _need checks it, or default if absent."""
+    return _need(obj, key, typ, path) if key in obj else default
+
+
+def _count(obj, key, path, default) -> int:
+    """An optional positive integer field."""
+    val = _optional(obj, key, int, path, default)
+    if val < 1:
+        raise ConfigError(f"{path}{key}: must be a positive integer")
+    return val
+
+
 def _parse_phi(obj, dim, path) -> ConnectionFunction:
     kind = _need(obj, "kind", str, path)
     try:
@@ -161,14 +174,14 @@ def load_scenario(path_or_dict) -> Scenario:
     if replicates < 2:
         raise ConfigError("replicates: need at least 2")
     seed_base = _need(raw, "seed_base", int, "")
-    budgets = raw.get("budgets", {})
+    budgets = _optional(raw, "budgets", dict, "", {})
     scenario = Scenario(
         dimension=dim, beta=beta, phi=phi, psi=psi, window_shape=shape,
         extents=tuple(float(e) for e in extents),
         statistics=tuple(stats), replicates=replicates, seed_base=seed_base,
-        mc_samples=int(budgets.get("mc_samples", 200000)),
-        inner=int(budgets.get("inner", 8)),
-        k_max=int(raw.get("k_max", 5)), raw=raw)
+        mc_samples=_count(budgets, "mc_samples", "budgets.", 200000),
+        inner=_count(budgets, "inner", "budgets.", 8),
+        k_max=_count(raw, "k_max", "", 5), raw=raw)
     for i in range(len(scenario.extents)):
         scenario.specs(i)    # validate statistic entries against each rung
     return scenario

@@ -56,22 +56,25 @@ class Window:
             raise ValueError("padding must be nonnegative")
         return Window(self.shape, self.extent + padding, self.dim, self.center)
 
+    def _delta(self, points) -> np.ndarray:
+        """Offsets from the centre, as rows (one row for a single point)."""
+        pts = np.asarray(points, dtype=float)
+        return (pts if pts.ndim > 1 else pts.reshape(1, -1)) - self.center
+
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean membership for an (n, d) array of points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[-1] != self.dim:
+        delta = self._delta(points)
+        if delta.shape[-1] != self.dim:
             raise ValueError("points have wrong dimension")
-        delta = pts - self.center
         if self.shape == "box":
-            return np.all(np.abs(delta) <= self.extent, axis=-1)
+            return (np.abs(delta) <= self.extent).all(axis=-1)
         return np.einsum("...i,...i->...", delta, delta) <= self.extent ** 2
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance from each point to the boundary (negative if outside)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        delta = pts - self.center
+        delta = self._delta(points)
         if self.shape == "box":
-            return self.extent - np.max(np.abs(delta), axis=-1)
+            return self.extent - np.abs(delta).max(axis=-1)
         return self.extent - np.sqrt(np.einsum("...i,...i->...", delta, delta))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -80,14 +83,19 @@ class Window:
         return lo, hi
 
     def sample_uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n i.i.d. uniform points in the window (rejection for balls)."""
+        """n i.i.d. uniform points in the window (rejection for balls).
+
+        A draw is lo + (hi - lo) * rng.random(): the numbers of
+        rng.uniform(lo, hi), without its argument checks on every call.
+        """
         lo, hi = self.bounding_box()
+        span = hi - lo
         if self.shape == "box":
-            return rng.uniform(lo, hi, size=(n, self.dim))
+            return lo + span * rng.random((n, self.dim))
         out = np.empty((n, self.dim))
         have = 0
         while have < n:
-            cand = rng.uniform(lo, hi, size=(max(2 * (n - have), 16), self.dim))
+            cand = lo + span * rng.random((max(2 * (n - have), 16), self.dim))
             keep = cand[self.contains(cand)]
             take = min(n - have, len(keep))
             out[have:have + take] = keep[:take]

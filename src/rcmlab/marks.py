@@ -14,15 +14,64 @@ import numpy as np
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 _INV_2_64 = 2.0 ** -64
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, vectorized over uint64 arrays."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _C1
-        z = (z ^ (z >> np.uint64(27))) * _C2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer, vectorized over uint64 arrays, in place.
+
+    Products wrap modulo 2**64, silently for arrays; callers passing
+    numpy scalars silence the overflow warnings.
+    """
+    z ^= z >> _S30
+    z *= _C1
+    z ^= z >> _S27
+    z *= _C2
+    z ^= z >> _S31
+    return z
+
+
+def pair_marks(keys, i, j):
+    """Marks of the unordered id pairs {i, j}, each pair hashed under its
+    own 64-bit key.
+
+    keys: one uint64 key, or one per pair. Accepts scalars or
+    equal-shaped integer arrays; ids may be negative (reserved for points
+    inserted by difference operators).
+    """
+    lo = np.minimum(i, j, dtype=np.int64)
+    hi = np.maximum(i, j, dtype=np.int64)
+    if (lo == hi).any():
+        raise ValueError("pair marks are defined for distinct ids only")
+    if lo.ndim == 0:
+        # one pair: hashed as an array, whose products wrap silently
+        return float(pair_marks(keys, lo.reshape(1), hi.reshape(1))[0])
+    h = _mix(keys ^ lo.view(np.uint64))
+    h ^= hi.view(np.uint64) + _GOLDEN
+    return _mix(h) * _INV_2_64
+
+
+def stacked_keys(sources, owner, i, j) -> np.ndarray:
+    """The hash keys of id pairs (i, j) of many mark sources: pair k is
+    keyed by sources[owner[k]].
+
+    A mark source gives the keys of its own pairs (`keys`), and its class
+    those of any number of its instances at once (`stacked_keys`), so
+    the pairs of many realizations are hashed in one `pair_marks` call.
+    """
+    classes = {type(s) for s in sources}
+    if len(classes) == 1:
+        return classes.pop().stacked_keys(sources, owner, i, j)
+    keys = np.empty(np.shape(i), dtype=np.uint64)
+    for cls in classes:
+        members = np.array([r for r, s in enumerate(sources)
+                            if type(s) is cls])
+        sel = np.isin(owner, members)
+        keys[sel] = cls.stacked_keys(
+            [sources[r] for r in members],
+            np.searchsorted(members, owner[sel]), i[sel], j[sel])
+    return keys
 
 
 class PairMarkSource:
@@ -34,21 +83,16 @@ class PairMarkSource:
             self._h0 = _mix(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)
                             + _GOLDEN)
 
-    def mark(self, i, j):
-        """Mark of the unordered pair {i, j}.
+    def keys(self, i, j):
+        """The hash key of the pairs {i, j}: the seed's, for every pair
+        (one uint64, which broadcasts)."""
+        return self._h0
 
-        Accepts scalars or equal-shaped integer arrays; ids may be negative
-        (reserved for points inserted by difference operators).
-        """
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        if np.any(i == j):
-            raise ValueError("pair marks are defined for distinct ids only")
-        lo = np.minimum(i, j).astype(np.uint64)
-        hi = np.maximum(i, j).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = _mix(_mix(self._h0 ^ lo) ^ (hi + _GOLDEN))
-        out = h.astype(np.float64) * _INV_2_64
-        if out.ndim == 0:
-            return float(out)
-        return out
+    @staticmethod
+    def stacked_keys(sources, owner, i, j):
+        """Each pair's key is its source's seed key; see stacked_keys."""
+        return np.array([s._h0 for s in sources], dtype=np.uint64)[owner]
+
+    def mark(self, i, j):
+        """Mark of the unordered pair {i, j}; see pair_marks."""
+        return pair_marks(self._h0, i, j)

@@ -100,6 +100,27 @@ def test_config_error_exit_code(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("field", [
+    {"k_max": -3}, {"k_max": 0}, {"k_max": "five"}, {"k_max": 2.5},
+    {"budgets": {"mc_samples": 0}}, {"budgets": {"inner": -1}},
+    {"budgets": {"inner": "8"}}, {"budgets": [8]},
+])
+def test_bad_k_max_and_budgets_are_config_errors(tmp_path, capsys, field):
+    cfg = {
+        "dimension": 2, "beta": 1.0,
+        "phi": {"kind": "gilbert", "r": 1.0},
+        "window": {"shape": "box", "extents": [2.0]},
+        "statistics": [{"statistic": "total_components"}],
+        "replicates": 2, "seed_base": 1, **field,
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["census", "--config", str(path),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    key = "budgets" if "budgets" in field else "k_max"
+    assert key in capsys.readouterr().err
+
+
 def test_domination_failure_is_config_error(tmp_path):
     cfg = {
         "dimension": 2, "beta": 1.0,

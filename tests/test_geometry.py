@@ -65,6 +65,28 @@ def test_sample_uniform_inside(shape):
     assert np.all(w.contains(pts))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sample_uniform_draws_the_numbers_of_rng_uniform(dim):
+    """Box draws are rng.uniform(lo, hi) bit for bit, so seeded samples
+    do not depend on which of the two computes them."""
+    w = Window("box", 1.7, dim, center=np.linspace(-0.3, 2.9, dim))
+    lo, hi = w.bounding_box()
+    for seed in range(20):
+        n = 1 + 37 * seed
+        expect = np.random.default_rng(seed).uniform(lo, hi, size=(n, dim))
+        assert np.array_equal(w.sample_uniform(np.random.default_rng(seed),
+                                               n), expect)
+    # balls: rejection rounds of uniform(lo, hi) draws
+    ball = Window("ball", 1.7, dim, center=np.linspace(-0.3, 2.9, dim))
+    ref = np.random.default_rng(4)
+    kept = np.empty((0, dim))
+    while len(kept) < 50:
+        cand = ref.uniform(lo, hi, size=(max(2 * (50 - len(kept)), 16), dim))
+        kept = np.concatenate([kept, cand[ball.contains(cand)]])[:50]
+    assert np.array_equal(ball.sample_uniform(np.random.default_rng(4), 50),
+                          kept)
+
+
 def test_ball_sampler_fills_corners():
     w = Window("ball", 1.0, 2)
     pts = w.sample_uniform(np.random.default_rng(1), 4000)
