@@ -25,7 +25,7 @@ from .census import (K_MAX, Component, ComponentTable, GraphClass,
 from .connection import ConnectionFunction
 from .geometry import Window, unit_ball_volume
 from .marks import PairMarkSource, pair_marks, stacked_keys
-from .moments import MomentEstimate
+from .moments import MomentEstimate, _mc_estimate
 from .sampling import (PointSet, RcmGraph, build_rcm, build_rcm_batch,
                        sample_poisson)
 
@@ -421,9 +421,7 @@ def poincare_bound(spec: FunctionalSpec, n_outer: int = 200,
         vals = np.array([ctx.value_with_additions([(x, -1)])
                          - ctx.base_value for x in xs])
         per_sample[i] = np.mean(vals ** 2)
-    scale = spec.beta * region.volume
-    value = scale * float(np.mean(per_sample))
-    se = scale * float(np.std(per_sample, ddof=1) / math.sqrt(n_outer))
+    value, se = _mc_estimate(per_sample, spec.beta * region.volume)
     return MomentEstimate(value=value, std_error=se, n_samples=n_outer,
                           truncation_radius=spec.phi.truncation_radius(),
                           method="monte_carlo")
@@ -478,6 +476,8 @@ def birth_time_variance(spec: FunctionalSpec, n_outer: int = 2000,
     t, resampled with fresh marks. The squared inner conditional mean is
     debiased by splitting the inner replicates into two halves.
     """
+    if n_outer < 2:
+        raise ValueError("n_outer must be at least 2")
     if n_inner < 4:
         raise ValueError("n_inner must be at least 4 for the debiasing split")
     region = spec.window.pad(spec.padding())
@@ -511,9 +511,7 @@ def birth_time_variance(spec: FunctionalSpec, n_outer: int = 2000,
         deltas = np.array([ctx.value_with_additions([(x, -1)])
                            - ctx.base_value for ctx in ctxs])
         outer_vals[i] = np.mean(deltas[:half]) * np.mean(deltas[half:])
-    scale = beta * vol
-    value = scale * float(np.mean(outer_vals))
-    se = scale * float(np.std(outer_vals, ddof=1) / math.sqrt(n_outer))
+    value, se = _mc_estimate(outer_vals, beta * vol)
     return MomentEstimate(value=value, std_error=se, n_samples=n_outer,
                           truncation_radius=spec.phi.truncation_radius(),
                           method="monte_carlo")
@@ -559,6 +557,8 @@ def gamma_terms(spec: FunctionalSpec, std: Standardization,
     at sampled locations use n_inner independent realizations; square
     roots are taken after inner averaging.
     """
+    if n_outer < 2:
+        raise ValueError("n_outer must be at least 2")
     if n_inner < 4:
         raise ValueError("n_inner must be at least 4")
     rng = np.random.default_rng(seed)
@@ -628,11 +628,7 @@ def gamma_terms(spec: FunctionalSpec, std: Standardization,
             6.0 * math.sqrt(m4) * math.sqrt(m4_s) + 3.0 * m4_s)
 
     def integ(name, lam_power):
-        vals = acc[name]
-        scale = beta ** lam_power
-        mean = float(np.mean(vals)) * scale
-        se = float(np.std(vals, ddof=1) / math.sqrt(n_outer)) * scale
-        return mean, se
+        return _mc_estimate(acc[name], beta ** lam_power)
 
     ef4 = max(float(np.mean(f4)), 0.0)
     out = {}
@@ -670,6 +666,8 @@ def fourth_moment_bound(spec: FunctionalSpec, std: Standardization,
                         n_outer: int = 300, n_inner: int = 8,
                         seed: int = 0) -> MomentEstimate:
     """Upper bound on E F^4 from fourth moments of the first difference."""
+    if n_outer < 2:
+        raise ValueError("n_outer must be at least 2")
     rng = np.random.default_rng(seed)
     region = spec.window.pad(spec.padding())
     vol = region.volume
@@ -686,11 +684,8 @@ def fourth_moment_bound(spec: FunctionalSpec, std: Standardization,
         m4 = max(float(np.mean(vals ** 4)), 0.0)
         inner_sqrt[i] = math.sqrt(m4)
         inner_raw[i] = m4
-    scale = beta * vol
-    i_sqrt = scale * float(np.mean(inner_sqrt))
-    i_sqrt_se = scale * float(np.std(inner_sqrt, ddof=1) / math.sqrt(n_outer))
-    i_raw = scale * float(np.mean(inner_raw))
-    i_raw_se = scale * float(np.std(inner_raw, ddof=1) / math.sqrt(n_outer))
+    i_sqrt, i_sqrt_se = _mc_estimate(inner_sqrt, beta * vol)
+    i_raw, i_raw_se = _mc_estimate(inner_raw, beta * vol)
     branch1 = 256.0 * i_sqrt ** 2
     branch1_se = 256.0 * 2.0 * i_sqrt * i_sqrt_se
     branch2 = 4.0 * i_raw + 2.0
@@ -725,6 +720,8 @@ def cluster_tail(phi: ConnectionFunction, beta: float, m: int,
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
     reach = phi.truncation_radius()
     if sim_radius is None:
         sim_radius = (m + 2) * reach
@@ -745,11 +742,10 @@ def cluster_tail(phi: ConnectionFunction, beta: float, m: int,
         hits_lo[i] = 1.0 if (total >= m and not uncertain) else 0.0
 
     def est(vals):
-        return MomentEstimate(
-            value=float(np.mean(vals)),
-            std_error=float(np.std(vals, ddof=1) / math.sqrt(n_samples)),
-            n_samples=n_samples, truncation_radius=sim_radius,
-            method="monte_carlo")
+        value, se = _mc_estimate(vals, 1.0)
+        return MomentEstimate(value=value, std_error=se, n_samples=n_samples,
+                              truncation_radius=sim_radius,
+                              method="monte_carlo")
 
     return ClusterTailEstimate(lower=est(hits_lo), upper=est(hits_hi))
 

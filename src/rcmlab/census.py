@@ -75,6 +75,19 @@ def _pack(adj: np.ndarray, iu, weights) -> int:
     return int(adj[iu].astype(np.int64) @ weights)
 
 
+def permuted_bits(adjacency: np.ndarray) -> np.ndarray:
+    """Upper-triangular adjacency bits of a graph under every vertex
+    permutation, as a (k!, k(k-1)/2) bool array.
+
+    Row p holds the bits of the graph relabeled by the p-th permutation
+    of itertools order, in np.triu_indices(k, 1) order: bit (i, j) is
+    adjacency[perm[i], perm[j]].
+    """
+    adj = np.asarray(adjacency, dtype=bool)
+    perms, iu, _ = _perm_tables(len(adj))
+    return adj[perms[:, iu[0]], perms[:, iu[1]]]
+
+
 def _is_connected(adj: np.ndarray) -> bool:
     k = len(adj)
     seen = np.zeros(k, dtype=bool)
@@ -101,13 +114,11 @@ def canonical_form(adjacency: np.ndarray) -> GraphClass:
         return GraphClass(order=1, canon=0)
     if not _is_connected(adj):
         raise ValueError("graph is not connected")
-    perms, iu, weights = _perm_tables(k)
+    _, iu, weights = _perm_tables(k)
     key = (k, _pack(adj, iu, weights))
     canon = _canon_cache.get(key)
     if canon is None:
-        permuted = adj[perms[:, :, None], perms[:, None, :]]
-        packed = permuted[:, iu[0], iu[1]].astype(np.int64) @ weights
-        canon = int(packed.min())
+        canon = int((permuted_bits(adj).astype(np.int64) @ weights).min())
         _canon_cache[key] = canon
     return GraphClass(order=k, canon=canon)
 

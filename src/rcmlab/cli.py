@@ -67,6 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     scenario = load_scenario(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed: must be a non-negative integer")
         raw = dict(scenario.raw)
         raw["seed_base"] = args.seed
         scenario = load_scenario(raw)
@@ -76,9 +78,7 @@ def _load(args):
 def _cmd_sample(args) -> int:
     scenario = _load(args)
     window = scenario.window(0)
-    specs = scenario.specs(0)
-    padding = max(s.padding() for s in specs) if specs else \
-        scenario.phi.truncation_radius()
+    padding = max(s.padding() for s in scenario.specs(0))
     seed = scenario.seed_base
     points = sample_poisson(window, padding, scenario.beta, seed)
     graph = build_rcm(points, scenario.phi, PairMarkSource(seed))

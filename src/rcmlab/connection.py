@@ -183,6 +183,32 @@ def random_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return dirs
 
 
+class RadialProposal:
+    """Displacements with uniform directions and radial density
+    proportional to phi_tilde(t/widen)^(1/3) t^(d-1), from one radial
+    grid built per proposal."""
+
+    def __init__(self, phi: ConnectionFunction, eps_trunc: float,
+                 widen: float = 1.0):
+        self.phi = phi
+        self.d = phi.dim
+        self.eps_trunc = eps_trunc
+        self._draw, self._radial = radial_sampler(phi, eps=eps_trunc,
+                                                  widen=widen)
+        self._surface = self.d * unit_ball_volume(self.d)
+
+    def _displacements(self, rng: np.random.Generator, n: int):
+        """n displacements (n, d) and their radii (n,)."""
+        radii = self._draw(rng, n)
+        return random_directions(rng, n, self.d) * radii[:, None], radii
+
+    def _disp_density(self, dist: np.ndarray) -> np.ndarray:
+        """Density in R^d of a displacement of length dist (0 at dist 0)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self._radial(dist) / (self._surface * dist ** (self.d - 1))
+        return np.where(dist > 0, out, 0.0)
+
+
 def sample_displacements(phi: ConnectionFunction, rng: np.random.Generator,
                          n: int, eps: float = 1e-6, widen: float = 1.0):
     """n proposal displacements in R^d with their proposal densities.
@@ -190,11 +216,6 @@ def sample_displacements(phi: ConnectionFunction, rng: np.random.Generator,
     The direction is uniform on the sphere; the radius follows the
     radial_sampler profile. Returns (displacements (n,d), densities (n,)).
     """
-    d = phi.dim
-    draw, radial_density = radial_sampler(phi, eps=eps, widen=widen)
-    radii = draw(rng, n)
-    disp = random_directions(rng, n, d) * radii[:, None]
-    surface = d * unit_ball_volume(d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = radial_density(radii) / (surface * radii ** (d - 1))
-    return disp, dens
+    prop = RadialProposal(phi, eps, widen)
+    disp, radii = prop._displacements(rng, n)
+    return disp, prop._disp_density(radii)

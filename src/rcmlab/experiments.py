@@ -45,6 +45,8 @@ def _need(obj, key, typ, path):
         val = float(val)
     if not isinstance(val, typ):
         raise ConfigError(f"{path}{key}: expected {typ.__name__}")
+    if typ is float and not math.isfinite(val):
+        raise ConfigError(f"{path}{key}: must be finite")
     return val
 
 
@@ -77,6 +79,8 @@ def _parse_phi(obj, dim, path) -> ConnectionFunction:
         if kind == "gaussian":
             return ConnectionFunction("gaussian", dim,
                                       s=_need(obj, "s", float, path))
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}kind: unknown connection function {kind!r}")
@@ -91,17 +95,23 @@ def _parse_statistic(obj, window, phi, beta, k_max, path) -> FunctionalSpec:
             return FunctionalSpec("count_class", window, phi, beta,
                                   cls=cls, mode=mode, k_max=k_max)
         if stat == "count_order":
-            return FunctionalSpec("count_order", window, phi, beta,
-                                  k=_need(obj, "k", int, path), mode=mode,
-                                  k_max=k_max)
+            k = _need(obj, "k", int, path)
+            if k < 1:
+                raise ConfigError(f"{path}k: must be a positive integer")
+            return FunctionalSpec("count_order", window, phi, beta, k=k,
+                                  mode=mode, k_max=k_max)
         if stat == "weighted":
             a = tuple(float(v) for v in _need(obj, "a", list, path))
+            if not all(math.isfinite(v) for v in a):
+                raise ConfigError(f"{path}a: must be finite numbers")
             classes = tuple(GraphClass.from_class_id(s)
                             for s in _need(obj, "classes", list, path))
             return FunctionalSpec("weighted", window, phi, beta, a=a,
                                   classes=classes, mode=mode, k_max=k_max)
         if stat in ("total_components", "point_count"):
             return FunctionalSpec(stat, window, phi, beta, k_max=k_max)
+    except ConfigError:
+        raise
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}statistic: unknown statistic {stat!r}")
@@ -164,16 +174,20 @@ def load_scenario(path_or_dict) -> Scenario:
     if shape not in ("box", "ball"):
         raise ConfigError("window.shape: must be box or ball")
     extents = _need(wobj, "extents", list, "window.")
-    if not extents or any(not isinstance(e, (int, float)) or e <= 0
-                          for e in extents):
-        raise ConfigError("window.extents: must be positive numbers")
+    if not extents or any(not isinstance(e, (int, float))
+                          or not 0 < e < math.inf for e in extents):
+        raise ConfigError("window.extents: must be positive finite numbers")
     if any(b <= a for a, b in zip(extents, extents[1:])):
         raise ConfigError("window.extents: must be strictly increasing")
     stats = _need(raw, "statistics", list, "")
+    if not stats or not all(isinstance(s, dict) for s in stats):
+        raise ConfigError("statistics: must be a non-empty list of objects")
     replicates = _need(raw, "replicates", int, "")
     if replicates < 2:
         raise ConfigError("replicates: need at least 2")
     seed_base = _need(raw, "seed_base", int, "")
+    if seed_base < 0:
+        raise ConfigError("seed_base: must be a non-negative integer")
     budgets = _optional(raw, "budgets", dict, "", {})
     scenario = Scenario(
         dimension=dim, beta=beta, phi=phi, psi=psi, window_shape=shape,

@@ -304,6 +304,21 @@ def test_poincare_budget_validation():
         poincare_bound(spec, n_outer=1)
 
 
+@pytest.mark.parametrize("estimator", [
+    lambda spec, std: birth_time_variance(spec, n_outer=1, n_inner=4),
+    lambda spec, std: fourth_moment_bound(spec, std, n_outer=1),
+    lambda spec, std: gamma_terms(spec, std, n_outer=1),
+    lambda spec, std: cluster_tail(GILBERT, 1.0, 2, n_samples=1),
+], ids=["birth_time_variance", "fourth_moment_bound", "gamma_terms",
+        "cluster_tail"])
+def test_single_draw_budgets_are_rejected(estimator):
+    # one draw has no sample standard error
+    spec = FunctionalSpec("point_count", Window("box", 1.5, 2), GILBERT, 1.0)
+    std = Standardization(mean=9.0, variance=9.0)
+    with pytest.raises(ValueError, match="at least 2"):
+        estimator(spec, std)
+
+
 def test_birth_time_pure_count_exact():
     w = Window("box", 1.5, 2)
     spec = FunctionalSpec("point_count", w, GILBERT, 1.0)

@@ -121,6 +121,41 @@ def test_bad_k_max_and_budgets_are_config_errors(tmp_path, capsys, field):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, field, argv, named", [
+    ("census", {"statistics": []}, [], "statistics"),
+    ("sample", {"statistics": []}, [], "statistics"),
+    ("census", {"statistics": ["count_order"]}, [], "statistics"),
+    ("census", {"seed_base": -5}, [], "seed_base"),
+    ("census", {}, ["--seed", "-1"], "--seed"),
+    ("census", {"statistics": [{"statistic": "count_order", "k": -2}]}, [],
+     "statistics[0].k"),
+    ("census", {"statistics": [{"statistic": "count_order", "k": 0}]}, [],
+     "statistics[0].k"),
+    ("census", {"beta": float("nan")}, [], "beta"),
+    ("census", {"statistics": [{"statistic": "weighted", "a": [float("nan")],
+                                "classes": ["2:1"]}]}, [], "statistics[0].a"),
+    ("census", {"phi": {"kind": "gilbert", "r": float("inf")}}, [], "phi.r"),
+    ("census", {"window": {"shape": "box", "extents": [float("nan")]}}, [],
+     "window.extents"),
+])
+def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command,
+                                               field, argv, named):
+    cfg = {
+        "dimension": 2, "beta": 1.0,
+        "phi": {"kind": "gilbert", "r": 1.0},
+        "window": {"shape": "box", "extents": [2.0]},
+        "statistics": [{"statistic": "total_components"}],
+        "replicates": 2, "seed_base": 1, **field,
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path),
+                 *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: {named}" in err
+    assert "Traceback" not in err
+
+
 def test_domination_failure_is_config_error(tmp_path):
     cfg = {
         "dimension": 2, "beta": 1.0,

@@ -9,15 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcmlab.census import edge_class, path_class, single_vertex_class
+from rcmlab.census import (edge_class, enumerate_classes, path_class,
+                           single_vertex_class)
 from rcmlab.connection import ConnectionFunction, radial_sampler
 from rcmlab.geometry import Window, unit_ball_volume
-from rcmlab.moments import (AnchorProposal, ClusterProposal, asy_cov,
-                            asy_cov_kl, asy_var_quadratic,
+from rcmlab.moments import (ENUM_CAP, AnchorProposal, ClusterProposal,
+                            asy_cov, asy_cov_kl, asy_var_quadratic,
                             expected_count_intensity,
                             finite_window_cross_moment, indicator_union_exponent,
-                            inner_exponent, is_lex_sorted, joint_prob_coupled,
-                            mixed_exponent, p_phi_k, prob_connected,
+                            inner_exponent, is_lex_sorted, iso_masks,
+                            joint_prob_coupled, mixed_exponent, p_phi_k,
+                            prob_connected,
                             prob_isomorphic, prufer_decode, q_kl,
                             sigma_total_partial, window_overlap_volume)
 from rcmlab.moments import _is_anchor_lexmin, _mc_estimate, _pair_values
@@ -124,15 +126,27 @@ def test_inner_exponent_single_point():
 
 
 def test_inner_exponent_two_disks():
-    # exponent of a 2-point indicator cluster is minus the union area
-    t = 1.2
-    X = np.array([[0.0, 0.0], [t, 0.0]])
-    overlap = 2 * math.acos(t / 2) - (t / 2) * math.sqrt(4 - t * t)
-    assert inner_exponent(X, GILBERT, 1.0) == \
-        pytest.approx(-(2 * math.pi - overlap), rel=1e-6)
+    # exponent of a 2-point indicator cluster is minus the union area;
+    # for the scaled indicator it is -beta * (2 p pi - p^2 overlap)
+    scaled = ConnectionFunction("scaled_indicator", 2, p=0.6, r=1.0)
+    for t in (0.1, 0.5, 1.2, 1.9):
+        X = np.array([[0.0, 0.0], [t, 0.0]])
+        overlap = 2 * math.acos(t / 2) - (t / 2) * math.sqrt(4 - t * t)
+        assert inner_exponent(X, GILBERT, 1.0) == \
+            pytest.approx(-(2 * math.pi - overlap), rel=1e-6)
+        assert inner_exponent(X, scaled, 1.3) == pytest.approx(
+            -1.3 * (2 * 0.6 * math.pi - 0.6 ** 2 * overlap), rel=1e-6)
     # far apart: areas add
     X2 = np.array([[0.0, 0.0], [5.0, 0.0]])
     assert inner_exponent(X2, GILBERT, 1.0) == pytest.approx(-2 * math.pi)
+
+
+def test_inner_exponent_d3_disjoint_balls():
+    # indicators in d = 3 take the tensor-quadrature branch
+    phi3 = ConnectionFunction("gilbert", 3, r=1.0)
+    X = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+    assert inner_exponent(X, phi3, 1.0) == \
+        pytest.approx(-2.0 * 4.0 / 3.0 * math.pi, rel=1e-3)
 
 
 def test_inner_exponent_d1():
@@ -140,6 +154,20 @@ def test_inner_exponent_d1():
     X = np.array([[0.0], [1.5]])
     # union of two intervals of length 2 overlapping by 0.5
     assert inner_exponent(X, phi1, 1.0) == pytest.approx(-3.5)
+
+
+@pytest.mark.parametrize("k", range(1, ENUM_CAP + 1))
+def test_iso_masks_match_brute_force_permutations(k):
+    iu = np.triu_indices(k, 1)
+    for G in enumerate_classes(k):
+        adj = G.adjacency()
+        rows = []
+        for perm in itertools.permutations(range(k)):
+            bits = adj[np.ix_(perm, perm)][iu].tolist()
+            if bits not in rows:
+                rows.append(bits)
+        expect = np.array(rows, dtype=bool).reshape(len(rows), len(iu[0]))
+        np.testing.assert_array_equal(iso_masks(G), expect)
 
 
 def test_indicator_union_exponent_matches_public():
@@ -325,14 +353,13 @@ def test_cluster_sample_matches_density():
 
 def test_one_radial_grid_per_proposal(monkeypatch):
     """Proposals draw from the sampler built once in their constructor."""
-    from rcmlab import connection, moments
+    from rcmlab import connection
     built = []
 
     def counting_sampler(*args, **kwargs):
         built.append(args[0].kind)
         return radial_sampler(*args, **kwargs)
 
-    monkeypatch.setattr(moments, "radial_sampler", counting_sampler)
     monkeypatch.setattr(connection, "radial_sampler", counting_sampler)
     rng = np.random.default_rng(23)
     prop = ClusterProposal(GILBERT, 5)
