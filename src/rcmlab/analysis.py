@@ -467,21 +467,21 @@ class _SplitMarkSource:
 
 
 def birth_time_variance(spec: FunctionalSpec, n_outer: int = 2000,
-                        n_inner: int = 16, seed: int = 0,
-                        volume_cap: float = 64.0) -> MomentEstimate:
+                        n_inner: int = 16, seed: int = 0) -> MomentEstimate:
     """Nested Monte Carlo evaluation of the birth-time variance identity.
 
     Outer draws: insertion point x, birth time t, and the points born
     before t with their mutual marks. Inner draws: the points born after
     t, resampled with fresh marks. The squared inner conditional mean is
-    debiased by splitting the inner replicates into two halves.
+    debiased by splitting the inner replicates into two halves. The
+    padded region's volume may be at most 64.
     """
     if n_outer < 2:
         raise ValueError("n_outer must be at least 2")
     if n_inner < 4:
         raise ValueError("n_inner must be at least 4 for the debiasing split")
     region = spec.window.pad(spec.padding())
-    if region.volume > volume_cap:
+    if region.volume > 64.0:
         raise ValueError("padded region volume exceeds the nested-MC cap")
     rng = np.random.default_rng(seed)
     vol = region.volume
@@ -539,12 +539,6 @@ def pilot_standardization(spec: FunctionalSpec, n_reps: int = 400,
     return Standardization(mean=float(np.mean(vals)),
                            variance=float(np.var(vals, ddof=1)),
                            source="pilot")
-
-
-def _split_product(vals: np.ndarray) -> float:
-    """Unbiased estimate of (E vals)^2 via two independent halves."""
-    half = len(vals) // 2
-    return float(np.mean(vals[:half]) * np.mean(vals[half:]))
 
 
 def gamma_terms(spec: FunctionalSpec, std: Standardization,
@@ -709,22 +703,20 @@ class ClusterTailEstimate:
 
 
 def cluster_tail(phi: ConnectionFunction, beta: float, m: int,
-                 n_samples: int = 2000, seed: int = 0,
-                 sim_radius: float = None) -> ClusterTailEstimate:
+                 n_samples: int = 2000, seed: int = 0) -> ClusterTailEstimate:
     """Interval estimate of the probability that the finite components
     attached to an added origin point have total order at least m.
 
     A component reaching the simulated boundary band has unknown extent:
     it counts toward the event in the upper estimate and against it in
-    the lower one.
+    the lower one. The simulated ball has radius (m + 2) times the
+    truncation radius.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    reach = phi.truncation_radius()
-    if sim_radius is None:
-        sim_radius = (m + 2) * reach
+    sim_radius = (m + 2) * phi.truncation_radius()
     window = Window("ball", sim_radius, phi.dim)
     hits_lo = np.zeros(n_samples)
     hits_hi = np.zeros(n_samples)

@@ -4,7 +4,8 @@ Subcommands: sample, census, expectation, covariance, clt, bounds,
 total. Every subcommand takes --config (scenario JSON), --seed
 (overrides the configured seed base), --out (output directory) and
 --threads (worker count; the RCMLAB_THREADS environment variable wins
-over the flag).
+over the flag). sample writes the points and edges of the graph that
+census counts as replicate 0 of rung 0.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when a numerical
 precondition is violated.
@@ -13,20 +14,17 @@ precondition is violated.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
 import numpy as np
 
 from .analysis import poincare_bound
-from .experiments import (ConfigError, covariance_experiment, emit,
+from .experiments import (ConfigError, _write_csv, _write_json,
+                          covariance_experiment, emit,
                           expectation_experiment, load_scenario,
-                          run_scenario, total_components_experiment,
-                          _jsonable)
-from .marks import PairMarkSource
-from .sampling import build_rcm, sample_poisson
+                          replicate_graph, run_scenario,
+                          total_components_experiment)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Random connection model simulation and validation")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in [
-        ("sample", "draw one realization and write points and edges"),
+        ("sample", "write the points and edges of census replicate 0"),
         ("census", "replicate component census on the window ladder"),
         ("expectation", "empirical vs analytic count intensities"),
         ("covariance", "empirical vs analytic covariance matrices"),
@@ -77,23 +75,14 @@ def _load(args):
 
 def _cmd_sample(args) -> int:
     scenario = _load(args)
-    window = scenario.window(0)
-    padding = max(s.padding() for s in scenario.specs(0))
-    seed = scenario.seed_base
-    points = sample_poisson(window, padding, scenario.beta, seed)
-    graph = build_rcm(points, scenario.phi, PairMarkSource(seed))
+    graph = replicate_graph(scenario, 0, 0)
+    points = graph.points
     out = os.path.join(args.out, "results", scenario.scenario_hash, "0")
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "points.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"x{i}" for i in range(points.dim)])
-        for i, row in enumerate(points.points):
-            writer.writerow([i] + [f"{v:.17g}" for v in row])
-    with open(os.path.join(out, "edges.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j"])
-        for i, j in graph.edges:
-            writer.writerow([int(i), int(j)])
+    _write_csv(os.path.join(out, "points.csv"),
+               ["id"] + [f"x{i}" for i in range(points.dim)],
+               ([i, *row] for i, row in enumerate(points.points)))
+    _write_csv(os.path.join(out, "edges.csv"), ["i", "j"],
+               graph.edges.tolist())
     print(f"wrote {points.n} points, {len(graph.edges)} edges to {out}")
     return EXIT_OK
 
@@ -110,11 +99,9 @@ def _cmd_bounds(args) -> int:
                 "poincare_bound": est.value,
                 "std_error": est.std_error,
             })
-    out = os.path.join(args.out, "results", scenario.scenario_hash)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "bounds.json")
-    with open(path, "w") as fh:
-        json.dump(_jsonable(docs), fh, sort_keys=True, indent=1)
+    path = _write_json(os.path.join(args.out, "results",
+                                    scenario.scenario_hash, "bounds.json"),
+                       docs)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -154,10 +141,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PreconditionError, FloatingPointError) as exc:
-        print(f"numerical precondition violated: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (PreconditionError, FloatingPointError, ValueError) as exc:
         print(f"numerical precondition violated: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

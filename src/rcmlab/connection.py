@@ -26,6 +26,11 @@ from .geometry import unit_ball_volume
 
 _KINDS = ("gilbert", "scaled_indicator", "exponential", "gaussian")
 
+# The truncation level: R = truncation_radius() has phi_tilde(R) <=
+# EPS_TRUNC, and the pair-search radius, the padding unit, the proposal
+# support and the quadrature box all use this one R.
+EPS_TRUNC = 1e-6
+
 
 @dataclass(frozen=True)
 class ConnectionFunction:
@@ -116,7 +121,7 @@ class ConnectionFunction:
             return self.r
         return np.inf
 
-    def truncation_radius(self, eps: float = 1e-6) -> float:
+    def truncation_radius(self, eps: float = EPS_TRUNC) -> float:
         """Smallest R with phi_tilde(R) <= eps."""
         if self.kind in ("gilbert", "scaled_indicator"):
             return self.r
@@ -129,7 +134,7 @@ class ConnectionFunction:
         """True when simulations of this kind carry truncation bias."""
         return not np.isfinite(self.support_radius)
 
-    def dominates(self, other: "ConnectionFunction", n_probe: int = 4096) -> bool:
+    def dominates(self, other: "ConnectionFunction") -> bool:
         """Whether self >= other pointwise (analytic per kind, plus a probe grid)."""
         if self.dim != other.dim:
             return False
@@ -141,24 +146,27 @@ class ConnectionFunction:
         if self.kind == other.kind == "gaussian":
             return self.s >= other.s
         hi = max(self.truncation_radius(1e-12), other.truncation_radius(1e-12))
-        t = np.linspace(0.0, hi, n_probe)
+        t = np.linspace(0.0, hi, 4096)
         return bool(np.all(self.phi_of_dist(t) >= other.phi_of_dist(t) - 1e-12))
 
 
-def radial_sampler(phi: ConnectionFunction, eps: float = 1e-6,
-                   widen: float = 1.0, power: float = 1.0 / 3.0,
-                   n_grid: int = 4096):
-    """Sampler for the radial proposal density ~ phi_tilde(t/widen)^power * t^(d-1).
+def radial_sampler(phi: ConnectionFunction, widen: float = 1.0):
+    """Sampler for the radial proposal density
+    ~ phi_tilde(t/widen)^(1/3) * t^(d-1).
 
     Returns (draw, density) where draw(rng, n) yields radii on
-    [0, widen * truncation_radius] via grid-based inverse CDF and
-    density(t) is the normalized radial density (per unit radius, the
-    angular part handled by the caller).
+    [0, widen * truncation_radius()] via the inverse CDF on a grid of
+    4096 intervals and density(t) is the normalized radial density (per
+    unit radius, the angular part handled by the caller).
     """
     d = phi.dim
-    upper = widen * phi.truncation_radius(eps)
-    t = np.linspace(0.0, upper, n_grid + 1)
-    w = phi.phi_tilde(t / widen) ** power * t ** (d - 1)
+    upper = widen * phi.truncation_radius()
+
+    def profile(r):
+        return phi.phi_tilde(r / widen) ** (1.0 / 3.0) * r ** (d - 1)
+
+    t = np.linspace(0.0, upper, 4096 + 1)
+    w = profile(t)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(t))))
     norm = cdf[-1]
     if not norm > 0:
@@ -170,8 +178,7 @@ def radial_sampler(phi: ConnectionFunction, eps: float = 1e-6,
 
     def density(radii) -> np.ndarray:
         radii = np.asarray(radii, dtype=float)
-        out = phi.phi_tilde(radii / widen) ** power * radii ** (d - 1) / norm
-        return np.where(radii <= upper, out, 0.0)
+        return np.where(radii <= upper, profile(radii) / norm, 0.0)
 
     return draw, density
 
@@ -188,13 +195,9 @@ class RadialProposal:
     proportional to phi_tilde(t/widen)^(1/3) t^(d-1), from one radial
     grid built per proposal."""
 
-    def __init__(self, phi: ConnectionFunction, eps_trunc: float,
-                 widen: float = 1.0):
-        self.phi = phi
+    def __init__(self, phi: ConnectionFunction, widen: float = 1.0):
         self.d = phi.dim
-        self.eps_trunc = eps_trunc
-        self._draw, self._radial = radial_sampler(phi, eps=eps_trunc,
-                                                  widen=widen)
+        self._draw, self._radial = radial_sampler(phi, widen=widen)
         self._surface = self.d * unit_ball_volume(self.d)
 
     def _displacements(self, rng: np.random.Generator, n: int):
@@ -210,12 +213,12 @@ class RadialProposal:
 
 
 def sample_displacements(phi: ConnectionFunction, rng: np.random.Generator,
-                         n: int, eps: float = 1e-6, widen: float = 1.0):
+                         n: int, widen: float = 1.0):
     """n proposal displacements in R^d with their proposal densities.
 
     The direction is uniform on the sphere; the radius follows the
     radial_sampler profile. Returns (displacements (n,d), densities (n,)).
     """
-    prop = RadialProposal(phi, eps, widen)
+    prop = RadialProposal(phi, widen)
     disp, radii = prop._displacements(rng, n)
     return disp, prop._disp_density(radii)

@@ -15,8 +15,10 @@ import hashlib
 import json
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +28,9 @@ from .census import census as run_census
 from .connection import ConnectionFunction
 from .geometry import Window
 from .marks import PairMarkSource
-from .moments import (ENUM_CAP, asy_cov, cluster_exponent_supported,
+from .moments import (ENUM_CAP, _asy_cov_matrix, cluster_exponent_supported,
                       expected_count_intensity, sigma_total_partial)
-from .sampling import build_rcm, sample_poisson
+from .sampling import RcmGraph, build_rcm, sample_poisson
 
 VERSION = "0.1.0"
 
@@ -37,13 +39,20 @@ class ConfigError(ValueError):
     """Scenario configuration problem, reported with its field path."""
 
 
+def _finite(val) -> bool:
+    """Whether val is a JSON number that a float holds: not a bool, and
+    neither NaN, infinite nor an integer too large for a float."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
 def _need(obj, key, typ, path):
     if key not in obj:
         raise ConfigError(f"{path}{key}: missing")
     val = obj[key]
-    if typ is float and isinstance(val, int):
+    if typ is float and _finite(val):
         val = float(val)
-    if not isinstance(val, typ):
+    if not isinstance(val, typ) or isinstance(val, bool):
         raise ConfigError(f"{path}{key}: expected {typ.__name__}")
     if typ is float and not math.isfinite(val):
         raise ConfigError(f"{path}{key}: must be finite")
@@ -101,13 +110,16 @@ def _parse_statistic(obj, window, phi, beta, k_max, path) -> FunctionalSpec:
             return FunctionalSpec("count_order", window, phi, beta, k=k,
                                   mode=mode, k_max=k_max)
         if stat == "weighted":
-            a = tuple(float(v) for v in _need(obj, "a", list, path))
-            if not all(math.isfinite(v) for v in a):
+            a = _need(obj, "a", list, path)
+            if not all(_finite(v) for v in a):
                 raise ConfigError(f"{path}a: must be finite numbers")
-            classes = tuple(GraphClass.from_class_id(s)
-                            for s in _need(obj, "classes", list, path))
-            return FunctionalSpec("weighted", window, phi, beta, a=a,
-                                  classes=classes, mode=mode, k_max=k_max)
+            ids = _need(obj, "classes", list, path)
+            if not all(isinstance(c, str) for c in ids):
+                raise ConfigError(f"{path}classes: must be class id strings")
+            return FunctionalSpec(
+                "weighted", window, phi, beta, a=tuple(map(float, a)),
+                classes=tuple(map(GraphClass.from_class_id, ids)),
+                mode=mode, k_max=k_max)
         if stat in ("total_components", "point_count"):
             return FunctionalSpec(stat, window, phi, beta, k_max=k_max)
     except ConfigError:
@@ -147,6 +159,12 @@ class Scenario:
                                  f"statistics[{i}].")
                 for i, s in enumerate(self.statistics)]
 
+    @cached_property
+    def padding(self) -> float:
+        """Sampling padding of every replicate: the largest any statistic
+        needs, which does not depend on the window."""
+        return max(s.padding() for s in self.specs(0))
+
 
 def load_scenario(path_or_dict) -> Scenario:
     if isinstance(path_or_dict, dict):
@@ -157,6 +175,8 @@ def load_scenario(path_or_dict) -> Scenario:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config: must be a JSON object")
     dim = _need(raw, "dimension", int, "")
     if dim < 1:
         raise ConfigError("dimension: must be positive")
@@ -166,7 +186,7 @@ def load_scenario(path_or_dict) -> Scenario:
     phi = _parse_phi(_need(raw, "phi", dict, ""), dim, "phi.")
     psi = None
     if "psi" in raw:
-        psi = _parse_phi(raw["psi"], dim, "psi.")
+        psi = _parse_phi(_need(raw, "psi", dict, ""), dim, "psi.")
         if not phi.dominates(psi):
             raise ConfigError("psi: not dominated by phi")
     wobj = _need(raw, "window", dict, "")
@@ -174,8 +194,7 @@ def load_scenario(path_or_dict) -> Scenario:
     if shape not in ("box", "ball"):
         raise ConfigError("window.shape: must be box or ball")
     extents = _need(wobj, "extents", list, "window.")
-    if not extents or any(not isinstance(e, (int, float))
-                          or not 0 < e < math.inf for e in extents):
+    if not extents or any(not _finite(e) or e <= 0 for e in extents):
         raise ConfigError("window.extents: must be positive finite numbers")
     if any(b <= a for a, b in zip(extents, extents[1:])):
         raise ConfigError("window.extents: must be strictly increasing")
@@ -205,24 +224,30 @@ def replicate_seed(scenario: Scenario, rung: int, rep: int) -> int:
     return scenario.seed_base + 1_000_000 * rung + rep
 
 
+def replicate_graph(scenario: Scenario, rung: int, rep: int) -> RcmGraph:
+    """The graph of replicate rep of rung: points on the rung's window
+    grown by the scenario's padding, and marks, from its seed."""
+    seed = replicate_seed(scenario, rung, rep)
+    points = sample_poisson(scenario.window(rung), scenario.padding,
+                            scenario.beta, seed)
+    return build_rcm(points, scenario.phi, PairMarkSource(seed))
+
+
 def _run_replicate(scenario: Scenario, rung: int, rep: int,
                    specs: list[FunctionalSpec]):
-    seed = replicate_seed(scenario, rung, rep)
+    """The replicate's statistic values and its in-window point count."""
     window = scenario.window(rung)
-    padding = max(s.padding() for s in specs)
-    points = sample_poisson(window, padding, scenario.beta, seed)
-    graph = build_rcm(points, scenario.phi, PairMarkSource(seed))
+    graph = replicate_graph(scenario, rung, rep)
     report = run_census(graph, window,
                         k_max=max(s.class_order for s in specs))
-    values = [_value_from_report(spec, report, graph, window)
-              for spec in specs]
-    n_in_window = int(np.sum(window.contains(points.points)))
-    return values, n_in_window
+    n_in_window = int(np.sum(window.contains(graph.points.points)))
+    return [_value_from_report(spec, report, n_in_window)
+            for spec in specs], n_in_window
 
 
-def _value_from_report(spec, report, graph, window):
+def _value_from_report(spec, report, n_in_window):
     if spec.statistic == "point_count":
-        return float(np.sum(window.contains(graph.points.points)))
+        return float(n_in_window)
     if spec.statistic == "total_components":
         return float(report.alpha)
     if spec.statistic == "count_order":
@@ -245,9 +270,7 @@ def _thread_count(requested: int = None) -> int:
         except ValueError:
             raise ConfigError(
                 f"RCMLAB_THREADS: expected an integer, got {env!r}") from None
-    if requested is not None:
-        return max(1, requested)
-    return 1
+    return max(1, requested or 1)
 
 
 def _rung_samples(scenario: Scenario, rung: int, threads: int):
@@ -360,22 +383,29 @@ def _require_cluster_moments(scenario: Scenario, experiment: str,
             f"dimension <= 2")
 
 
+def _scenario(config) -> Scenario:
+    return config if isinstance(config, Scenario) else load_scenario(config)
+
+
+def _ladder(scenario: Scenario, threads) -> list[RungResult]:
+    """Every rung of the scenario's window ladder, in order."""
+    threads = _thread_count(threads)
+    return [_make_rung(scenario, i, threads)
+            for i in range(len(scenario.extents))]
+
+
 def run_scenario(config, threads: int = None) -> ExperimentResult:
     """Replicate ladder with empirical moments, distances, and the
     log-log rate regression of the Kolmogorov distance."""
-    scenario = config if isinstance(config, Scenario) else \
-        load_scenario(config)
-    threads = _thread_count(threads)
-    rungs = [_make_rung(scenario, i, threads)
-             for i in range(len(scenario.extents))]
+    scenario = _scenario(config)
+    rungs = _ladder(scenario, threads)
     return ExperimentResult(scenario=scenario, kind="clt", rungs=rungs,
                             regression=_rate_regression(rungs))
 
 
 def covariance_experiment(config, threads: int = None) -> ExperimentResult:
     """Empirical vs analytic covariance matrices of the statistics."""
-    scenario = config if isinstance(config, Scenario) else \
-        load_scenario(config)
+    scenario = _scenario(config)
     if len(scenario.statistics) < 2:
         raise ConfigError("statistics: covariance experiment needs >= 2")
     classes = []
@@ -387,25 +417,14 @@ def covariance_experiment(config, threads: int = None) -> ExperimentResult:
         classes.append(spec.cls)
     _require_cluster_moments(scenario, "covariance",
                              [c.order for c in classes])
-    threads = _thread_count(threads)
-    rungs = []
-    for i in range(len(scenario.extents)):
-        rung = _make_rung(scenario, i, threads)
+    rungs = _ladder(scenario, threads)
+    for rung in rungs:
         cov = np.cov(rung.values.T) / rung.volume
         rung.extras["empirical_cov"] = cov.tolist()
         rung.extras["empirical_min_eigenvalue"] = float(
             np.min(np.linalg.eigvalsh(cov)))
-        rungs.append(rung)
-    m = len(classes)
-    mat = np.zeros((m, m))
-    err = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            est = asy_cov(classes[i], classes[j], scenario.phi, scenario.phi,
-                          scenario.beta, n_samples=scenario.mc_samples,
-                          seed=scenario.seed_base + 7919 * (i * m + j))
-            mat[i, j] = mat[j, i] = est.value
-            err[i, j] = err[j, i] = est.std_error
+    mat, err = _asy_cov_matrix(classes, scenario.phi, scenario.beta,
+                               scenario.mc_samples, scenario.seed_base, 7919)
     extras = {
         "analytic_cov": mat.tolist(),
         "analytic_cov_se": err.tolist(),
@@ -415,26 +434,24 @@ def covariance_experiment(config, threads: int = None) -> ExperimentResult:
                             rungs=rungs, extras=extras)
 
 
-def total_components_experiment(config, threads: int = None,
-                                partial_cap: int = 3) -> ExperimentResult:
+_PARTIAL_ORDER = 3      # the largest order whose covariances are summed
+
+
+def total_components_experiment(config,
+                                threads: int = None) -> ExperimentResult:
     """Total finite component count: variance stabilization, distances,
     and the analytic partial sums of the order-pair covariances."""
-    scenario = config if isinstance(config, Scenario) else \
-        load_scenario(config)
-    if not any(s.get("statistic") == "total_components"
-               for s in scenario.statistics):
+    scenario = _scenario(config)
+    totals = [j for j, s in enumerate(scenario.statistics)
+              if s.get("statistic") == "total_components"]
+    if not totals:
         raise ConfigError("statistics: total_components not configured")
-    _require_cluster_moments(scenario, "total", [partial_cap])
-    threads = _thread_count(threads)
-    rungs = []
-    for i in range(len(scenario.extents)):
-        rung = _make_rung(scenario, i, threads)
-        idx = [j for j, s in enumerate(scenario.statistics)
-               if s.get("statistic") == "total_components"][0]
+    _require_cluster_moments(scenario, "total", [_PARTIAL_ORDER])
+    rungs = _ladder(scenario, threads)
+    for rung in rungs:
         rung.extras["var_per_volume"] = float(
-            rung.variances[idx] / rung.volume)
-        rungs.append(rung)
-    _, partials = sigma_total_partial(partial_cap, scenario.phi,
+            rung.variances[totals[0]] / rung.volume)
+    _, partials = sigma_total_partial(_PARTIAL_ORDER, scenario.phi,
                                       scenario.beta,
                                       n_samples=scenario.mc_samples,
                                       seed=scenario.seed_base)
@@ -447,17 +464,14 @@ def total_components_experiment(config, threads: int = None,
 
 def expectation_experiment(config, threads: int = None) -> ExperimentResult:
     """Empirical per-volume intensities vs the analytic predictions."""
-    scenario = config if isinstance(config, Scenario) else \
-        load_scenario(config)
+    scenario = _scenario(config)
     specs = scenario.specs(0)
     # order-1 intensities are closed forms; larger orders need the engine
     orders = [s.cls.order for s in specs
               if s.statistic == "count_class" and s.cls.order > 1]
     if orders:
         _require_cluster_moments(scenario, "expectation", orders)
-    threads = _thread_count(threads)
-    rungs = [_make_rung(scenario, i, threads)
-             for i in range(len(scenario.extents))]
+    rungs = _ladder(scenario, threads)
     preds = []
     for n, spec in enumerate(specs):
         if spec.statistic == "count_class":
@@ -504,66 +518,62 @@ def _jsonable(x):
     return x
 
 
+def _write_json(path: str, doc) -> str:
+    """Write doc as sorted, indented JSON, every float at 17 digits;
+    returns path."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(_jsonable(doc), fh, sort_keys=True, indent=1)
+    return path
+
+
+def _write_csv(path: str, header: list, rows) -> str:
+    """Write a header and rows as CSV, every float at 17 digits;
+    returns path."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) if isinstance(v, float) else v
+                          for v in row] for row in rows)
+    return path
+
+
 def emit(result: ExperimentResult, out_dir: str) -> list[str]:
     """Write the deterministic result layout; returns the file paths."""
     scenario = result.scenario
     base = os.path.join(out_dir, "results", result.scenario_hash)
-    written = []
+    head = {"scenario_hash": result.scenario_hash,
+            "seed_base": scenario.seed_base, "version": VERSION,
+            "kind": result.kind}
     stat_names = [_stat_label(s) for s in scenario.statistics]
+    written = []
     for rung_idx, rung in enumerate(result.rungs):
         rdir = os.path.join(base, str(rung_idx))
-        os.makedirs(rdir, exist_ok=True)
-        path = os.path.join(rdir, "census.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["replicate", "statistic", "value"])
-            for rep in range(len(rung.values)):
-                for s, name in enumerate(stat_names):
-                    writer.writerow([rep, name, _fmt(rung.values[rep, s])])
-        written.append(path)
-        path = os.path.join(rdir, "distances.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["statistic", "d_K", "d_1"])
-            for s, name in enumerate(stat_names):
-                writer.writerow([name, _fmt(rung.distances[s]["d_K"]),
-                                 _fmt(rung.distances[s]["d_1"])])
-        written.append(path)
-        path = os.path.join(rdir, "moments.json")
-        doc = {
-            "extent": rung.extent, "volume": rung.volume,
-            "means": rung.means, "variances": rung.variances,
-            "mecke_mean": rung.mecke_mean, "mecke_se": rung.mecke_se,
-            "extras": rung.extras,
-        }
-        with open(path, "w") as fh:
-            json.dump(_jsonable(doc), fh, sort_keys=True, indent=1)
-        written.append(path)
-        path = os.path.join(rdir, "summary.json")
-        doc = {
-            "scenario_hash": result.scenario_hash,
-            "seed_base": scenario.seed_base,
-            "version": VERSION,
-            "kind": result.kind,
-            "rung": rung_idx,
-            "replicates": scenario.replicates,
-            "statistics": scenario.statistics,
-        }
-        with open(path, "w") as fh:
-            json.dump(_jsonable(doc), fh, sort_keys=True, indent=1)
-        written.append(path)
-    path = os.path.join(base, "summary.json")
-    os.makedirs(base, exist_ok=True)
-    doc = {
-        "scenario_hash": result.scenario_hash,
-        "seed_base": scenario.seed_base,
-        "version": VERSION,
-        "kind": result.kind,
-        "regression": result.regression,
-        "extras": result.extras,
+        written += [
+            _write_csv(os.path.join(rdir, "census.csv"),
+                       ["replicate", "statistic", "value"],
+                       ([rep, name, rung.values[rep, s]]
+                        for rep in range(len(rung.values))
+                        for s, name in enumerate(stat_names))),
+            _write_csv(os.path.join(rdir, "distances.csv"),
+                       ["statistic", "d_K", "d_1"],
+                       ([name, d["d_K"], d["d_1"]]
+                        for name, d in zip(stat_names, rung.distances))),
+            _write_json(os.path.join(rdir, "moments.json"), {
+                "extent": rung.extent, "volume": rung.volume,
+                "means": rung.means, "variances": rung.variances,
+                "mecke_mean": rung.mecke_mean, "mecke_se": rung.mecke_se,
+                "extras": rung.extras,
+            }),
+            _write_json(os.path.join(rdir, "summary.json"), {
+                **head, "rung": rung_idx,
+                "replicates": scenario.replicates,
+                "statistics": scenario.statistics,
+            }),
+        ]
+    written.append(_write_json(os.path.join(base, "summary.json"), {
+        **head, "regression": result.regression, "extras": result.extras,
         "n_rungs": len(result.rungs),
-    }
-    with open(path, "w") as fh:
-        json.dump(_jsonable(doc), fh, sort_keys=True, indent=1)
-    written.append(path)
+    }))
     return written

@@ -242,7 +242,6 @@ def indicator_union_exponent(X: np.ndarray, radii, scales,
 
 
 def generic_union_exponent(X: np.ndarray, funcs, beta: float,
-                           eps_trunc: float = 1e-6,
                            n_nodes: int = 48) -> np.ndarray:
     """beta * integral(prod_i phibar_i(y - x_i) - 1) dy by tensor quadrature.
 
@@ -251,7 +250,7 @@ def generic_union_exponent(X: np.ndarray, funcs, beta: float,
     expansion does not apply.
     """
     n, m, d = X.shape
-    reach = np.array([f.truncation_radius(eps_trunc) for f in funcs])
+    reach = np.array([f.truncation_radius() for f in funcs])
     nodes, weights = _gl_nodes(n_nodes)
     out = np.empty(n)
     for s in range(n):
@@ -289,14 +288,13 @@ def _indicator_params(phi: ConnectionFunction):
     return phi.r, phi.p
 
 
-def mixed_exponent(X: np.ndarray, funcs, beta: float,
-                   eps_trunc: float = 1e-6) -> np.ndarray:
+def mixed_exponent(X: np.ndarray, funcs, beta: float) -> np.ndarray:
     """Interaction exponent for per-point connection functions, batched."""
     if all(_is_indicator(f) for f in funcs):
         radii = [_indicator_params(f)[0] for f in funcs]
         scales = [_indicator_params(f)[1] for f in funcs]
         return indicator_union_exponent(X, radii, scales, beta)
-    return generic_union_exponent(X, funcs, beta, eps_trunc=eps_trunc)
+    return generic_union_exponent(X, funcs, beta)
 
 
 def inner_exponent(x, phi: ConnectionFunction, beta: float) -> float:
@@ -398,9 +396,8 @@ class ClusterProposal(RadialProposal):
     weighted Laplacian with weights f(|x_i - x_j|), vertex 0 deleted.
     """
 
-    def __init__(self, phi: ConnectionFunction, k: int,
-                 eps_trunc: float = 1e-6):
-        super().__init__(phi, eps_trunc)
+    def __init__(self, phi: ConnectionFunction, k: int):
+        super().__init__(phi)
         self.k = k
         # Pruefer indices of the labeled trees the proposal mixes over
         self.trees = range(k ** max(k - 2, 0))
@@ -440,10 +437,8 @@ class AnchorProposal(RadialProposal):
     kernel is nonzero.
     """
 
-    def __init__(self, phi: ConnectionFunction, widen: float,
-                 eps_trunc: float = 1e-6):
-        super().__init__(phi, eps_trunc, widen=widen)
-        self.widen = widen
+    def __init__(self, phi: ConnectionFunction, widen: float):
+        super().__init__(phi, widen)
 
     def sample(self, rng: np.random.Generator, X1: np.ndarray) -> np.ndarray:
         n, k, d = X1.shape
@@ -499,6 +494,11 @@ def _lexmin_points(X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Monte Carlo drivers
 
+# Draws per batch of the drivers below. A batch reads the random stream
+# in one piece, so changing a size changes every estimate.
+_PAIR_BATCH = 20000
+_SINGLE_BATCH = 40000
+
 def _mc_estimate(weights: np.ndarray, scale: float) -> tuple[float, float]:
     n = len(weights)
     mean = float(np.mean(weights))
@@ -526,7 +526,7 @@ def _importance_weights(Xs, dens, factor, prob_fn, kernel_fn):
 
 
 def _cluster_pair_mc(phi, psi, beta, k, l, prob_fn, kernel_fn, n_samples,
-                     seed, anchor=None, eps_trunc=1e-6, chunk=20000):
+                     seed, anchor=None):
     """Generic two-cluster importance-sampled integral.
 
     The integrand is prob_fn(X1, X2) * kernel_fn(X1, X2) per sample; the
@@ -535,15 +535,15 @@ def _cluster_pair_mc(phi, psi, beta, k, l, prob_fn, kernel_fn, n_samples,
     AnchorProposal around the first cluster).
     """
     rng = np.random.default_rng(seed)
-    prop1 = ClusterProposal(phi, k, eps_trunc)
-    prop2 = ClusterProposal(psi, l, eps_trunc)
+    prop1 = ClusterProposal(phi, k)
+    prop2 = ClusterProposal(psi, l)
     if anchor is None:
-        anchor = AnchorProposal(phi, widen=float(l + 2), eps_trunc=eps_trunc)
+        anchor = AnchorProposal(phi, widen=float(l + 2))
     factor = 1.0 / (math.factorial(k - 1) * math.factorial(l))
     weights = np.empty(n_samples)
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_PAIR_BATCH, n_samples - done)
         X1 = prop1.sample(rng, m)
         a2 = anchor.sample(rng, X1)
         X2rel = prop2.sample(rng, m)
@@ -555,17 +555,16 @@ def _cluster_pair_mc(phi, psi, beta, k, l, prob_fn, kernel_fn, n_samples,
     return _mc_estimate(weights, beta ** (k + l))
 
 
-def _single_cluster_mc(phi, beta, k, prob_fn, kernel_fn, n_samples, seed,
-                       eps_trunc=1e-6, chunk=40000):
+def _single_cluster_mc(phi, beta, k, prob_fn, kernel_fn, n_samples, seed):
     """Importance-sampled integral of prob_fn(X) * kernel_fn(X) over one
     anchored cluster."""
     rng = np.random.default_rng(seed)
-    prop = ClusterProposal(phi, k, eps_trunc)
+    prop = ClusterProposal(phi, k)
     factor = 1.0 / math.factorial(k - 1)
     weights = np.empty(n_samples)
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_SINGLE_BATCH, n_samples - done)
         X = prop.sample(rng, m)
         weights[done:done + m] = _importance_weights(
             (X,), prop.density(X), factor, prob_fn, kernel_fn)
@@ -758,6 +757,23 @@ def asy_cov_kl(k: int, l: int, phi: ConnectionFunction,
         n_samples=n_samples, seed=seed)
 
 
+def _asy_cov_matrix(classes, phi: ConnectionFunction, beta: float,
+                    n_samples: int, seed: int, stride: int):
+    """Matrices of asy_cov(classes[i], classes[j]) under phi and of its
+    standard errors; entry (i, j), i <= j, uses seed + stride*(i*m + j)."""
+    m = len(classes)
+    mat = np.zeros((m, m))
+    err = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            est = asy_cov(classes[i], classes[j], phi, phi, beta,
+                          n_samples=n_samples,
+                          seed=seed + stride * (i * m + j))
+            mat[i, j] = mat[j, i] = est.value
+            err[i, j] = err[j, i] = est.std_error
+    return mat, err
+
+
 def asy_var_quadratic(a, classes, phi: ConnectionFunction, beta: float,
                       n_samples: int = 200000, seed: int = 0):
     """Quadratic form sum_ij a_i a_j sigma(G_i, G_j) with its error.
@@ -771,14 +787,7 @@ def asy_var_quadratic(a, classes, phi: ConnectionFunction, beta: float,
     if len(a) != len(classes):
         raise ValueError("weight and class lists differ in length")
     m = len(classes)
-    mat = np.zeros((m, m))
-    err = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            est = asy_cov(classes[i], classes[j], phi, phi, beta,
-                          n_samples=n_samples, seed=seed + 97 * (i * m + j))
-            mat[i, j] = mat[j, i] = est.value
-            err[i, j] = err[j, i] = est.std_error
+    mat, err = _asy_cov_matrix(classes, phi, beta, n_samples, seed, 97)
     value = float(a @ mat @ a)
     var = 0.0
     for i in range(m):

@@ -268,8 +268,7 @@ def _same_region(a: Window, b: Window) -> bool:
                                                             b.center))
 
 
-def build_rcm_batch(points, phi: ConnectionFunction, marks,
-                    eps_trunc: float = 1e-6) -> list[RcmGraph]:
+def build_rcm_batch(points, phi: ConnectionFunction, marks) -> list[RcmGraph]:
     """RCM graphs of independent point sets, built as one disjoint union.
 
     points: PointSets on one region; marks: one mark source for each.
@@ -290,7 +289,7 @@ def build_rcm_batch(points, phi: ConnectionFunction, marks,
         raise ValueError("batched point sets must share their region")
     if any(p.dim != phi.dim for p in points):
         raise ValueError("dimension mismatch between points and phi")
-    rmax = phi.truncation_radius(eps_trunc)
+    rmax = phi.truncation_radius()
     sizes = np.array([p.n for p in points])
     starts = np.concatenate(([0], np.cumsum(sizes)))
     batch = RcmBatch(np.concatenate([p.points for p in points]), None,
@@ -323,14 +322,14 @@ def build_rcm_batch(points, phi: ConnectionFunction, marks,
 
 
 def build_rcm(points: PointSet, phi: ConnectionFunction,
-              marks: PairMarkSource, eps_trunc: float = 1e-6) -> RcmGraph:
+              marks: PairMarkSource) -> RcmGraph:
     """Construct the RCM edge set from a point sample and a mark source."""
-    return build_rcm_batch([points], phi, [marks], eps_trunc)[0]
+    return build_rcm_batch([points], phi, [marks])[0]
 
 
 def build_coupled(points: PointSet, phi: ConnectionFunction,
-                  psi: ConnectionFunction, marks: PairMarkSource,
-                  eps_trunc: float = 1e-6) -> tuple[RcmGraph, RcmGraph]:
+                  psi: ConnectionFunction,
+                  marks: PairMarkSource) -> tuple[RcmGraph, RcmGraph]:
     """Two RCM graphs on shared points and marks, with psi <= phi.
 
     Both graphs use the search radius of phi, so the edge sets are nested
@@ -340,7 +339,7 @@ def build_coupled(points: PointSet, phi: ConnectionFunction,
     """
     if not phi.dominates(psi):
         raise ValueError("psi must be dominated by phi")
-    graph_phi = build_rcm(points, phi, marks, eps_trunc)
+    graph_phi = build_rcm(points, phi, marks)
     edges = _marked_edges(points.points, graph_phi.edges, psi, marks)
     shared = graph_phi.batch
     batch = RcmBatch(shared.points, edges, shared.starts,

@@ -30,3 +30,6 @@ def test_hook_resolves(name):
     owner, attr, original = spans._resolve(module, path)
     assert callable(original)
     assert getattr(owner, attr) is original
+    if isinstance(owner, type):
+        # the tracer patches the method in the class body that names it
+        assert attr in vars(owner)

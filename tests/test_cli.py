@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from rcmlab.census import census
 from rcmlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
@@ -41,6 +42,33 @@ def test_sample_writes_points_and_edges(tmp_path, config_path):
     ids = {p["id"] for p in pts}
     for e in edges:
         assert e["i"] in ids and e["j"] in ids
+
+
+def test_sample_writes_census_replicate_zero(tmp_path, config_path,
+                                             monkeypatch):
+    from rcmlab import experiments
+    counted = []
+
+    def recording_census(graph, window, **kwargs):
+        counted.append(graph)
+        return census(graph, window, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_census", recording_census)
+    out = str(tmp_path / "out")
+    for command in ("sample", "census"):
+        assert main([command, "--config", config_path, "--seed", "4",
+                     "--out", out, "--threads", "1"]) == EXIT_OK
+    graph = counted[0]      # replicate 0 of rung 0
+    assert graph.points.seed == 4
+    rdir = os.path.join(out, "results", os.listdir(
+        os.path.join(out, "results"))[0], "0")
+    with open(os.path.join(rdir, "points.csv")) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [[int(r[0])] + [float(v) for v in r[1:]] for r in rows] == \
+        [[i, *p] for i, p in enumerate(graph.points.points.tolist())]
+    with open(os.path.join(rdir, "edges.csv")) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [[int(v) for v in r] for r in rows] == graph.edges.tolist()
 
 
 def test_census_and_clt_produce_layout(tmp_path, config_path):
@@ -98,6 +126,9 @@ def test_config_error_exit_code(tmp_path):
     rc = main(["census", "--config", str(tmp_path / "missing.json"),
                "--out", str(tmp_path)])
     assert rc == EXIT_CONFIG
+    bad.write_text("5")
+    rc = main(["census", "--config", str(bad), "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("field", [
@@ -136,6 +167,27 @@ def test_bad_k_max_and_budgets_are_config_errors(tmp_path, capsys, field):
                                 "classes": ["2:1"]}]}, [], "statistics[0].a"),
     ("census", {"phi": {"kind": "gilbert", "r": float("inf")}}, [], "phi.r"),
     ("census", {"window": {"shape": "box", "extents": [float("nan")]}}, [],
+     "window.extents"),
+    # values of the wrong JSON type; a bool is not a number
+    ("census", {"dimension": True}, [], "dimension"),
+    ("census", {"psi": 5}, [], "psi"),
+    ("census", {"statistics": [{"statistic": "weighted", "a": [1.0],
+                                "classes": [5]}]}, [],
+     "statistics[0].classes"),
+    ("census", {"k_max": True}, [], "k_max"),
+    ("census", {"seed_base": False}, [], "seed_base"),
+    ("census", {"beta": True}, [], "beta"),
+    ("census", {"window": {"shape": "box", "extents": [True]}}, [],
+     "window.extents"),
+    ("census", {"statistics": [{"statistic": "count_order", "k": True}]}, [],
+     "statistics[0].k"),
+    ("census", {"statistics": [{"statistic": "weighted", "a": [True],
+                                "classes": ["2:1"]}]}, [], "statistics[0].a"),
+    ("census", {"statistics": [{"statistic": "weighted", "a": [None],
+                                "classes": ["2:1"]}]}, [], "statistics[0].a"),
+    # an integer too large for a float
+    ("census", {"beta": 10 ** 400}, [], "beta"),
+    ("census", {"window": {"shape": "box", "extents": [10 ** 400]}}, [],
      "window.extents"),
 ])
 def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command,

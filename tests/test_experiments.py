@@ -238,3 +238,12 @@ def test_threads_env_override(monkeypatch, tmp_path):
     monkeypatch.delenv("RCMLAB_THREADS")
     emit(run_scenario(cfg, threads=1), str(tmp_path / "one"))
     assert _tree_digest(tmp_path / "env") == _tree_digest(tmp_path / "one")
+
+
+def test_package_version_matches_pyproject():
+    import rcmlab
+    tomllib = pytest.importorskip("tomllib")       # Python 3.11+
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert rcmlab.__version__ == project["version"]
