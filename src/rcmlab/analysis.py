@@ -21,13 +21,12 @@ import numpy as np
 from scipy.stats import norm
 
 from .census import (K_MAX, Component, ComponentTable, GraphClass,
-                     batch_table, canonical_form)
+                     batch_table, canonical_form, component_table)
 from .connection import ConnectionFunction
 from .geometry import Window, unit_ball_volume
-from .marks import PairMarkSource, pair_marks, stacked_keys
+from .marks import PairMarkSource, pair_marks
 from .moments import MomentEstimate, _mc_estimate
-from .sampling import (PointSet, RcmGraph, build_rcm, build_rcm_batch,
-                       sample_poisson)
+from .sampling import PointSet, RcmGraph, build_chunked, seeded_sample
 
 
 def _is_canonical(g: GraphClass) -> bool:
@@ -355,52 +354,17 @@ def hops_between(graph: RcmGraph, additions, a: int, b: int,
 # ---------------------------------------------------------------------------
 # variance bounds
 
-# The Monte Carlo estimators build their graphs in chunks of outer
-# draws, each chunk one disjoint union of at most this many points (each
-# graph counting one more) unless one draw alone has more: large enough
-# that per-graph set-up is shared, small enough that long runs never
-# hold more than one chunk and that graphs of thousands of points are
-# built one at a time.
-_CHUNK_POINTS = 1 << 12
-
-
-def _spec_sample(spec: FunctionalSpec, seed: int):
-    """The point set and mark source of the graph with this seed."""
-    points = sample_poisson(spec.window, spec.padding(), spec.beta, seed)
-    return points, PairMarkSource(seed)
-
-
 def _spec_draw(spec: FunctionalSpec, draw, seeds):
     """An outer draw whose graphs are the spec's graphs of these seeds."""
-    samples = [_spec_sample(spec, s) for s in seeds]
-    return draw, [p for p, _ in samples], [m for _, m in samples]
+    return draw, [seeded_sample(spec.window, spec.padding(), spec.beta, s)
+                  for s in seeds]
 
 
 def _batched(spec: FunctionalSpec, draws):
-    """Each outer draw with the evaluation contexts of its graphs.
-
-    draws: iterable of (draw, point sets, mark sources). Consecutive
-    draws are collected up to _CHUNK_POINTS, and all their graphs are
-    built and labelled as one batch. The draws are taken in order, so a
-    random stream they share is read in the order of a loop over them.
-    """
-    chunk, size = [], 0
-    for item in draws:
-        n = sum(p.n + 1 for p in item[1])
-        if chunk and size + n > _CHUNK_POINTS:
-            yield from _chunk_contexts(spec, chunk)
-            chunk, size = [], 0
-        chunk.append(item)
-        size += n
-    yield from _chunk_contexts(spec, chunk)
-
-
-def _chunk_contexts(spec: FunctionalSpec, chunk):
-    graphs = iter(build_rcm_batch(
-        [p for _, sets, _ in chunk for p in sets], spec.phi,
-        [m for _, _, marks in chunk for m in marks]))
-    for draw, sets, _ in chunk:
-        yield draw, [EvaluationContext(next(graphs), spec) for _ in sets]
+    """Each outer draw with the evaluation contexts of its graphs, the
+    graphs built by sampling.build_chunked."""
+    for draw, graphs in build_chunked(draws, spec.phi):
+        yield draw, [EvaluationContext(g, spec) for g in graphs]
 
 
 def poincare_bound(spec: FunctionalSpec, n_outer: int = 200,
@@ -455,11 +419,12 @@ class _SplitMarkSource:
 
     @staticmethod
     def stacked_keys(sources, owner, i, j) -> np.ndarray:
-        """keys of many split sources at once; see marks.stacked_keys."""
+        """keys of many split sources at once; see PairMarkSource."""
         return _SplitMarkSource._select(
             np.array([s.n_old for s in sources])[owner],
-            stacked_keys([s.a for s in sources], owner, i, j),
-            stacked_keys([s.b for s in sources], owner, i, j), i, j)
+            PairMarkSource.stacked_keys([s.a for s in sources], owner, i, j),
+            PairMarkSource.stacked_keys([s.b for s in sources], owner, i, j),
+            i, j)
 
     def mark(self, i, j):
         """Each pair hashed once, under the key of its source."""
@@ -494,16 +459,16 @@ def birth_time_variance(spec: FunctionalSpec, n_outer: int = 2000,
             n_past = rng.poisson(beta * t * vol)
             past = region.sample_uniform(rng, n_past)
             past_marks = PairMarkSource(seed * 1000003 + 7 * i + 1)
-            sets, marks = [], []
+            samples = []
             for r in range(n_inner):
                 n_fut = rng.poisson(beta * (1.0 - t) * vol)
                 fut = region.sample_uniform(rng, n_fut)
                 pts = np.concatenate([past, fut], axis=0) if n_fut else past
-                sets.append(PointSet(points=pts, seed=0, region=region,
-                                     beta=beta))
                 fut_marks = PairMarkSource(seed * 2000003 + 7919 * i + r + 1)
-                marks.append(_SplitMarkSource(past_marks, fut_marks, n_past))
-            yield x, sets, marks
+                samples.append((
+                    PointSet(points=pts, seed=0, region=region, beta=beta),
+                    _SplitMarkSource(past_marks, fut_marks, n_past)))
+            yield x, samples
 
     half = n_inner // 2
     outer_vals = np.empty(n_outer)
@@ -527,12 +492,15 @@ class Standardization:
     source: str = "pilot"    # analytic | pilot
 
     def __post_init__(self):
-        if self.variance <= 0:
-            raise ValueError("variance must be positive to standardize")
+        if not (math.isfinite(self.variance) and self.variance > 0):
+            raise ValueError("variance must be finite and positive to "
+                             "standardize")
 
 
 def pilot_standardization(spec: FunctionalSpec, n_reps: int = 400,
                           seed: int = 0) -> Standardization:
+    if n_reps < 2:
+        raise ValueError("n_reps must be at least 2 for a sample variance")
     draws = (_spec_draw(spec, None, [seed + i]) for i in range(n_reps))
     vals = np.array([ctx.base_value
                      for _, (ctx,) in _batched(spec, draws)])
@@ -662,6 +630,8 @@ def fourth_moment_bound(spec: FunctionalSpec, std: Standardization,
     """Upper bound on E F^4 from fourth moments of the first difference."""
     if n_outer < 2:
         raise ValueError("n_outer must be at least 2")
+    if n_inner < 1:
+        raise ValueError("n_inner must be at least 1")
     rng = np.random.default_rng(seed)
     region = spec.window.pad(spec.padding())
     vol = region.volume
@@ -720,13 +690,13 @@ def cluster_tail(phi: ConnectionFunction, beta: float, m: int,
     window = Window("ball", sim_radius, phi.dim)
     hits_lo = np.zeros(n_samples)
     hits_hi = np.zeros(n_samples)
-    for i in range(n_samples):
-        points = sample_poisson(window, 0.0, beta, seed + i)
-        graph = build_rcm(points, phi, PairMarkSource(seed + i))
+    draws = ((i, [seeded_sample(window, 0.0, beta, seed + i)])
+             for i in range(n_samples))
+    for i, (graph,) in build_chunked(draws, phi):
         nbrs = graph.neighbors_of_point(np.zeros(phi.dim), -1)
         if len(nbrs) == 0:
             continue
-        table = ComponentTable(graph, window, k_max=0)
+        table = component_table(graph, window, 0)
         roots = np.unique(table.labels[nbrs])
         total = int(np.sum(table.order[roots]))
         uncertain = bool(np.any(table.boundary[roots]))

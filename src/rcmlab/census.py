@@ -207,7 +207,7 @@ class Component:
 
 
 class ComponentTable(Mapping):
-    """The connected components of one realization, one row per label.
+    """The connected components of a batch's realizations, by label.
 
     Every count the census and the difference operators read comes from
     these per-component arrays:
@@ -227,33 +227,24 @@ class ComponentTable(Mapping):
     edge_start[c + 1]]]`. As a mapping, the table takes a label to its
     Component.
 
-    Given an RcmBatch, the table covers all its realizations at once, in
-    union ids: realization r owns the ids starts[r]:starts[r + 1], the
-    edge rows edge_starts[r]:edge_starts[r + 1] and the labels
+    The table covers all realizations of the RcmBatch at once, in union
+    ids: realization r owns the ids starts[r]:starts[r + 1], the edge
+    rows edge_starts[r]:edge_starts[r + 1] and the labels
     label_start[r]:label_start[r + 1], the labels in the order the
     realization's own table would give them, and `view(r)` is that table.
     """
 
-    def __init__(self, graph, window: Window, k_max: int):
+    def __init__(self, batch: RcmBatch, window: Window, k_max: int):
         if k_max > K_MAX:
             raise ValueError(f"k_max exceeds K_MAX={K_MAX}")
-        if isinstance(graph, RcmBatch):
-            pts, starts = graph.points, graph.starts
-            region, edge_starts = graph.region, graph.edge_starts
-        else:
-            pts, starts = graph.points.points, np.array([0, graph.n])
-            region = graph.points.region
-            edge_starts = np.array([0, len(graph.edges)])
-        edges = graph.edges
+        self.points = pts = batch.points
+        self.edges = edges = batch.edges
+        self.starts = starts = batch.starts
+        self.edge_starts = batch.edge_starts
         # labels follow each component's smallest id, so the stacked
         # realizations' labels are contiguous and in their own order
-        labels = component_labels(len(pts), edges)
+        self.labels = labels = component_labels(len(pts), edges)
         n_comp = int(labels.max()) + 1 if len(labels) else 0
-        self.points = pts
-        self.edges = edges
-        self.labels = labels
-        self.starts = starts
-        self.edge_starts = edge_starts
         self.order = np.bincount(labels, minlength=n_comp)
         self.lexmin = _lexmin(pts, labels, n_comp)
         self.realization = np.repeat(np.arange(len(starts) - 1),
@@ -266,8 +257,8 @@ class ComponentTable(Mapping):
         self.n_inside = np.bincount(labels[inside], minlength=n_comp)
         self.lexmin_inside = inside[self.lexmin]
         dmin = np.full(n_comp, np.inf)
-        np.minimum.at(dmin, labels, region.boundary_distance(pts))
-        self.boundary = dmin < graph.rmax
+        np.minimum.at(dmin, labels, batch.region.boundary_distance(pts))
+        self.boundary = dmin < batch.rmax
         self.all_inside = self.n_inside == self.order
         self.canon = self._classes(edge_label,
                                    ~self.boundary & (self.order <= k_max))

@@ -3,9 +3,10 @@
 Subcommands: sample, census, expectation, covariance, clt, bounds,
 total. Every subcommand takes --config (scenario JSON), --seed
 (overrides the configured seed base), --out (output directory) and
---threads (worker count; the RCMLAB_THREADS environment variable wins
-over the flag). sample writes the points and edges of the graph that
-census counts as replicate 0 of rung 0.
+--threads (worker count, at least 1, each worker counting one block of
+a rung's replicates; the RCMLAB_THREADS environment variable wins over
+the flag). sample writes the points and edges of the graph that census
+counts as replicate 0 of rung 0, drawn through the same builder.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when a numerical
 precondition is violated.
@@ -20,10 +21,10 @@ import sys
 import numpy as np
 
 from .analysis import poincare_bound
-from .experiments import (ConfigError, _write_csv, _write_json,
-                          covariance_experiment, emit,
+from .experiments import (ConfigError, _thread_count, _write_csv,
+                          _write_json, covariance_experiment, emit,
                           expectation_experiment, load_scenario,
-                          replicate_graph, run_scenario,
+                          replicate_graphs, run_scenario,
                           total_components_experiment)
 
 EXIT_OK = 0
@@ -63,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
+    _thread_count(args.threads)     # every subcommand rejects a bad count
     scenario = load_scenario(args.config)
     if args.seed is not None:
         if args.seed < 0:
@@ -75,7 +77,7 @@ def _load(args):
 
 def _cmd_sample(args) -> int:
     scenario = _load(args)
-    graph = replicate_graph(scenario, 0, 0)
+    (graph,) = replicate_graphs(scenario, 0, [0])
     points = graph.points
     out = os.path.join(args.out, "results", scenario.scenario_hash, "0")
     _write_csv(os.path.join(out, "points.csv"),

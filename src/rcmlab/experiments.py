@@ -4,8 +4,9 @@ comparisons, and deterministic result emission.
 A scenario is a single JSON document describing the model (dimension,
 intensity, connection functions), a ladder of window extents, the
 statistics to evaluate, and the replicate/seed/budget plan. Replicates
-run in a thread pool with per-replicate derived seeds and are aggregated
-in replicate order, so serial and parallel runs emit identical bytes.
+have derived seeds, are built in chunks and counted in one contiguous
+block per worker thread, and are aggregated in replicate order, so
+serial and parallel runs emit identical bytes.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from .census import GraphClass
 from .census import census as run_census
 from .connection import ConnectionFunction
 from .geometry import Window
-from .marks import PairMarkSource
 from .moments import (ENUM_CAP, _asy_cov_matrix, cluster_exponent_supported,
                       expected_count_intensity, sigma_total_partial)
-from .sampling import RcmGraph, build_rcm, sample_poisson
+from .sampling import build_chunked, seeded_sample
 
 VERSION = "0.1.0"
 
@@ -224,25 +224,16 @@ def replicate_seed(scenario: Scenario, rung: int, rep: int) -> int:
     return scenario.seed_base + 1_000_000 * rung + rep
 
 
-def replicate_graph(scenario: Scenario, rung: int, rep: int) -> RcmGraph:
-    """The graph of replicate rep of rung: points on the rung's window
-    grown by the scenario's padding, and marks, from its seed."""
-    seed = replicate_seed(scenario, rung, rep)
-    points = sample_poisson(scenario.window(rung), scenario.padding,
-                            scenario.beta, seed)
-    return build_rcm(points, scenario.phi, PairMarkSource(seed))
-
-
-def _run_replicate(scenario: Scenario, rung: int, rep: int,
-                   specs: list[FunctionalSpec]):
-    """The replicate's statistic values and its in-window point count."""
+def replicate_graphs(scenario: Scenario, rung: int, reps):
+    """The graphs of replicates reps of rung, in order: points on the
+    rung's window grown by the scenario's padding, and marks, from each
+    replicate's seed, built by sampling.build_chunked."""
     window = scenario.window(rung)
-    graph = replicate_graph(scenario, rung, rep)
-    report = run_census(graph, window,
-                        k_max=max(s.class_order for s in specs))
-    n_in_window = int(np.sum(window.contains(graph.points.points)))
-    return [_value_from_report(spec, report, n_in_window)
-            for spec in specs], n_in_window
+    draws = ((rep, [seeded_sample(window, scenario.padding, scenario.beta,
+                                  replicate_seed(scenario, rung, rep))])
+             for rep in reps)
+    for _, (graph,) in build_chunked(draws, scenario.phi):
+        yield graph
 
 
 def _value_from_report(spec, report, n_in_window):
@@ -263,28 +254,46 @@ def _value_from_report(spec, report, n_in_window):
 
 
 def _thread_count(requested: int = None) -> int:
-    env = os.environ.get("RCMLAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(
-                f"RCMLAB_THREADS: expected an integer, got {env!r}") from None
-    return max(1, requested or 1)
+    """RCMLAB_THREADS if it is set, else the requested count, else 1."""
+    name, value = "RCMLAB_THREADS", os.environ.get("RCMLAB_THREADS")
+    if value is None:
+        name, value = "threads", 1 if requested is None else requested
+    try:
+        threads = int(value)
+    except ValueError:
+        raise ConfigError(
+            f"{name}: expected an integer, got {value!r}") from None
+    if threads < 1:
+        raise ConfigError(f"{name}: must be at least 1, got {threads}")
+    return threads
 
 
 def _rung_samples(scenario: Scenario, rung: int, threads: int):
+    """Each replicate's statistic values, (replicates, n_statistics), and
+    its in-window point count. With threads > 1 each worker counts one
+    contiguous block of replicates."""
+    window = scenario.window(rung)
     specs = scenario.specs(rung)
-    reps = range(scenario.replicates)
+    k_max = max(s.class_order for s in specs)
 
-    def work(rep):
-        return _run_replicate(scenario, rung, rep, specs)
+    def count(reps):
+        out = []
+        for graph in replicate_graphs(scenario, rung, reps):
+            report = run_census(graph, window, k_max=k_max)
+            n_in_window = int(np.sum(window.contains(graph.points.points)))
+            out.append(([_value_from_report(spec, report, n_in_window)
+                         for spec in specs], n_in_window))
+        return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, reps))
+    n = scenario.replicates
+    threads = min(threads, n)
+    blocks = [range(n * b // threads, n * (b + 1) // threads)
+              for b in range(threads)]
+    if threads == 1:
+        results = count(blocks[0])
     else:
-        results = [work(rep) for rep in reps]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = [r for block in pool.map(count, blocks) for r in block]
     values = np.array([r[0] for r in results])      # (reps, n_stats)
     n_points = np.array([r[1] for r in results], dtype=float)
     return values, n_points

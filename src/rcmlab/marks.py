@@ -52,28 +52,6 @@ def pair_marks(keys, i, j):
     return _mix(h) * _INV_2_64
 
 
-def stacked_keys(sources, owner, i, j) -> np.ndarray:
-    """The hash keys of id pairs (i, j) of many mark sources: pair k is
-    keyed by sources[owner[k]].
-
-    A mark source gives the keys of its own pairs (`keys`), and its class
-    those of any number of its instances at once (`stacked_keys`), so
-    the pairs of many realizations are hashed in one `pair_marks` call.
-    """
-    classes = {type(s) for s in sources}
-    if len(classes) == 1:
-        return classes.pop().stacked_keys(sources, owner, i, j)
-    keys = np.empty(np.shape(i), dtype=np.uint64)
-    for cls in classes:
-        members = np.array([r for r, s in enumerate(sources)
-                            if type(s) is cls])
-        sel = np.isin(owner, members)
-        keys[sel] = cls.stacked_keys(
-            [sources[r] for r in members],
-            np.searchsorted(members, owner[sel]), i[sel], j[sel])
-    return keys
-
-
 class PairMarkSource:
     """Uniform [0,1) marks for unordered id pairs, keyed by a 64-bit seed."""
 
@@ -90,7 +68,8 @@ class PairMarkSource:
 
     @staticmethod
     def stacked_keys(sources, owner, i, j):
-        """Each pair's key is its source's seed key; see stacked_keys."""
+        """The keys of id pairs (i, j) of many sources, pair k keyed by
+        sources[owner[k]], so many realizations hash in one pair_marks."""
         return np.array([s._h0 for s in sources], dtype=np.uint64)[owner]
 
     def mark(self, i, j):

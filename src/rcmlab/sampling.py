@@ -19,7 +19,13 @@ from scipy.spatial import cKDTree
 
 from .connection import ConnectionFunction
 from .geometry import Window, lex_order
-from .marks import PairMarkSource, pair_marks, stacked_keys
+from .marks import PairMarkSource, pair_marks
+
+# build_chunked's chunk size, in points (each graph counting one more):
+# large enough that per-graph set-up is shared, small enough that long
+# runs hold little at a time and that graphs of thousands of points are
+# built one at a time.
+_CHUNK_POINTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,13 @@ def sample_poisson(window: Window, padding: float, beta: float,
     if n > 1 and np.any(np.all(pts[1:] == pts[:-1], axis=1)):
         raise ValueError("duplicate points in Poisson sample")
     return PointSet(points=pts, seed=int(seed), region=region, beta=float(beta))
+
+
+def seeded_sample(window: Window, padding: float, beta: float,
+                  seed: int) -> tuple[PointSet, PairMarkSource]:
+    """The point set and mark source of the graph with this seed: Poisson
+    points on window grown by padding, and pair marks, both from seed."""
+    return sample_poisson(window, padding, beta, seed), PairMarkSource(seed)
 
 
 def _candidate_pairs(points: np.ndarray, rmax: float):
@@ -271,7 +284,8 @@ def _same_region(a: Window, b: Window) -> bool:
 def build_rcm_batch(points, phi: ConnectionFunction, marks) -> list[RcmGraph]:
     """RCM graphs of independent point sets, built as one disjoint union.
 
-    points: PointSets on one region; marks: one mark source for each.
+    points: PointSets on one region; marks: one mark source for each,
+    all of one class, whose stacked_keys keys the pairs of all of them.
     One kd-tree finds the candidate pairs of all realizations, each
     pair's mark is hashed under its own realization's key, and graph r
     is a view of realization r: its own points, edges in its own ids,
@@ -289,6 +303,9 @@ def build_rcm_batch(points, phi: ConnectionFunction, marks) -> list[RcmGraph]:
         raise ValueError("batched point sets must share their region")
     if any(p.dim != phi.dim for p in points):
         raise ValueError("dimension mismatch between points and phi")
+    kinds = {type(m) for m in marks}
+    if len(kinds) > 1:
+        raise ValueError("batched mark sources must be of one class")
     rmax = phi.truncation_radius()
     sizes = np.array([p.n for p in points])
     starts = np.concatenate(([0], np.cumsum(sizes)))
@@ -305,8 +322,8 @@ def build_rcm_batch(points, phi: ConnectionFunction, marks) -> list[RcmGraph]:
     local = pairs - starts[owner, None]
     del pairs
     i, j = local[:, 0], local[:, 1]
-    joined = (pair_marks(stacked_keys(marks, owner, i, j), i, j)
-              <= phi.phi_of_dist(dist))
+    keys = kinds.pop().stacked_keys(marks, owner, i, j)
+    joined = pair_marks(keys, i, j) <= phi.phi_of_dist(dist)
     # the edges realization by realization, in the tree's order within one
     owner = owner[joined]
     by_owner = np.argsort(owner, kind="stable")
@@ -325,6 +342,36 @@ def build_rcm(points: PointSet, phi: ConnectionFunction,
               marks: PairMarkSource) -> RcmGraph:
     """Construct the RCM edge set from a point sample and a mark source."""
     return build_rcm_batch([points], phi, [marks])[0]
+
+
+def build_chunked(draws, phi: ConnectionFunction):
+    """Each draw with the graphs of its samples, built in chunks.
+
+    draws: iterable of (payload, samples), samples a list of (point set,
+    mark source) pairs on one region. Consecutive draws are collected up
+    to _CHUNK_POINTS (a larger draw is built alone), and each chunk's
+    graphs are built by one build_rcm_batch; yields (payload, graphs)
+    per draw, in order. Draws are taken lazily and in order, so a random
+    stream they share is read as a loop over them reads it, and only one
+    chunk is held at a time.
+    """
+    chunk, size = [], 0
+    for draw in draws:
+        n = sum(p.n + 1 for p, _ in draw[1])
+        if chunk and size + n > _CHUNK_POINTS:
+            yield from _built(chunk, phi)
+            chunk, size = [], 0
+        chunk.append(draw)
+        size += n
+    yield from _built(chunk, phi)
+
+
+def _built(chunk, phi: ConnectionFunction):
+    samples = [s for _, draw in chunk for s in draw]
+    graphs = iter(build_rcm_batch([p for p, _ in samples], phi,
+                                  [m for _, m in samples]))
+    for payload, draw in chunk:
+        yield payload, [next(graphs) for _ in draw]
 
 
 def build_coupled(points: PointSet, phi: ConnectionFunction,

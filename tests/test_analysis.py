@@ -343,6 +343,28 @@ def test_standardization_rejects_zero_variance():
         Standardization(mean=0.0, variance=0.0)
 
 
+@pytest.mark.parametrize("variance", [math.nan, math.inf, -1.0])
+def test_standardization_rejects_non_finite_variance(variance):
+    with pytest.raises(ValueError, match="finite and positive"):
+        Standardization(mean=0.0, variance=variance)
+
+
+@pytest.mark.parametrize("n_reps", [0, 1])
+def test_pilot_needs_two_replicates(n_reps):
+    # fewer than two values have no sample variance (NaN, not an error)
+    spec = FunctionalSpec("count_order", W, GILBERT, 1.0, k=1)
+    with pytest.raises(ValueError, match="n_reps must be at least 2"):
+        pilot_standardization(spec, n_reps=n_reps)
+
+
+def test_fourth_moment_bound_needs_an_inner_draw():
+    # no inner draw leaves an empty mean (NaN, not an error)
+    spec = FunctionalSpec("count_order", W, GILBERT, 1.0, k=1)
+    std = Standardization(mean=9.0, variance=9.0)
+    with pytest.raises(ValueError, match="n_inner must be at least 1"):
+        fourth_moment_bound(spec, std, n_outer=4, n_inner=0)
+
+
 def test_gamma_pure_count_oracle():
     w = Window("box", 3.0, 2)
     spec = FunctionalSpec("point_count", w, GILBERT, 1.0)

@@ -6,6 +6,7 @@ must agree with a brute-force rebuild recounted with networkx.
 """
 
 import dataclasses
+import pathlib
 
 import networkx as nx
 import numpy as np
@@ -16,11 +17,13 @@ from scipy.spatial import cKDTree
 from rcmlab import analysis, marks as marks_mod, sampling
 from rcmlab.analysis import (EvaluationContext, FunctionalSpec,
                              _SplitMarkSource, birth_time_variance,
-                             fourth_moment_bound, gamma_terms,
+                             cluster_tail, fourth_moment_bound, gamma_terms,
                              pilot_standardization, poincare_bound)
 from rcmlab.census import (ComponentTable, canonical_form, component_table,
                            edge_class, path_class, single_vertex_class)
 from rcmlab.connection import ConnectionFunction
+from rcmlab.experiments import (emit, load_scenario, replicate_graphs,
+                                run_scenario)
 from rcmlab.geometry import Window, lex_order
 from rcmlab.marks import PairMarkSource
 from rcmlab.sampling import PointSet, build_rcm, build_rcm_batch
@@ -93,16 +96,18 @@ def _edge_set(edges):
 @st.composite
 def batches(draw):
     """1-6 point sets on REGION (some empty or single points), a mark
-    source for each (plain or split), and a connection function."""
+    source for each (all plain or all split, as a batch is of one mark
+    source class), and a connection function."""
     phi = PHIS[draw(st.sampled_from(sorted(PHIS)))]
     seed = draw(st.integers(0, 2 ** 32 - 1))
+    split = draw(st.booleans())
     rng = np.random.default_rng(seed)
     sets, sources = [], []
     for r in range(draw(st.integers(1, 6))):
         n = draw(st.sampled_from([0, 1, 2, 5, 12, 25]))
         pts = rng.uniform(-2.5, 2.5, (n, 2))
         sets.append(PointSet(points=pts, seed=r, region=REGION, beta=1.0))
-        if draw(st.booleans()):
+        if split:
             sources.append(_SplitMarkSource(
                 PairMarkSource(seed + r), PairMarkSource(seed + 100 + r),
                 draw(st.integers(0, n))))
@@ -131,7 +136,7 @@ def test_batch_realizations_equal_alone_and_networkx(batch):
         assert np.array_equal(union.edges[lo:hi] - union.starts[r], g.edges)
 
         rows = component_table(g, WINDOW, 3)
-        own = ComponentTable(alone, WINDOW, 3)
+        own = ComponentTable(alone.batch, WINDOW, 3)
         for name in TABLE_ROWS:
             assert np.array_equal(getattr(rows, name), getattr(own, name)), \
                 name
@@ -215,7 +220,7 @@ def test_lexmin_ties_go_to_the_smallest_id():
                     [1.0, -5.0], [3.0, 2.5], [3.0, 2.5]])
     g = build_rcm(PointSet(points=pts, seed=0, region=region, beta=1.0),
                   ConnectionFunction("gilbert", 2, r=1.5), PairMarkSource(0))
-    table = ComponentTable(g, Window("box", 5.0, 2), 0)
+    table = ComponentTable(g.batch, Window("box", 5.0, 2), 0)
     for c in table:
         ids = np.flatnonzero(table.labels == c)
         expect = ids[lex_order(pts[ids])[0]]
@@ -255,6 +260,9 @@ def test_batch_arguments_are_checked():
     same = PointSet(points=np.ones((1, 2)), seed=0,
                     region=Window("box", 2.5, 2), beta=1.0)
     assert len(build_rcm_batch([p, same], phi, [PairMarkSource(0)] * 2)) == 2
+    split = _SplitMarkSource(PairMarkSource(0), PairMarkSource(1), 1)
+    with pytest.raises(ValueError, match="one class"):
+        build_rcm_batch([p, same], phi, [PairMarkSource(0), split])
 
 
 def test_split_marks_hash_each_pair_once(monkeypatch):
@@ -281,23 +289,49 @@ def test_split_marks_hash_each_pair_once(monkeypatch):
     assert split.mark(2, 7) == b.mark(2, 7)
 
 
+# a ladder whose extent-10 rung holds all six replicates in one chunk
+LADDER = {
+    "dimension": 2, "beta": 0.5, "phi": {"kind": "gilbert", "r": 1.0},
+    "window": {"shape": "box", "extents": [10.0, 20.0]},
+    "statistics": [{"statistic": "weighted", "a": [0.3, -1.7],
+                    "classes": ["1:0", "2:1"]},
+                   {"statistic": "point_count"}],
+    "replicates": 6, "seed_base": 11,
+}
+
+
+def _emitted(result, out: pathlib.Path) -> dict:
+    """Every file emit writes, by path under out, with its bytes."""
+    return {pathlib.Path(p).relative_to(out): pathlib.Path(p).read_bytes()
+            for p in emit(result, str(out))}
+
+
 @pytest.mark.parametrize("budget", [1, 1 << 30])
-def test_estimators_do_not_depend_on_the_chunk_budget(monkeypatch, budget):
-    """One graph per chunk, or every graph in one chunk: the same numbers."""
+def test_estimators_do_not_depend_on_the_chunk_budget(monkeypatch, tmp_path,
+                                                      budget):
+    """One graph per chunk, or every graph in one chunk: the same numbers
+    and, from the ladder under 1 and 3 threads, the same bytes."""
     phi = PHIS["gilbert"]
     spec = FunctionalSpec("count_order", WINDOW, phi, 1.0, k=1)
     weighted = FunctionalSpec("weighted", WINDOW, phi, 1.0, a=(0.3, -1.7),
                               classes=(single_vertex_class(), edge_class()))
+    ladder = load_scenario(LADDER)
+    assert [g.index for g in replicate_graphs(ladder, 0, range(6))] == [
+        0, 1, 2, 3, 4, 5]
 
-    def run():
+    def run(tag):
         std = pilot_standardization(weighted, n_reps=12, seed=3)
         return (birth_time_variance(spec, n_outer=12, n_inner=4, seed=2),
                 poincare_bound(weighted, n_outer=4, n_points=5, seed=4),
                 std,
                 fourth_moment_bound(weighted, std, n_outer=4, n_inner=4,
                                     seed=5),
-                gamma_terms(weighted, std, n_outer=3, n_inner=4, seed=6))
+                gamma_terms(weighted, std, n_outer=3, n_inner=4, seed=6),
+                cluster_tail(phi, 1.0, 3, n_samples=40, seed=7),
+                *(_emitted(run_scenario(ladder, threads=t),
+                           tmp_path / f"{tag}-{t}") for t in (1, 3)))
 
-    reference = run()
-    monkeypatch.setattr(analysis, "_CHUNK_POINTS", budget)
-    assert run() == reference
+    reference = run("default")
+    assert reference[-1] == reference[-2]
+    monkeypatch.setattr(sampling, "_CHUNK_POINTS", budget)
+    assert run("budget") == reference

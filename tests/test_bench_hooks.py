@@ -33,3 +33,25 @@ def test_hook_resolves(name):
     if isinstance(owner, type):
         # the tracer patches the method in the class body that names it
         assert attr in vars(owner)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_ladder_counts_each_replicate_through_one_census_call(threads):
+    """The census_ladder check round captures census.census through the
+    tracer and picks replicate 0 by its graph's seed, so run_scenario
+    must call census once per replicate with that replicate's graph."""
+    from rcmlab.experiments import load_scenario, replicate_seed, run_scenario
+
+    scenario = load_scenario({
+        "dimension": 2, "beta": 1.0, "phi": {"kind": "gilbert", "r": 1.0},
+        "window": {"shape": "box", "extents": [2.0, 4.0]},
+        "statistics": [{"statistic": "count_order", "k": 1}],
+        "replicates": 5, "seed_base": 40})
+    tracer = spans.Tracer(keep={"census.census": lambda a, k, r: a[:2]})
+    with tracer:
+        run_scenario(scenario, threads=threads)
+    calls = sorted((graph.points.seed, window.extent)
+                   for _, (graph, window) in tracer.kept["census.census"])
+    assert calls == [(replicate_seed(scenario, rung, rep), extent)
+                     for rung, extent in enumerate(scenario.extents)
+                     for rep in range(scenario.replicates)]

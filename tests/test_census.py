@@ -188,7 +188,7 @@ def test_table_and_census_match_networkx(coords, r, seed):
     pts = np.array(coords, dtype=float).reshape(-1, 2)
     g = build_rcm(PointSet(points=pts, seed=0, region=region, beta=1.0),
                   ConnectionFunction("gilbert", 2, r=r), PairMarkSource(seed))
-    table = ComponentTable(g, window, k_max)
+    table = ComponentTable(g.batch, window, k_max)
     rep = census(g, window, k_max=k_max)
 
     graph = nx.empty_graph(len(pts))

@@ -320,6 +320,24 @@ def test_non_integer_threads_env_is_config_error(tmp_path, config_path,
     assert "RCMLAB_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, env, field", [
+    ("census", "0", None, "threads"), ("census", "-2", None, "threads"),
+    ("census", None, "0", "RCMLAB_THREADS"),
+    ("census", "4", "-1", "RCMLAB_THREADS"),
+    ("sample", "0", None, "threads"), ("bounds", None, "0", "RCMLAB_THREADS")])
+def test_thread_counts_below_one_are_config_errors(tmp_path, config_path,
+                                                   monkeypatch, capsys,
+                                                   command, flag, env, field):
+    if env is not None:
+        monkeypatch.setenv("RCMLAB_THREADS", env)
+    argv = [command, "--config", config_path, "--out", str(tmp_path)]
+    rc = main(argv + (["--threads", flag] if flag is not None else []))
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert f"{field}: must be at least 1" in err
+    assert not (tmp_path / "results").exists()
+
+
 @pytest.mark.parametrize("command, phi, statistics", [
     ("expectation", {"kind": "gilbert", "r": 1.0},
      [{"statistic": "count_class", "class": "2:1"}]),
