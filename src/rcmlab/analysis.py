@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .census import (K_MAX, Component, ComponentTable, GraphClass,
                      batch_table, canonical_form, component_table)
@@ -722,14 +722,14 @@ def empirical_distance(samples, kind: str) -> float:
     if n < 2:
         raise ValueError("need at least two samples")
     if kind == "kolmogorov":
-        cdf = norm.cdf(x)
+        cdf = ndtr(x)
         i = np.arange(1, n + 1)
         return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
     if kind == "wasserstein":
         n_q = 512
         u = (np.arange(n_q) + 0.5) / n_q
         emp_q = x[np.minimum((u * n).astype(int), n - 1)]
-        return float(np.mean(np.abs(emp_q - norm.ppf(u))))
+        return float(np.mean(np.abs(emp_q - ndtri(u))))
     raise ValueError(f"unknown distance kind {kind!r}")
 
 

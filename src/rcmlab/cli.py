@@ -63,8 +63,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Refuse an --out under which no results directory can be made."""
+    path = os.path.abspath(os.path.join(out, "results"))
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out: {path} exists and is not a directory")
+
+
 def _load(args):
     _thread_count(args.threads)     # every subcommand rejects a bad count
+    _check_out(args.out)            # before any replicate is drawn
     scenario = load_scenario(args.config)
     if args.seed is not None:
         if args.seed < 0:

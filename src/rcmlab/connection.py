@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as _gamma
 
 from .geometry import unit_ball_volume
@@ -101,16 +100,6 @@ class ConnectionFunction:
             return d * kd * self.theta ** d * float(_gamma(d))
         # gaussian: (s sqrt(pi))^d
         return (self.s * np.sqrt(np.pi)) ** d
-
-    def m_phi_quadrature(self, rel_tol: float = 1e-10) -> float:
-        """m_phi by adaptive radial quadrature (cross-check for closed forms)."""
-        d = self.dim
-        surface = d * unit_ball_volume(d)
-        upper = self.truncation_radius(1e-16)
-        val, _ = integrate.quad(
-            lambda t: self.phi_of_dist(t) * t ** (d - 1),
-            0.0, upper, epsrel=rel_tol, limit=200)
-        return surface * val
 
     # support and truncation
 

@@ -444,6 +444,37 @@ def test_empirical_distance_detects_shift():
                                                                  abs=0.1)
 
 
+def _norm_distance(samples, kind):
+    """empirical_distance's formula with scipy.stats.norm's cdf and ppf."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = len(x)
+    if kind == "kolmogorov":
+        cdf = stats.norm.cdf(x)
+        i = np.arange(1, n + 1)
+        return float(max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n)))
+    u = (np.arange(512) + 0.5) / 512
+    emp_q = x[np.minimum((u * n).astype(int), n - 1)]
+    return float(np.mean(np.abs(emp_q - stats.norm.ppf(u))))
+
+
+def _distance_samples():
+    rng = np.random.default_rng(20)
+    yield from (rng.normal(size=n) for n in (3, 17, 200, 4001))
+    yield rng.standard_t(2, size=500) * 3.0               # heavy tails
+    yield rng.integers(-3, 4, size=300).astype(float)     # ties
+    yield np.repeat([-0.5, 0.25, 2.0], [4, 1, 7])         # ties
+    yield np.array([-40.0, 40.0])                         # n = 2
+    yield np.array([0.0, -0.0])                           # n = 2, ties
+    yield rng.normal(size=2)                              # n = 2
+    yield np.full(9, 1.5)                                 # constant
+
+
+@pytest.mark.parametrize("kind", ["kolmogorov", "wasserstein"])
+def test_empirical_distance_bytes_match_scipy_stats_norm(kind):
+    for z in _distance_samples():
+        assert empirical_distance(z, kind) == _norm_distance(z, kind)
+
+
 def test_dkw_bound_formula():
     n, conf = 1000, 0.99
     expect = math.sqrt(math.log(2.0 / (1.0 - conf)) / (2.0 * n))

@@ -370,3 +370,28 @@ def test_indicator_moments_beyond_d2_are_config_errors(
     assert rc == EXIT_CONFIG
     assert "dimension <= 2" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sample", "census", "expectation",
+                                     "covariance", "clt", "bounds", "total"])
+@pytest.mark.parametrize("under_file", [False, True],
+                         ids=["file", "below-file"])
+def test_out_that_is_a_file_is_a_config_error(tmp_path, config_path,
+                                              monkeypatch, capsys, command,
+                                              under_file):
+    from rcmlab import analysis, experiments
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a replicate was drawn before the --out check")
+
+    monkeypatch.setattr(experiments, "seeded_sample", no_draws)
+    monkeypatch.setattr(analysis, "seeded_sample", no_draws)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    out = blocker / "sub" if under_file else blocker
+    rc = main([command, "--config", config_path, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert "configuration error: --out" in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
