@@ -9,8 +9,7 @@ from .analysis import (DifferenceSample, EvaluationContext, FunctionalSpec,
                        second_difference)
 from .census import (CensusReport, Component, ComponentTable, GraphClass,
                      canonical_form, census, components, edge_class,
-                     enumerate_classes, path_class, single_vertex_class,
-                     weighted_count)
+                     enumerate_classes, path_class, single_vertex_class)
 from .connection import ConnectionFunction
 from .experiments import VERSION as __version__
 from .experiments import (ConfigError, ExperimentResult, Scenario,

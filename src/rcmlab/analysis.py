@@ -111,6 +111,32 @@ class FunctionalSpec:
         return (korder + 1) * reach
 
 
+def share(spec: FunctionalSpec, c):
+    """f's share of one Component, or of each row of a ComponentTable.
+
+    F of a realization is the sum of its components' shares, taken one
+    term at a time in label order; evaluate, EvaluationContext and the
+    experiments' replicate ladder all read F this way. A component
+    that touches the sampled region's boundary has share 0, except
+    under point_count, whose share is the component's points inside
+    the window.
+    """
+    if spec.statistic == "point_count":
+        return c.n_inside * 1.0
+    counted = c.lexmin_inside if spec.mode == "lexmin" else c.all_inside
+    if spec.statistic == "total_components":
+        value = c.all_inside
+    elif spec.statistic == "count_order":
+        value = counted & (c.order == spec.k)
+    else:
+        pairs = (((1.0, spec.cls),) if spec.statistic == "count_class"
+                 else zip(spec.a, spec.classes))
+        value = counted * sum(
+            w * ((c.order == g.order) & (c.canon == g.canon))
+            for w, g in pairs)
+    return np.where(c.boundary, 0.0, value)
+
+
 # ---------------------------------------------------------------------------
 # incremental evaluation
 
@@ -131,8 +157,7 @@ class EvaluationContext:
         table = batch_table(graph, spec.window, spec.class_order)
         self._table = table
         self._shares = graph.batch.shared(
-            ("contributions", id(spec)), spec,
-            lambda: self._contribution(table))
+            ("contributions", id(spec)), spec, lambda: share(spec, table))
         r = graph.index
         self._c0, c1 = table.label_start[r:r + 2].tolist()
         self._v0 = int(table.starts[r])
@@ -145,24 +170,6 @@ class EvaluationContext:
     def comps(self) -> ComponentTable:
         """The realization's component table, in its own labels and ids."""
         return self._table.view(self.graph.index)
-
-    def _contribution(self, c):
-        """f's share of one Component, or of each row of a ComponentTable."""
-        spec = self.spec
-        if spec.statistic == "point_count":
-            return c.n_inside * 1.0
-        counted = c.lexmin_inside if spec.mode == "lexmin" else c.all_inside
-        if spec.statistic == "total_components":
-            value = c.all_inside
-        elif spec.statistic == "count_order":
-            value = counted & (c.order == spec.k)
-        else:
-            pairs = (((1.0, spec.cls),) if spec.statistic == "count_class"
-                     else zip(spec.a, spec.classes))
-            value = counted * sum(
-                w * ((c.order == g.order) & (c.canon == g.canon))
-                for w, g in pairs)
-        return np.where(c.boundary, 0.0, value)
 
     def value_with_additions(self, additions) -> float:
         """f of the realization augmented by fresh points.
@@ -200,7 +207,7 @@ class EvaluationContext:
             members = [k for k, h in group.items() if h == g]
             adds = [row[k] for k in members if k < 0]
             roots = [k for k in members if k >= 0]
-            value += float(self._contribution(self._merged(
+            value += float(share(self.spec, self._merged(
                 [ids[k] for k in adds], pos[adds], [inside[k] for k in adds],
                 any(near_edge[k] for k in adds), roots, fresh)))
             # subtracted in set order, which fixes how non-integer

@@ -408,9 +408,6 @@ class CensusReport:
     def eta_k(self, k: int) -> int:
         return self.order_counts_lexmin.get(k, 0)
 
-    def eta_tilde_G(self, cls: GraphClass) -> int:
-        return self.class_counts_inside.get(cls.class_id, 0)
-
     def eta_tilde_k(self, k: int) -> int:
         return self.order_counts_inside.get(k, 0)
 
@@ -433,26 +430,6 @@ def census(graph: RcmGraph, window: Window, k_max: int = 5) -> CensusReport:
         order_counts_inside=table.order_counts(inside),
         alpha=int(np.sum(inside)),
         boundary_touching=int(np.sum(table.boundary)), k_max=k_max)
-
-
-def weighted_count(report: CensusReport, a, classes,
-                   mode: str = "lexmin") -> float:
-    """Weighted class-count statistic sum_i a_i * count(G_i)."""
-    a = np.asarray(a, dtype=float)
-    classes = list(classes)
-    if len(a) != len(classes):
-        raise ValueError("weight and class lists differ in length")
-    if not np.any(a != 0):
-        raise ValueError("weights must not all vanish")
-    if len({c.class_id for c in classes}) != len(classes):
-        raise ValueError("classes must be distinct")
-    if mode == "lexmin":
-        counts = [report.eta_G(c) for c in classes]
-    elif mode == "inside":
-        counts = [report.eta_tilde_G(c) for c in classes]
-    else:
-        raise ValueError(f"unknown counting mode {mode!r}")
-    return float(a @ np.array(counts, dtype=float))
 
 
 def single_vertex_class() -> GraphClass:

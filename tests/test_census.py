@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from rcmlab.census import (ComponentTable, GraphClass, canonical_form,
                            census, components, edge_class, enumerate_classes,
-                           path_class, single_vertex_class, weighted_count)
+                           path_class, single_vertex_class)
 from rcmlab.connection import ConnectionFunction
 from rcmlab.geometry import Window
 from rcmlab.marks import PairMarkSource
@@ -231,17 +231,3 @@ def test_table_and_census_match_networkx(coords, r, seed):
         c: v for c, v in inside_cls.items() if v}
     assert rep.alpha == sum(inside.values())
     assert rep.boundary_touching == n_boundary
-
-
-def test_weighted_count():
-    w, g = _graph(23)
-    rep = census(g, w, k_max=3)
-    v = weighted_count(rep, [2.0, -1.0],
-                       [single_vertex_class(), edge_class()])
-    assert v == 2.0 * rep.eta_k(1) - rep.eta_G(edge_class())
-    with pytest.raises(ValueError):
-        weighted_count(rep, [0.0], [edge_class()])
-    with pytest.raises(ValueError):
-        weighted_count(rep, [1.0, 1.0], [edge_class(), edge_class()])
-    with pytest.raises(ValueError):
-        weighted_count(rep, [1.0], [edge_class()], mode="diagonal")

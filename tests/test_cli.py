@@ -185,6 +185,24 @@ def test_bad_k_max_and_budgets_are_config_errors(tmp_path, capsys, field):
                                 "classes": ["2:1"]}]}, [], "statistics[0].a"),
     ("census", {"statistics": [{"statistic": "weighted", "a": [None],
                                 "classes": ["2:1"]}]}, [], "statistics[0].a"),
+    # malformed class ids and counting modes
+    ("census", {"statistics": [{"statistic": "count_class",
+                                "class": "2:zz"}]}, [],
+     "statistics[0].class: expected a class id <order>:<hex canon>"),
+    ("census", {"statistics": [{"statistic": "count_class",
+                                "class": "x:1"}]}, [],
+     "statistics[0].class: expected a class id <order>:<hex canon>"),
+    ("census", {"statistics": [{"statistic": "count_class",
+                                "class": "2"}]}, [],
+     "statistics[0].class: expected a class id <order>:<hex canon>"),
+    ("census", {"statistics": [{"statistic": "weighted", "a": [1.0],
+                                "classes": ["2-1"]}]}, [],
+     "statistics[0].classes: expected a class id <order>:<hex canon>"),
+    ("census", {"statistics": [{"statistic": "count_order", "k": 1,
+                                "mode": "both"}]}, [],
+     "statistics[0].mode"),
+    ("census", {"statistics": [{"statistic": "count_class", "class": "2:1",
+                                "mode": 3}]}, [], "statistics[0].mode"),
     # an integer too large for a float
     ("census", {"beta": 10 ** 400}, [], "beta"),
     ("census", {"window": {"shape": "box", "extents": [10 ** 400]}}, [],

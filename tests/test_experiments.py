@@ -2,17 +2,20 @@
 
 import csv
 import hashlib
+import importlib
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
+from rcmlab import experiments, sampling
+from rcmlab.analysis import evaluate
 from rcmlab.census import census, path_class
 from rcmlab.experiments import (ConfigError, covariance_experiment, emit,
                                 expectation_experiment, load_scenario,
-                                replicate_seed, run_scenario,
-                                total_components_experiment)
+                                replicate_graphs, replicate_seed,
+                                run_scenario, total_components_experiment)
 from rcmlab.marks import PairMarkSource
 from rcmlab.sampling import build_rcm, sample_poisson
 
@@ -116,6 +119,85 @@ def test_class_counts_beyond_k_max():
             path_class(3)))
     assert res.rungs[0].values[:, 0].tolist() == expected
     assert expected == [0, 0, 0, 1]
+
+
+_WEIGHTS = [0.3, -1.7, 0.11]
+_WEIGHTED_CLASSES = ["2:1", "3:3", "1:0"]
+
+
+def _all_statistics():
+    modes = ("lexmin", "inside")
+    return ([{"statistic": "count_class", "class": c, "mode": m}
+             for m in modes for c in _WEIGHTED_CLASSES]
+            + [{"statistic": "count_order", "k": 2, "mode": m} for m in modes]
+            + [{"statistic": "weighted", "a": _WEIGHTS,
+                "classes": _WEIGHTED_CLASSES, "mode": m} for m in modes]
+            + [{"statistic": "total_components"},
+               {"statistic": "point_count"}])
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_ladder_values_equal_evaluate(threads):
+    """A ladder value is evaluate's value of its replicate's graph: the
+    sum of the statistic's per-component shares in label order."""
+    stats = _all_statistics()
+    scn = load_scenario(_base_config(
+        beta=0.8, window={"shape": "box", "extents": [3.0, 5.0]},
+        statistics=stats, replicates=7, seed_base=11))
+    res = run_scenario(scn, threads=threads)
+    point_col = stats.index({"statistic": "point_count"})
+    weighted_cols = [i for i, s in enumerate(stats)
+                     if s["statistic"] == "weighted"]
+    for rung, result in enumerate(res.rungs):
+        specs = scn.specs(rung)
+        for rep in range(scn.replicates):
+            (graph,) = replicate_graphs(scn, rung, [rep])
+            assert result.values[rep].tolist() == \
+                [evaluate(spec, graph) for spec in specs]
+        _, n_points = experiments._rung_samples(scn, rung, threads)
+        assert n_points.tolist() == result.values[:, point_col].tolist()
+        for col in weighted_cols:
+            mode = stats[col]["mode"]
+            counts = [stats.index({"statistic": "count_class", "class": c,
+                                   "mode": mode})
+                      for c in _WEIGHTED_CLASSES]
+            np.testing.assert_allclose(
+                result.values[:, col],
+                result.values[:, counts] @ np.array(_WEIGHTS),
+                rtol=0, atol=1e-12)
+    weighted = np.concatenate([r.values[:, weighted_cols] for r in res.rungs])
+    assert np.any(weighted != np.round(weighted))
+
+
+def test_ladder_labels_each_chunk_once(monkeypatch):
+    """Statistics of different class orders read one component table
+    per chunk: component_labels runs once per chunk, not per statistic."""
+    monkeypatch.setattr(sampling, "_CHUNK_POINTS", 400)
+    scn = load_scenario(_base_config(
+        window={"shape": "box", "extents": [3.0, 5.0]}, replicates=6,
+        statistics=[{"statistic": "count_class", "class": "3:3"},
+                    {"statistic": "count_order", "k": 1},
+                    {"statistic": "point_count"},
+                    {"statistic": "weighted", "a": [1.0, 2.0],
+                     "classes": ["1:0", "2:1"]}]))
+    chunks = []
+    for rung in range(len(scn.extents)):
+        batches = [g.batch for g in replicate_graphs(
+            scn, rung, range(scn.replicates))]
+        chunks.append(len({id(b) for b in batches}))
+    assert chunks[1] > 1
+    # the package's `census` attribute is the function of that name
+    census_module = importlib.import_module("rcmlab.census")
+    calls = []
+    labels = census_module.component_labels
+
+    def counted(n, edges):
+        calls.append(n)
+        return labels(n, edges)
+
+    monkeypatch.setattr(census_module, "component_labels", counted)
+    run_scenario(scn, threads=1)
+    assert len(calls) == sum(chunks)
 
 
 def _tree_digest(root):
