@@ -185,6 +185,10 @@ def test_bad_k_max_and_budgets_are_config_errors(tmp_path, capsys, field):
                                 "classes": ["2:1"]}]}, [], "statistics[0].a"),
     ("census", {"statistics": [{"statistic": "weighted", "a": [None],
                                 "classes": ["2:1"]}]}, [], "statistics[0].a"),
+    # an integer too large for a float
+    ("census", {"beta": 10 ** 400}, [], "beta"),
+    ("census", {"window": {"shape": "box", "extents": [10 ** 400]}}, [],
+     "window.extents"),
     # malformed class ids and counting modes
     ("census", {"statistics": [{"statistic": "count_class",
                                 "class": "2:zz"}]}, [],
@@ -203,10 +207,6 @@ def test_bad_k_max_and_budgets_are_config_errors(tmp_path, capsys, field):
      "statistics[0].mode"),
     ("census", {"statistics": [{"statistic": "count_class", "class": "2:1",
                                 "mode": 3}]}, [], "statistics[0].mode"),
-    # an integer too large for a float
-    ("census", {"beta": 10 ** 400}, [], "beta"),
-    ("census", {"window": {"shape": "box", "extents": [10 ** 400]}}, [],
-     "window.extents"),
 ])
 def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command,
                                                field, argv, named):
