@@ -8,7 +8,7 @@ from .analysis import (DifferenceSample, EvaluationContext, FunctionalSpec,
                        pilot_standardization, poincare_bound,
                        second_difference)
 from .census import (CensusReport, Component, ComponentTable, GraphClass,
-                     canonical_form, census, components, edge_class,
+                     canonical_form, census, edge_class,
                      enumerate_classes, path_class, single_vertex_class)
 from .connection import ConnectionFunction
 from .experiments import VERSION as __version__

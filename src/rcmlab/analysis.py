@@ -13,7 +13,6 @@ evaluations behind a second-order difference share every common mark.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -295,67 +294,6 @@ def second_difference(spec: FunctionalSpec, graph: RcmGraph,
         with_x=ctx.value_with_additions([(x, -1)]),
         with_y=ctx.value_with_additions([(y, -2)]),
         with_xy=ctx.value_with_additions([(x, -1), (y, -2)]))
-
-
-# ---------------------------------------------------------------------------
-# graph exploration helpers (used by the per-sample bound checks)
-
-def neighbors_with_additions(graph: RcmGraph, additions):
-    """Neighbor lookup over the base graph plus fresh points.
-
-    additions: list of (position, negative id). Returns a callable
-    id -> list of adjacent ids.
-    """
-    base_adj = graph.adjacency()
-    extra: dict[int, list] = {int(i): [] for _, i in additions}
-    for u, v in graph.fresh_edges(additions).tolist():
-        extra[u].append(v)
-        extra.setdefault(v, []).append(u)
-
-    def neighbors(v: int):
-        out = list(base_adj[v]) if 0 <= v < graph.n else []
-        out.extend(extra.get(v, []))
-        return out
-
-    return neighbors
-
-
-def degree_with_additions(graph: RcmGraph, additions, vertex: int) -> int:
-    return len(neighbors_with_additions(graph, additions)(vertex))
-
-
-def hop_ball(graph: RcmGraph, additions, start: int, depth: int):
-    """All vertex ids within the given number of edges from start."""
-    neighbors = neighbors_with_additions(graph, additions)
-    seen = {start: 0}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        if seen[v] == depth:
-            continue
-        for w in neighbors(v):
-            if w not in seen:
-                seen[w] = seen[v] + 1
-                queue.append(w)
-    return seen
-
-
-def connects_to_window(graph: RcmGraph, additions, start: int,
-                       depth: int, window: Window) -> bool:
-    """True if some vertex within `depth` hops of start lies in the window."""
-    reach = hop_ball(graph, additions, start, depth)
-    add_pos = {int(i): np.asarray(p, dtype=float) for p, i in additions}
-    for v in reach:
-        pos = add_pos[v] if v < 0 else graph.points.points[v]
-        if bool(window.contains(pos)[0]):
-            return True
-    return False
-
-
-def hops_between(graph: RcmGraph, additions, a: int, b: int,
-                 depth: int) -> bool:
-    """True if a and b are connected by at most `depth` edges."""
-    return b in hop_ball(graph, additions, a, depth)
 
 
 # ---------------------------------------------------------------------------

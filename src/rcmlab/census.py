@@ -176,13 +176,6 @@ def component_labels(n: int, edges: np.ndarray) -> np.ndarray:
     return connected_components(graph, directed=False)[1].astype(np.int64)
 
 
-def components(graph: RcmGraph) -> list[np.ndarray]:
-    """Vertex id blocks of the connected components, each sorted ascending."""
-    labels = component_labels(graph.n, graph.edges)
-    ids = np.argsort(labels, kind="stable")
-    return np.split(ids, np.cumsum(np.bincount(labels)))[:-1]
-
-
 @dataclass(frozen=True)
 class Component:
     """One connected component of a realization relative to a window.

@@ -49,15 +49,15 @@ class ConnectionFunction:
             raise ValueError("dim must be >= 1")
         if self.kind in ("gilbert", "scaled_indicator"):
             if self.r <= 0:
-                raise ValueError("range r must be positive")
+                raise ValueError("r: must be positive")
             if not (0.0 < self.p <= 1.0):
-                raise ValueError("scale p must lie in (0, 1]")
+                raise ValueError("p: must lie in (0, 1]")
         elif self.kind == "exponential":
             if self.theta <= 0:
-                raise ValueError("theta must be positive")
+                raise ValueError("theta: must be positive")
         elif self.kind == "gaussian":
             if self.s <= 0:
-                raise ValueError("s must be positive")
+                raise ValueError("s: must be positive")
 
     # radial profile
 
@@ -73,11 +73,6 @@ class ConnectionFunction:
         else:
             out = np.exp(-(t / self.s) ** 2)
         return out if out.ndim else float(out)
-
-    def phi(self, x):
-        """phi at displacement vectors x of shape (..., dim)."""
-        x = np.asarray(x, dtype=float)
-        return self.phi_of_dist(np.sqrt(np.einsum("...i,...i->...", x, x)))
 
     def phi_tilde(self, t):
         """Monotone decreasing radial dominator of phi."""
@@ -101,14 +96,7 @@ class ConnectionFunction:
         # gaussian: (s sqrt(pi))^d
         return (self.s * np.sqrt(np.pi)) ** d
 
-    # support and truncation
-
-    @property
-    def support_radius(self) -> float:
-        """Radius beyond which phi vanishes (inf for unbounded kinds)."""
-        if self.kind in ("gilbert", "scaled_indicator"):
-            return self.r
-        return np.inf
+    # truncation
 
     def truncation_radius(self, eps: float = EPS_TRUNC) -> float:
         """Smallest R with phi_tilde(R) <= eps."""
@@ -117,11 +105,6 @@ class ConnectionFunction:
         if self.kind == "exponential":
             return self.theta * np.log(1.0 / eps)
         return self.s * np.sqrt(np.log(1.0 / eps))
-
-    @property
-    def truncated(self) -> bool:
-        """True when simulations of this kind carry truncation bias."""
-        return not np.isfinite(self.support_radius)
 
     def dominates(self, other: "ConnectionFunction") -> bool:
         """Whether self >= other pointwise (analytic per kind, plus a probe grid)."""

@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import FunctionalSpec, empirical_distance, share
-from .census import GraphClass, batch_table
+from .analysis import FunctionalSpec, _is_canonical, empirical_distance, share
+from .census import K_MAX, GraphClass, batch_table
 from .census import census as run_census
 from .connection import ConnectionFunction
 from .geometry import Window
@@ -91,16 +91,20 @@ def _parse_phi(obj, dim, path) -> ConnectionFunction:
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}{exc}") from exc
     raise ConfigError(f"{path}kind: unknown connection function {kind!r}")
 
 
 def _class_id(text, path) -> GraphClass:
     try:
-        return GraphClass.from_class_id(text)
+        cls = GraphClass.from_class_id(text)
     except ValueError:
         raise ConfigError(f"{path}: expected a class id <order>:<hex canon>,"
                           f" got {text!r}") from None
+    if not _is_canonical(cls):
+        raise ConfigError(f"{path}: {text} is not the canonical id of a "
+                          f"connected graph of order <= {K_MAX}")
+    return cls
 
 
 def _mode(obj, path) -> str:
@@ -367,10 +371,11 @@ def _make_rung(scenario, rung, threads) -> RungResult:
                       distances=_standardize_and_distances(values))
 
 
-def _rate_regression(rungs: list, stat_index: int = 0) -> dict:
+def _rate_regression(rungs: list) -> dict:
+    """Log-log fit of the first statistic's d_K against window volume."""
     xs, ys = [], []
     for r in rungs:
-        dk = r.distances[stat_index]["d_K"]
+        dk = r.distances[0]["d_K"]
         if dk > 0 and not math.isnan(dk):
             xs.append(math.log(r.volume))
             ys.append(math.log(dk))

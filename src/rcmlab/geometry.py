@@ -41,10 +41,6 @@ class Window:
         object.__setattr__(self, "center", c)
 
     @property
-    def inradius(self) -> float:
-        return self.extent
-
-    @property
     def volume(self) -> float:
         if self.shape == "box":
             return (2.0 * self.extent) ** self.dim
@@ -108,13 +104,3 @@ def lex_order(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points)
     keys = tuple(pts[:, k] for k in range(pts.shape[1] - 1, -1, -1))
     return np.lexsort(keys)
-
-
-def lex_less(x: np.ndarray, y: np.ndarray) -> bool:
-    """True if x strictly precedes y lexicographically."""
-    for a, b in zip(x, y):
-        if a < b:
-            return True
-        if a > b:
-            return False
-    return False

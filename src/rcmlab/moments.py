@@ -37,7 +37,7 @@ from scipy.special import roots_legendre
 
 from .census import GraphClass, permuted_bits
 from .connection import ConnectionFunction, RadialProposal
-from .geometry import Window, lex_order, unit_ball_volume
+from .geometry import Window, unit_ball_volume
 
 ENUM_CAP = 6
 
@@ -588,20 +588,6 @@ def _shared_tuple_mc(phi, psi, beta, k, diag_prob, n_samples, seed):
 
 # ---------------------------------------------------------------------------
 # public operations
-
-def is_lex_sorted(X: np.ndarray) -> bool:
-    order = lex_order(X)
-    return bool(np.all(order == np.arange(len(X))))
-
-
-def p_phi_k(x, phi: ConnectionFunction) -> float:
-    """Connectivity probability with the sorted-tuple indicator."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    if not is_lex_sorted(X):
-        return 0.0
-    pe = _pair_values(X[None, :, :], phi)
-    return float(prob_connected(pe, len(X))[0])
-
 
 def expected_count_intensity(G: GraphClass, phi: ConnectionFunction,
                              beta: float, n_samples: int = 200000,

@@ -180,8 +180,6 @@ class RcmGraph:
     edges: np.ndarray           # (m, 2) ids with edges[:, 0] < edges[:, 1]
     rmax: float                 # pair-search radius used to build the edge set
     # caches of what the fields above determine, never copied
-    _adjacency: dict = field(default=None, init=False, repr=False,
-                             compare=False)
     _batch: RcmBatch = field(default=None, init=False, repr=False,
                              compare=False)
     _index: int = field(default=0, init=False, repr=False, compare=False)
@@ -209,21 +207,6 @@ class RcmGraph:
         object.__setattr__(self, "_batch", batch)
         object.__setattr__(self, "_index", index)
         return self
-
-    def adjacency(self) -> dict[int, np.ndarray]:
-        """Per-vertex sorted neighbor id arrays (computed once, cached)."""
-        if self._adjacency is None:
-            adj = {i: [] for i in range(self.n)}
-            for i, j in self.edges:
-                adj[int(i)].append(int(j))
-                adj[int(j)].append(int(i))
-            adj = {i: np.array(sorted(v), dtype=np.int64)
-                   for i, v in adj.items()}
-            object.__setattr__(self, "_adjacency", adj)
-        return self._adjacency
-
-    def degree(self, i: int) -> int:
-        return len(self.adjacency()[i])
 
     def _near(self, x: np.ndarray):
         """Ids within rmax of x, ascending, and their points' offsets

@@ -17,9 +17,8 @@ import pytest
 
 import rcmlab as rl
 from rcmlab.analysis import (FunctionalSpec, birth_time_variance,
-                             connects_to_window, degree_with_additions,
                              difference, empirical_distance, evaluate,
-                             hops_between, poincare_bound, second_difference)
+                             poincare_bound, second_difference)
 from rcmlab.census import GraphClass, canonical_form, census, enumerate_classes
 from rcmlab.connection import ConnectionFunction
 from rcmlab.experiments import emit, load_scenario, run_scenario
@@ -182,7 +181,7 @@ def test_criterion_05_poincare(label, statistic, kw, phi, n_reps):
             var <= bound.value + slack)
 
 
-def test_criterion_06_per_sample_difference_bounds():
+def test_criterion_06_per_sample_difference_bounds(reach_oracle):
     a = (1.0, -2.0)
     classes = (rl.single_vertex_class(), rl.edge_class())
     w = Window("box", 3.0, 2)
@@ -194,20 +193,14 @@ def test_criterion_06_per_sample_difference_bounds():
     for s in range(n_graphs):
         pts = sample_poisson(w, spec.padding(), 1.0, 50_000 + s)
         g = build_rcm(pts, GILBERT, PairMarkSource(50_000 + s))
+        reach = reach_oracle(g)
         for _ in range(per_graph):
             x = rng.uniform(-4.5, 4.5, 2)
             y = rng.uniform(-4.5, 4.5, 2)
-            d = difference(spec, g, x)
-            degx = degree_with_additions(g, [(x, -1)], -1)
-            indx = connects_to_window(g, [(x, -1)], -1, k, w)
-            if abs(d) > a_inf * (degx + 1) * indx + 1e-9:
+            env1, env2 = reach.envelopes(x, y, w, a_inf, k)
+            if abs(difference(spec, g, x)) > env1 + 1e-9:
                 viol1 += 1
-            sd = second_difference(spec, g, x, y)
-            degy = degree_with_additions(g, [(y, -2)], -2)
-            hop = hops_between(g, [(x, -1), (y, -2)], -1, -2, k + 1)
-            indy = connects_to_window(g, [(y, -2)], -2, k, w)
-            if abs(sd.second) > \
-                    a_inf * (2 * degy + 3) * hop * max(indx, indy) + 1e-9:
+            if abs(second_difference(spec, g, x, y).second) > env2 + 1e-9:
                 viol2 += 1
     _report(6, f"difference bounds on {n_graphs * per_graph} draws: "
             f"{viol1} first-order, {viol2} second-order violations",

@@ -10,10 +10,8 @@ from scipy import stats
 from rcmlab.analysis import (DifferenceSample, EvaluationContext,
                              FunctionalSpec, Standardization,
                              birth_time_variance, cluster_tail,
-                             connects_to_window, degree_with_additions,
                              difference, dkw_bound, empirical_distance,
                              evaluate, fourth_moment_bound, gamma_terms,
-                             hop_ball, hops_between, neighbors_with_additions,
                              pilot_standardization,
                              poincare_bound, second_difference)
 from rcmlab.census import (canonical_form, census, edge_class, path_class,
@@ -192,17 +190,12 @@ def test_fresh_ids_are_validated():
     y = x + 0.5
     ctx = EvaluationContext(g, spec)
     for additions in ([(x, 3)], [(x, 0)], [(x, -1), (y, -1)]):
-        vertex = additions[0][1]
         with pytest.raises(ValueError, match="distinct negative ids"):
-            neighbors_with_additions(g, additions)
-        with pytest.raises(ValueError, match="distinct negative ids"):
-            degree_with_additions(g, additions, vertex)
-        with pytest.raises(ValueError, match="distinct negative ids"):
-            hop_ball(g, additions, vertex, 2)
+            g.fresh_edges(additions)
         with pytest.raises(ValueError, match="distinct negative ids"):
             ctx.value_with_additions(additions)
     with pytest.raises(ValueError, match="duplicates"):
-        neighbors_with_additions(g, [(g.points.points[3], -1)])
+        g.fresh_edges([(g.points.points[3], -1)])
 
 
 def test_classes_resolved_beyond_k_max():
@@ -259,7 +252,7 @@ def test_lexmin_independent_of_id_order():
                 ctx.value_with_additions([(x, -1)])
 
 
-def test_per_sample_difference_bounds():
+def test_per_sample_difference_bounds(reach_oracle):
     """Degree-based envelopes for first and second differences."""
     a = (1.0, -2.0)
     classes = (single_vertex_class(), edge_class())
@@ -271,16 +264,9 @@ def test_per_sample_difference_bounds():
         g = _graph(seed, spec)
         x = rng.uniform(-4.5, 4.5, 2)
         y = rng.uniform(-4.5, 4.5, 2)
-        d = difference(spec, g, x)
-        degx = degree_with_additions(g, [(x, -1)], -1)
-        indx = connects_to_window(g, [(x, -1)], -1, k, W)
-        assert abs(d) <= a_inf * (degx + 1) * indx + 1e-9
-        s = second_difference(spec, g, x, y)
-        degy = degree_with_additions(g, [(y, -2)], -2)
-        hop = hops_between(g, [(x, -1), (y, -2)], -1, -2, k + 1)
-        indy = connects_to_window(g, [(y, -2)], -2, k, W)
-        assert abs(s.second) <= \
-            a_inf * (2 * degy + 3) * hop * max(indx, indy) + 1e-9
+        env1, env2 = reach_oracle(g).envelopes(x, y, W, a_inf, k)
+        assert abs(difference(spec, g, x)) <= env1 + 1e-9
+        assert abs(second_difference(spec, g, x, y).second) <= env2 + 1e-9
 
 
 def test_poincare_pure_count_exact():

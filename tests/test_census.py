@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcmlab.census import (ComponentTable, GraphClass, canonical_form,
-                           census, components, edge_class, enumerate_classes,
+                           census, edge_class, enumerate_classes,
                            path_class, single_vertex_class)
 from rcmlab.connection import ConnectionFunction
 from rcmlab.geometry import Window
@@ -130,20 +130,6 @@ def _graph(seed, extent=4.0, beta=1.0, r=1.0):
     g = build_rcm(pts, ConnectionFunction("gilbert", 2, r=r),
                   PairMarkSource(seed))
     return w, g
-
-
-def test_components_partition_vertices():
-    _, g = _graph(11)
-    blocks = components(g)
-    all_ids = np.concatenate(blocks)
-    assert sorted(all_ids) == list(range(g.n))
-    edge_set = set(map(tuple, g.edges))
-    roots = {}
-    for b_idx, b in enumerate(blocks):
-        for v in b:
-            roots[int(v)] = b_idx
-    for i, j in edge_set:
-        assert roots[int(i)] == roots[int(j)]
 
 
 def test_census_structural_identities():

@@ -207,6 +207,17 @@ def test_bad_k_max_and_budgets_are_config_errors(tmp_path, capsys, field):
      "statistics[0].mode"),
     ("census", {"statistics": [{"statistic": "count_class", "class": "2:1",
                                 "mode": 3}]}, [], "statistics[0].mode"),
+    # connection-function parameters out of range
+    ("census", {"phi": {"kind": "gilbert", "r": -1.0}}, [],
+     "phi.r: must be positive"),
+    ("census", {"phi": {"kind": "gaussian", "s": 0.0}}, [],
+     "phi.s: must be positive"),
+    ("census", {"phi": {"kind": "scaled_indicator", "p": 1.5, "r": 1.0}}, [],
+     "phi.p: must lie in (0, 1]"),
+    ("census", {"phi": {"kind": "exponential", "theta": -2.0}}, [],
+     "phi.theta: must be positive"),
+    ("census", {"psi": {"kind": "scaled_indicator", "p": 0.0, "r": 1.0}}, [],
+     "psi.p: must lie in (0, 1]"),
 ])
 def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command,
                                                field, argv, named):
@@ -311,6 +322,8 @@ def test_non_canonical_class_ids_are_config_errors(tmp_path, capsys,
     rc = main(["census", "--config", str(path), "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG
+    field = "class" if "class" in statistic else "classes"
+    assert f"configuration error: statistics[0].{field}: " in err
     assert "not the canonical id of a connected graph" in err
     assert "Traceback" not in err
 

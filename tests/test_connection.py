@@ -30,7 +30,7 @@ def test_profiles():
     e = ConnectionFunction("exponential", 1, theta=2.0)
     assert e.phi_of_dist(2.0) == pytest.approx(math.exp(-1.0))
     ga = ConnectionFunction("gaussian", 3, s=2.0)
-    assert ga.phi(np.array([2.0, 0.0, 0.0])) == pytest.approx(math.exp(-1.0))
+    assert ga.phi_of_dist(2.0) == pytest.approx(math.exp(-1.0))
 
 
 def m_phi_quadrature(phi: ConnectionFunction) -> float:
@@ -64,8 +64,6 @@ def test_truncation_radius():
     assert e.phi_of_dist(e.truncation_radius(1e-6)) == pytest.approx(1e-6)
     ga = ConnectionFunction("gaussian", 2, s=1.0)
     assert ga.phi_of_dist(ga.truncation_radius(1e-6)) == pytest.approx(1e-6)
-    assert not ConnectionFunction("gilbert", 2).truncated
-    assert e.truncated
 
 
 def test_dominates():

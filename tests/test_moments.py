@@ -17,9 +17,8 @@ from rcmlab.moments import (ENUM_CAP, AnchorProposal, ClusterProposal,
                             asy_cov, asy_cov_kl, asy_var_quadratic,
                             expected_count_intensity,
                             finite_window_cross_moment, indicator_union_exponent,
-                            inner_exponent, is_lex_sorted, iso_masks,
-                            joint_prob_coupled, mixed_exponent, p_phi_k,
-                            prob_connected,
+                            inner_exponent, iso_masks,
+                            joint_prob_coupled, mixed_exponent, prob_connected,
                             prob_isomorphic, prufer_decode, q_kl,
                             sigma_total_partial, window_overlap_volume)
 from rcmlab.moments import _is_anchor_lexmin, _mc_estimate, _pair_values
@@ -184,15 +183,6 @@ def test_mixed_exponent_smooth_kind():
     # single point: -beta * m_phi
     val = mixed_exponent(np.zeros((4, 1, 2)), [gauss], 1.5)
     np.testing.assert_allclose(val, -1.5 * math.pi, rtol=1e-3)
-
-
-def test_p_phi_k_sorted_indicator():
-    X = np.array([[0.0, 0.0], [0.5, 0.0]])
-    assert is_lex_sorted(X)
-    assert p_phi_k(X, GILBERT) == pytest.approx(1.0)
-    bad = X[::-1]
-    assert not is_lex_sorted(bad)
-    assert p_phi_k(bad, GILBERT) == 0.0
 
 
 def test_expected_count_intensity_closed_form():
