@@ -28,8 +28,8 @@ from .census import K_MAX, GraphClass, batch_table
 from .census import census as run_census
 from .connection import ConnectionFunction
 from .geometry import Window
-from .moments import (ENUM_CAP, _asy_cov_matrix, cluster_exponent_supported,
-                      expected_count_intensity, sigma_total_partial)
+from .moments import (ENUM_CAP, _asy_cov_matrix, expected_count_intensity,
+                      sigma_total_partial)
 from .sampling import build_chunked, seeded_sample
 
 VERSION = "0.1.0"
@@ -395,21 +395,14 @@ def _rate_regression(rungs: list) -> dict:
             "slope_se": slope_se, "n": len(xs)}
 
 
-def _require_cluster_moments(scenario: Scenario, experiment: str,
-                             orders: list[int]):
-    """ConfigError, before any replicate runs, when the experiment's
-    analytic moments of clusters of these orders cannot be evaluated:
-    an order beyond the moment engine's enumeration cap, or a phi whose
-    cluster exponent has no exact evaluation."""
-    if max(orders) > ENUM_CAP:
+def _require_cluster_moments(experiment: str, orders: list[int]):
+    """ConfigError, before any replicate runs, when the experiment needs
+    analytic moments of clusters of an order beyond the moment engine's
+    enumeration cap."""
+    if max(orders, default=1) > ENUM_CAP:
         raise ConfigError(
             f"statistics: the {experiment} experiment needs moments of "
             f"order {max(orders)}, beyond the enumeration cap {ENUM_CAP}")
-    if not cluster_exponent_supported(scenario.phi):
-        raise ConfigError(
-            f"phi: the {experiment} experiment needs moments of "
-            f"{scenario.phi.kind} clusters, which are available only in "
-            f"dimension <= 2")
 
 
 def _scenario(config) -> Scenario:
@@ -444,8 +437,7 @@ def covariance_experiment(config, threads: int = None) -> ExperimentResult:
                 "statistics: covariance experiment compares count_class"
                 " statistics against the analytic matrix")
         classes.append(spec.cls)
-    _require_cluster_moments(scenario, "covariance",
-                             [c.order for c in classes])
+    _require_cluster_moments("covariance", [c.order for c in classes])
     rungs = _ladder(scenario, threads)
     for rung in rungs:
         cov = np.cov(rung.values.T) / rung.volume
@@ -475,7 +467,6 @@ def total_components_experiment(config,
               if s.get("statistic") == "total_components"]
     if not totals:
         raise ConfigError("statistics: total_components not configured")
-    _require_cluster_moments(scenario, "total", [_PARTIAL_ORDER])
     rungs = _ladder(scenario, threads)
     for rung in rungs:
         rung.extras["var_per_volume"] = float(
@@ -495,11 +486,8 @@ def expectation_experiment(config, threads: int = None) -> ExperimentResult:
     """Empirical per-volume intensities vs the analytic predictions."""
     scenario = _scenario(config)
     specs = scenario.specs(0)
-    # order-1 intensities are closed forms; larger orders need the engine
-    orders = [s.cls.order for s in specs
-              if s.statistic == "count_class" and s.cls.order > 1]
-    if orders:
-        _require_cluster_moments(scenario, "expectation", orders)
+    _require_cluster_moments("expectation", [
+        s.cls.order for s in specs if s.statistic == "count_class"])
     rungs = _ladder(scenario, threads)
     preds = []
     for n, spec in enumerate(specs):

@@ -378,16 +378,10 @@ def test_thread_counts_below_one_are_config_errors(tmp_path, config_path,
     ("total", {"kind": "gilbert", "r": 1.0},
      [{"statistic": "total_components"}]),
 ])
-def test_indicator_moments_beyond_d2_are_config_errors(
-        tmp_path, monkeypatch, capsys, command, phi, statistics):
-    # exact ball intersections exist only for d <= 2, so the analytic
-    # side of these experiments is refused before any replicate runs
-    from rcmlab import experiments
-
-    def no_replicates(*args, **kwargs):
-        raise AssertionError("a replicate ran before the config check")
-
-    monkeypatch.setattr(experiments, "_make_rung", no_replicates)
+def test_indicator_moments_in_d3_run(tmp_path, capsys, command, phi,
+                                     statistics):
+    # ball intersections are sliced in any dimension, so the analytic
+    # side of these experiments runs for indicator clusters in d = 3
     cfg = {
         "dimension": 3, "beta": 1.0, "phi": phi,
         "window": {"shape": "box", "extents": [1.5]},
@@ -396,11 +390,17 @@ def test_indicator_moments_beyond_d2_are_config_errors(
     }
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(cfg))
-    rc = main([command, "--config", str(path), "--out", str(tmp_path)])
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(path), "--out", str(out)])
     err = capsys.readouterr().err
-    assert rc == EXIT_CONFIG
-    assert "dimension <= 2" in err
+    assert rc == EXIT_OK
     assert "Traceback" not in err
+    run = out / "results" / os.listdir(out / "results")[0]
+    for name in ("census.csv", "distances.csv", "moments.json",
+                 "summary.json"):
+        assert (run / "0" / name).is_file()
+    summary = json.loads((run / "summary.json").read_text())
+    assert summary["kind"] == command and summary["extras"]
 
 
 @pytest.mark.parametrize("command", ["sample", "census", "expectation",

@@ -8,9 +8,10 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
-from rcmlab.census import (edge_class, enumerate_classes, path_class,
-                           single_vertex_class)
+from rcmlab.census import (GraphClass, census, edge_class, enumerate_classes,
+                           path_class, single_vertex_class)
 from rcmlab.connection import ConnectionFunction, radial_sampler
 from rcmlab.geometry import Window, unit_ball_volume
 from rcmlab.moments import (ENUM_CAP, AnchorProposal, ClusterProposal,
@@ -21,7 +22,9 @@ from rcmlab.moments import (ENUM_CAP, AnchorProposal, ClusterProposal,
                             joint_prob_coupled, mixed_exponent, prob_connected,
                             prob_isomorphic, prufer_decode, q_kl,
                             sigma_total_partial, window_overlap_volume)
-from rcmlab.moments import _is_anchor_lexmin, _mc_estimate, _pair_values
+from rcmlab.moments import (_balls_intersection_volume, _is_anchor_lexmin,
+                            _mc_estimate, _pair_values)
+from rcmlab.sampling import build_rcm, seeded_sample
 
 GILBERT = ConnectionFunction("gilbert", 2, r=1.0)
 GAUSS = ConnectionFunction("gaussian", 2, s=1.0)
@@ -141,11 +144,24 @@ def test_inner_exponent_two_disks():
 
 
 def test_inner_exponent_d3_disjoint_balls():
-    # indicators in d = 3 take the tensor-quadrature branch
+    # no pair overlaps, so only the exact single-ball terms remain
     phi3 = ConnectionFunction("gilbert", 3, r=1.0)
     X = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
     assert inner_exponent(X, phi3, 1.0) == \
-        pytest.approx(-2.0 * 4.0 / 3.0 * math.pi, rel=1e-3)
+        pytest.approx(-2.0 * 4.0 / 3.0 * math.pi, rel=1e-9)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.5, 1.2, 1.9])
+@pytest.mark.parametrize("axis", [(1.0, 0.0, 0.0), (1.0, 1.0, 1.0)],
+                         ids=["along-x1", "diagonal"])
+def test_inner_exponent_d3_overlapping_balls(delta, axis):
+    # minus beta times the union volume, 2 kappa_3 minus the lens
+    phi3 = ConnectionFunction("gilbert", 3, r=1.0)
+    u = np.array(axis) / np.linalg.norm(axis)
+    X = np.array([[0.1, 0.2, -0.3], [0.1, 0.2, -0.3] + delta * u])
+    lens = math.pi * (4 + delta) * (2 - delta) ** 2 / 12
+    assert inner_exponent(X, phi3, 1.3) == pytest.approx(
+        -1.3 * (2 * unit_ball_volume(3) - lens), rel=1e-5)
 
 
 def test_inner_exponent_d1():
@@ -153,6 +169,90 @@ def test_inner_exponent_d1():
     X = np.array([[0.0], [1.5]])
     # union of two intervals of length 2 overlapping by 0.5
     assert inner_exponent(X, phi1, 1.0) == pytest.approx(-3.5)
+
+
+def _lens_volume(d, r1, r2, t):
+    """Closed-form volume of B(0, r1) intersected with B(x, r2), |x| = t."""
+    if t >= r1 + r2:
+        return 0.0
+    if t <= abs(r1 - r2):
+        return unit_ball_volume(d) * min(r1, r2) ** d
+    if d == 1:
+        return r1 + r2 - t
+    if d == 2:
+        return (r1 ** 2 * math.acos((t * t + r1 * r1 - r2 * r2) / (2 * t * r1))
+                + r2 ** 2 * math.acos((t * t + r2 * r2 - r1 * r1)
+                                      / (2 * t * r2))
+                - 0.5 * math.sqrt((r1 + r2 - t) * (t + r1 - r2)
+                                  * (t - r1 + r2) * (t + r1 + r2)))
+    return math.pi * (r1 + r2 - t) ** 2 \
+        * (t * t + 2 * t * (r1 + r2) - 3 * (r1 - r2) ** 2) / (12 * t)
+
+
+@st.composite
+def _balls(draw, min_size=1):
+    """Centers (m, d) and radii (m,) of up to four balls in d = 1, 2, 3."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    m = draw(st.integers(min_size, 4))
+    centers = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=d,
+                                     max_size=d), min_size=m, max_size=m))
+    radii = draw(st.lists(st.floats(0.2, 1.5), min_size=m, max_size=m))
+    return np.array(centers), np.array(radii)
+
+
+def _volume(centers, radii):
+    """The slicing rule on one set of balls, with the kernels' 64 nodes."""
+    return _balls_intersection_volume(centers[None], radii[None])[0]
+
+
+# the 64-node rule is within 6e-5 of the smallest ball's volume where the
+# lens rim kinks a slice (measured on 300 random pairs per dimension)
+_SLICE_TOL = 2e-4
+
+
+@settings(max_examples=60, deadline=None)
+@given(_balls(), st.randoms(use_true_random=False))
+def test_ball_intersection_ignores_ball_order(balls, rnd):
+    centers, radii = balls
+    perm = list(range(len(radii)))
+    rnd.shuffle(perm)
+    assert _volume(centers[perm], radii[perm]) == _volume(centers, radii)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_balls(min_size=2))
+def test_ball_intersection_shrinks_as_balls_are_added(balls):
+    centers, radii = balls
+    d = centers.shape[1]
+    smallest = unit_ball_volume(d) * radii.min() ** d
+    vols = [_volume(centers[:j], radii[:j]) for j in range(1, len(radii) + 1)]
+    assert vols[0] == pytest.approx(unit_ball_volume(d) * radii[0] ** d,
+                                    rel=_SLICE_TOL)
+    assert vols[-1] <= smallest * (1 + _SLICE_TOL)
+    for a, b in zip(vols, vols[1:]):
+        assert b <= a + _SLICE_TOL * smallest
+
+
+@settings(max_examples=60, deadline=None)
+@given(_balls())
+def test_concentric_balls_intersect_in_the_smallest(balls):
+    centers, radii = balls
+    d = centers.shape[1]
+    same = np.broadcast_to(centers[0], centers.shape)
+    assert _volume(same, radii) == pytest.approx(
+        unit_ball_volume(d) * radii.min() ** d, rel=1e-5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_balls(min_size=2))
+def test_two_balls_intersect_in_the_closed_form_lens(balls):
+    centers, radii = balls
+    centers, radii = centers[:2], radii[:2]
+    d = centers.shape[1]
+    lens = _lens_volume(d, radii[0], radii[1],
+                        float(np.linalg.norm(centers[1] - centers[0])))
+    assert abs(_volume(centers, radii) - lens) <= \
+        _SLICE_TOL * unit_ball_volume(d) * radii.min() ** d
 
 
 @pytest.mark.parametrize("k", range(1, ENUM_CAP + 1))
@@ -196,6 +296,47 @@ def test_expected_count_intensity_edge_oracle():
                                    n_samples=120000, seed=5)
     assert est.std_error < 0.01 * RHO_EDGE
     assert abs(est.value - RHO_EDGE) < 4.0 * est.std_error
+
+
+GILBERT3 = ConnectionFunction("gilbert", 3, r=1.0)
+
+
+@pytest.mark.acceptance
+def test_expected_count_intensity_d3_edge_oracle():
+    # rho_2:1 = (beta^2 / 2) int_{|x|<=1} exp(-beta |B(0,1) u B(x,1)|) dx,
+    # the union 2 kappa_3 minus the lens pi (4 + t)(2 - t)^2 / 12
+    beta = 0.3
+
+    def radial(t):
+        lens = math.pi * (4 + t) * (2 - t) ** 2 / 12
+        return 4 * math.pi * t * t * math.exp(
+            -beta * (2 * unit_ball_volume(3) - lens))
+
+    oracle = beta ** 2 / 2 * quad(radial, 0.0, 1.0, epsabs=1e-14)[0]
+    est = expected_count_intensity(edge_class(), GILBERT3, beta,
+                                   n_samples=20000, seed=0)
+    assert abs(est.value - oracle) <= 3.0 * est.std_error
+    assert est.std_error < 0.02 * oracle
+
+
+@pytest.mark.acceptance
+def test_expected_count_intensity_d3_path_matches_simulation():
+    # subcritical: mean degree beta kappa_3 = 1.26; a 3:3 component with
+    # its lexmin inside lies within 2 of it, so padding 3.5 keeps it off
+    # the sampled region's boundary band of width r = 1
+    beta, w = 0.3, Window("box", 6.0, 3)
+    cls = GraphClass.from_class_id("3:3")
+    counts = []
+    for s in range(400):
+        pts, marks = seeded_sample(w, 3.5, beta, 40_000 + s)
+        counts.append(census(build_rcm(pts, GILBERT3, marks), w,
+                             k_max=3).eta_G(cls))
+    rates = np.array(counts) / w.volume
+    sim_se = float(np.std(rates, ddof=1)) / math.sqrt(len(rates))
+    est = expected_count_intensity(cls, GILBERT3, beta, n_samples=5000,
+                                   seed=1)
+    assert abs(est.value - float(np.mean(rates))) <= \
+        3.0 * math.hypot(est.std_error, sim_se)
 
 
 def test_asy_cov_kl_diagonal_oracle():
@@ -255,6 +396,33 @@ def test_window_overlap_volume_box():
     wb = Window("ball", 1.0, 2)
     assert window_overlap_volume(wb, [0.0, 0.0]) == pytest.approx(math.pi)
     assert window_overlap_volume(wb, [2.5, 0.0]) == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_window_overlap_volume_ball_matches_closed_forms(d):
+    w = Window("ball", 1.3, d)
+    for t in (0.0, 0.3, 1.3, 2.2, 2.59):
+        x = np.zeros(d)
+        x[-1] = t
+        assert window_overlap_volume(w, x) == pytest.approx(
+            _lens_volume(d, 1.3, 1.3, t), rel=1e-10)
+
+
+def test_window_overlap_volume_ball_d4_matches_slicing():
+    w = Window("ball", 1.5, 4)
+    for t in (0.4, 1.5, 2.6):
+        x = t * np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
+        centers = np.array([[np.zeros(4), x]])
+        sliced = _balls_intersection_volume(centers, np.full((1, 2), 1.5))[0]
+        assert window_overlap_volume(w, x) == pytest.approx(sliced, rel=1e-4)
+
+
+def test_finite_window_cross_moment_on_4d_ball_window():
+    phi4 = ConnectionFunction("gilbert", 4, r=1.0)
+    est = finite_window_cross_moment(
+        single_vertex_class(), single_vertex_class(), phi4, phi4,
+        Window("ball", 1.0, 4), 0.5, n_samples=200, seed=3)
+    assert math.isfinite(est.value) and est.value > 0
 
 
 def test_finite_window_cross_moment_consistent_with_asymptotic():
@@ -365,10 +533,11 @@ def test_one_radial_grid_per_proposal(monkeypatch):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 6), st.sampled_from([1, 2]), st.integers(2, 40),
+@given(st.integers(1, 6), st.sampled_from([1, 2, 3]), st.integers(2, 40),
        st.integers(0, 2 ** 32 - 1))
 def test_indicator_union_exponent_rows_independent_of_batch(m, d, n, seed):
-    # pruning rows from a batch must not change the remaining rows' bits
+    # pruning rows from a batch, or splitting it into blocks, must not
+    # change the remaining rows' bits
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1.5, 1.5, size=(n, m, d))
     radii = rng.uniform(0.5, 1.5, size=m)
