@@ -19,8 +19,9 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .census import (K_MAX, Component, ComponentTable, GraphClass,
-                     batch_table, canonical_form, component_table)
+from .census import (K_MAX, Component, ComponentTable, GraphClass, _pack,
+                     batch_table, canon_of_packed, canonical_form,
+                     component_table)
 from .connection import ConnectionFunction
 from .geometry import Window, unit_ball_volume
 from .marks import PairMarkSource, pair_marks
@@ -241,9 +242,7 @@ class EvaluationContext:
                                    + [fresh[np.isin(fresh[:, 0], ids)]])
             by_id = np.argsort(vertices)
             local = by_id[np.searchsorted(vertices, edges, sorter=by_id)]
-            adj = np.zeros((order, order), dtype=bool)
-            adj[local[:, 0], local[:, 1]] = adj[local[:, 1], local[:, 0]] = True
-            canon = canonical_form(adj).canon
+            canon = canon_of_packed(order, _pack(order, *local.T))
         return Component(
             order=order, boundary=bool(boundary), canon=canon,
             n_inside=sum(int(t.n_inside[r]) for r in roots) + sum(inside),

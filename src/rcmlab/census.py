@@ -19,7 +19,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import Window, lex_order
+from .geometry import Window
 from .sampling import RcmBatch, RcmGraph
 
 K_MAX = 8
@@ -71,8 +71,16 @@ def _perm_tables(k: int):
     return _perm_cache[k]
 
 
-def _pack(adj: np.ndarray, iu, weights) -> int:
-    return int(adj[iu].astype(np.int64) @ weights)
+def _pair_bits(k, a, b) -> np.ndarray:
+    """The bit of each vertex pair {a, b} in the packed code of a graph on
+    k vertices: pair (lo, hi) sits at its position in np.triu_indices(k, 1)."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return np.left_shift(1, lo * (2 * k - lo - 1) // 2 + hi - lo - 1)
+
+
+def _pack(k: int, a, b) -> int:
+    """Packed code of the graph on k vertices with edges {a[i], b[i]}."""
+    return int(np.bitwise_or.reduce(_pair_bits(k, a, b)))
 
 
 def permuted_bits(adjacency: np.ndarray) -> np.ndarray:
@@ -88,39 +96,33 @@ def permuted_bits(adjacency: np.ndarray) -> np.ndarray:
     return adj[perms[:, iu[0]], perms[:, iu[1]]]
 
 
-def _is_connected(adj: np.ndarray) -> bool:
-    k = len(adj)
-    seen = np.zeros(k, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in np.flatnonzero(adj[v]):
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
-    return bool(seen.all())
+def canon_of_packed(k: int, packed: int) -> int:
+    """Canonical code of the graph on k vertices with packed code
+    `packed`: the least packing over all k! relabelings. The graph is
+    taken as given; canonical_form validates outside input."""
+    key = (k, packed)
+    canon = _canon_cache.get(key)
+    if canon is None:
+        weights = _perm_tables(k)[2]
+        canon = int((permuted_bits(_unpack(k, packed)).astype(np.int64)
+                     @ weights).min())
+        _canon_cache[key] = canon
+    return canon
 
 
 def canonical_form(adjacency: np.ndarray) -> GraphClass:
     """Canonical class of a connected graph given as a symmetric bool matrix."""
     adj = np.asarray(adjacency, dtype=bool)
     k = len(adj)
-    if k > K_MAX:
-        raise ValueError(f"graph order {k} exceeds K_MAX={K_MAX}")
+    if not 1 <= k <= K_MAX:
+        raise ValueError(f"graph order {k} outside [1, K_MAX={K_MAX}]")
     if adj.shape != (k, k) or np.any(adj != adj.T) or np.any(np.diag(adj)):
         raise ValueError("adjacency must be symmetric with empty diagonal")
-    if k == 1:
-        return GraphClass(order=1, canon=0)
-    if not _is_connected(adj):
+    # vertex 0 reaches every vertex within k - 1 steps
+    if not np.linalg.matrix_power(adj | np.eye(k, dtype=bool), k - 1)[0].all():
         raise ValueError("graph is not connected")
-    _, iu, weights = _perm_tables(k)
-    key = (k, _pack(adj, iu, weights))
-    canon = _canon_cache.get(key)
-    if canon is None:
-        canon = int((permuted_bits(adj).astype(np.int64) @ weights).min())
-        _canon_cache[key] = canon
-    return GraphClass(order=k, canon=canon)
+    return GraphClass(order=k, canon=canon_of_packed(
+        k, _pack(k, *np.nonzero(np.triu(adj)))))
 
 
 def enumerate_classes(k: int) -> list[GraphClass]:
@@ -136,14 +138,11 @@ def enumerate_classes(k: int) -> list[GraphClass]:
     for order in range(2, k + 1):
         grown = set()
         for cls in classes:
-            base = cls.adjacency()
-            adj = np.zeros((order, order), dtype=bool)
-            adj[:order - 1, :order - 1] = base
+            base = _pack(order, *np.nonzero(np.triu(cls.adjacency())))
             for sub in range(1, 1 << (order - 1)):
-                attach = [(sub >> i) & 1 for i in range(order - 1)]
-                adj[order - 1, :order - 1] = attach
-                adj[:order - 1, order - 1] = attach
-                grown.add(canonical_form(adj))
+                attach = np.flatnonzero((sub >> np.arange(order - 1)) & 1)
+                grown.add(GraphClass(order=order, canon=canon_of_packed(
+                    order, base | _pack(order, attach, order - 1))))
         classes = grown
     return sorted(classes)
 
@@ -215,10 +214,9 @@ class ComponentTable(Mapping):
                      of order <= k_max, else -1
       realization    index of the realization the component lies in
     Vertex ids are grouped by label in `vertices[vertex_start[c]:
-    vertex_start[c + 1]]`, in lexicographic order of their points, and
-    edge rows likewise in `edges[edge_index[edge_start[c]:
-    edge_start[c + 1]]]`. As a mapping, the table takes a label to its
-    Component.
+    vertex_start[c + 1]]`, ascending within each group, and edge rows
+    likewise in `edges[edge_index[edge_start[c]:edge_start[c + 1]]]`. As
+    a mapping, the table takes a label to its Component.
 
     The table covers all realizations of the RcmBatch at once, in union
     ids: realization r owns the ids starts[r]:starts[r + 1], the edge
@@ -249,9 +247,8 @@ class ComponentTable(Mapping):
         inside = window.contains(pts)
         self.n_inside = np.bincount(labels[inside], minlength=n_comp)
         self.lexmin_inside = inside[self.lexmin]
-        dmin = np.full(n_comp, np.inf)
-        np.minimum.at(dmin, labels, batch.region.boundary_distance(pts))
-        self.boundary = dmin < batch.rmax
+        near = batch.region.boundary_distance(pts) < batch.rmax
+        self.boundary = np.bincount(labels[near], minlength=n_comp) > 0
         self.all_inside = self.n_inside == self.order
         self.canon = self._classes(edge_label,
                                    ~self.boundary & (self.order <= k_max))
@@ -288,8 +285,7 @@ class ComponentTable(Mapping):
 
     @cached_property
     def vertices(self) -> np.ndarray:
-        by_lex = lex_order(self.points)
-        return by_lex[np.argsort(self.labels[by_lex], kind="stable")]
+        return np.argsort(self.labels, kind="stable")
 
     @cached_property
     def edge_index(self) -> np.ndarray:
@@ -304,8 +300,9 @@ class ComponentTable(Mapping):
                  resolve: np.ndarray) -> np.ndarray:
         """Canonical bitsets of the components flagged in `resolve`.
 
-        Each component's adjacency is packed in the lexicographic vertex
-        order of the table; canonical_form runs once per distinct packing.
+        Each component's adjacency is packed in the order of its vertex
+        ids; the canonical code does not depend on that order and is
+        looked up once per distinct packing.
         """
         canon = np.full(len(resolve), -1, dtype=np.int64)
         if not np.any(resolve):
@@ -318,18 +315,13 @@ class ComponentTable(Mapping):
         lab = edge_label[sel]
         a = local[self.edges[sel, 0]]
         b = local[self.edges[sel, 1]]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        k = self.order[lab]
-        # position of (lo, hi) in np.triu_indices(k, 1)
-        bit = lo * (2 * k - lo - 1) // 2 + hi - lo - 1
         packed = np.zeros(len(resolve), dtype=np.int64)
-        np.add.at(packed, lab, np.left_shift(1, bit))
+        np.bitwise_or.at(packed, lab, _pair_bits(self.order[lab], a, b))
         codes = packed[resolve] * (K_MAX + 1) + self.order[resolve]
         uniq, inverse = np.unique(codes, return_inverse=True)
-        classes = np.array([
-            canonical_form(_unpack(int(c) % (K_MAX + 1),
-                                   int(c) // (K_MAX + 1))).canon
-            for c in uniq], dtype=np.int64)
+        classes = np.array([canon_of_packed(int(c) % (K_MAX + 1),
+                                            int(c) // (K_MAX + 1))
+                            for c in uniq], dtype=np.int64)
         canon[resolve] = classes[inverse]
         return canon
 
@@ -393,7 +385,6 @@ class CensusReport:
     order_counts_inside: dict = field(default_factory=dict)
     alpha: int = 0
     boundary_touching: int = 0
-    k_max: int = K_MAX
 
     def eta_G(self, cls: GraphClass) -> int:
         return self.class_counts_lexmin.get(cls.class_id, 0)
@@ -422,7 +413,7 @@ def census(graph: RcmGraph, window: Window, k_max: int = 5) -> CensusReport:
         class_counts_inside=table.class_counts(inside),
         order_counts_inside=table.order_counts(inside),
         alpha=int(np.sum(inside)),
-        boundary_touching=int(np.sum(table.boundary)), k_max=k_max)
+        boundary_touching=int(np.sum(table.boundary)))
 
 
 def single_vertex_class() -> GraphClass:

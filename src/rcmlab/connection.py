@@ -52,6 +52,8 @@ class ConnectionFunction:
                 raise ValueError("r: must be positive")
             if not (0.0 < self.p <= 1.0):
                 raise ValueError("p: must lie in (0, 1]")
+            if self.kind == "gilbert" and self.p != 1.0:
+                raise ValueError("p: gilbert has p = 1; use scaled_indicator")
         elif self.kind == "exponential":
             if self.theta <= 0:
                 raise ValueError("theta: must be positive")
@@ -64,9 +66,7 @@ class ConnectionFunction:
     def phi_of_dist(self, t):
         """phi evaluated at distance t (vectorized)."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "gilbert":
-            out = (t <= self.r).astype(float)
-        elif self.kind == "scaled_indicator":
+        if self.kind in ("gilbert", "scaled_indicator"):
             out = self.p * (t <= self.r)
         elif self.kind == "exponential":
             out = np.exp(-t / self.theta)
@@ -86,9 +86,7 @@ class ConnectionFunction:
         """Integral of phi over R^d, in closed form for every built-in kind."""
         d = self.dim
         kd = unit_ball_volume(d)
-        if self.kind == "gilbert":
-            return kd * self.r ** d
-        if self.kind == "scaled_indicator":
+        if self.kind in ("gilbert", "scaled_indicator"):
             return self.p * kd * self.r ** d
         if self.kind == "exponential":
             # d*kd * int t^(d-1) exp(-t/theta) dt = d*kd * theta^d * (d-1)!

@@ -294,18 +294,11 @@ def _is_indicator(phi: ConnectionFunction) -> bool:
     return phi.kind in ("gilbert", "scaled_indicator")
 
 
-def _indicator_params(phi: ConnectionFunction):
-    if phi.kind == "gilbert":
-        return phi.r, 1.0
-    return phi.r, phi.p
-
-
 def mixed_exponent(X: np.ndarray, funcs, beta: float) -> np.ndarray:
     """Interaction exponent for per-point connection functions, batched."""
     if all(_is_indicator(f) for f in funcs):
-        radii = [_indicator_params(f)[0] for f in funcs]
-        scales = [_indicator_params(f)[1] for f in funcs]
-        return indicator_union_exponent(X, radii, scales, beta)
+        return indicator_union_exponent(X, [f.r for f in funcs],
+                                        [f.p for f in funcs], beta)
     return generic_union_exponent(X, funcs, beta)
 
 
@@ -328,10 +321,10 @@ def inner_exponent(x, phi: ConnectionFunction, beta: float) -> float:
     if k == 1:
         return -beta * phi.m_phi
     if _is_indicator(phi):
-        r, p = _indicator_params(phi)
         n_nodes = 1024 if d <= 2 else round(2.0 ** (16 / (d - 1)))
-        return float(indicator_union_exponent(X[None], [r] * k, [p] * k,
-                                              beta, n_nodes=n_nodes)[0])
+        return float(indicator_union_exponent(X[None], [phi.r] * k,
+                                              [phi.p] * k, beta,
+                                              n_nodes=n_nodes)[0])
     return float(generic_union_exponent(X[None, :, :], [phi] * k, beta,
                                         n_nodes=96)[0])
 
@@ -481,28 +474,25 @@ class BoxAnchor:
         return np.full(len(anchor), self._density)
 
 
+def _lexmin_index(X: np.ndarray) -> np.ndarray:
+    """Index of each cluster's lexicographically smallest point: a tie in
+    one coordinate is decided by the next, and a point that repeats is
+    the minimum at its smallest index, as in the census."""
+    cand = np.ones(X.shape[1::-1], dtype=bool)     # (k, n)
+    for col in X.T:                                 # one coordinate, (k, n)
+        value = np.where(cand, col, np.inf)
+        cand &= value == value.min(axis=0)
+    return cand.argmax(axis=0)
+
+
 def _is_anchor_lexmin(X: np.ndarray) -> np.ndarray:
     """True when vertex 0 of each cluster is its lexicographic minimum."""
-    n, k, d = X.shape
-    if k == 1:
-        return np.ones(n, dtype=bool)
-    strictly_greater = np.zeros((n, k - 1), dtype=bool)
-    undecided = np.ones((n, k - 1), dtype=bool)
-    for a in range(d):
-        col = X[:, 1:, a] - X[:, 0:1, a]
-        strictly_greater |= undecided & (col > 0)
-        undecided &= col == 0
-    return np.all(strictly_greater, axis=1)
+    return _lexmin_index(X) == 0
 
 
 def _lexmin_points(X: np.ndarray) -> np.ndarray:
-    """The lexicographically smallest point of each sample's cluster.
-
-    Continuous coordinates make first-coordinate ties a null event, so
-    the first coordinate alone decides the minimum.
-    """
-    idx = np.argmin(X[:, :, 0], axis=1)
-    return X[np.arange(len(X)), idx, :]
+    """The lexicographically smallest point of each sample's cluster."""
+    return X[np.arange(len(X)), _lexmin_index(X)]
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,6 @@ class PointSet:
     def dim(self) -> int:
         return self.region.dim
 
-    @property
-    def ids(self) -> np.ndarray:
-        return np.arange(self.n, dtype=np.int64)
-
 
 def sample_poisson(window: Window, padding: float, beta: float,
                    seed: int) -> PointSet:

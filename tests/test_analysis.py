@@ -14,8 +14,8 @@ from rcmlab.analysis import (DifferenceSample, EvaluationContext,
                              evaluate, fourth_moment_bound, gamma_terms,
                              pilot_standardization,
                              poincare_bound, second_difference)
-from rcmlab.census import (canonical_form, census, edge_class, path_class,
-                           single_vertex_class)
+from rcmlab.census import (GraphClass, canonical_form, census, edge_class,
+                           path_class, single_vertex_class)
 from rcmlab.connection import ConnectionFunction
 from rcmlab.geometry import Window, lex_order
 from rcmlab.marks import PairMarkSource
@@ -231,25 +231,40 @@ class _RelabeledMarks:
 
 
 def test_lexmin_independent_of_id_order():
-    """Lexmin counts follow the coordinates, not the order of the ids."""
-    spec = FunctionalSpec("count_order", W, GILBERT, 1.0, k=2, mode="lexmin")
-    rng = np.random.default_rng(11)
-    for seed in range(20):
-        g = _graph(seed, spec)
-        perm = rng.permutation(g.n)
-        points = PointSet(points=g.points.points[perm], seed=g.points.seed,
-                          region=g.points.region, beta=g.points.beta)
-        edges = np.sort(np.argsort(perm)[g.edges], axis=1)
-        shuffled = RcmGraph(points=points, phi=g.phi,
-                            marks=_RelabeledMarks(g.marks, perm),
-                            edges=edges, rmax=g.rmax)
-        assert census(shuffled, W) == census(g, W)
-        ctx = EvaluationContext(g, spec)
-        ctx_shuffled = EvaluationContext(shuffled, spec)
-        assert ctx_shuffled.base_value == ctx.base_value
-        for x in rng.uniform(-4, 4, (3, 2)):
-            assert ctx_shuffled.value_with_additions([(x, -1)]) == \
-                ctx.value_with_additions([(x, -1)])
+    """Lexmin counts follow the coordinates, not the order of the ids.
+
+    The weighted spec resolves classes of order up to 3, so the shuffled
+    ids reach the component table's class packing and the merged
+    components of insertions in an order that is not lexicographic.
+    Its values are sums of non-integer weights taken in label order,
+    which follows the ids, so they agree up to rounding.
+    """
+    classes = tuple(GraphClass.from_class_id(c) for c in ("1:0", "2:1", "3:3"))
+    specs = [FunctionalSpec("count_order", W, GILBERT, 1.0, k=2,
+                            mode="lexmin"),
+             FunctionalSpec("weighted", W, GILBERT, 1.0, a=(0.3, -1.7, 2.9),
+                            classes=classes)]
+    for spec in specs:
+        same = (pytest.approx if spec.statistic == "weighted"
+                else lambda v: v)
+        rng = np.random.default_rng(11)
+        for seed in range(20):
+            g = _graph(seed, spec)
+            perm = rng.permutation(g.n)
+            points = PointSet(points=g.points.points[perm],
+                              seed=g.points.seed, region=g.points.region,
+                              beta=g.points.beta)
+            edges = np.sort(np.argsort(perm)[g.edges], axis=1)
+            shuffled = RcmGraph(points=points, phi=g.phi,
+                                marks=_RelabeledMarks(g.marks, perm),
+                                edges=edges, rmax=g.rmax)
+            assert census(shuffled, W) == census(g, W)
+            ctx = EvaluationContext(g, spec)
+            ctx_shuffled = EvaluationContext(shuffled, spec)
+            assert ctx_shuffled.base_value == same(ctx.base_value)
+            for x in rng.uniform(-4, 4, (3, 2)):
+                assert ctx_shuffled.value_with_additions([(x, -1)]) == \
+                    same(ctx.value_with_additions([(x, -1)]))
 
 
 def test_per_sample_difference_bounds(reach_oracle):

@@ -101,6 +101,8 @@ def test_canonical_form_validation():
         canonical_form(np.zeros((3, 3), dtype=bool))      # disconnected
     with pytest.raises(ValueError):
         canonical_form(np.zeros((9, 9), dtype=bool))      # too large
+    with pytest.raises(ValueError):
+        canonical_form(np.zeros((0, 0), dtype=bool))      # no vertex
 
 
 def test_named_classes():

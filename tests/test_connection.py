@@ -82,6 +82,18 @@ def test_dominates():
     assert not g1.dominates(ConnectionFunction("gilbert", 3, r=0.5))
 
 
+def test_gilbert_has_p_one():
+    """Gilbert's phi is 1 on its ball: a p below 1 is refused rather than
+    ignored, and Gilbert dominates every scaled indicator of its radius."""
+    with pytest.raises(ValueError, match="^p: "):
+        ConnectionFunction("gilbert", 2, r=1.0, p=0.5)
+    g = ConnectionFunction("gilbert", 2, r=1.0, p=1.0)
+    si = ConnectionFunction("scaled_indicator", 2, p=0.7, r=1.0)
+    assert g.dominates(si) and not si.dominates(g)
+    t = np.linspace(0.0, 2.0, 401)
+    assert np.all(g.phi_of_dist(t) >= si.phi_of_dist(t))
+
+
 def test_radial_sampler_density_normalized():
     phi = ConnectionFunction("gaussian", 2, s=1.0)
     draw, density = radial_sampler(phi, widen=2.0)

@@ -23,7 +23,7 @@ from rcmlab.moments import (ENUM_CAP, AnchorProposal, ClusterProposal,
                             prob_isomorphic, prufer_decode, q_kl,
                             sigma_total_partial, window_overlap_volume)
 from rcmlab.moments import (_balls_intersection_volume, _is_anchor_lexmin,
-                            _mc_estimate, _pair_values)
+                            _lexmin_points, _mc_estimate, _pair_values)
 from rcmlab.sampling import build_rcm, seeded_sample
 
 GILBERT = ConnectionFunction("gilbert", 2, r=1.0)
@@ -609,3 +609,18 @@ def test_pruned_pair_estimate_equals_dense_reference():
     value, se = _mc_estimate(w, 1.0)
     est = asy_cov(G, H, GILBERT, GILBERT, 1.0, n_samples=n, seed=seed)
     assert (est.value, est.std_error) == (value, se)
+
+
+def test_anchor_and_lexmin_point_share_one_order():
+    """Ties in the first coordinate are decided by the second, for the
+    anchor rule of the drivers and for the point that carries the window
+    overlap weight alike, as python's tuple order decides them."""
+    X = np.array([[[0.0, 1.0], [0.0, 0.5], [2.0, -1.0]],
+                  [[0.0, 0.5], [0.0, 1.0], [2.0, -1.0]],
+                  [[1.0, 0.0], [-1.0, 3.0], [-1.0, 2.0]],
+                  [[-1.0, 0.0], [1.0, -3.0], [1.0, -4.0]]])
+    expect = [min(map(tuple, cluster.tolist())) for cluster in X]
+    assert [tuple(p) for p in _lexmin_points(X).tolist()] == expect
+    assert _is_anchor_lexmin(X).tolist() == [False, True, False, True]
+    assert np.array_equal(_is_anchor_lexmin(X),
+                          np.all(_lexmin_points(X) == X[:, 0], axis=1))
