@@ -19,9 +19,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .census import (K_MAX, Component, ComponentTable, GraphClass, _pack,
-                     batch_table, canon_of_packed, canonical_form,
-                     component_table)
+from .census import (K_MAX, ComponentTable, GraphClass, batch_table,
+                     canonical_form, component_table, counted)
 from .connection import ConnectionFunction
 from .geometry import Window, unit_ball_volume
 from .marks import PairMarkSource, pair_marks
@@ -114,27 +113,26 @@ class FunctionalSpec:
 def share(spec: FunctionalSpec, c):
     """f's share of one Component, or of each row of a ComponentTable.
 
-    F of a realization is the sum of its components' shares, taken one
-    term at a time in label order; evaluate, EvaluationContext and the
-    experiments' replicate ladder all read F this way. A component
-    that touches the sampled region's boundary has share 0, except
-    under point_count, whose share is the component's points inside
-    the window.
+    F of a realization is the sum of its components' shares
+    (ComponentTable.realization_sums); evaluate, EvaluationContext and
+    the experiments' replicate ladder all read F this way. A component
+    that census.counted does not count has share 0, except under
+    point_count, whose share is the component's points inside the
+    window; total_components counts in "inside" mode.
     """
     if spec.statistic == "point_count":
         return c.n_inside * 1.0
-    counted = c.lexmin_inside if spec.mode == "lexmin" else c.all_inside
+    mode = spec.mode
     if spec.statistic == "total_components":
-        value = c.all_inside
+        value, mode = 1.0, "inside"
     elif spec.statistic == "count_order":
-        value = counted & (c.order == spec.k)
+        value = c.order == spec.k
     else:
         pairs = (((1.0, spec.cls),) if spec.statistic == "count_class"
                  else zip(spec.a, spec.classes))
-        value = counted * sum(
-            w * ((c.order == g.order) & (c.canon == g.canon))
-            for w, g in pairs)
-    return np.where(c.boundary, 0.0, value)
+        value = sum(w * ((c.order == g.order) & (c.canon == g.canon))
+                    for w, g in pairs)
+    return np.where(counted(c, mode), value, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -144,27 +142,29 @@ class EvaluationContext:
     """Base-realization census with support for fresh-point insertions.
 
     The context reads its realization's rows of the component table over
-    the graph's whole batch, and f's share of every component of the
-    batch, both computed once per batch: realization r's labels c0 + c
-    and ids v0 + i are its own labels c and ids i.
+    the graph's whole batch, f's share of every component of the batch
+    and F of every realization, all computed once per batch and spec:
+    realization r's labels c0 + c and ids v0 + i are its own labels c
+    and ids i.
     """
 
     def __init__(self, graph: RcmGraph, spec: FunctionalSpec):
         self.graph = graph
         self.spec = spec
-        self.window = spec.window
-        self.region = graph.points.region
-        table = batch_table(graph, spec.window, spec.class_order)
-        self._table = table
-        self._shares = graph.batch.shared(
-            ("contributions", id(spec)), spec, lambda: share(spec, table))
+
+        def values():
+            table = batch_table(graph, spec.window, spec.class_order)
+            shares = share(spec, table)
+            return table, shares, table.realization_sums(shares)
+
+        # the table and F ride in the spec's entry, so that a context
+        # hashes the spec, its costliest key, once
+        self._table, self._shares, sums = graph.batch.shared(
+            ("values", spec), values)
         r = graph.index
-        self._c0, c1 = table.label_start[r:r + 2].tolist()
-        self._v0 = int(table.starts[r])
-        self.contributions = self._shares[self._c0:c1]
-        # summed one term at a time in label order: a pairwise np.sum
-        # rounds non-integer weights differently
-        self.base_value = float(sum(self.contributions.tolist()))
+        self._c0 = int(self._table.label_start[r])
+        self._v0 = int(self._table.starts[r])
+        self.base_value = float(sums[r])
 
     @cached_property
     def comps(self) -> ComponentTable:
@@ -185,68 +185,29 @@ class EvaluationContext:
             return self.base_value
         fresh = self.graph.fresh_edges(additions)
         labels, c0, v0 = self._table.labels, self._c0, self._v0
-        ids = [int(i) for _, i in additions]
-        # where each fresh point lies, found once for all its groups
-        pos = np.array([p for p, _ in additions], dtype=float)
-        inside = self.window.contains(pos).tolist()
-        near_edge = (self.region.boundary_distance(pos)
-                     < self.graph.rmax).tolist()
-        row = {i: k for k, i in enumerate(ids)}
+        at = {int(i): p for p, i in additions}
         # every fresh edge joins a fresh point (negative id) to another
         # one or to a base component (its label); each of these nodes
         # maps to a representative of its group
         ends = [(u, v if v < 0 else int(labels[v0 + v]) - c0)
                 for u, v in fresh.tolist()]
-        group = {k: k for k in [*ids, *(v for _, v in ends)]}
+        group = {k: k for k in [*at, *(v for _, v in ends)]}
         for u, v in ends:
             a, b = group[u], group[v]
             if a != b:
                 group = {k: a if g == b else g for k, g in group.items()}
         value = self.base_value
-        for g in dict.fromkeys(group[u] for u in ids):
+        for g in dict.fromkeys(group[u] for u in at):
             members = [k for k, h in group.items() if h == g]
-            adds = [row[k] for k in members if k < 0]
+            adds = [k for k in members if k < 0]
             roots = [k for k in members if k >= 0]
-            value += float(share(self.spec, self._merged(
-                [ids[k] for k in adds], pos[adds], [inside[k] for k in adds],
-                any(near_edge[k] for k in adds), roots, fresh)))
+            value += float(share(self.spec, self._table.merged(
+                self.graph.index, roots, adds, [at[k] for k in adds], fresh)))
             # subtracted in set order, which fixes how non-integer
             # weights round
             for root in set(roots):
                 value -= float(self._shares[c0 + root])
         return value
-
-    def _merged(self, ids, pos, inside, near_edge, roots,
-                fresh) -> Component:
-        """The component that fresh points form with the base components
-        labelled roots, joined by the fresh edges.
-
-        ids, pos, inside: the fresh points' ids, positions and window
-        membership; near_edge: some fresh point lies within rmax of the
-        region's boundary.
-        """
-        t, v0 = self._table, self._v0
-        roots = [self._c0 + r for r in roots]
-        order = len(ids) + sum(int(t.order[r]) for r in roots)
-        boundary = near_edge or any(t.boundary[r] for r in roots)
-        # lexicographic minimum among the components' and the fresh
-        # points, the first of them on ties
-        cands = ([(t.points[t.lexmin[r]], bool(t.lexmin_inside[r]))
-                  for r in roots] + list(zip(pos, inside)))
-        lexmin_pos, lexmin_inside = min(cands, key=lambda c: c[0].tolist())
-        canon = -1
-        if not boundary and order <= self.spec.class_order:
-            comps = [t[r] for r in roots]
-            vertices = np.concatenate([c.ids - v0 for c in comps] + [ids])
-            edges = np.concatenate([c.edges - v0 for c in comps]
-                                   + [fresh[np.isin(fresh[:, 0], ids)]])
-            by_id = np.argsort(vertices)
-            local = by_id[np.searchsorted(vertices, edges, sorter=by_id)]
-            canon = canon_of_packed(order, _pack(order, *local.T))
-        return Component(
-            order=order, boundary=bool(boundary), canon=canon,
-            n_inside=sum(int(t.n_inside[r]) for r in roots) + sum(inside),
-            lexmin_pos=lexmin_pos, lexmin_inside=lexmin_inside)
 
 
 def evaluate(spec: FunctionalSpec, graph: RcmGraph) -> float:

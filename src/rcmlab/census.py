@@ -193,10 +193,6 @@ class Component:
     ids: np.ndarray = None
     edges: np.ndarray = None
 
-    @property
-    def all_inside(self) -> bool:
-        return self.n_inside == self.order
-
 
 class ComponentTable(Mapping):
     """The connected components of a batch's realizations, by label.
@@ -205,7 +201,6 @@ class ComponentTable(Mapping):
     these per-component arrays:
       order          number of vertices
       n_inside       vertices inside the window
-      all_inside     n_inside == order
       boundary       some vertex lies within rmax of the sampled region's
                      boundary, so the component may extend beyond it
       lexmin         vertex id of the lexicographic minimum
@@ -216,7 +211,8 @@ class ComponentTable(Mapping):
     Vertex ids are grouped by label in `vertices[vertex_start[c]:
     vertex_start[c + 1]]`, ascending within each group, and edge rows
     likewise in `edges[edge_index[edge_start[c]:edge_start[c + 1]]]`. As
-    a mapping, the table takes a label to its Component.
+    a mapping, the table takes a label to its Component; `merged` gives
+    the Component that fresh points form with some of the rows.
 
     The table covers all realizations of the RcmBatch at once, in union
     ids: realization r owns the ids starts[r]:starts[r + 1], the edge
@@ -228,6 +224,8 @@ class ComponentTable(Mapping):
     def __init__(self, batch: RcmBatch, window: Window, k_max: int):
         if k_max > K_MAX:
             raise ValueError(f"k_max exceeds K_MAX={K_MAX}")
+        self.window, self.k_max = window, k_max
+        self.region, self.rmax = batch.region, batch.rmax
         self.points = pts = batch.points
         self.edges = edges = batch.edges
         self.starts = starts = batch.starts
@@ -242,16 +240,17 @@ class ComponentTable(Mapping):
                                      np.diff(starts))[self.lexmin]
         self.label_start = np.searchsorted(self.realization,
                                            np.arange(len(starts)))
-        edge_label = labels[edges[:, 0]]
 
         inside = window.contains(pts)
         self.n_inside = np.bincount(labels[inside], minlength=n_comp)
         self.lexmin_inside = inside[self.lexmin]
-        near = batch.region.boundary_distance(pts) < batch.rmax
+        near = self.region.boundary_distance(pts) < self.rmax
         self.boundary = np.bincount(labels[near], minlength=n_comp) > 0
-        self.all_inside = self.n_inside == self.order
-        self.canon = self._classes(edge_label,
-                                   ~self.boundary & (self.order <= k_max))
+        self.canon = self._classes()
+
+    def _resolved(self, order, boundary):
+        """Whether a class is resolved: off the boundary, order <= k_max."""
+        return np.logical_not(boundary) & (order <= self.k_max)
 
     def view(self, r: int) -> "ComponentTable":
         """Realization r's rows, as its own table in its own ids.
@@ -263,6 +262,8 @@ class ComponentTable(Mapping):
         v0, v1 = self.starts[r], self.starts[r + 1]
         e0, e1 = self.edge_starts[r], self.edge_starts[r + 1]
         t = object.__new__(ComponentTable)
+        t.window, t.k_max = self.window, self.k_max
+        t.region, t.rmax = self.region, self.rmax
         t.points = self.points[v0:v1]
         t.edges = self.edges[e0:e1] - v0
         t.labels = self.labels[v0:v1] - c0
@@ -272,7 +273,7 @@ class ComponentTable(Mapping):
         t.realization = self.realization[c0:c1] - r
         t.label_start = np.array([0, c1 - c0])
         for name in ("order", "n_inside", "lexmin_inside", "boundary",
-                     "all_inside", "canon"):
+                     "canon"):
             setattr(t, name, getattr(self, name)[c0:c1])
         return t
 
@@ -296,18 +297,19 @@ class ComponentTable(Mapping):
         return np.concatenate(([0], np.cumsum(np.bincount(
             self.labels[self.edges[:, 0]], minlength=len(self.order)))))
 
-    def _classes(self, edge_label: np.ndarray,
-                 resolve: np.ndarray) -> np.ndarray:
-        """Canonical bitsets of the components flagged in `resolve`.
+    def _classes(self) -> np.ndarray:
+        """Canonical bitsets of the components whose class is resolved.
 
         Each component's adjacency is packed in the order of its vertex
         ids; the canonical code does not depend on that order and is
         looked up once per distinct packing.
         """
+        resolve = self._resolved(self.order, self.boundary)
         canon = np.full(len(resolve), -1, dtype=np.int64)
         if not np.any(resolve):
             return canon
         n = len(self.labels)
+        edge_label = self.labels[self.edges[:, 0]]
         local = np.empty(n, dtype=np.int64)
         group_start = self.vertex_start[self.labels[self.vertices]]
         local[self.vertices] = np.arange(n) - group_start
@@ -344,6 +346,48 @@ class ComponentTable(Mapping):
             canon=int(self.canon[c]), ids=self.vertices[vs:ve],
             edges=self.edges[self.edge_index[es:ee]])
 
+    def merged(self, r: int, roots, ids, pos, fresh) -> Component:
+        """The Component that fresh points with these ids and positions
+        form with realization r's components labelled roots (its own
+        labels), through fresh edges: rows (fresh id, fresh id or r's
+        own base id), as RcmGraph.fresh_edges gives them."""
+        c0, v0 = self.label_start[r], self.starts[r]
+        roots = c0 + np.asarray(roots, dtype=np.int64)
+        pos = np.asarray(pos, dtype=float)
+        inside = self.window.contains(pos)
+        order = len(ids) + int(self.order[roots].sum())
+        boundary = bool(self.boundary[roots].any() or np.any(
+            self.region.boundary_distance(pos) < self.rmax))
+        # lexicographic minimum among the components' and the fresh
+        # points, the first of them on ties
+        cands = [*zip(self.points[self.lexmin[roots]],
+                      self.lexmin_inside[roots].tolist()),
+                 *zip(pos, inside.tolist())]
+        lexmin_pos, lexmin_inside = min(cands, key=lambda c: c[0].tolist())
+        canon = -1
+        if self._resolved(order, boundary):
+            vs, es = self.vertex_start, self.edge_start
+            vertices = np.concatenate(
+                [self.vertices[vs[c]:vs[c + 1]] - v0 for c in roots] + [ids])
+            edges = np.concatenate(
+                [self.edges[self.edge_index[es[c]:es[c + 1]]] - v0
+                 for c in roots] + [fresh[np.isin(fresh[:, 0], ids)]])
+            by_id = np.argsort(vertices)
+            local = by_id[np.searchsorted(vertices, edges, sorter=by_id)]
+            canon = canon_of_packed(order, _pack(order, *local.T))
+        return Component(
+            order=order, boundary=boundary, canon=canon,
+            n_inside=int(self.n_inside[roots].sum()) + int(inside.sum()),
+            lexmin_pos=lexmin_pos, lexmin_inside=lexmin_inside)
+
+    def realization_sums(self, weights) -> np.ndarray:
+        """Per realization, the sum of its rows' weights: F where the
+        weights are a statistic's shares. The terms are added one at a
+        time in label order; a pairwise np.sum rounds non-integer
+        weights differently."""
+        return np.bincount(self.realization, weights=weights,
+                           minlength=len(self.starts) - 1)
+
     def class_counts(self, mask: np.ndarray) -> dict:
         """class_id -> number of resolved components selected by mask."""
         mask = mask & (self.canon >= 0)
@@ -365,7 +409,7 @@ def batch_table(graph: RcmGraph, window: Window,
     """The table over the graph's whole batch, labelled once per
     (window, k_max) for every realization of the batch."""
     batch = graph.batch
-    return batch.shared(("table", id(window), k_max), window,
+    return batch.shared(("table", window, k_max),
                         lambda: ComponentTable(batch, window, k_max))
 
 
@@ -396,17 +440,26 @@ class CensusReport:
         return self.order_counts_inside.get(k, 0)
 
 
+def counted(c, mode: str):
+    """Whether a Component, or each row of a ComponentTable, is counted
+    under mode: its lexicographic minimum ("lexmin") or all its vertices
+    ("inside") lie in the window, and it does not touch the sampled
+    region's boundary, so it cannot extend beyond the sample."""
+    inside = c.lexmin_inside if mode == "lexmin" else c.n_inside == c.order
+    return inside & np.logical_not(c.boundary)
+
+
 def census(graph: RcmGraph, window: Window, k_max: int = 5) -> CensusReport:
     """Count components of the realization relative to the window.
 
     Per-order counts cover every component order; isomorphism classes are
-    resolved only up to k_max. A component with a vertex within rmax of
-    the sampled-region boundary may extend beyond the sample, so it is
-    excluded from all counts and tallied separately.
+    resolved only up to k_max. Components are counted as `counted` says;
+    those that touch the sampled region's boundary are tallied
+    separately.
     """
     table = component_table(graph, window, k_max)
-    lexmin = ~table.boundary & table.lexmin_inside
-    inside = ~table.boundary & table.all_inside
+    lexmin = counted(table, "lexmin")
+    inside = counted(table, "inside")
     return CensusReport(
         class_counts_lexmin=table.class_counts(lexmin),
         order_counts_lexmin=table.order_counts(lexmin),

@@ -278,19 +278,11 @@ def _rung_samples(scenario: Scenario, rung: int, threads: int):
     A replicate's values are the sums of each statistic's shares
     (analysis.share) over its components, and its point count the sum
     of their n_inside, all read from its chunk's one component table
-    and summed once per chunk, term by term in label order.
+    and summed once per chunk by ComponentTable.realization_sums.
     """
     window = scenario.window(rung)
     specs = scenario.specs(rung)
     k_max = max(s.class_order for s in specs)
-
-    def chunk_sums(table):
-        n = len(table.starts) - 1
-        values = np.array([np.bincount(table.realization,
-                                       weights=share(spec, table),
-                                       minlength=n) for spec in specs]).T
-        return values, np.bincount(table.realization,
-                                   weights=table.n_inside, minlength=n)
 
     def count(reps):
         out = []
@@ -299,9 +291,10 @@ def _rung_samples(scenario: Scenario, rung: int, threads: int):
             # census_ladder check round of rcmbench captures this call
             run_census(graph, window, k_max=k_max)
             table = batch_table(graph, window, k_max)
-            values, n_points = graph.batch.shared(
-                ("ladder", id(window)), window, lambda: chunk_sums(table))
-            out.append((values[graph.index], n_points[graph.index]))
+            sums = graph.batch.shared(("ladder", window), lambda: np.array(
+                [table.realization_sums(share(spec, table)) for spec in specs]
+                + [table.realization_sums(table.n_inside)]).T)
+            out.append(sums[graph.index])
         return out
 
     n = scenario.replicates
@@ -313,9 +306,8 @@ def _rung_samples(scenario: Scenario, rung: int, threads: int):
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = [r for block in pool.map(count, blocks) for r in block]
-    values = np.array([r[0] for r in results])      # (reps, n_stats)
-    n_points = np.array([r[1] for r in results], dtype=float)
-    return values, n_points
+    sums = np.array(results)          # (reps, n_stats + 1)
+    return sums[:, :-1], sums[:, -1]
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -17,13 +17,14 @@ def unit_ball_volume(d: int) -> float:
 class Window:
     """A box (half-side `extent`) or ball (radius `extent`) centred at `center`.
 
-    For both shapes the inradius equals `extent`.
+    For both shapes the inradius equals `extent`. The centre is held as a
+    tuple of floats, so windows compare and hash by value.
     """
 
     shape: str
     extent: float
     dim: int
-    center: np.ndarray = field(default=None)
+    center: tuple = None
 
     def __post_init__(self):
         if self.shape not in ("box", "ball"):
@@ -38,7 +39,7 @@ class Window:
         c = np.asarray(c, dtype=float)
         if c.shape != (self.dim,):
             raise ValueError("center has wrong dimension")
-        object.__setattr__(self, "center", c)
+        object.__setattr__(self, "center", tuple(c.tolist()))
 
     @property
     def volume(self) -> float:
@@ -74,8 +75,8 @@ class Window:
         return self.extent - np.sqrt(np.einsum("...i,...i->...", delta, delta))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = self.center - self.extent
-        hi = self.center + self.extent
+        lo = np.subtract(self.center, self.extent)
+        hi = np.add(self.center, self.extent)
         return lo, hi
 
     def sample_uniform(self, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -78,16 +78,17 @@ def _candidate_pairs(points: np.ndarray, rmax: float):
     return tree.query_pairs(rmax, output_type="ndarray"), tree
 
 
-def _distances(diffs) -> np.ndarray:
-    """Euclidean lengths from coordinate differences, one array per
-    coordinate, the squares summed in coordinate order as
-    np.linalg.norm sums them."""
+def _squared_lengths(diffs) -> np.ndarray:
+    """Squared Euclidean lengths from coordinate differences, one array
+    per coordinate, the squares summed in coordinate order as the
+    kd-tree sums them: a pair is a candidate when this is <= rmax**2,
+    and phi is taken at its square root."""
     diffs = iter(diffs)
     first = next(diffs)
     sq = first * first
     for d in diffs:
         sq += d * d
-    return np.sqrt(sq)
+    return sq
 
 
 def _joined(i, j, dist, phi: ConnectionFunction,
@@ -95,17 +96,6 @@ def _joined(i, j, dist, phi: ConnectionFunction,
     """Which id pairs (i, j) at these distances are edges: the pair's
     mark is at most phi of its distance."""
     return np.atleast_1d(marks.mark(i, j)) <= phi.phi_of_dist(dist)
-
-
-def _marked_edges(points: np.ndarray, pairs: np.ndarray,
-                  phi: ConnectionFunction,
-                  marks: PairMarkSource) -> np.ndarray:
-    """The id pairs, ids being rows of points, that are edges."""
-    if len(pairs) == 0:
-        return pairs
-    dist = _distances(np.take(c, pairs[:, 0]) - np.take(c, pairs[:, 1])
-                      for c in points.T)
-    return pairs[_joined(pairs[:, 0], pairs[:, 1], dist, phi, marks)]
 
 
 class RcmBatch:
@@ -141,12 +131,11 @@ class RcmBatch:
         return np.column_stack([self.points,
                                 np.repeat(level, np.diff(self.starts))])
 
-    def shared(self, key, keep, build):
-        """build(), computed once per key for the whole batch. keep is
-        held with the value, so the ids a key names stay unique."""
+    def shared(self, key, build):
+        """build(), computed once per key for the whole batch."""
         if key not in self._shared:
-            self._shared[key] = (keep, build())
-        return self._shared[key][1]
+            self._shared[key] = build()
+        return self._shared[key]
 
     def ball(self, x: np.ndarray, r: int) -> np.ndarray:
         """Ids of realization r within rmax of x, ascending, in r's own
@@ -215,8 +204,8 @@ class RcmGraph:
     def _linked(self, new_id: int, cand, offsets) -> np.ndarray:
         """The candidate ids that a fresh point with id new_id joins."""
         return cand[_joined(np.full(len(cand), new_id, dtype=np.int64),
-                            cand, _distances(offsets.T), self.phi,
-                            self.marks)]
+                            cand, np.sqrt(_squared_lengths(offsets.T)),
+                            self.phi, self.marks)]
 
     def neighbors_of_point(self, x: np.ndarray, new_id: int) -> np.ndarray:
         """Ids adjacent to a fresh point at x carrying id new_id.
@@ -246,18 +235,17 @@ class RcmGraph:
             if (offsets == 0).all(axis=1).any():
                 raise ValueError("added point duplicates an existing point")
             rows += [(i, b) for b in self._linked(i, cand, offsets).tolist()]
-        for u, v in itertools.combinations(sorted(pos), 2):
-            dist = float(np.linalg.norm(pos[u] - pos[v]))
-            if dist <= self.rmax and _joined(u, v, dist, self.phi,
-                                             self.marks)[0]:
-                rows.append((u, v))
+        if len(pos) > 1:
+            # pairs of fresh points pass the kd-tree's candidate test, as
+            # base pairs do, and are decided in one _joined call
+            pairs = np.array([*itertools.combinations(sorted(pos), 2)])
+            sq = _squared_lengths(np.transpose(
+                [pos[a] - pos[b] for a, b in pairs.tolist()]))
+            near = sq <= self.rmax * self.rmax
+            pairs = pairs[near]
+            rows += pairs[_joined(*pairs.T, np.sqrt(sq[near]), self.phi,
+                                  self.marks)].tolist()
         return np.array(rows, dtype=np.int64).reshape(-1, 2)
-
-
-def _same_region(a: Window, b: Window) -> bool:
-    return a is b or (a.shape == b.shape and a.extent == b.extent
-                      and a.dim == b.dim and np.array_equal(a.center,
-                                                            b.center))
 
 
 def build_rcm_batch(points, phi: ConnectionFunction, marks) -> list[RcmGraph]:
@@ -278,7 +266,7 @@ def build_rcm_batch(points, phi: ConnectionFunction, marks) -> list[RcmGraph]:
     if not points:
         return []
     region = points[0].region
-    if any(not _same_region(p.region, region) for p in points):
+    if any(p.region != region for p in points):
         raise ValueError("batched point sets must share their region")
     if any(p.dim != phi.dim for p in points):
         raise ValueError("dimension mismatch between points and phi")
@@ -295,8 +283,9 @@ def build_rcm_batch(points, phi: ConnectionFunction, marks) -> list[RcmGraph]:
     # a small index type makes the stable sort below a radix sort
     owner = np.repeat(np.arange(n_real, dtype=np.min_scalar_type(n_real)),
                       sizes)[pairs[:, 0]]
-    dist = _distances(np.take(c, pairs[:, 0]) - np.take(c, pairs[:, 1])
-                      for c in batch.points.T)
+    dist = np.sqrt(_squared_lengths(
+        np.take(c, pairs[:, 0]) - np.take(c, pairs[:, 1])
+        for c in batch.points.T))
     # marks are keyed by each realization's own ids
     local = pairs - starts[owner, None]
     del pairs
@@ -366,7 +355,10 @@ def build_coupled(points: PointSet, phi: ConnectionFunction,
     if not phi.dominates(psi):
         raise ValueError("psi must be dominated by phi")
     graph_phi = build_rcm(points, phi, marks)
-    edges = _marked_edges(points.points, graph_phi.edges, psi, marks)
+    i, j = graph_phi.edges.T
+    dist = np.sqrt(_squared_lengths(np.take(c, i) - np.take(c, j)
+                                    for c in points.points.T))
+    edges = graph_phi.edges[_joined(i, j, dist, psi, marks)]
     shared = graph_phi.batch
     batch = RcmBatch(shared.points, edges, shared.starts,
                      np.array([0, len(edges)]), shared.region, shared.rmax,

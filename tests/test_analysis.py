@@ -14,8 +14,9 @@ from rcmlab.analysis import (DifferenceSample, EvaluationContext,
                              evaluate, fourth_moment_bound, gamma_terms,
                              pilot_standardization,
                              poincare_bound, second_difference)
-from rcmlab.census import (GraphClass, canonical_form, census, edge_class,
-                           path_class, single_vertex_class)
+from rcmlab.census import (ComponentTable, GraphClass, canonical_form,
+                           census, edge_class, path_class,
+                           single_vertex_class)
 from rcmlab.connection import ConnectionFunction
 from rcmlab.geometry import Window, lex_order
 from rcmlab.marks import PairMarkSource
@@ -210,6 +211,25 @@ def test_classes_resolved_beyond_k_max():
         counts.append(census(g, spec.window, k_max=5).eta_G(path_class(3)))
         assert evaluate(spec, g) == counts[-1]
     assert counts == [1, 4, 5, 2, 1]
+
+
+def test_equal_specs_share_one_table(monkeypatch):
+    """Windows and specs are cache keys by value: an equal spec that is
+    another object, and a census on an equal window, reuse the table."""
+    built = []
+    init = ComponentTable.__init__
+    monkeypatch.setattr(ComponentTable, "__init__",
+                        lambda self, *args: built.append(init(self, *args)))
+    spec = FunctionalSpec("count_class", W, GILBERT, 1.0, cls=edge_class())
+    twin = FunctionalSpec("count_class", Window("box", 3.0, 2),
+                          ConnectionFunction("gilbert", 2, r=1.0), 1.0,
+                          cls=GraphClass.from_class_id("2:1"))
+    assert twin is not spec and twin == spec and hash(twin) == hash(spec)
+    g = _graph(3, spec)
+    assert EvaluationContext(g, spec).base_value == \
+        EvaluationContext(g, twin).base_value == \
+        census(g, Window("box", 3.0, 2), k_max=2).eta_G(edge_class())
+    assert len(built) == 1
 
 
 class _RelabeledMarks:

@@ -32,9 +32,9 @@ REGION = Window("box", 2.5, 2)
 WINDOW = Window("box", 1.0, 2)
 PHIS = {"gilbert": ConnectionFunction("gilbert", 2, r=1.0),
         "gaussian": ConnectionFunction("gaussian", 2, s=0.4)}
-TABLE_ROWS = ("order", "n_inside", "all_inside", "boundary", "lexmin",
-              "lexmin_inside", "canon", "labels", "vertices", "vertex_start",
-              "edge_start", "realization")
+TABLE_ROWS = ("order", "n_inside", "boundary", "lexmin", "lexmin_inside",
+              "canon", "labels", "vertices", "vertex_start", "edge_start",
+              "realization")
 
 
 def _specs(phi):

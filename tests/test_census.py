@@ -14,7 +14,7 @@ from rcmlab.census import (ComponentTable, GraphClass, canonical_form,
 from rcmlab.connection import ConnectionFunction
 from rcmlab.geometry import Window
 from rcmlab.marks import PairMarkSource
-from rcmlab.sampling import PointSet, build_rcm, sample_poisson
+from rcmlab.sampling import PointSet, RcmBatch, build_rcm, sample_poisson
 
 
 def _brute_canon(adj):
@@ -219,3 +219,57 @@ def test_table_and_census_match_networkx(coords, r, seed):
         c: v for c, v in inside_cls.items() if v}
     assert rep.alpha == sum(inside.values())
     assert rep.boundary_touching == n_boundary
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["gilbert", "gaussian"]), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from(["window", "outside", "band"]), min_size=1,
+                max_size=3),
+       st.integers(0, 5))
+def test_merged_component_equals_a_table_from_scratch(kind, seed, where,
+                                                      k_max):
+    """Each Component that ComponentTable.merged gives for a group of
+    fresh points equals the row of a table built on the points and edges
+    with the fresh points appended (fresh id -1 - k as id n + k)."""
+    phi = (ConnectionFunction("gilbert", 2, r=0.8) if kind == "gilbert"
+           else ConnectionFunction("gaussian", 2, s=0.3))
+    window = Window("box", 1.0, 2)
+    pts = sample_poisson(window, 1.5, 1.5, seed)
+    g = build_rcm(pts, phi, PairMarkSource(seed))
+    region, rmax = pts.region, g.rmax
+    rng = np.random.default_rng(seed)
+    pos = []
+    for w in where:
+        if w == "window":
+            pos.append(rng.uniform(-1.0, 1.0, 2))
+        elif w == "outside":
+            pos.append(rng.uniform(1.0, region.extent - rmax, 2)
+                       * rng.choice([-1.0, 1.0], 2))
+        else:
+            p = rng.uniform(-region.extent, region.extent, 2)
+            p[rng.integers(2)] = region.extent - rng.uniform(0.0, rmax)
+            pos.append(p)
+    additions = [(p, -1 - k) for k, p in enumerate(pos)]
+    fresh = g.fresh_edges(additions)
+
+    n = g.n
+    aug = np.where(fresh < 0, n - 1 - fresh, fresh)
+    points = np.concatenate([pts.points, pos])
+    edges = np.concatenate([g.edges, np.sort(aug, axis=1)])
+    whole = ComponentTable(RcmBatch(points, edges, np.array([0, len(points)]),
+                                    np.array([0, len(edges)]), region, rmax),
+                           window, k_max)
+    base = ComponentTable(g.batch, window, k_max)
+    for c in np.unique(whole.labels[n:]):
+        members = np.flatnonzero(whole.labels == c)
+        roots = np.unique(base.labels[members[members < n]]).tolist()
+        ids = (n - 1 - members[members >= n]).tolist()
+        merged = base.merged(0, roots, ids, points[members[members >= n]],
+                             fresh)
+        row = whole[c]
+        assert merged.order == row.order
+        assert merged.n_inside == row.n_inside
+        assert merged.boundary == row.boundary
+        assert merged.lexmin_pos.tolist() == row.lexmin_pos.tolist()
+        assert merged.lexmin_inside == row.lexmin_inside
+        assert merged.canon == row.canon

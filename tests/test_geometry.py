@@ -110,3 +110,20 @@ def test_lex_order_matches_python_sort(rows):
     order = lex_order(pts)
     expect = sorted(range(len(rows)), key=lambda i: tuple(pts[i]))
     assert list(order) == expect
+
+
+@pytest.mark.parametrize("shape", ["box", "ball"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_windows_compare_and_hash_by_value(shape, dim):
+    for center in (None, np.linspace(-1.0, 1.5, dim)):
+        a = Window(shape, 1.5, dim, center)
+        b = Window(shape, 1.5, dim, None if center is None else list(center))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.pad(0.5) == b.pad(0.5)
+    base = Window(shape, 1.5, dim)
+    assert base == Window(shape, 1.5, dim, np.zeros(dim))
+    other_shape = "ball" if shape == "box" else "box"
+    for other in (Window(other_shape, 1.5, dim), Window(shape, 2.0, dim),
+                  Window(shape, 1.5, dim + 1),
+                  Window(shape, 1.5, dim, np.full(dim, 0.25))):
+        assert other != base

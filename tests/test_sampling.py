@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 from rcmlab.connection import ConnectionFunction
 from rcmlab.geometry import Window
 from rcmlab.marks import PairMarkSource
-from rcmlab.sampling import build_coupled, build_rcm, sample_poisson
+from rcmlab.sampling import PointSet, build_coupled, build_rcm, sample_poisson
 
 
 def test_sample_deterministic_and_sorted():
@@ -114,3 +114,28 @@ def test_dimension_mismatch():
     with pytest.raises(ValueError):
         build_rcm(pts, ConnectionFunction("gilbert", 3, r=1.0),
                   PairMarkSource(0))
+
+
+def test_fresh_pairs_follow_the_base_edge_rule():
+    """A pair of points at the Gilbert radius, give or take one ulp, is
+    joined alike when both are fresh, when one is, and in build_rcm."""
+    rng = np.random.default_rng(11)
+    marks = PairMarkSource(0)
+    for dim in (1, 2, 3):
+        region = Window("box", 5.0, dim)
+
+        def graph(pts, phi):
+            return build_rcm(PointSet(points=np.reshape(pts, (-1, dim)),
+                                      seed=0, region=region, beta=1.0),
+                             phi, marks)
+        for _ in range(60):
+            a = rng.uniform(-2.0, 2.0, dim)
+            b = a + rng.normal(0.0, 1.0, dim)
+            for d in (np.linalg.norm(a - b), np.sqrt(np.sum((a - b) ** 2))):
+                for r in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf)):
+                    phi = ConnectionFunction("gilbert", dim, r=float(r))
+                    joined = len(graph([a, b], phi).edges)
+                    assert len(graph([a], phi).fresh_edges([(b, -1)])) \
+                        == joined
+                    assert len(graph([], phi).fresh_edges(
+                        [(a, -1), (b, -2)])) == joined
