@@ -3,7 +3,11 @@
 A functional F is a component statistic of one RCM realization. Adding a
 fresh point x only merges the components adjacent to x, so difference
 operators are evaluated incrementally: the base census is computed once
-per realization and each insertion recomputes only the merged block.
+per batch of realizations and each insertion recomputes only the merged
+block. The estimators evaluate every insertion of a chunk of graphs at
+once (_with_additions): one kd-tree query and one mark hash decide the
+fresh edges of all of them, and one pass over the component table
+forms every merged component.
 
 Fresh points carry reserved negative ids, so their pair marks against
 existing points are fixed by the same mark source and all four
@@ -19,13 +23,14 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .census import (K_MAX, ComponentTable, GraphClass, batch_table,
-                     canonical_form, component_table, counted)
+from .census import (K_MAX, ComponentTable, GraphClass, MergedRows,
+                     batch_table, canonical_form, counted)
 from .connection import ConnectionFunction
 from .geometry import Window, unit_ball_volume
 from .marks import PairMarkSource, pair_marks
 from .moments import MomentEstimate, _mc_estimate
-from .sampling import PointSet, RcmGraph, build_chunked, seeded_sample
+from .sampling import (PointSet, RcmBatch, RcmGraph, build_chunks,
+                       seeded_sample)
 
 
 def _is_canonical(g: GraphClass) -> bool:
@@ -145,7 +150,8 @@ class EvaluationContext:
     the graph's whole batch, f's share of every component of the batch
     and F of every realization, all computed once per batch and spec:
     realization r's labels c0 + c and ids v0 + i are its own labels c
-    and ids i.
+    and ids i. Values with additions that _batched evaluated for the
+    whole chunk are looked up; any other is evaluated on its own.
     """
 
     def __init__(self, graph: RcmGraph, spec: FunctionalSpec):
@@ -159,12 +165,10 @@ class EvaluationContext:
 
         # the table and F ride in the spec's entry, so that a context
         # hashes the spec, its costliest key, once
-        self._table, self._shares, sums = graph.batch.shared(
-            ("values", spec), values)
-        r = graph.index
-        self._c0 = int(self._table.label_start[r])
-        self._v0 = int(self._table.starts[r])
-        self.base_value = float(sums[r])
+        self._values = graph.batch.shared(("values", spec), values)
+        self._table, _, sums = self._values
+        self.base_value = float(sums[graph.index])
+        self._known = {}
 
     @cached_property
     def comps(self) -> ComponentTable:
@@ -177,37 +181,85 @@ class EvaluationContext:
         additions: sequence of (position, negative id). Marks between an
         added point and every other point come from the graph's mark
         source keyed by the ids, so repeated evaluations are coupled.
-        Only the components that the fresh points join change: each
-        group of fresh points, with the base components it touches,
-        becomes one merged component.
+        The value is _with_additions' for this one insertion.
         """
         if not additions:
             return self.base_value
-        fresh = self.graph.fresh_edges(additions)
-        labels, c0, v0 = self._table.labels, self._c0, self._v0
-        at = {int(i): p for p, i in additions}
-        # every fresh edge joins a fresh point (negative id) to another
-        # one or to a base component (its label); each of these nodes
-        # maps to a representative of its group
-        ends = [(u, v if v < 0 else int(labels[v0 + v]) - c0)
-                for u, v in fresh.tolist()]
-        group = {k: k for k in [*at, *(v for _, v in ends)]}
-        for u, v in ends:
-            a, b = group[u], group[v]
-            if a != b:
-                group = {k: a if g == b else g for k, g in group.items()}
-        value = self.base_value
-        for g in dict.fromkeys(group[u] for u in at):
-            members = [k for k, h in group.items() if h == g]
-            adds = [k for k in members if k < 0]
-            roots = [k for k in members if k >= 0]
-            value += float(share(self.spec, self._table.merged(
-                self.graph.index, roots, adds, [at[k] for k in adds], fresh)))
-            # subtracted in set order, which fixes how non-integer
-            # weights round
-            for root in set(roots):
-                value -= float(self._shares[c0 + root])
+        value = self._known.get(_key(additions))
+        if value is None:
+            value = float(_with_additions(
+                self.graph.batch, self.spec, self._values,
+                [(self.graph.index, additions)])[0])
         return value
+
+
+def _key(additions) -> tuple:
+    """The additions by value: each fresh point's id and position bytes."""
+    return tuple((int(i), np.asarray(p, dtype=float).tobytes())
+                 for p, i in additions)
+
+
+def _inserted(table: ComponentTable, batch: RcmBatch,
+              insertions) -> MergedRows:
+    """The merged components of many insertions into batch's
+    realizations, table being the batch's table: insertions are
+    (realization, additions) pairs, each taken alone, additions a
+    sequence of (position, negative id). One kd-tree query and one mark
+    hash serve every fresh point (RcmBatch.fresh_edges), one pass over
+    the table every merged component (ComponentTable.merged)."""
+    owner, ins, ids, pos = [], [], [], []
+    for q, (r, additions) in enumerate(insertions):
+        for p, i in additions:
+            owner.append(r)
+            ins.append(q)
+            ids.append(i)
+            pos.append(p)
+    ins = np.array(ins, dtype=np.int64)
+    pos = np.array(pos, dtype=float).reshape(len(ins), batch.points.shape[1])
+    return table.merged(ins, pos, *batch.fresh_edges(owner, ins, ids, pos))
+
+
+def _with_additions(batch: RcmBatch, spec: FunctionalSpec, values,
+                    insertions) -> np.ndarray:
+    """F of each realization r augmented by additions, for each
+    (r, additions) of insertions; values is the batch's (table, shares,
+    F) entry for spec.
+
+    Only the components that an insertion's fresh points join change:
+    each group of fresh points, with the components it touches, becomes
+    one merged component. An insertion's value is F, plus each merged
+    component's share, minus the shares of the components it joins,
+    each term added in turn: the merged components in order of their
+    first fresh point, the joined ones in the order of a Python set of
+    their labels, which fixes how non-integer weights round.
+    """
+    table, shares, sums = values
+    rows = _inserted(table, batch, insertions)
+    n_roots = np.diff(rows.root_start)
+    place = np.zeros(len(rows.roots), dtype=np.int64)
+    for m in np.flatnonzero(n_roots > 1).tolist():
+        lo, hi = rows.root_start[m], rows.root_start[m + 1]
+        own = (rows.roots[lo:hi] - table.label_start[
+            table.realization[rows.roots[lo]]]).tolist()
+        order = {c: k for k, c in enumerate(set(own))}
+        place[lo:hi] = [order[c] for c in own]
+    # each merged component's terms in a block: its share, then the
+    # joined components' negated shares
+    block = rows.root_start[:-1] + np.arange(len(rows.order))
+    at = np.repeat(block + 1, n_roots) + place
+    terms = np.empty(len(block) + len(at))
+    terms[block] = share(spec, rows)
+    terms[at] = -shares[rows.roots]
+    term_of = np.empty(len(terms), dtype=np.int64)
+    term_of[block] = rows.insertion
+    term_of[at] = np.repeat(rows.insertion, n_roots)
+    # np.bincount adds each insertion's terms one at a time, in order,
+    # F first
+    n = len(insertions)
+    return np.bincount(
+        np.concatenate([np.arange(n), term_of]),
+        np.concatenate([sums[[r for r, _ in insertions]], terms]),
+        minlength=n)
 
 
 def evaluate(spec: FunctionalSpec, graph: RcmGraph) -> float:
@@ -265,11 +317,35 @@ def _spec_draw(spec: FunctionalSpec, draw, seeds):
                   for s in seeds]
 
 
-def _batched(spec: FunctionalSpec, draws):
+def _alone(x):
+    """The one insertion of a single fresh point x, with id -1."""
+    return [[(x, -1)]]
+
+
+def _batched(spec: FunctionalSpec, draws, insertions):
     """Each outer draw with the evaluation contexts of its graphs, the
-    graphs built by sampling.build_chunked."""
-    for draw, graphs in build_chunked(draws, spec.phi):
-        yield draw, [EvaluationContext(g, spec) for g in graphs]
+    graphs built by sampling.build_chunks.
+
+    insertions(payload) lists the additions that every context of the
+    draw will be asked for; _with_additions evaluates those of a whole
+    chunk at once, and the contexts look them up.
+    """
+    for chunk in build_chunks(draws, spec.phi):
+        contexts = [[EvaluationContext(g, spec) for g in graphs]
+                    for _, graphs in chunk]
+        asked = [
+            (ctx, additions)
+            for (payload, _), ctxs in zip(chunk, contexts)
+            for additions in insertions(payload) for ctx in ctxs]
+        if asked:
+            head = asked[0][0]
+            values = _with_additions(
+                head.graph.batch, spec, head._values,
+                [(ctx.graph.index, additions) for ctx, additions in asked])
+            for (ctx, additions), value in zip(asked, values.tolist()):
+                ctx._known[_key(additions)] = value
+        for (payload, _), ctxs in zip(chunk, contexts):
+            yield payload, ctxs
 
 
 def poincare_bound(spec: FunctionalSpec, n_outer: int = 200,
@@ -279,16 +355,22 @@ def poincare_bound(spec: FunctionalSpec, n_outer: int = 200,
     The integration domain is the padded region; outside it the
     difference vanishes for compact-support connection functions.
     """
-    if n_outer < 2 or n_points < 1:
-        raise ValueError("budgets must be positive (n_outer >= 2)")
+    if n_outer < 2:
+        raise ValueError("n_outer must be at least 2")
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1")
     rng = np.random.default_rng(seed)
     region = spec.window.pad(spec.padding())
     draws = (_spec_draw(spec, region.sample_uniform(rng, n_points),
                         [seed + 1 + i]) for i in range(n_outer))
+
+    def insertions(xs):
+        return [[(x, -1)] for x in xs]
+
     per_sample = np.empty(n_outer)
-    for i, (xs, (ctx,)) in enumerate(_batched(spec, draws)):
-        vals = np.array([ctx.value_with_additions([(x, -1)])
-                         - ctx.base_value for x in xs])
+    for i, (xs, (ctx,)) in enumerate(_batched(spec, draws, insertions)):
+        vals = np.array([ctx.value_with_additions(additions)
+                         - ctx.base_value for additions in insertions(xs)])
         per_sample[i] = np.mean(vals ** 2)
     value, se = _mc_estimate(per_sample, spec.beta * region.volume)
     return MomentEstimate(value=value, std_error=se, n_samples=n_outer,
@@ -377,7 +459,7 @@ def birth_time_variance(spec: FunctionalSpec, n_outer: int = 2000,
 
     half = n_inner // 2
     outer_vals = np.empty(n_outer)
-    for i, (x, ctxs) in enumerate(_batched(spec, draws())):
+    for i, (x, ctxs) in enumerate(_batched(spec, draws(), _alone)):
         deltas = np.array([ctx.value_with_additions([(x, -1)])
                            - ctx.base_value for ctx in ctxs])
         outer_vals[i] = np.mean(deltas[:half]) * np.mean(deltas[half:])
@@ -407,8 +489,8 @@ def pilot_standardization(spec: FunctionalSpec, n_reps: int = 400,
     if n_reps < 2:
         raise ValueError("n_reps must be at least 2 for a sample variance")
     draws = (_spec_draw(spec, None, [seed + i]) for i in range(n_reps))
-    vals = np.array([ctx.base_value
-                     for _, (ctx,) in _batched(spec, draws)])
+    vals = np.array([ctx.base_value for _, (ctx,) in _batched(
+        spec, draws, lambda _: ())])
     return Standardization(mean=float(np.mean(vals)),
                            variance=float(np.var(vals, ddof=1)),
                            source="pilot")
@@ -463,18 +545,20 @@ def gamma_terms(spec: FunctionalSpec, std: Standardization,
             yield _spec_draw(spec, (x1, x2, x3), range(
                 seed + 1 + i * n_inner, seed + 1 + (i + 1) * n_inner))
 
-    for i, ((x1, x2, x3), ctxs) in enumerate(_batched(spec, draws())):
+    def insertions(points):
+        x1, x2, x3 = points
+        return ([(x1, -1)], [(x2, -1)], [(x3, -2)], [(x1, -1), (x3, -2)],
+                [(x2, -1), (x3, -2)])
+
+    for i, (points, ctxs) in enumerate(_batched(spec, draws(), insertions)):
         d1 = np.empty(n_inner)
         d2 = np.empty(n_inner)
         s13 = np.empty(n_inner)
         s23 = np.empty(n_inner)
         for r, ctx in enumerate(ctxs):
             base = ctx.base_value
-            v1 = ctx.value_with_additions([(x1, -1)])
-            v2 = ctx.value_with_additions([(x2, -1)])
-            v3 = ctx.value_with_additions([(x3, -2)])
-            v13 = ctx.value_with_additions([(x1, -1), (x3, -2)])
-            v23 = ctx.value_with_additions([(x2, -1), (x3, -2)])
+            v1, v2, v3, v13, v23 = (ctx.value_with_additions(additions)
+                                    for additions in insertions(points))
             d1[r] = (v1 - base) / sd
             d2[r] = (v2 - base) / sd
             s13[r] = (v13 - v1 - v3 + base) / sd
@@ -547,7 +631,7 @@ def fourth_moment_bound(spec: FunctionalSpec, std: Standardization,
     draws = (_spec_draw(spec, region.sample_uniform(rng, 1)[0], range(
         seed + 1 + i * n_inner, seed + 1 + (i + 1) * n_inner))
         for i in range(n_outer))
-    for i, (x, ctxs) in enumerate(_batched(spec, draws)):
+    for i, (x, ctxs) in enumerate(_batched(spec, draws, _alone)):
         vals = np.array([(ctx.value_with_additions([(x, -1)])
                           - ctx.base_value) / sd for ctx in ctxs])
         m4 = max(float(np.mean(vals ** 4)), 0.0)
@@ -597,16 +681,19 @@ def cluster_tail(phi: ConnectionFunction, beta: float, m: int,
     hits_hi = np.zeros(n_samples)
     draws = ((i, [seeded_sample(window, 0.0, beta, seed + i)])
              for i in range(n_samples))
-    for i, (graph,) in build_chunked(draws, phi):
-        nbrs = graph.neighbors_of_point(np.zeros(phi.dim), -1)
-        if len(nbrs) == 0:
-            continue
-        table = component_table(graph, window, 0)
-        roots = np.unique(table.labels[nbrs])
-        total = int(np.sum(table.order[roots]))
-        uncertain = bool(np.any(table.boundary[roots]))
-        hits_hi[i] = 1.0 if (total >= m or uncertain) else 0.0
-        hits_lo[i] = 1.0 if (total >= m and not uncertain) else 0.0
+    origin = [(np.zeros(phi.dim), -1)]
+    for chunk in build_chunks(draws, phi):
+        graphs = [graph for _, (graph,) in chunk]
+        # one merged component per sample: the origin and the components
+        # it joins; the origin lies m + 2 truncation radii inside the
+        # boundary, so the merged component touches the boundary band
+        # exactly when a component it joins does
+        rows = _inserted(batch_table(graphs[0], window, 0), graphs[0].batch,
+                         [(graph.index, origin) for graph in graphs])
+        total = rows.order - 1
+        i = [i for i, _ in chunk]
+        hits_hi[i] = (total >= m) | rows.boundary
+        hits_lo[i] = (total >= m) & ~rows.boundary
 
     def est(vals):
         value, se = _mc_estimate(vals, 1.0)

@@ -194,6 +194,46 @@ class Component:
     edges: np.ndarray = None
 
 
+@dataclass(frozen=True)
+class MergedRows:
+    """The components that fresh points form with rows of a
+    ComponentTable, one entry per merged component, in the table's
+    columns order, n_inside, boundary, lexmin_inside and canon, with
+    the coordinates lexmin_pos of the lexicographic minimum, the
+    insertion that formed each, and roots: the labels of the rows each
+    joins, those of merged component m in roots[root_start[m]:
+    root_start[m + 1]], in the order the insertion first reaches them.
+    """
+
+    insertion: np.ndarray
+    order: np.ndarray
+    n_inside: np.ndarray
+    boundary: np.ndarray
+    lexmin_pos: np.ndarray
+    lexmin_inside: np.ndarray
+    canon: np.ndarray
+    roots: np.ndarray
+    root_start: np.ndarray
+
+
+def _ranges(lo, hi) -> np.ndarray:
+    """lo[0]:hi[0], lo[1]:hi[1], ... concatenated."""
+    count = hi - lo
+    end = np.cumsum(count)
+    return (np.repeat(lo - end + count, count)
+            + np.arange(end[-1] if len(end) else 0))
+
+
+def _canons(order, packed) -> np.ndarray:
+    """canon_of_packed of each (order, packed) pair, looked up once per
+    distinct pair."""
+    codes, inverse = np.unique(packed * (K_MAX + 1) + order,
+                               return_inverse=True)
+    return np.array([canon_of_packed(int(c) % (K_MAX + 1),
+                                     int(c) // (K_MAX + 1))
+                     for c in codes], dtype=np.int64)[inverse]
+
+
 class ComponentTable(Mapping):
     """The connected components of a batch's realizations, by label.
 
@@ -212,7 +252,7 @@ class ComponentTable(Mapping):
     vertex_start[c + 1]]`, ascending within each group, and edge rows
     likewise in `edges[edge_index[edge_start[c]:edge_start[c + 1]]]`. As
     a mapping, the table takes a label to its Component; `merged` gives
-    the Component that fresh points form with some of the rows.
+    the components that fresh points form with some of the rows.
 
     The table covers all realizations of the RcmBatch at once, in union
     ids: realization r owns the ids starts[r]:starts[r + 1], the edge
@@ -289,6 +329,14 @@ class ComponentTable(Mapping):
         return np.argsort(self.labels, kind="stable")
 
     @cached_property
+    def vertex_rank(self) -> np.ndarray:
+        """Each vertex's position in its label's group of vertices."""
+        rank = np.empty(len(self.labels), dtype=np.int64)
+        rank[self.vertices] = (np.arange(len(self.labels))
+                               - self.vertex_start[self.labels[self.vertices]])
+        return rank
+
+    @cached_property
     def edge_index(self) -> np.ndarray:
         return np.argsort(self.labels[self.edges[:, 0]], kind="stable")
 
@@ -308,23 +356,14 @@ class ComponentTable(Mapping):
         canon = np.full(len(resolve), -1, dtype=np.int64)
         if not np.any(resolve):
             return canon
-        n = len(self.labels)
         edge_label = self.labels[self.edges[:, 0]]
-        local = np.empty(n, dtype=np.int64)
-        group_start = self.vertex_start[self.labels[self.vertices]]
-        local[self.vertices] = np.arange(n) - group_start
         sel = resolve[edge_label]
         lab = edge_label[sel]
-        a = local[self.edges[sel, 0]]
-        b = local[self.edges[sel, 1]]
+        a = self.vertex_rank[self.edges[sel, 0]]
+        b = self.vertex_rank[self.edges[sel, 1]]
         packed = np.zeros(len(resolve), dtype=np.int64)
         np.bitwise_or.at(packed, lab, _pair_bits(self.order[lab], a, b))
-        codes = packed[resolve] * (K_MAX + 1) + self.order[resolve]
-        uniq, inverse = np.unique(codes, return_inverse=True)
-        classes = np.array([canon_of_packed(int(c) % (K_MAX + 1),
-                                            int(c) // (K_MAX + 1))
-                            for c in uniq], dtype=np.int64)
-        canon[resolve] = classes[inverse]
+        canon[resolve] = _canons(self.order[resolve], packed[resolve])
         return canon
 
     def __len__(self) -> int:
@@ -346,39 +385,102 @@ class ComponentTable(Mapping):
             canon=int(self.canon[c]), ids=self.vertices[vs:ve],
             edges=self.edges[self.edge_index[es:ee]])
 
-    def merged(self, r: int, roots, ids, pos, fresh) -> Component:
-        """The Component that fresh points with these ids and positions
-        form with realization r's components labelled roots (its own
-        labels), through fresh edges: rows (fresh id, fresh id or r's
-        own base id), as RcmGraph.fresh_edges gives them."""
-        c0, v0 = self.label_start[r], self.starts[r]
-        roots = c0 + np.asarray(roots, dtype=np.int64)
-        pos = np.asarray(pos, dtype=float)
+    def merged(self, ins, pos, links, pairs) -> MergedRows:
+        """The components that fresh points form with the rows they join.
+
+        Fresh point k of insertion ins[k] (nondecreasing) lies at pos[k]
+        and joins the base points of the links rows (k, union id) and
+        the fresh points of the pairs rows (k, l), as
+        RcmBatch.fresh_edges gives them. Each insertion is taken alone:
+        a group of its fresh points, with the rows its links reach,
+        becomes one merged component, placed against the table's window
+        and boundary band, its class resolved where the table would
+        resolve a row of its order and boundary. Merged components come
+        in order of their first fresh point.
+        """
+        n_fresh = len(ins)
+        fresh, base = links[:, 0], links[:, 1]
+        # one node per fresh point, then one per (insertion, row) that
+        # its links reach, first the link that reaches it first
+        _, first, node = np.unique(ins[fresh] * len(self.order)
+                                   + self.labels[base],
+                                   return_index=True, return_inverse=True)
+        roots = self.labels[base[first]]
+        n_roots = len(roots)
+        # fresh points are grouped when a pair joins them or they link to
+        # one row: each group takes its least fresh point, the least
+        # spreading one edge further each round, and the groups are
+        # numbered in that order
+        p = np.concatenate([fresh, pairs[:, 0]])
+        q = np.concatenate([fresh[first[node]], pairs[:, 1]])
+        least = np.arange(n_fresh)
+        while True:
+            step = least.copy()
+            np.minimum.at(step, p, least[q])
+            np.minimum.at(step, q, least[p])
+            if np.array_equal(step, least):
+                break
+            least = step
+        _, at = np.unique(least, return_inverse=True)
+        joins = at[fresh[first]]
+        row = np.concatenate([joins, at])
+        n_rows = int(at.max()) + 1 if n_fresh else 0
+
+        def total(root_terms, fresh_terms):
+            return (np.bincount(joins, root_terms, minlength=n_rows)
+                    + np.bincount(at, fresh_terms, minlength=n_rows))
+
         inside = self.window.contains(pos)
-        order = len(ids) + int(self.order[roots].sum())
-        boundary = bool(self.boundary[roots].any() or np.any(
-            self.region.boundary_distance(pos) < self.rmax))
-        # lexicographic minimum among the components' and the fresh
-        # points, the first of them on ties
-        cands = [*zip(self.points[self.lexmin[roots]],
-                      self.lexmin_inside[roots].tolist()),
-                 *zip(pos, inside.tolist())]
-        lexmin_pos, lexmin_inside = min(cands, key=lambda c: c[0].tolist())
-        canon = -1
-        if self._resolved(order, boundary):
-            vs, es = self.vertex_start, self.edge_start
-            vertices = np.concatenate(
-                [self.vertices[vs[c]:vs[c + 1]] - v0 for c in roots] + [ids])
-            edges = np.concatenate(
-                [self.edges[self.edge_index[es[c]:es[c + 1]]] - v0
-                 for c in roots] + [fresh[np.isin(fresh[:, 0], ids)]])
-            by_id = np.argsort(vertices)
-            local = by_id[np.searchsorted(vertices, edges, sorter=by_id)]
-            canon = canon_of_packed(order, _pack(order, *local.T))
-        return Component(
-            order=order, boundary=boundary, canon=canon,
-            n_inside=int(self.n_inside[roots].sum()) + int(inside.sum()),
-            lexmin_pos=lexmin_pos, lexmin_inside=lexmin_inside)
+        order = total(self.order[roots], None).astype(np.int64)
+        boundary = total(self.boundary[roots], self.region.boundary_distance(
+            pos) < self.rmax) > 0
+        # lexicographic minimum among the rows' minima and the fresh
+        # points; np.lexsort is stable, so the fresh points come last on
+        # ties
+        cand = np.concatenate([self.points[self.lexmin[roots]], pos])
+        lexmin = np.lexsort((*cand.T[::-1], row))
+        lexmin = lexmin[np.searchsorted(row[lexmin], np.arange(n_rows))]
+        insertion = np.empty(n_rows, dtype=np.int64)
+        insertion[at] = ins
+        canon = np.full(n_rows, -1, dtype=np.int64)
+        resolve = self._resolved(order, boundary)
+        if np.any(resolve):
+            # number the vertices of each resolved merged component: its
+            # rows' vertices, row after row in group order, then its
+            # fresh points, node n's first at start[n]
+            size = np.concatenate([self.order[roots],
+                                   np.ones(n_fresh, dtype=np.int64)])
+            sel = np.flatnonzero(resolve[row])
+            sel = sel[np.argsort(row[sel], kind="stable")]
+            before = np.cumsum(size[sel]) - size[sel]
+            start = np.zeros(len(row), dtype=np.int64)
+            start[sel] = before - before[np.searchsorted(row[sel], row[sel])]
+            rank = self.vertex_rank
+            # its rows' own edges, its links and its fresh pairs
+            u = np.flatnonzero(resolve[joins])
+            lo, hi = self.edge_start[roots[u]], self.edge_start[roots[u] + 1]
+            u = np.repeat(u, hi - lo)
+            a, b = self.edges[self.edge_index[_ranges(lo, hi)]].T
+            k = np.flatnonzero(resolve[at[fresh]])
+            f, g = (pairs[resolve[at[pairs[:, 0]]]] + n_roots).T
+            of = np.concatenate([joins[u], at[fresh[k]], row[f]])
+            packed = np.zeros(n_rows, dtype=np.int64)
+            np.bitwise_or.at(packed, of, _pair_bits(
+                order[of],
+                np.concatenate([start[u] + rank[a],
+                                start[n_roots + fresh[k]], start[f]]),
+                np.concatenate([start[u] + rank[b],
+                                start[node[k]] + rank[base[k]], start[g]])))
+            canon[resolve] = _canons(order[resolve], packed[resolve])
+        return MergedRows(
+            insertion=insertion, order=order, boundary=boundary,
+            n_inside=total(self.n_inside[roots], inside).astype(np.int64),
+            lexmin_pos=cand[lexmin],
+            lexmin_inside=np.concatenate([self.lexmin_inside[roots],
+                                          inside])[lexmin],
+            canon=canon, roots=roots[np.lexsort((first, joins))],
+            root_start=np.concatenate(([0], np.cumsum(
+                np.bincount(joins, minlength=n_rows)))))
 
     def realization_sums(self, weights) -> np.ndarray:
         """Per realization, the sum of its rows' weights: F where the

@@ -91,36 +91,33 @@ def _squared_lengths(diffs) -> np.ndarray:
     return sq
 
 
-def _joined(i, j, dist, phi: ConnectionFunction,
-            marks: PairMarkSource) -> np.ndarray:
-    """Which id pairs (i, j) at these distances are edges: the pair's
-    mark is at most phi of its distance."""
-    return np.atleast_1d(marks.mark(i, j)) <= phi.phi_of_dist(dist)
-
-
 class RcmBatch:
     """Independent realizations on one region, stacked as a disjoint union.
 
     Realization r owns the union ids starts[r]:starts[r + 1] (its own
     ids shifted by starts[r]) and the union edge rows
-    edge_starts[r]:edge_starts[r + 1]. The kd-tree holds every point
-    lifted by one extra coordinate, its realization index times a
-    spacing greater than rmax, so no two realizations' points are ever
-    within rmax of each other, while squared distances within one
-    realization only gain an exact +0.0. The spacing also exceeds the
-    region's diameter, so the tree splits realizations apart before it
-    splits any of them.
+    edge_starts[r]:edge_starts[r + 1]; its edges follow phi and the
+    marks of its source marks[r]. The kd-tree holds every point lifted
+    by one extra coordinate, its realization index times a spacing
+    greater than rmax, so no two realizations' points are ever within
+    rmax of each other, while squared distances within one realization
+    only gain an exact +0.0. The spacing also exceeds the region's
+    diameter, so the tree splits realizations apart before it splits
+    any of them.
     """
 
     def __init__(self, points: np.ndarray, edges: np.ndarray,
                  starts: np.ndarray, edge_starts: np.ndarray,
-                 region: Window, rmax: float, tree=None):
+                 region: Window, rmax: float,
+                 phi: ConnectionFunction = None, marks=None, tree=None):
         self.points = points            # (N, d) union coordinates
         self.edges = edges              # (M, 2) union ids
         self.starts = starts
         self.edge_starts = edge_starts
         self.region = region
         self.rmax = rmax
+        self.phi = phi
+        self.marks = marks              # one mark source per realization
         self.spacing = rmax + 2.0 * region.extent + 1.0
         self._tree = tree
         self._shared = {}
@@ -137,17 +134,75 @@ class RcmBatch:
             self._shared[key] = build()
         return self._shared[key]
 
-    def ball(self, x: np.ndarray, r: int) -> np.ndarray:
-        """Ids of realization r within rmax of x, ascending, in r's own
-        ids; x is in r's coordinates."""
+    def _marks(self, owner, i, j) -> np.ndarray:
+        """Marks of the id pairs (i, j) of realizations owner, each pair
+        hashed once under its own realization's key. A batch of one
+        hashes through its source's own mark, so any source with
+        mark(i, j) serves there."""
+        if len(self.marks) == 1:
+            return np.atleast_1d(self.marks[0].mark(i, j))
+        return pair_marks(type(self.marks[0]).stacked_keys(
+            self.marks, owner, i, j), i, j)
+
+    def fresh_edges(self, owner, ins, ids, pos):
+        """The edges that fresh points add, for many insertions at once.
+
+        Fresh point k, with id ids[k] and position pos[k], is added to
+        realization owner[k] together with the other points of insertion
+        ins[k]; ins is nondecreasing, so an insertion's points are
+        consecutive, and its ids are distinct and negative. Returns
+        (links, pairs): links has a row (k, b) for each base point, by
+        union id b, that fresh point k joins, k ascending and b ascending
+        within k; pairs has a row (k, m), k < m, for each pair of fresh
+        points of one insertion that is joined, in the same order. One
+        query of the lifted kd-tree finds every fresh point's candidates,
+        pairs of fresh points pass the tree's candidate test as base
+        pairs do, and all marks are hashed in one call, keyed by the ids
+        (fresh ids and the realization's own base ids), so repeated
+        queries are coupled with each other and with the base graph.
+        """
+        owner = np.asarray(owner, dtype=np.int64)
+        ins = np.asarray(ins, dtype=np.int64)
+        ids = np.asarray(ids, dtype=np.int64)
+        pos = np.asarray(pos, dtype=float).reshape(len(ids),
+                                                   self.points.shape[1])
+        by_id = np.lexsort((ids, ins))
+        if np.any(ids >= 0) or np.any(
+                (np.diff(ins[by_id]) == 0) & (np.diff(ids[by_id]) == 0)):
+            raise ValueError("added points need distinct negative ids")
         if self._tree is None:
             self._tree = cKDTree(self.lifted())
-        lifted = np.empty(len(x) + 1)
-        lifted[:-1] = x
-        lifted[-1] = r * self.spacing
-        found = self._tree.query_ball_point(lifted, self.rmax,
-                                            return_sorted=True)
-        return np.asarray(found, dtype=np.int64) - self.starts[r]
+        found = self._tree.query_ball_point(
+            np.column_stack([pos, owner * self.spacing]), self.rmax,
+            return_sorted=True)
+        counts = np.fromiter(map(len, found), dtype=np.int64,
+                             count=len(ids))
+        base = np.fromiter(itertools.chain.from_iterable(found),
+                           dtype=np.int64, count=int(counts.sum()))
+        fresh = np.repeat(np.arange(len(ids)), counts)
+        offsets = self.points[base] - pos[fresh]
+        # a base point at the fresh point's position is at distance 0,
+        # so always a candidate
+        if (offsets == 0).all(axis=1).any():
+            raise ValueError("added point duplicates an existing point")
+        sq = _squared_lengths(offsets.T)
+        # every pair (u, v), u < v, of points of one insertion
+        after = np.searchsorted(ins, ins, side="right") - 1 - np.arange(
+            len(ids))
+        u = np.repeat(np.arange(len(ids)), after)
+        v = u + 1 + np.arange(len(u)) - np.repeat(np.cumsum(after) - after,
+                                                  after)
+        sq_uv = _squared_lengths((pos[u] - pos[v]).T)
+        near = sq_uv <= self.rmax * self.rmax
+        u, v = u[near], v[near]
+        links = np.column_stack([fresh, base])
+        pairs = np.column_stack([u, v])
+        k = np.concatenate([fresh, u])
+        j = np.concatenate([base - self.starts[owner[fresh]], ids[v]])
+        dist = np.sqrt(np.concatenate([sq, sq_uv[near]]))
+        joined = (self._marks(owner[k], ids[k], j)
+                  <= self.phi.phi_of_dist(dist))
+        return links[joined[:len(links)]], pairs[joined[len(links):]]
 
 
 @dataclass(frozen=True)
@@ -180,7 +235,7 @@ class RcmGraph:
             object.__setattr__(self, "_batch", RcmBatch(
                 self.points.points, self.edges, np.array([0, self.n]),
                 np.array([0, len(self.edges)]), self.points.region,
-                self.rmax))
+                self.rmax, self.phi, [self.marks]))
         return self._batch
 
     @property
@@ -193,27 +248,13 @@ class RcmGraph:
         object.__setattr__(self, "_index", index)
         return self
 
-    def _near(self, x: np.ndarray):
-        """Ids within rmax of x, ascending, and their points' offsets
-        from x."""
-        if self.n == 0:
-            return np.empty(0, dtype=np.int64), np.empty((0, len(x)))
-        cand = self.batch.ball(x, self._index)
-        return cand, self.points.points[cand] - x
-
-    def _linked(self, new_id: int, cand, offsets) -> np.ndarray:
-        """The candidate ids that a fresh point with id new_id joins."""
-        return cand[_joined(np.full(len(cand), new_id, dtype=np.int64),
-                            cand, np.sqrt(_squared_lengths(offsets.T)),
-                            self.phi, self.marks)]
-
     def neighbors_of_point(self, x: np.ndarray, new_id: int) -> np.ndarray:
-        """Ids adjacent to a fresh point at x carrying id new_id.
+        """Ids adjacent to a fresh point at x carrying id new_id, ascending.
 
         Uses the same mark source, so repeated queries with the same
         (x, new_id) are consistent with each other and with the base graph.
         """
-        return self._linked(new_id, *self._near(np.asarray(x, dtype=float)))
+        return self.fresh_edges([(x, new_id)])[:, 1]
 
     def fresh_edges(self, additions) -> np.ndarray:
         """The edges that fresh points add to the graph, as (m, 2) id rows.
@@ -221,31 +262,17 @@ class RcmGraph:
         additions: sequence of (position, id) with distinct negative ids,
         none at the position of a base point. The rows are (fresh id,
         base id) for each fresh point in turn, base ids ascending, then
-        the edges among fresh points in ascending (smaller id, larger id)
-        order. Marks come from the graph's mark source keyed by the ids,
-        so repeated queries are coupled with each other and the graph.
+        (fresh id, fresh id) for the joined pairs of fresh points, in
+        the order of the additions; RcmBatch.fresh_edges decides them.
         """
-        pos = {int(i): np.asarray(p, dtype=float) for p, i in additions}
-        if len(pos) != len(additions) or any(i >= 0 for i in pos):
-            raise ValueError("added points need distinct negative ids")
-        rows = []
-        for i, p in pos.items():
-            # a base point at p is at distance 0, so always a candidate
-            cand, offsets = self._near(p)
-            if (offsets == 0).all(axis=1).any():
-                raise ValueError("added point duplicates an existing point")
-            rows += [(i, b) for b in self._linked(i, cand, offsets).tolist()]
-        if len(pos) > 1:
-            # pairs of fresh points pass the kd-tree's candidate test, as
-            # base pairs do, and are decided in one _joined call
-            pairs = np.array([*itertools.combinations(sorted(pos), 2)])
-            sq = _squared_lengths(np.transpose(
-                [pos[a] - pos[b] for a, b in pairs.tolist()]))
-            near = sq <= self.rmax * self.rmax
-            pairs = pairs[near]
-            rows += pairs[_joined(*pairs.T, np.sqrt(sq[near]), self.phi,
-                                  self.marks)].tolist()
-        return np.array(rows, dtype=np.int64).reshape(-1, 2)
+        ids = np.array([i for _, i in additions], dtype=np.int64)
+        links, pairs = self.batch.fresh_edges(
+            np.full(len(ids), self.index), np.zeros(len(ids), dtype=int), ids,
+            [p for p, _ in additions])
+        return np.concatenate([
+            np.column_stack([ids[links[:, 0]],
+                             links[:, 1] - self.batch.starts[self.index]]),
+            ids[pairs]]).reshape(-1, 2)
 
 
 def build_rcm_batch(points, phi: ConnectionFunction, marks) -> list[RcmGraph]:
@@ -277,7 +304,7 @@ def build_rcm_batch(points, phi: ConnectionFunction, marks) -> list[RcmGraph]:
     sizes = np.array([p.n for p in points])
     starts = np.concatenate(([0], np.cumsum(sizes)))
     batch = RcmBatch(np.concatenate([p.points for p in points]), None,
-                     starts, None, region, rmax)
+                     starts, None, region, rmax, phi, marks)
     pairs, batch._tree = _candidate_pairs(batch.lifted(), rmax)
     n_real = len(points)
     # a small index type makes the stable sort below a radix sort
@@ -312,34 +339,43 @@ def build_rcm(points: PointSet, phi: ConnectionFunction,
     return build_rcm_batch([points], phi, [marks])[0]
 
 
-def build_chunked(draws, phi: ConnectionFunction):
-    """Each draw with the graphs of its samples, built in chunks.
+def build_chunks(draws, phi: ConnectionFunction):
+    """The graphs of consecutive draws, built in chunks.
 
     draws: iterable of (payload, samples), samples a list of (point set,
     mark source) pairs on one region. Consecutive draws are collected up
     to _CHUNK_POINTS (a larger draw is built alone), and each chunk's
-    graphs are built by one build_rcm_batch; yields (payload, graphs)
-    per draw, in order. Draws are taken lazily and in order, so a random
-    stream they share is read as a loop over them reads it, and only one
-    chunk is held at a time.
+    graphs are built by one build_rcm_batch, so they are realizations of
+    one RcmBatch; yields, per chunk, the list of (payload, graphs) of
+    its draws, in order. Draws are taken lazily and in order, so a
+    random stream they share is read as a loop over them reads it, and
+    only one chunk is held at a time.
     """
     chunk, size = [], 0
     for draw in draws:
         n = sum(p.n + 1 for p, _ in draw[1])
         if chunk and size + n > _CHUNK_POINTS:
-            yield from _built(chunk, phi)
+            yield _built(chunk, phi)
             chunk, size = [], 0
         chunk.append(draw)
         size += n
-    yield from _built(chunk, phi)
+    if chunk:
+        yield _built(chunk, phi)
 
 
-def _built(chunk, phi: ConnectionFunction):
+def build_chunked(draws, phi: ConnectionFunction):
+    """Each draw with the graphs of its samples, (payload, graphs) per
+    draw, in order, built in chunks by build_chunks."""
+    for chunk in build_chunks(draws, phi):
+        yield from chunk
+
+
+def _built(chunk, phi: ConnectionFunction) -> list:
     samples = [s for _, draw in chunk for s in draw]
     graphs = iter(build_rcm_batch([p for p, _ in samples], phi,
                                   [m for _, m in samples]))
-    for payload, draw in chunk:
-        yield payload, [next(graphs) for _ in draw]
+    return [(payload, [next(graphs) for _ in draw])
+            for payload, draw in chunk]
 
 
 def build_coupled(points: PointSet, phi: ConnectionFunction,
@@ -358,11 +394,12 @@ def build_coupled(points: PointSet, phi: ConnectionFunction,
     i, j = graph_phi.edges.T
     dist = np.sqrt(_squared_lengths(np.take(c, i) - np.take(c, j)
                                     for c in points.points.T))
-    edges = graph_phi.edges[_joined(i, j, dist, psi, marks)]
+    edges = graph_phi.edges[np.atleast_1d(marks.mark(i, j))
+                            <= psi.phi_of_dist(dist)]
     shared = graph_phi.batch
     batch = RcmBatch(shared.points, edges, shared.starts,
                      np.array([0, len(edges)]), shared.region, shared.rmax,
-                     shared._tree)
+                     psi, shared.marks, shared._tree)
     graph_psi = RcmGraph(points=points, phi=psi, marks=marks, edges=edges,
                          rmax=graph_phi.rmax)._join(batch)
     return graph_phi, graph_psi

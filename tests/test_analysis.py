@@ -323,15 +323,18 @@ def test_poincare_budget_validation():
     spec = FunctionalSpec("count_order", W, GILBERT, 1.0, k=1)
     with pytest.raises(ValueError):
         poincare_bound(spec, n_outer=1)
+    with pytest.raises(ValueError, match="n_points must be at least 1"):
+        poincare_bound(spec, n_points=0)
 
 
 @pytest.mark.parametrize("estimator", [
+    lambda spec, std: poincare_bound(spec, n_outer=1),
     lambda spec, std: birth_time_variance(spec, n_outer=1, n_inner=4),
     lambda spec, std: fourth_moment_bound(spec, std, n_outer=1),
     lambda spec, std: gamma_terms(spec, std, n_outer=1),
     lambda spec, std: cluster_tail(GILBERT, 1.0, 2, n_samples=1),
-], ids=["birth_time_variance", "fourth_moment_bound", "gamma_terms",
-        "cluster_tail"])
+], ids=["poincare_bound", "birth_time_variance", "fourth_moment_bound",
+        "gamma_terms", "cluster_tail"])
 def test_single_draw_budgets_are_rejected(estimator):
     # one draw has no sample standard error
     spec = FunctionalSpec("point_count", Window("box", 1.5, 2), GILBERT, 1.0)

@@ -55,3 +55,39 @@ def test_ladder_counts_each_replicate_through_one_census_call(threads):
     assert calls == [(replicate_seed(scenario, rung, rep), extent)
                      for rung, extent in enumerate(scenario.extents)
                      for rep in range(scenario.replicates)]
+
+
+@pytest.mark.parametrize("estimator", ["poincare_bound",
+                                       "birth_time_variance"])
+def test_each_insertion_goes_through_value_with_additions(estimator):
+    """The difference_mc check round captures
+    EvaluationContext.value_with_additions through the tracer and
+    recounts each captured (context, additions, value), so the
+    estimators must call it once per insertion, n_outer * n_points and
+    n_outer * n_inner times, each value the one that a context on the
+    same graph, evaluated alone, gives."""
+    import dataclasses
+
+    from rcmlab import analysis
+    from rcmlab.analysis import EvaluationContext, FunctionalSpec
+    from rcmlab.connection import ConnectionFunction
+    from rcmlab.geometry import Window
+
+    if estimator == "poincare_bound":
+        spec = FunctionalSpec("total_components", Window("box", 2.0, 2),
+                              ConnectionFunction("gaussian", 2, s=0.5), 1.0)
+        n_outer, budget = 4, {"n_points": 5}
+    else:
+        spec = FunctionalSpec("count_order", Window("box", 1.5, 2),
+                              ConnectionFunction("gilbert", 2, r=1.0), 1.0,
+                              k=1, mode="inside")
+        n_outer, budget = 6, {"n_inner": 4}
+    tracer = spans.Tracer(keep={"analysis.value_with_additions":
+                                lambda a, k, r: (a[0], a[1], r)})
+    with tracer:
+        getattr(analysis, estimator)(spec, n_outer=n_outer, seed=3, **budget)
+    calls = [c for _, c in tracer.kept["analysis.value_with_additions"]]
+    assert len(calls) == n_outer * sum(budget.values())
+    for ctx, additions, value in calls:
+        alone = EvaluationContext(dataclasses.replace(ctx.graph), ctx.spec)
+        assert alone.value_with_additions(additions) == value

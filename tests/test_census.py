@@ -228,9 +228,11 @@ def test_table_and_census_match_networkx(coords, r, seed):
        st.integers(0, 5))
 def test_merged_component_equals_a_table_from_scratch(kind, seed, where,
                                                       k_max):
-    """Each Component that ComponentTable.merged gives for a group of
-    fresh points equals the row of a table built on the points and edges
-    with the fresh points appended (fresh id -1 - k as id n + k)."""
+    """Each merged component that ComponentTable.merged gives for a
+    group of fresh points equals the row of a table built on the points
+    and edges with the fresh points appended (fresh id -1 - k as id
+    n + k), the merged components in order of their first fresh point
+    and the rows they join in the order the fresh points reach them."""
     phi = (ConnectionFunction("gilbert", 2, r=0.8) if kind == "gilbert"
            else ConnectionFunction("gaussian", 2, s=0.3))
     window = Window("box", 1.0, 2)
@@ -249,8 +251,8 @@ def test_merged_component_equals_a_table_from_scratch(kind, seed, where,
             p = rng.uniform(-region.extent, region.extent, 2)
             p[rng.integers(2)] = region.extent - rng.uniform(0.0, rmax)
             pos.append(p)
-    additions = [(p, -1 - k) for k, p in enumerate(pos)]
-    fresh = g.fresh_edges(additions)
+    ids = [-1 - k for k in range(len(pos))]
+    fresh = g.fresh_edges(list(zip(pos, ids)))
 
     n = g.n
     aug = np.where(fresh < 0, n - 1 - fresh, fresh)
@@ -260,16 +262,23 @@ def test_merged_component_equals_a_table_from_scratch(kind, seed, where,
                                     np.array([0, len(edges)]), region, rmax),
                            window, k_max)
     base = ComponentTable(g.batch, window, k_max)
-    for c in np.unique(whole.labels[n:]):
-        members = np.flatnonzero(whole.labels == c)
-        roots = np.unique(base.labels[members[members < n]]).tolist()
-        ids = (n - 1 - members[members >= n]).tolist()
-        merged = base.merged(0, roots, ids, points[members[members >= n]],
-                             fresh)
+    ins = np.zeros(len(pos), dtype=np.int64)
+    rows = base.merged(ins, np.array(pos),
+                       *g.batch.fresh_edges(ins, ins, ids, pos))
+    comps = list(dict.fromkeys(whole.labels[n:].tolist()))
+    assert len(rows.order) == len(comps)
+    assert rows.insertion.tolist() == [0] * len(comps)
+    for m, c in enumerate(comps):
+        roots = rows.roots[rows.root_start[m]:rows.root_start[m + 1]]
+        assert roots.tolist() == list(dict.fromkeys(
+            base.labels[b] for f, b in fresh.tolist()
+            if b >= 0 and whole.labels[n - 1 - f] == c))
+        assert (set(roots.tolist())
+                == set(base.labels[whole.labels[:n] == c].tolist()))
         row = whole[c]
-        assert merged.order == row.order
-        assert merged.n_inside == row.n_inside
-        assert merged.boundary == row.boundary
-        assert merged.lexmin_pos.tolist() == row.lexmin_pos.tolist()
-        assert merged.lexmin_inside == row.lexmin_inside
-        assert merged.canon == row.canon
+        assert rows.order[m] == row.order
+        assert rows.n_inside[m] == row.n_inside
+        assert rows.boundary[m] == row.boundary
+        assert rows.lexmin_pos[m].tolist() == row.lexmin_pos.tolist()
+        assert rows.lexmin_inside[m] == row.lexmin_inside
+        assert rows.canon[m] == row.canon
