@@ -435,11 +435,10 @@ class ComponentTable(Mapping):
         boundary = total(self.boundary[roots], self.region.boundary_distance(
             pos) < self.rmax) > 0
         # lexicographic minimum among the rows' minima and the fresh
-        # points; np.lexsort is stable, so the fresh points come last on
-        # ties
+        # points; ties go to the smallest index, so the fresh points come
+        # last
         cand = np.concatenate([self.points[self.lexmin[roots]], pos])
-        lexmin = np.lexsort((*cand.T[::-1], row))
-        lexmin = lexmin[np.searchsorted(row[lexmin], np.arange(n_rows))]
+        lexmin = _lexmin(cand, row, n_rows)
         insertion = np.empty(n_rows, dtype=np.int64)
         insertion[at] = ins
         canon = np.full(n_rows, -1, dtype=np.int64)

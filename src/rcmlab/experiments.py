@@ -64,11 +64,13 @@ def _optional(obj, key, typ, path, default):
     return _need(obj, key, typ, path) if key in obj else default
 
 
-def _count(obj, key, path, default) -> int:
-    """An optional positive integer field."""
+def _count(obj, key, path, default, least=1) -> int:
+    """An optional integer field of at least `least`."""
     val = _optional(obj, key, int, path, default)
-    if val < 1:
-        raise ConfigError(f"{path}{key}: must be a positive integer")
+    if val < least:
+        raise ConfigError(f"{path}{key}: must be "
+                          + ("a positive integer" if least == 1
+                             else f"an integer of at least {least}"))
     return val
 
 
@@ -231,7 +233,7 @@ def load_scenario(path_or_dict) -> Scenario:
         dimension=dim, beta=beta, phi=phi, psi=psi, window_shape=shape,
         extents=tuple(float(e) for e in extents),
         statistics=tuple(stats), replicates=replicates, seed_base=seed_base,
-        mc_samples=_count(budgets, "mc_samples", "budgets.", 200000),
+        mc_samples=_count(budgets, "mc_samples", "budgets.", 200000, 2),
         inner=_count(budgets, "inner", "budgets.", 8),
         k_max=_count(raw, "k_max", "", 5), raw=raw)
     for i in range(len(scenario.extents)):

@@ -22,13 +22,22 @@ slices into (d-1)-dimensional ones in every dimension.
 
 Every Monte Carlo integrand is a graph probability times an interaction
 kernel (the exponential of the interaction exponent, or the two-cluster
-kernel). The drivers evaluate the probability only on draws that pass
-the lexmin test and have positive proposal density, and the costly
-kernel only on those of them whose probability is nonzero; for the
-indicator kinds that is a small share of the draws. Every reduction in
-the kernels runs row by row, so a draw's kernel value does not depend
-on which other draws share its batch, and each estimate is bit for bit
-the one a kernel evaluated on every draw would give.
+kernel), and one driver, `_importance_mc`, estimates them all, over one
+cluster or two; it refuses fewer than 2 draws. It evaluates the
+probability only on draws that pass the lexmin test and have positive
+proposal density, and the costly kernel only on those of them whose
+probability is nonzero; for the indicator kinds that is a small share
+of the draws. Every reduction in the kernels runs row by row, so a
+draw's kernel value does not depend on which other draws share its
+batch, and each estimate is bit for bit the one a kernel evaluated on
+every draw would give.
+
+Every second moment (`asy_cov`, `asy_cov_kl`,
+`finite_window_cross_moment`) is one call of `_second_moment`: a
+two-cluster term plus, for equal orders, a shared-tuple term, scaled by
+the window volume for the finite window. A term for a psi-component
+nested in a phi-component of larger order would go there. It checks
+domination and ENUM_CAP for all three.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, roots_legendre
 
-from .census import GraphClass, permuted_bits
+from .census import GraphClass, _lexmin, permuted_bits
 from .connection import ConnectionFunction, RadialProposal
 from .geometry import Window, unit_ball_volume
 
@@ -474,31 +483,29 @@ class BoxAnchor:
         return np.full(len(anchor), self._density)
 
 
-def _lexmin_index(X: np.ndarray) -> np.ndarray:
-    """Index of each cluster's lexicographically smallest point: a tie in
-    one coordinate is decided by the next, and a point that repeats is
-    the minimum at its smallest index, as in the census."""
-    cand = np.ones(X.shape[1::-1], dtype=bool)     # (k, n)
-    for col in X.T:                                 # one coordinate, (k, n)
-        value = np.where(cand, col, np.inf)
-        cand &= value == value.min(axis=0)
-    return cand.argmax(axis=0)
+def _lexmin_ids(X: np.ndarray) -> np.ndarray:
+    """Row of each cluster's lexicographically smallest point in
+    X.reshape(-1, d), by the census rule (census._lexmin, one label per
+    cluster): a tie in one coordinate is decided by the next, and a
+    point that repeats is the minimum at its smallest index."""
+    n, k, d = X.shape
+    return _lexmin(X.reshape(n * k, d), np.repeat(np.arange(n), k), n)
 
 
 def _is_anchor_lexmin(X: np.ndarray) -> np.ndarray:
     """True when vertex 0 of each cluster is its lexicographic minimum."""
-    return _lexmin_index(X) == 0
+    return _lexmin_ids(X) == X.shape[1] * np.arange(len(X))
 
 
 def _lexmin_points(X: np.ndarray) -> np.ndarray:
     """The lexicographically smallest point of each sample's cluster."""
-    return X[np.arange(len(X)), _lexmin_index(X)]
+    return X.reshape(-1, X.shape[2])[_lexmin_ids(X)]
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo drivers
+# Monte Carlo driver
 
-# Draws per batch of the drivers below. A batch reads the random stream
+# Draws per batch of the driver below. A batch reads the random stream
 # in one piece, so changing a size changes every estimate.
 _PAIR_BATCH = 20000
 _SINGLE_BATCH = 40000
@@ -510,70 +517,51 @@ def _mc_estimate(weights: np.ndarray, scale: float) -> tuple[float, float]:
     return scale * mean, scale * se
 
 
-def _importance_weights(Xs, dens, factor, prob_fn, kernel_fn):
-    """prob * kernel * factor / dens for one chunk of draws Xs.
+def _importance_mc(phi, beta, k, prob_fn, kernel_fn, n_samples, seed,
+                   second=None):
+    """Importance-sampled integral of prob_fn(*Xs) * kernel_fn(*Xs).
 
-    Rows whose anchor cluster Xs[0] is not anchored at its lexicographic
-    minimum, or whose proposal density is 0, get weight 0 and no
-    probability; rows whose probability is 0 get weight 0 and no kernel.
+    Xs is one k-cluster of phi points anchored at the origin or, with
+    second = (psi, l, anchor), that cluster and an l-cluster of psi
+    points whose anchor `anchor` draws given the first. Each batch reads
+    the stream as X1, then the anchor, then X2. The sorted indicators'
+    combinatorial factors are applied here. Rows whose first cluster is
+    not anchored at its lexicographic minimum, or whose proposal density
+    is 0, get weight 0 and no probability; rows whose probability is 0
+    get weight 0 and no kernel.
     """
-    w = np.zeros(len(dens))
-    rows = np.flatnonzero(_is_anchor_lexmin(Xs[0]) & (dens > 0))
-    if rows.size:
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    rng = np.random.default_rng(seed)
+    prop1 = ClusterProposal(phi, k)
+    if second is None:
+        batch, n_points = _SINGLE_BATCH, k
+        factor = 1.0 / math.factorial(k - 1)
+    else:
+        psi, l, anchor = second
+        prop2 = ClusterProposal(psi, l)
+        batch, n_points = _PAIR_BATCH, k + l
+        factor = 1.0 / (math.factorial(k - 1) * math.factorial(l))
+    weights = np.zeros(n_samples)
+    for done in range(0, n_samples, batch):
+        m = min(batch, n_samples - done)
+        X1 = prop1.sample(rng, m)
+        if second is None:
+            Xs, dens = (X1,), prop1.density(X1)
+        else:
+            a2 = anchor.sample(rng, X1)
+            X2rel = prop2.sample(rng, m)
+            Xs = (X1, X2rel + a2[:, None, :])
+            dens = prop1.density(X1) * anchor.density(X1, a2) \
+                * prop2.density(X2rel)
+        rows = np.flatnonzero(_is_anchor_lexmin(X1) & (dens > 0))
         p = prob_fn(*(X[rows] for X in Xs))
         live = p != 0
         rows, p = rows[live], p[live]
         if rows.size:
-            w[rows] = p * kernel_fn(*(X[rows] for X in Xs)) \
+            weights[done + rows] = p * kernel_fn(*(X[rows] for X in Xs)) \
                 * factor / dens[rows]
-    return w
-
-
-def _cluster_pair_mc(phi, psi, beta, k, l, prob_fn, kernel_fn, n_samples,
-                     seed, anchor=None):
-    """Generic two-cluster importance-sampled integral.
-
-    The integrand is prob_fn(X1, X2) * kernel_fn(X1, X2) per sample; the
-    sorted indicators' combinatorial factors are applied here. The
-    second cluster's anchor comes from `anchor` (default: an
-    AnchorProposal around the first cluster).
-    """
-    rng = np.random.default_rng(seed)
-    prop1 = ClusterProposal(phi, k)
-    prop2 = ClusterProposal(psi, l)
-    if anchor is None:
-        anchor = AnchorProposal(phi, widen=float(l + 2))
-    factor = 1.0 / (math.factorial(k - 1) * math.factorial(l))
-    weights = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
-        m = min(_PAIR_BATCH, n_samples - done)
-        X1 = prop1.sample(rng, m)
-        a2 = anchor.sample(rng, X1)
-        X2rel = prop2.sample(rng, m)
-        X2 = X2rel + a2[:, None, :]
-        dens = prop1.density(X1) * anchor.density(X1, a2) * prop2.density(X2rel)
-        weights[done:done + m] = _importance_weights(
-            (X1, X2), dens, factor, prob_fn, kernel_fn)
-        done += m
-    return _mc_estimate(weights, beta ** (k + l))
-
-
-def _single_cluster_mc(phi, beta, k, prob_fn, kernel_fn, n_samples, seed):
-    """Importance-sampled integral of prob_fn(X) * kernel_fn(X) over one
-    anchored cluster."""
-    rng = np.random.default_rng(seed)
-    prop = ClusterProposal(phi, k)
-    factor = 1.0 / math.factorial(k - 1)
-    weights = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
-        m = min(_SINGLE_BATCH, n_samples - done)
-        X = prop.sample(rng, m)
-        weights[done:done + m] = _importance_weights(
-            (X,), prop.density(X), factor, prob_fn, kernel_fn)
-        done += m
-    return _mc_estimate(weights, beta ** k)
+    return _mc_estimate(weights, beta ** n_points)
 
 
 def _cluster_kernel(phi, beta, k):
@@ -581,13 +569,39 @@ def _cluster_kernel(phi, beta, k):
     return lambda X: np.exp(mixed_exponent(X, [phi] * k, beta))
 
 
-def _shared_tuple_mc(phi, psi, beta, k, diag_prob, n_samples, seed):
-    """Term of a second moment where both counts see the same k-tuple;
-    diag_prob maps (pe_phi, pe_psi) to the coupled class probability."""
-    return _single_cluster_mc(
-        phi, beta, k,
-        lambda X: diag_prob(_pair_values(X, phi), _pair_values(X, psi)),
-        _cluster_kernel(phi, beta, k), max(n_samples // 2, 1000), seed + 1)
+def _second_moment(k, l, prob1, prob2, diag_prob, kernel, phi, psi, beta,
+                   n_samples, seed, anchor=None, scale=1.0) -> MomentEstimate:
+    """A second moment of a count of k-clusters under phi and one of
+    l-clusters under psi; prob1 and prob2 map per-pair edge
+    probabilities to the clusters' class probabilities.
+
+    Two-cluster term: prob1 * prob2 * kernel(X1, X2), with the second
+    cluster's anchor drawn by `anchor` (default: an AnchorProposal around
+    the first cluster). Shared-tuple term, for equal orders only: both
+    counts see the same k-tuple and diag_prob maps (pe_phi, pe_psi) to
+    the coupled class probability; it has its own stream at seed + 1 and
+    max(n_samples // 2, 1000) draws, and is multiplied by `scale`.
+    """
+    if not phi.dominates(psi):
+        raise ValueError("psi must be dominated by phi")
+    if max(k, l) > ENUM_CAP:
+        raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
+    if anchor is None:
+        anchor = AnchorProposal(phi, widen=float(l + 2))
+    value, se = _importance_mc(
+        phi, beta, k, lambda X1, X2: prob1(_pair_values(X1, phi))
+        * prob2(_pair_values(X2, psi)), kernel, n_samples, seed,
+        second=(psi, l, anchor))
+    if k == l:
+        v2, se2 = _importance_mc(
+            phi, beta, k,
+            lambda X: diag_prob(_pair_values(X, phi), _pair_values(X, psi)),
+            _cluster_kernel(phi, beta, k), max(n_samples // 2, 1000),
+            seed + 1)
+        value, se = value + v2 * scale, math.hypot(se, se2 * scale)
+    return MomentEstimate(value=value, std_error=se, n_samples=n_samples,
+                          truncation_radius=phi.truncation_radius(),
+                          method="monte_carlo")
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +620,7 @@ def expected_count_intensity(G: GraphClass, phi: ConnectionFunction,
                               std_error=0.0, n_samples=0,
                               truncation_radius=trunc, method="closed_form")
 
-    value, se = _single_cluster_mc(
+    value, se = _importance_mc(
         phi, beta, k, lambda X: prob_isomorphic(_pair_values(X, phi), G),
         _cluster_kernel(phi, beta, k), n_samples, seed)
     return MomentEstimate(value=value, std_error=se, n_samples=n_samples,
@@ -637,16 +651,9 @@ def finite_window_cross_moment(G: GraphClass, H: GraphClass,
 
     First term: distinct tuples, weighted by the overlap volume of the
     window with its shift. Second term (equal orders): shared tuple with
-    the coupled joint class probability.
+    the coupled joint class probability, times the window volume.
     """
-    if not phi.dominates(psi):
-        raise ValueError("psi must be dominated by phi")
     k, l = G.order, H.order
-    trunc = phi.truncation_radius()
-
-    def prob(X1, X2):
-        return prob_isomorphic(_pair_values(X1, phi), G) \
-            * prob_isomorphic(_pair_values(X2, psi), H)
 
     def kernel(X1, X2):
         e = mixed_exponent(np.concatenate([X1, X2], axis=1),
@@ -660,64 +667,24 @@ def finite_window_cross_moment(G: GraphClass, H: GraphClass,
     # the anchor of the second cluster ranges over the whole difference
     # body of the window, not just near the first cluster: sample it
     # uniformly over the bounding box of the difference body
-    v1, se1 = _cluster_pair_mc(
-        phi, psi, beta, k, l, prob, kernel,
-        n_samples, seed, anchor=BoxAnchor(2.0 * window.extent, window.dim))
-
-    v2, se2 = 0.0, 0.0
-    if k == l:
-        v2, se2 = _shared_tuple_mc(
-            phi, psi, beta, k,
-            lambda a, b: joint_prob_coupled(a, b, G, H), n_samples, seed)
-        v2 *= window.volume
-        se2 *= window.volume
-    return MomentEstimate(value=v1 + v2,
-                          std_error=math.hypot(se1, se2),
-                          n_samples=n_samples, truncation_radius=trunc,
-                          method="monte_carlo")
-
-
-def _asy_cov_generic(phi, psi, beta, k, l, prob1, prob2, diag_prob,
-                     n_samples, seed) -> MomentEstimate:
-    """Common driver for the asymptotic covariance integrals.
-
-    prob1/prob2 map per-pair probability arrays to cluster probabilities;
-    diag_prob maps (pe_phi, pe_psi) to the shared-tuple probability, or
-    is None when k != l.
-    """
-    trunc = phi.truncation_radius()
-
-    def prob(X1, X2):
-        return prob1(_pair_values(X1, phi)) * prob2(_pair_values(X2, psi))
-
-    v1, se1 = _cluster_pair_mc(
-        phi, psi, beta, k, l, prob,
-        lambda X1, X2: q_kl(X1, X2, phi, psi, beta), n_samples, seed)
-    v2, se2 = 0.0, 0.0
-    if k == l and diag_prob is not None:
-        v2, se2 = _shared_tuple_mc(phi, psi, beta, k, diag_prob,
-                                   n_samples, seed)
-    return MomentEstimate(value=v1 + v2, std_error=math.hypot(se1, se2),
-                          n_samples=n_samples, truncation_radius=trunc,
-                          method="monte_carlo")
+    return _second_moment(
+        k, l, lambda pe: prob_isomorphic(pe, G),
+        lambda pe: prob_isomorphic(pe, H),
+        lambda a, b: joint_prob_coupled(a, b, G, H), kernel, phi, psi, beta,
+        n_samples, seed, anchor=BoxAnchor(2.0 * window.extent, window.dim),
+        scale=window.volume)
 
 
 def asy_cov(G: GraphClass, H: GraphClass, phi: ConnectionFunction,
             psi: ConnectionFunction, beta: float,
             n_samples: int = 200000, seed: int = 0) -> MomentEstimate:
     """Asymptotic covariance per unit volume of the two class counts."""
-    if not phi.dominates(psi):
-        raise ValueError("psi must be dominated by phi")
-    k, l = G.order, H.order
-    if max(k, l) > ENUM_CAP:
-        raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
-    return _asy_cov_generic(
-        phi, psi, beta, k, l,
-        prob1=lambda pe: prob_isomorphic(pe, G),
-        prob2=lambda pe: prob_isomorphic(pe, H),
-        diag_prob=(lambda a, b: joint_prob_coupled(a, b, G, H))
-        if k == l else None,
-        n_samples=n_samples, seed=seed)
+    return _second_moment(
+        G.order, H.order, lambda pe: prob_isomorphic(pe, G),
+        lambda pe: prob_isomorphic(pe, H),
+        lambda a, b: joint_prob_coupled(a, b, G, H),
+        lambda X1, X2: q_kl(X1, X2, phi, psi, beta), phi, psi, beta,
+        n_samples, seed)
 
 
 def asy_cov_kl(k: int, l: int, phi: ConnectionFunction,
@@ -729,16 +696,12 @@ def asy_cov_kl(k: int, l: int, phi: ConnectionFunction,
     with nested edge sets that event is connectivity of the sparser
     graph, so the diagonal uses the psi connectivity probability.
     """
-    if not phi.dominates(psi):
-        raise ValueError("psi must be dominated by phi")
-    if max(k, l) > ENUM_CAP:
-        raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
-    return _asy_cov_generic(
-        phi, psi, beta, k, l,
-        prob1=lambda pe: prob_connected(pe, k),
-        prob2=lambda pe: prob_connected(pe, l),
-        diag_prob=(lambda a, b: prob_connected(b, k)) if k == l else None,
-        n_samples=n_samples, seed=seed)
+    return _second_moment(
+        k, l, lambda pe: prob_connected(pe, k),
+        lambda pe: prob_connected(pe, l),
+        lambda a, b: prob_connected(b, k),
+        lambda X1, X2: q_kl(X1, X2, phi, psi, beta), phi, psi, beta,
+        n_samples, seed)
 
 
 def _asy_cov_matrix(classes, phi: ConnectionFunction, beta: float,

@@ -133,7 +133,8 @@ def test_config_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize("field", [
     {"k_max": -3}, {"k_max": 0}, {"k_max": "five"}, {"k_max": 2.5},
-    {"budgets": {"mc_samples": 0}}, {"budgets": {"inner": -1}},
+    {"budgets": {"mc_samples": 0}}, {"budgets": {"mc_samples": 1}},
+    {"budgets": {"inner": -1}},
     {"budgets": {"inner": "8"}}, {"budgets": [8]},
 ])
 def test_bad_k_max_and_budgets_are_config_errors(tmp_path, capsys, field):

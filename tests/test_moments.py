@@ -14,9 +14,9 @@ from rcmlab.census import (GraphClass, census, edge_class, enumerate_classes,
                            path_class, single_vertex_class)
 from rcmlab.connection import ConnectionFunction, radial_sampler
 from rcmlab.geometry import Window, unit_ball_volume
-from rcmlab.moments import (ENUM_CAP, AnchorProposal, ClusterProposal,
-                            asy_cov, asy_cov_kl, asy_var_quadratic,
-                            expected_count_intensity,
+from rcmlab.moments import (ENUM_CAP, AnchorProposal, BoxAnchor,
+                            ClusterProposal, asy_cov, asy_cov_kl,
+                            asy_var_quadratic, expected_count_intensity,
                             finite_window_cross_moment, indicator_union_exponent,
                             inner_exponent, iso_masks,
                             joint_prob_coupled, mixed_exponent, prob_connected,
@@ -624,3 +624,120 @@ def test_anchor_and_lexmin_point_share_one_order():
     assert _is_anchor_lexmin(X).tolist() == [False, True, False, True]
     assert np.array_equal(_is_anchor_lexmin(X),
                           np.all(_lexmin_points(X) == X[:, 0], axis=1))
+
+
+SCALED = ConnectionFunction("scaled_indicator", 2, r=1.0, p=0.5)
+
+
+def _same_draw_pair_term(phi, psi, k, l, prob1, prob2, kernel, beta, n, seed,
+                         anchor):
+    """The two-cluster term of a second moment from the draws the engine
+    makes at this seed (one batch): X1, then the anchor, then X2."""
+    rng = np.random.default_rng(seed)
+    prop1, prop2 = ClusterProposal(phi, k), ClusterProposal(psi, l)
+    X1 = prop1.sample(rng, n)
+    a2 = anchor.sample(rng, X1)
+    X2rel = prop2.sample(rng, n)
+    X2 = X2rel + a2[:, None, :]
+    dens = prop1.density(X1) * anchor.density(X1, a2) * prop2.density(X2rel)
+    ok = _is_anchor_lexmin(X1) & (dens > 0)
+    p = prob1(_pair_values(X1[ok], phi)) * prob2(_pair_values(X2[ok], psi))
+    w = np.zeros(n)
+    w[ok] = p * kernel(X1[ok], X2[ok]) \
+        * (1.0 / (math.factorial(k - 1) * math.factorial(l))) / dens[ok]
+    return _mc_estimate(w, beta ** (k + l))
+
+
+def _same_draw_shared_term(phi, psi, k, diag_prob, beta, n, seed):
+    """The shared-tuple term: its own stream at seed + 1 and
+    max(n // 2, 1000) draws of one phi cluster."""
+    n = max(n // 2, 1000)
+    prop = ClusterProposal(phi, k)
+    X = prop.sample(np.random.default_rng(seed + 1), n)
+    dens = prop.density(X)
+    ok = _is_anchor_lexmin(X) & (dens > 0)
+    p = diag_prob(_pair_values(X[ok], phi), _pair_values(X[ok], psi))
+    w = np.zeros(n)
+    w[ok] = p * np.exp(mixed_exponent(X[ok], [phi] * k, beta)) \
+        * (1.0 / math.factorial(k - 1)) / dens[ok]
+    return _mc_estimate(w, beta ** k)
+
+
+def test_window_cross_moment_equals_same_draw_reference():
+    G = H = edge_class()
+    k = l = 2
+    window, beta, n, seed = Window("box", 1.5, 2), 1.2, 3000, 44
+
+    def kernel(X1, X2):
+        # no phi edge between the clusters (Gilbert: exact 0/1 factors),
+        # the joint exponent, and the overlap weight at X2's lexmin point
+        cross = np.prod(1.0 - GILBERT.phi_of_dist(np.linalg.norm(
+            X1[:, :, None, :] - X2[:, None, :, :], axis=-1)), axis=(1, 2))
+        e = mixed_exponent(np.concatenate([X1, X2], axis=1),
+                           [GILBERT] * k + [SCALED] * l, beta)
+        ov = np.array([window_overlap_volume(window, min(map(tuple, x)))
+                       for x in X2.tolist()])
+        return cross * np.exp(e) * ov
+
+    v1, se1 = _same_draw_pair_term(
+        GILBERT, SCALED, k, l, lambda pe: prob_isomorphic(pe, G),
+        lambda pe: prob_isomorphic(pe, H), kernel, beta, n, seed,
+        BoxAnchor(2.0 * window.extent, window.dim))
+    v2, se2 = _same_draw_shared_term(
+        GILBERT, SCALED, k, lambda a, b: joint_prob_coupled(a, b, G, H),
+        beta, n, seed)
+    assert v1 != 0 and v2 != 0
+    est = finite_window_cross_moment(G, H, GILBERT, SCALED, window, beta,
+                                     n_samples=n, seed=seed)
+    assert (est.value, est.std_error) == (
+        v1 + v2 * window.volume,
+        math.hypot(se1, se2 * window.volume))
+
+
+def test_coupled_asy_cov_kl_equals_same_draw_reference():
+    k = l = 2
+    beta, n, seed = 1.0, 1500, 45
+    v1, se1 = _same_draw_pair_term(
+        GILBERT, SCALED, k, l, lambda pe: prob_connected(pe, k),
+        lambda pe: prob_connected(pe, l),
+        lambda X1, X2: q_kl(X1, X2, GILBERT, SCALED, beta), beta, n, seed,
+        AnchorProposal(GILBERT, widen=float(l + 2)))
+    # both coupled graphs connected is the psi graph connected; n // 2 is
+    # below the floor of 1000 shared-tuple draws
+    v2, se2 = _same_draw_shared_term(
+        GILBERT, SCALED, k, lambda a, b: prob_connected(b, k), beta, n, seed)
+    assert v1 != 0 and v2 != 0
+    est = asy_cov_kl(k, l, GILBERT, SCALED, beta, n_samples=n, seed=seed)
+    assert (est.value, est.std_error) == (v1 + v2, math.hypot(se1, se2))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_monte_carlo_budgets_below_two_are_refused(n):
+    W = Window("box", 2.0, 2)
+    calls = [
+        lambda: expected_count_intensity(path_class(3), GILBERT, 1.0,
+                                         n_samples=n),
+        lambda: asy_cov(edge_class(), path_class(3), GILBERT, GILBERT, 1.0,
+                        n_samples=n),
+        lambda: asy_cov_kl(2, 2, GILBERT, SCALED, 1.0, n_samples=n),
+        lambda: finite_window_cross_moment(edge_class(), edge_class(),
+                                           GILBERT, GILBERT, W, 1.0,
+                                           n_samples=n),
+        lambda: asy_var_quadratic([1.0], [edge_class()], GILBERT, 1.0,
+                                  n_samples=n),
+        lambda: sigma_total_partial(2, GILBERT, 1.0, n_samples=n),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+            call()
+    # the isolated-vertex intensity is a closed form and draws nothing
+    est = expected_count_intensity(single_vertex_class(), GILBERT, 1.0,
+                                   n_samples=n)
+    assert est.value == pytest.approx(RHO_1, rel=1e-12)
+
+
+def test_window_cross_moment_refuses_orders_beyond_enumeration_cap():
+    with pytest.raises(ValueError, match=f"enumeration cap {ENUM_CAP}"):
+        finite_window_cross_moment(path_class(ENUM_CAP + 1), edge_class(),
+                                   GILBERT, GILBERT, Window("box", 2.0, 2),
+                                   1.0, n_samples=50)
