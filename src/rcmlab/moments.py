@@ -18,7 +18,11 @@ restricted to configurations whose anchor is the lexicographic minimum.
 
 For the indicator kinds the interaction exponent is an
 inclusion-exclusion sum of ball intersection volumes, which one rule
-slices into (d-1)-dimensional ones in every dimension.
+slices into (d-1)-dimensional ones in every dimension. For the smooth
+kinds it is a tensor Gauss-Legendre integral over a box per row; the
+squared distance from a grid node to a point is the broadcast sum of
+per-axis squared offsets, and rows go in blocks of at most
+_BLOCK_ELEMENTS grid nodes, so no Python loop runs over the draws.
 
 Every Monte Carlo integrand is a graph probability times an interaction
 kernel (the exponential of the interaction exponent, or the two-cluster
@@ -190,8 +194,9 @@ def _gl_nodes(n: int):
     return _gl_cache[n]
 
 
-# Elements (rows x nodes^(d-1) x balls) of one block of
-# _balls_intersection_volume, which bounds its memory in any dimension.
+# Elements of one block of rows: rows x nodes^(d-1) x balls in
+# _balls_intersection_volume, rows x nodes^d grid nodes in
+# generic_union_exponent. It bounds their memory in any dimension.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -275,27 +280,44 @@ def generic_union_exponent(X: np.ndarray, funcs, beta: float,
 
     Works for any connection function kinds; the integration box covers
     every truncation ball. Used for smooth kinds where the subset
-    expansion does not apply.
+    expansion does not apply. X: (n, m, d).
+
+    The grid is a tensor product, so a node differs from a point by one
+    offset per axis: the squared distances are broadcast sums of per-axis
+    squared offsets, added in coordinate order as a Euclidean norm adds
+    them. Rows go in blocks of at most _BLOCK_ELEMENTS grid nodes (one
+    row at least); a row's value does not depend on its block.
     """
     n, m, d = X.shape
     reach = np.array([f.truncation_radius() for f in funcs])
     nodes, weights = _gl_nodes(n_nodes)
+    wts = weights
+    for _ in range(d - 1):
+        wts = np.multiply.outer(wts, weights)
+    wts = wts.ravel()
+    lo = np.min(X - reach[:, None], axis=1)
+    hi = np.max(X + reach[:, None], axis=1)
+    # axes[s, a] holds the nodes of axis a of row s's box
+    axes = lo[..., None] + (nodes + 1.0) * 0.5 * (hi - lo)[..., None]
+    scale = np.prod(0.5 * (hi - lo), axis=-1)
+    # axis a of the grid as a broadcast shape (rows, 1, .., n_nodes, .., 1)
+    shapes = [(-1,) + (1,) * a + (n_nodes,) + (1,) * (d - 1 - a)
+              for a in range(d)]
+    step = max(1, _BLOCK_ELEMENTS // len(wts))
     out = np.empty(n)
-    for s in range(n):
-        lo = np.min(X[s] - reach[:, None], axis=0)
-        hi = np.max(X[s] + reach[:, None], axis=0)
-        axes = [lo[a] + (nodes + 1.0) * 0.5 * (hi[a] - lo[a]) for a in range(d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        Y = np.stack([g.ravel() for g in grids], axis=-1)
-        prod = np.ones(len(Y))
+    for s in range(0, n, step):
+        prod = 1.0
         for i, f in enumerate(funcs):
-            dist = np.linalg.norm(Y - X[s, i], axis=1)
-            prod *= 1.0 - f.phi_of_dist(dist)
-        wts = weights
-        for _ in range(d - 1):
-            wts = np.multiply.outer(wts, weights)
-        scale = np.prod(0.5 * (hi - lo))
-        out[s] = np.sum((prod - 1.0) * wts.ravel()) * scale
+            off = (axes[s:s + step] - X[s:s + step, i, :, None]) ** 2
+            sq = off[:, 0].reshape(shapes[0])
+            for a in range(1, d):
+                sq = sq + off[:, a].reshape(shapes[a])
+            dist = np.sqrt(sq.reshape(len(off), -1))
+            prod = prod * (1.0 - f.phi_of_dist(dist))
+        # a row-wise sum, not a matrix-vector product: each row's value
+        # must not depend on its block
+        out[s:s + step] = np.sum((prod - 1.0) * wts, axis=-1) \
+            * scale[s:s + step]
     return beta * out
 
 
@@ -627,18 +649,26 @@ def expected_count_intensity(G: GraphClass, phi: ConnectionFunction,
                           truncation_radius=trunc, method="monte_carlo")
 
 
-def window_overlap_volume(window: Window, x) -> float:
-    """Volume of the window intersected with itself shifted by x."""
+def window_overlap_volume(window: Window, x):
+    """Volume of the window intersected with itself shifted by x: a float
+    for one shift x (d,), one volume per row for shifts x (..., d)."""
     x = np.asarray(x, dtype=float)
     if window.shape == "box":
-        return float(np.prod(np.maximum(0.0, 2.0 * window.extent - np.abs(x))))
-    t = float(np.linalg.norm(x))
-    R = window.extent
-    if t >= 2.0 * R:
-        return 0.0
-    # a lens of two caps of height R - t/2
-    return float(window.volume * betainc((window.dim + 1) / 2, 0.5,
-                                         1.0 - t ** 2 / (4.0 * R ** 2)))
+        vol = np.prod(np.maximum(0.0, 2.0 * window.extent - np.abs(x)),
+                      axis=-1)
+    else:
+        # one BLAS dot per row, as the norm of a single shift takes it
+        t = np.sqrt(np.vecdot(x, x))
+        R = window.extent
+        vol = np.zeros(t.shape)
+        lens = t < 2.0 * R
+        # a lens of two caps of height R - t/2; t^2 by libm's pow, as a
+        # Python float takes it (t * t rounds differently for about 8 t
+        # in 10,000)
+        vol[lens] = window.volume * betainc(
+            (window.dim + 1) / 2, 0.5,
+            1.0 - np.float_power(t[lens], 2) / (4.0 * R ** 2))
+    return float(vol) if vol.ndim == 0 else vol
 
 
 def finite_window_cross_moment(G: GraphClass, H: GraphClass,
@@ -660,8 +690,7 @@ def finite_window_cross_moment(G: GraphClass, H: GraphClass,
                            [phi] * k + [psi] * l, beta)
         # the counted anchor of the second cluster is its lexicographic
         # minimum, and the overlap weight is evaluated there
-        ov = np.array([window_overlap_volume(window, x)
-                       for x in _lexmin_points(X2)])
+        ov = window_overlap_volume(window, _lexmin_points(X2))
         return _cross_phibar(X1, X2, phi) * np.exp(e) * ov
 
     # the anchor of the second cluster ranges over the whole difference

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import betainc
 
 from rcmlab.census import (GraphClass, census, edge_class, enumerate_classes,
                            path_class, single_vertex_class)
@@ -22,8 +23,9 @@ from rcmlab.moments import (ENUM_CAP, AnchorProposal, BoxAnchor,
                             joint_prob_coupled, mixed_exponent, prob_connected,
                             prob_isomorphic, prufer_decode, q_kl,
                             sigma_total_partial, window_overlap_volume)
-from rcmlab.moments import (_balls_intersection_volume, _is_anchor_lexmin,
-                            _lexmin_points, _mc_estimate, _pair_values)
+from rcmlab.moments import (_balls_intersection_volume, _gl_nodes,
+                            _is_anchor_lexmin, _lexmin_points, _mc_estimate,
+                            _pair_values, generic_union_exponent)
 from rcmlab.sampling import build_rcm, seeded_sample
 
 GILBERT = ConnectionFunction("gilbert", 2, r=1.0)
@@ -741,3 +743,123 @@ def test_window_cross_moment_refuses_orders_beyond_enumeration_cap():
         finite_window_cross_moment(path_class(ENUM_CAP + 1), edge_class(),
                                    GILBERT, GILBERT, Window("box", 2.0, 2),
                                    1.0, n_samples=50)
+
+
+# ---------------------------------------------------------------------------
+# smooth-kind exponent and overlap volumes against per-sample references
+
+def _per_sample_union_exponent(X, funcs, beta, n_nodes=48):
+    """generic_union_exponent one sample at a time, on the materialised
+    tensor grid: the reference the batched kernel must match bit for bit."""
+    n, m, d = X.shape
+    reach = np.array([f.truncation_radius() for f in funcs])
+    nodes, weights = _gl_nodes(n_nodes)
+    out = np.empty(n)
+    for s in range(n):
+        lo = np.min(X[s] - reach[:, None], axis=0)
+        hi = np.max(X[s] + reach[:, None], axis=0)
+        axes = [lo[a] + (nodes + 1.0) * 0.5 * (hi[a] - lo[a]) for a in range(d)]
+        grids = np.meshgrid(*axes, indexing="ij")
+        Y = np.stack([g.ravel() for g in grids], axis=-1)
+        prod = np.ones(len(Y))
+        for i, f in enumerate(funcs):
+            dist = np.linalg.norm(Y - X[s, i], axis=1)
+            prod *= 1.0 - f.phi_of_dist(dist)
+        wts = weights
+        for _ in range(d - 1):
+            wts = np.multiply.outer(wts, weights)
+        scale = np.prod(0.5 * (hi - lo))
+        out[s] = np.sum((prod - 1.0) * wts.ravel()) * scale
+    return beta * out
+
+
+def _smooth_funcs(d, m):
+    gauss = ConnectionFunction("gaussian", d, s=1.0)
+    expo = ConnectionFunction("exponential", d, theta=0.4)
+    gilbert = ConnectionFunction("gilbert", d, r=0.8)
+    return {"gaussian": [gauss] * m, "exponential": [expo] * m,
+            "mixed": [(gauss, expo, gilbert)[i % 3] for i in range(m)]}
+
+
+@pytest.mark.parametrize("block", [1, 2 ** 30])
+@pytest.mark.parametrize("n_nodes", [48, 96])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_generic_union_exponent_equals_per_sample_loop(monkeypatch, d,
+                                                       n_nodes, block):
+    # one block per row, or every row in one block: a row's value must
+    # not depend on its block
+    from rcmlab import moments
+    monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(100 * d + n_nodes)
+    n = 2 if (d, n_nodes) == (3, 96) else 7
+    for m in range(1, 5):
+        for kind, funcs in _smooth_funcs(d, m).items():
+            X = rng.normal(scale=0.8, size=(n, m, d))
+            got = generic_union_exponent(X, funcs, 1.3, n_nodes=n_nodes)
+            ref = _per_sample_union_exponent(X, funcs, 1.3, n_nodes)
+            assert np.array_equal(got, ref), (kind, m)
+
+
+def test_generic_union_exponent_of_no_rows():
+    out = generic_union_exponent(np.zeros((0, 2, 2)), [GAUSS] * 2, 1.0)
+    assert out.shape == (0,)
+
+
+def _scalar_overlap_volume(window, x):
+    """window_overlap_volume for one shift, as a scalar formula."""
+    x = np.asarray(x, dtype=float)
+    if window.shape == "box":
+        return float(np.prod(np.maximum(0.0, 2.0 * window.extent - np.abs(x))))
+    t = float(np.linalg.norm(x))
+    R = window.extent
+    if t >= 2.0 * R:
+        return 0.0
+    return float(window.volume * betainc((window.dim + 1) / 2, 0.5,
+                                         1.0 - t ** 2 / (4.0 * R ** 2)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["box", "ball"])
+def test_window_overlap_volume_rows_equal_scalar_reference(shape, d):
+    window = Window(shape, 1.3, d)
+    # shifts inside and beyond the difference body 2W
+    x = np.random.default_rng(d).uniform(-3.0, 3.0, size=(5000, d))
+    rows = window_overlap_volume(window, x)
+    ref = np.array([_scalar_overlap_volume(window, p) for p in x])
+    assert 0 < np.count_nonzero(ref) < len(x)
+    assert np.array_equal(rows, ref)
+    one = [window_overlap_volume(window, p) for p in x[:200]]
+    assert all(type(v) is float for v in one)
+    assert np.array_equal(one, ref[:200])
+    assert window_overlap_volume(window, x[:0]).shape == (0,)
+
+
+GAUSS_NARROW = ConnectionFunction("gaussian", 2, s=0.6)
+EXPO_1D = ConnectionFunction("exponential", 1, theta=1.0)
+
+_SMOOTH_ESTIMATES = {
+    "asy_cov-edge-vertex": lambda: asy_cov(
+        edge_class(), single_vertex_class(), GAUSS, GAUSS_NARROW, 1.0,
+        n_samples=400, seed=61),
+    "asy_cov_kl-2-2": lambda: asy_cov_kl(2, 2, GAUSS, GAUSS, 1.0,
+                                         n_samples=400, seed=62),
+    "window-box": lambda: finite_window_cross_moment(
+        edge_class(), edge_class(), GAUSS, GAUSS, Window("box", 2.0, 2), 1.0,
+        n_samples=400, seed=63),
+    "window-ball": lambda: finite_window_cross_moment(
+        edge_class(), edge_class(), GAUSS, GAUSS, Window("ball", 2.0, 2),
+        1.0, n_samples=400, seed=64),
+    "intensity-path3-d1": lambda: expected_count_intensity(
+        path_class(3), EXPO_1D, 1.0, n_samples=2000, seed=65),
+}
+
+
+@pytest.mark.parametrize("name", list(_SMOOTH_ESTIMATES))
+def test_smooth_estimates_equal_per_sample_loop_estimates(monkeypatch, name):
+    from rcmlab import moments
+    est = _SMOOTH_ESTIMATES[name]()
+    monkeypatch.setattr(moments, "generic_union_exponent",
+                        _per_sample_union_exponent)
+    ref = _SMOOTH_ESTIMATES[name]()
+    assert est.value != 0
+    assert est == ref
