@@ -15,6 +15,7 @@ precondition is violated.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -45,7 +46,9 @@ def _add_common(p: argparse.ArgumentParser):
                    help="worker threads (RCMLAB_THREADS overrides)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rcmlab argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rcmlab",
         description="Random connection model simulation and validation")

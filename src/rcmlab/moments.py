@@ -16,25 +16,37 @@ integrand is symmetric under relabeling the free points of a cluster, so
 1{x_1 < ... < x_k} integrates to 1/(k-1)! times the unsorted integrand
 restricted to configurations whose anchor is the lexicographic minimum.
 
+Class probabilities are sums of band products over a class's labeled
+copies (for the coupled shared-tuple term, over the cached pairs of
+nested copies); many copies go through one numpy pass, in blocks of at
+most _BLOCK_ELEMENTS products, and are added one at a time in a fixed
+order.
+
 For the indicator kinds the interaction exponent is an
 inclusion-exclusion sum of ball intersection volumes, which one rule
-slices into (d-1)-dimensional ones in every dimension. For the smooth
-kinds it is a tensor Gauss-Legendre integral over a box per row; the
-squared distance from a grid node to a point is the broadcast sum of
-per-axis squared offsets, and rows go in blocks of at most
-_BLOCK_ELEMENTS grid nodes, so no Python loop runs over the draws.
+slices into (d-1)-dimensional ones in every dimension. The terms go in
+one (subsets x rows) table: one matrix product with the
+pair-disjointness matrix finds the active subsets, the active subsets
+of one size go to the volume rule together, and rows go in blocks of at
+most _BLOCK_ELEMENTS table entries, which bounds the memory up to the
+2 * ENUM_CAP points of a covariance. `q_kl` reads the joint exponent
+and both cluster exponents from one table. For the smooth kinds it is
+a tensor Gauss-Legendre integral over a box per row; the squared
+distance from a grid node to a point is the broadcast sum of per-axis
+squared offsets, and rows go in blocks of at most _BLOCK_ELEMENTS grid
+nodes, so no Python loop runs over the draws.
 
 Every Monte Carlo integrand is a graph probability times an interaction
 kernel (the exponential of the interaction exponent, or the two-cluster
 kernel), and one driver, `_importance_mc`, estimates them all, over one
-cluster or two; it refuses fewer than 2 draws. It evaluates the
-probability only on draws that pass the lexmin test and have positive
-proposal density, and the costly kernel only on those of them whose
-probability is nonzero; for the indicator kinds that is a small share
-of the draws. Every reduction in the kernels runs row by row, so a
-draw's kernel value does not depend on which other draws share its
-batch, and each estimate is bit for bit the one a kernel evaluated on
-every draw would give.
+cluster or two; it refuses fewer than 2 draws. It takes proposal
+densities only on draws that pass the lexmin test, evaluates the
+probability only on those of them with positive density, and the costly
+kernel only on those whose probability is nonzero; for the indicator
+kinds that is a small share of the draws. Every reduction runs row by
+row, so a draw's density and kernel value do not depend on which other
+draws share its batch, and each estimate is bit for bit the one an
+evaluation of every draw would give.
 
 Every second moment (`asy_cov`, `asy_cov_kl`,
 `finite_window_cross_moment`) is one call of `_second_moment`: a
@@ -57,6 +69,15 @@ from .connection import ConnectionFunction, RadialProposal
 from .geometry import Window, unit_ball_volume
 
 ENUM_CAP = 6
+
+# Elements of one block: (copy, sample) band products in
+# _sum_band_products, (subset, row) terms in _inclusion_exclusion, rows x
+# nodes^(d-1) x balls in _blocked_volume, rows x nodes^d grid nodes in
+# generic_union_exponent. It bounds their memory in any dimension. A
+# block's float temporaries take 128 KiB; at 256 KiB glibc's malloc gave
+# the freed heap top back to the system after most ball-volume blocks,
+# and every block faulted it in again.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -89,6 +110,7 @@ def _pair_values(X: np.ndarray, func: ConnectionFunction) -> np.ndarray:
 
 
 _iso_cache: dict = {}
+_nested_cache: dict = {}
 
 
 def iso_masks(G: GraphClass):
@@ -101,17 +123,37 @@ def iso_masks(G: GraphClass):
     return _iso_cache[G]
 
 
+def _sum_band_products(bands: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """sum over copies c of prod_e bands[codes[c, e], :, e], per sample.
+
+    bands: (b, n, npairs), b per-pair probabilities; codes: (copies,
+    npairs), the band of every pair of every labeled copy. Copies go in
+    blocks of at most _BLOCK_ELEMENTS (copy, sample) products. A product
+    multiplies its pairs in order, as np.prod does, and the copies are
+    added one at a time in order, so the sum is bit for bit a loop over
+    copies.
+    """
+    bands = np.ascontiguousarray(bands.transpose(0, 2, 1))
+    n = bands.shape[2]
+    out = np.zeros(n)
+    step = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    for s in range(0, len(codes), step):
+        block = codes[s:s + step]
+        prods = np.ones((len(block), n))
+        for e in range(block.shape[1]):
+            prods *= bands[block[:, e], e]
+        for row in prods:
+            out += row
+    return out
+
+
 def prob_isomorphic(pe: np.ndarray, G: GraphClass) -> np.ndarray:
     """P(labeled RCM on the tuple is isomorphic to G) per sample.
 
     pe holds the per-pair edge probabilities in upper-triangular order.
     """
-    masks = iso_masks(G)
-    qe = 1.0 - pe
-    out = np.zeros(len(pe))
-    for bits in masks:
-        out += np.prod(np.where(bits[None, :], pe, qe), axis=1)
-    return out
+    return _sum_band_products(np.stack([1.0 - pe, pe]),
+                              iso_masks(G).astype(np.intp))
 
 
 def prob_connected(pe: np.ndarray, k: int) -> np.ndarray:
@@ -168,18 +210,20 @@ def joint_prob_coupled(pe_phi: np.ndarray, pe_psi: np.ndarray,
     """
     if G.order != H.order:
         return np.zeros(len(pe_phi))
-    both = pe_psi
-    only_phi = pe_phi - pe_psi
-    neither = 1.0 - pe_phi
-    out = np.zeros(len(pe_phi))
-    for mphi in iso_masks(G):
-        for mpsi in iso_masks(H):
-            if np.any(mpsi & ~mphi):
-                continue
-            band = np.where(mpsi[None, :], both,
-                            np.where(mphi[None, :], only_phi, neither))
-            out += np.prod(band, axis=1)
-    return out
+    bands = np.stack([1.0 - pe_phi, pe_phi - pe_psi, pe_psi])
+    return _sum_band_products(bands, _nested_codes(G, H))
+
+
+def _nested_codes(G: GraphClass, H: GraphClass) -> np.ndarray:
+    """Band codes (0 neither, 1 phi only, 2 both) of the pairs of every
+    G-copy and H-copy with the H-copy's edges inside the G-copy's, G-copies
+    outer and H-copies inner."""
+    if (G, H) not in _nested_cache:
+        mphi, mpsi = iso_masks(G), iso_masks(H)
+        nested = ~np.any(mpsi[None, :, :] & ~mphi[:, None, :], axis=2)
+        i, j = np.nonzero(nested)
+        _nested_cache[(G, H)] = mphi[i].astype(np.intp) + mpsi[j]
+    return _nested_cache[(G, H)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +236,6 @@ def _gl_nodes(n: int):
     if n not in _gl_cache:
         _gl_cache[n] = roots_legendre(n)
     return _gl_cache[n]
-
-
-# Elements of one block of rows: rows x nodes^(d-1) x balls in
-# _balls_intersection_volume, rows x nodes^d grid nodes in
-# generic_union_exponent. It bounds their memory in any dimension.
-_BLOCK_ELEMENTS = 1 << 15
 
 
 def _sliced_volume(centers: np.ndarray, radii: np.ndarray,
@@ -220,6 +258,18 @@ def _sliced_volume(centers: np.ndarray, radii: np.ndarray,
     return 0.5 * width * np.sum(area * weights, axis=-1)
 
 
+def _blocked_volume(centers: np.ndarray, radii: np.ndarray,
+                    n_nodes: int) -> np.ndarray:
+    """_sliced_volume of centers (m, n, d) and radii (m, n), n rows of m
+    balls, in blocks of at most _BLOCK_ELEMENTS rows x nodes^(d-1) x
+    balls; a row's volume does not depend on its block."""
+    m, n, d = centers.shape
+    step = max(1, _BLOCK_ELEMENTS // (n_nodes ** (d - 1) * m))
+    return np.concatenate([
+        _sliced_volume(centers[:, s:s + step], radii[:, s:s + step], n_nodes)
+        for s in range(0, n, step)])
+
+
 def _balls_intersection_volume(centers: np.ndarray, radii: np.ndarray,
                                n_nodes: int = 64) -> np.ndarray:
     """Volume of the intersection of balls B(c_i, r_i), batched.
@@ -227,15 +277,83 @@ def _balls_intersection_volume(centers: np.ndarray, radii: np.ndarray,
     centers: (n, m, d); radii: (n, m). The slice at x_1 = t is the
     intersection of the (d-1)-balls B(c_i[1:], sqrt(r_i^2 - (t - c_i1)^2)),
     so the volume is a Gauss-Legendre integral (n_nodes) over t of slice
-    volumes, down to exact interval lengths in d = 1. Rows go in blocks
-    of at most _BLOCK_ELEMENTS; a row's volume does not depend on its block.
+    volumes, down to exact interval lengths in d = 1.
     """
-    n, m, d = centers.shape
-    step = max(1, _BLOCK_ELEMENTS // (n_nodes ** (d - 1) * m))
-    centers, radii = centers.transpose(1, 0, 2), radii.T
-    return np.concatenate([
-        _sliced_volume(centers[:, s:s + step], radii[:, s:s + step], n_nodes)
-        for s in range(0, n, step)])
+    return _blocked_volume(centers.transpose(1, 0, 2), radii.T, n_nodes)
+
+
+_subset_cache: dict = {}
+
+
+def _subsets(m: int):
+    """The nonempty subsets of m points, row s for bitmask s + 1: their
+    member matrix (2^m - 1, m), which point pairs each holds (float
+    (2^m - 1, npairs), pairs in np.triu_indices order), and per size
+    >= 2 the subsets of that size in increasing bitmask order with their
+    members in increasing order."""
+    if m not in _subset_cache:
+        member = (np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1 == 1
+        i, j = np.triu_indices(m, 1)
+        holds = (member[:, i] & member[:, j]).astype(float)
+        size = member.sum(axis=1)
+        by_size = []
+        for s in range(2, m + 1):
+            subs = np.flatnonzero(size == s)
+            by_size.append((subs, np.nonzero(member[subs])[1].reshape(-1, s)))
+        _subset_cache[m] = member, holds, by_size
+    return _subset_cache[m]
+
+
+def _inclusion_exclusion(X: np.ndarray, radii: np.ndarray,
+                         scales: np.ndarray, n_nodes: int = 64,
+                         split: int | None = None):
+    """Sums of the inclusion-exclusion terms of indicator_union_exponent
+    (without the factor beta): over all point subsets, and with split = k
+    also over the subsets of the first k points and of the others.
+
+    The terms go in one (subsets x rows) table, rows in blocks of at most
+    _BLOCK_ELEMENTS table entries (one row at least). A subset of two or
+    more points is active on a row unless two of its balls are disjoint;
+    one product of the pair-disjointness matrix with the subsets' pair
+    matrix finds them all, and the active subsets of one size go to
+    _blocked_volume together. Each row's terms are added in increasing
+    bitmask order, as a loop over subsets adds them.
+    """
+    n, m, d = X.shape
+    member, holds, by_size = _subsets(m)
+    iu = np.triu_indices(m, 1)
+    disjoint = (_pair_dists(X) >= (radii[iu[0]] + radii[iu[1]])[None, :]
+                ).astype(float)
+    coef = np.prod(np.where(member, -scales, 1.0), axis=1)
+    single = [unit_ball_volume(d) * radii[i] ** d for i in range(m)]
+    if split is not None:
+        # the subsets of the first k points are the bitmasks below 2^k,
+        # those of the others the multiples of 2^k below 2^m
+        first = (1 << split) - 2
+        rest = (np.arange(1, 1 << (m - split)) << split) - 1
+    sums = [np.empty(n) for _ in range(1 if split is None else 3)]
+    step = max(1, _BLOCK_ELEMENTS // len(member))
+    for r in range(0, n, step):
+        nb = min(step, n - r)
+        table = np.zeros((len(member), nb))
+        for i in range(m):
+            table[(1 << i) - 1] = coef[(1 << i) - 1] * single[i]
+        active = holds @ disjoint[r:r + nb].T == 0
+        for subs, members in by_size:
+            sub, row = np.nonzero(active[subs])
+            if not sub.size:
+                continue
+            # (balls, entries) in C order, so the volume's temporaries are
+            # contiguous along the nodes axis it sums over
+            idx = np.ascontiguousarray(members[sub].T)
+            vol = _blocked_volume(X[r + row, idx], radii[idx], n_nodes)
+            table[subs[sub], row] = coef[subs[sub]] * vol
+        total = np.add.accumulate(table, axis=0)
+        sums[0][r:r + nb] = total[-1]
+        if split is not None:
+            sums[1][r:r + nb] = total[first]
+            sums[2][r:r + nb] = np.add.accumulate(table[rest], axis=0)[-1]
+    return sums
 
 
 def indicator_union_exponent(X: np.ndarray, radii, scales,
@@ -245,32 +363,8 @@ def indicator_union_exponent(X: np.ndarray, radii, scales,
     Exact inclusion-exclusion over point subsets; each term is a volume
     of an intersection of balls. X: (n, m, d).
     """
-    n, m, d = X.shape
-    radii = np.asarray(radii, dtype=float)
-    scales = np.asarray(scales, dtype=float)
-    iu = np.triu_indices(m, 1)
-    disjoint = _pair_dists(X) >= (radii[iu[0]] + radii[iu[1]])[None, :]
-    total = np.zeros(n)
-    for sub in range(1, 1 << m):
-        members = [i for i in range(m) if (sub >> i) & 1]
-        coef = np.prod(-scales[members])
-        if len(members) == 1:
-            i = members[0]
-            vol = np.full(n, unit_ball_volume(d) * radii[i] ** d)
-            total = total + coef * vol
-            continue
-        active = np.ones(n, dtype=bool)
-        for e, (i, j) in enumerate(zip(*iu)):
-            if (sub >> int(i)) & 1 and (sub >> int(j)) & 1:
-                active &= ~disjoint[:, e]
-        if not active.any():
-            continue
-        vol = np.zeros(n)
-        centers = X[active][:, members, :]
-        vol[active] = _balls_intersection_volume(
-            centers, np.broadcast_to(radii[members], centers.shape[:2]),
-            n_nodes=n_nodes)
-        total = total + coef * vol
+    (total,) = _inclusion_exclusion(X, np.asarray(radii, dtype=float),
+                                    np.asarray(scales, dtype=float), n_nodes)
     return beta * total
 
 
@@ -367,13 +461,20 @@ def q_kl(X1: np.ndarray, X2: np.ndarray, phi: ConnectionFunction,
     X1: (n, k, d) first cluster (anchored at 0), X2: (n, l, d) second
     cluster. Value: cross product of phibar over inter-cluster pairs
     times the joint exponent, minus the product of the two separate
-    cluster exponents.
+    cluster exponents. For indicator kinds the three exponents come from
+    one inclusion-exclusion table: the cluster exponents sum its subsets
+    inside X1 and inside X2.
     """
     k, l = X1.shape[1], X2.shape[1]
     Xall = np.concatenate([X1, X2], axis=1)
-    e_joint = mixed_exponent(Xall, [phi] * k + [psi] * l, beta)
-    e1 = mixed_exponent(X1, [phi] * k, beta)
-    e2 = mixed_exponent(X2, [psi] * l, beta)
+    if _is_indicator(phi) and _is_indicator(psi):
+        e_joint, e1, e2 = (beta * e for e in _inclusion_exclusion(
+            Xall, np.array([phi.r] * k + [psi.r] * l),
+            np.array([phi.p] * k + [psi.p] * l), split=k))
+    else:
+        e_joint = mixed_exponent(Xall, [phi] * k + [psi] * l, beta)
+        e1 = mixed_exponent(X1, [phi] * k, beta)
+        e2 = mixed_exponent(X2, [psi] * l, beta)
     return _cross_phibar(X1, X2, phi) * np.exp(e_joint) - np.exp(e1 + e2)
 
 
@@ -548,9 +649,10 @@ def _importance_mc(phi, beta, k, prob_fn, kernel_fn, n_samples, seed,
     points whose anchor `anchor` draws given the first. Each batch reads
     the stream as X1, then the anchor, then X2. The sorted indicators'
     combinatorial factors are applied here. Rows whose first cluster is
-    not anchored at its lexicographic minimum, or whose proposal density
-    is 0, get weight 0 and no probability; rows whose probability is 0
-    get weight 0 and no kernel.
+    not anchored at its lexicographic minimum get weight 0 and no
+    proposal density; rows whose proposal density is 0 get weight 0 and
+    no probability; rows whose probability is 0 get weight 0 and no
+    kernel.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -569,20 +671,24 @@ def _importance_mc(phi, beta, k, prob_fn, kernel_fn, n_samples, seed,
         m = min(batch, n_samples - done)
         X1 = prop1.sample(rng, m)
         if second is None:
-            Xs, dens = (X1,), prop1.density(X1)
+            Xs = (X1,)
         else:
             a2 = anchor.sample(rng, X1)
             X2rel = prop2.sample(rng, m)
             Xs = (X1, X2rel + a2[:, None, :])
-            dens = prop1.density(X1) * anchor.density(X1, a2) \
-                * prop2.density(X2rel)
-        rows = np.flatnonzero(_is_anchor_lexmin(X1) & (dens > 0))
+        rows = np.flatnonzero(_is_anchor_lexmin(X1))
+        dens = prop1.density(X1[rows])
+        if second is not None:
+            dens = dens * anchor.density(X1[rows], a2[rows]) \
+                * prop2.density(X2rel[rows])
+        keep = dens > 0
+        rows, dens = rows[keep], dens[keep]
         p = prob_fn(*(X[rows] for X in Xs))
         live = p != 0
-        rows, p = rows[live], p[live]
+        rows, p, dens = rows[live], p[live], dens[live]
         if rows.size:
             weights[done + rows] = p * kernel_fn(*(X[rows] for X in Xs)) \
-                * factor / dens[rows]
+                * factor / dens
     return _mc_estimate(weights, beta ** n_points)
 
 

@@ -3,6 +3,7 @@ asymptotic covariances."""
 
 import itertools
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -11,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import betainc
 
-from rcmlab.census import (GraphClass, census, edge_class, enumerate_classes,
-                           path_class, single_vertex_class)
+from rcmlab.census import (GraphClass, canonical_form, census, edge_class,
+                           enumerate_classes, path_class, single_vertex_class)
 from rcmlab.connection import ConnectionFunction, radial_sampler
 from rcmlab.geometry import Window, unit_ball_volume
 from rcmlab.moments import (ENUM_CAP, AnchorProposal, BoxAnchor,
@@ -25,7 +26,7 @@ from rcmlab.moments import (ENUM_CAP, AnchorProposal, BoxAnchor,
                             sigma_total_partial, window_overlap_volume)
 from rcmlab.moments import (_balls_intersection_volume, _gl_nodes,
                             _is_anchor_lexmin, _lexmin_points, _mc_estimate,
-                            _pair_values, generic_union_exponent)
+                            _pair_dists, _pair_values, generic_union_exponent)
 from rcmlab.sampling import build_rcm, seeded_sample
 
 GILBERT = ConnectionFunction("gilbert", 2, r=1.0)
@@ -863,3 +864,287 @@ def test_smooth_estimates_equal_per_sample_loop_estimates(monkeypatch, name):
     ref = _SMOOTH_ESTIMATES[name]()
     assert est.value != 0
     assert est == ref
+
+
+# ---------------------------------------------------------------------------
+# Gilbert-kind kernels and _importance_mc against their loop references
+
+def _per_subset_union_exponent(X, radii, scales, beta, n_nodes=64):
+    """indicator_union_exponent one point subset at a time: the reference
+    the subset table must match bit for bit."""
+    n, m, d = X.shape
+    radii = np.asarray(radii, dtype=float)
+    scales = np.asarray(scales, dtype=float)
+    iu = np.triu_indices(m, 1)
+    disjoint = _pair_dists(X) >= (radii[iu[0]] + radii[iu[1]])[None, :]
+    total = np.zeros(n)
+    for sub in range(1, 1 << m):
+        members = [i for i in range(m) if (sub >> i) & 1]
+        coef = np.prod(-scales[members])
+        if len(members) == 1:
+            i = members[0]
+            vol = np.full(n, unit_ball_volume(d) * radii[i] ** d)
+            total = total + coef * vol
+            continue
+        active = np.ones(n, dtype=bool)
+        for e, (i, j) in enumerate(zip(*iu)):
+            if (sub >> int(i)) & 1 and (sub >> int(j)) & 1:
+                active &= ~disjoint[:, e]
+        if not active.any():
+            continue
+        vol = np.zeros(n)
+        centers = X[active][:, members, :]
+        vol[active] = _balls_intersection_volume(
+            centers, np.broadcast_to(radii[members], centers.shape[:2]),
+            n_nodes=n_nodes)
+        total = total + coef * vol
+    return beta * total
+
+
+@pytest.mark.parametrize("block", [1, 2 ** 30])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_indicator_union_exponent_equals_per_subset_loop(monkeypatch, d,
+                                                         block):
+    # one row and one ball intersection per block, or everything in one
+    # block: a row's value must not depend on its block
+    from rcmlab import moments
+    monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(10 * d + (block > 1))
+    for m in (1, 2, 3, 4, 5, 6, 8):
+        n = 3 if m == 8 else 6
+        # unequal radii and scales; spread enough that some subsets are
+        # active on some rows only
+        X = rng.uniform(-1.2, 1.2, size=(n, m, d))
+        radii = rng.uniform(0.4, 1.1, size=m)
+        scales = rng.uniform(0.3, 1.0, size=m)
+        got = indicator_union_exponent(X, radii, scales, 1.3)
+        ref = _per_subset_union_exponent(X, radii, scales, 1.3)
+        assert np.array_equal(got, ref), m
+
+
+def test_indicator_union_exponent_of_no_rows_and_no_active_subset():
+    out = indicator_union_exponent(np.zeros((0, 3, 2)), [1.0] * 3, [1.0] * 3,
+                                   1.0)
+    assert out.shape == (0,)
+    # balls at distance 10: no subset of two or more points is active
+    X = 10.0 * np.arange(4.0)[None, :, None] * np.ones((5, 4, 2))
+    radii, scales = [1.0, 0.5, 0.8, 1.2], [0.3, 1.0, 0.6, 0.9]
+    got = indicator_union_exponent(X, radii, scales, 1.3)
+    assert np.array_equal(got, _per_subset_union_exponent(X, radii, scales,
+                                                          1.3))
+    assert got == pytest.approx(-1.3 * math.pi * np.dot(
+        scales, np.square(radii)), rel=1e-12)
+
+
+def test_indicator_union_exponent_memory_is_bounded():
+    # m = 12 is the largest order asy_cov reaches at ENUM_CAP; a full
+    # (4095 subsets x 300 rows) float table would take 9.8 MB. Points
+    # spread over a wide box leave few subsets active, which keeps the
+    # call short.
+    m, n, bound = 2 * ENUM_CAP, 300, 4_000_000
+    assert ((1 << m) - 1) * n * 8 > 2 * bound
+    X = np.random.default_rng(5).uniform(-6.0, 6.0, size=(n, m, 2))
+    indicator_union_exponent(X[:2], [1.0] * m, [0.7] * m, 1.0)
+    tracemalloc.start()
+    try:
+        indicator_union_exponent(X, [1.0] * m, [0.7] * m, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def _three_call_q_kl(X1, X2, phi, psi, beta):
+    """q_kl with the joint and the two cluster exponents from three
+    separate calls."""
+    k, l = X1.shape[1], X2.shape[1]
+    e_joint = mixed_exponent(np.concatenate([X1, X2], axis=1),
+                             [phi] * k + [psi] * l, beta)
+    e1 = mixed_exponent(X1, [phi] * k, beta)
+    e2 = mixed_exponent(X2, [psi] * l, beta)
+    cross = np.prod(1.0 - phi.phi_of_dist(np.linalg.norm(
+        X1[:, :, None, :] - X2[:, None, :, :], axis=-1)), axis=(1, 2))
+    return cross * np.exp(e_joint) - np.exp(e1 + e2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_q_kl_exponents_equal_three_separate_calls(d):
+    rng = np.random.default_rng(70 + d)
+    phi = ConnectionFunction("gilbert", d, r=1.0)
+    psi = ConnectionFunction("scaled_indicator", d, r=0.7, p=0.6)
+    for k, l in [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3)]:
+        for second in (phi, psi):
+            X1 = rng.uniform(-0.8, 0.8, size=(40, k, d))
+            X2 = rng.uniform(-0.8, 0.8, size=(40, l, d)) \
+                + rng.uniform(-2.0, 2.0, size=(40, 1, d))
+            got = q_kl(X1, X2, phi, second, 1.2)
+            ref = _three_call_q_kl(X1, X2, phi, second, 1.2)
+            assert np.any(got != 0), (k, l)
+            assert np.array_equal(got, ref), (k, l)
+
+
+def _per_copy_prob_isomorphic(pe, G):
+    """prob_isomorphic one labeled copy at a time."""
+    qe = 1.0 - pe
+    out = np.zeros(len(pe))
+    for bits in iso_masks(G):
+        out += np.prod(np.where(bits[None, :], pe, qe), axis=1)
+    return out
+
+
+def _per_copy_joint_prob_coupled(pe_phi, pe_psi, G, H):
+    """joint_prob_coupled one nested pair of copies at a time."""
+    if G.order != H.order:
+        return np.zeros(len(pe_phi))
+    out = np.zeros(len(pe_phi))
+    for mphi in iso_masks(G):
+        for mpsi in iso_masks(H):
+            if np.any(mpsi & ~mphi):
+                continue
+            band = np.where(mpsi[None, :], pe_psi,
+                            np.where(mphi[None, :], pe_phi - pe_psi,
+                                     1.0 - pe_phi))
+            out += np.prod(band, axis=1)
+    return out
+
+
+def _star(k):
+    adj = np.zeros((k, k), dtype=bool)
+    adj[0, 1:] = adj[1:, 0] = True
+    return canonical_form(adj)
+
+
+def _edge_probabilities(rng, n, k):
+    """Per-pair probabilities with exact 0s and 1s, as Gilbert kinds
+    give, and values between; psi's below phi's."""
+    npairs = k * (k - 1) // 2
+    pe_phi = rng.choice([0.0, 1.0, 0.3, 0.85], size=(n, npairs))
+    pe_phi[n // 2:] = rng.uniform(0.0, 1.0, size=(n - n // 2, npairs))
+    pe_psi = pe_phi * rng.choice([0.0, 0.5, 1.0], size=pe_phi.shape)
+    return pe_phi, pe_psi
+
+
+def test_class_probabilities_equal_per_copy_loops(monkeypatch):
+    # one copy per block, three (40 products of 12 rows), or every copy
+    # in one block; and one row alone
+    from rcmlab import moments
+    rng = np.random.default_rng(80)
+    groups = [enumerate_classes(k) for k in range(2, 6)]
+    groups.append([path_class(6), _star(6)])
+    for classes in groups:
+        pe_phi, pe_psi = _edge_probabilities(rng, 12, classes[0].order)
+        for G in classes:
+            ref = _per_copy_prob_isomorphic(pe_phi, G)
+            joint = [_per_copy_joint_prob_coupled(pe_phi, pe_psi, G, H)
+                     for H in classes]
+            for block in (1, 40, 2 ** 30):
+                monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", block)
+                assert np.array_equal(prob_isomorphic(pe_phi, G), ref)
+                assert prob_isomorphic(pe_phi[-1:], G)[0] == ref[-1]
+                for H, expect in zip(classes, joint):
+                    got = joint_prob_coupled(pe_phi, pe_psi, G, H)
+                    assert np.array_equal(got, expect), (G, H, block)
+    assert prob_isomorphic(np.zeros((0, 3)), path_class(3)).shape == (0,)
+
+
+def _density_first_importance_mc(phi, beta, k, prob_fn, kernel_fn,
+                                 n_samples, seed, second=None):
+    """_importance_mc taking every draw's proposal density before the
+    lexmin test: the reference it must match bit for bit."""
+    from rcmlab import moments
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    rng = np.random.default_rng(seed)
+    prop1 = ClusterProposal(phi, k)
+    if second is None:
+        batch, n_points = moments._SINGLE_BATCH, k
+        factor = 1.0 / math.factorial(k - 1)
+    else:
+        psi, l, anchor = second
+        prop2 = ClusterProposal(psi, l)
+        batch, n_points = moments._PAIR_BATCH, k + l
+        factor = 1.0 / (math.factorial(k - 1) * math.factorial(l))
+    weights = np.zeros(n_samples)
+    for done in range(0, n_samples, batch):
+        m = min(batch, n_samples - done)
+        X1 = prop1.sample(rng, m)
+        if second is None:
+            Xs, dens = (X1,), prop1.density(X1)
+        else:
+            a2 = anchor.sample(rng, X1)
+            X2rel = prop2.sample(rng, m)
+            Xs = (X1, X2rel + a2[:, None, :])
+            dens = prop1.density(X1) * anchor.density(X1, a2) \
+                * prop2.density(X2rel)
+        rows = np.flatnonzero(_is_anchor_lexmin(X1) & (dens > 0))
+        p = prob_fn(*(X[rows] for X in Xs))
+        live = p != 0
+        rows, p = rows[live], p[live]
+        if rows.size:
+            weights[done + rows] = p * kernel_fn(*(X[rows] for X in Xs)) \
+                * factor / dens[rows]
+    return _mc_estimate(weights, beta ** n_points)
+
+
+_MONTE_CARLO_ESTIMATES = {
+    "intensity-path4": lambda: expected_count_intensity(
+        path_class(4), GILBERT, 1.0, n_samples=3000, seed=91),
+    "intensity-edge-gauss": lambda: expected_count_intensity(
+        edge_class(), GAUSS, 1.0, n_samples=300, seed=92),
+    "asy_cov-path3-edge": lambda: asy_cov(
+        path_class(3), edge_class(), GILBERT, SCALED, 1.0, n_samples=2000,
+        seed=93),
+    "asy_cov_kl-2-3": lambda: asy_cov_kl(2, 3, GILBERT, GILBERT, 1.0,
+                                         n_samples=2000, seed=94),
+    "window-box": lambda: finite_window_cross_moment(
+        path_class(3), edge_class(), GILBERT, GILBERT, Window("box", 3.0, 2),
+        1.0, n_samples=3000, seed=95),
+    "window-ball": lambda: finite_window_cross_moment(
+        edge_class(), edge_class(), GILBERT, SCALED, Window("ball", 2.0, 2),
+        1.0, n_samples=3000, seed=96),
+    "quadratic": lambda: asy_var_quadratic(
+        [1.0, -0.5], [edge_class(), path_class(3)], GILBERT, 1.0,
+        n_samples=1000, seed=97)[0],
+    "total": lambda: sigma_total_partial(2, GILBERT, 1.0, n_samples=1000,
+                                         seed=98)[0],
+}
+
+
+@pytest.mark.parametrize("name", list(_MONTE_CARLO_ESTIMATES))
+def test_estimates_equal_density_first_reference(monkeypatch, name):
+    from rcmlab import moments
+    est = _MONTE_CARLO_ESTIMATES[name]()
+    monkeypatch.setattr(moments, "_importance_mc",
+                        _density_first_importance_mc)
+    ref = _MONTE_CARLO_ESTIMATES[name]()
+    assert est.value != 0
+    assert est == ref
+
+
+def test_cluster_density_sees_only_lexmin_rows(monkeypatch):
+    seen = []
+    density = ClusterProposal.density
+
+    def recording_density(self, X):
+        seen.append(X.copy())
+        return density(self, X)
+
+    monkeypatch.setattr(ClusterProposal, "density", recording_density)
+    n, seed = 3000, 99
+    expected_count_intensity(path_class(4), GILBERT, 1.0, n_samples=n,
+                             seed=seed)
+    X = ClusterProposal(GILBERT, 4).sample(np.random.default_rng(seed), n)
+    lexmin = _is_anchor_lexmin(X)
+    assert 0 < lexmin.sum() < n
+    assert len(seen) == 1 and np.array_equal(seen[0], X[lexmin])
+    # two clusters: the first cluster's rows and the second's relative
+    # positions, both on the rows whose first cluster passes the test
+    seen.clear()
+    asy_cov_kl(2, 3, GILBERT, GILBERT, 1.0, n_samples=n, seed=seed)
+    rng = np.random.default_rng(seed)
+    X1 = ClusterProposal(GILBERT, 2).sample(rng, n)
+    AnchorProposal(GILBERT, widen=5.0).sample(rng, X1)
+    X2rel = ClusterProposal(GILBERT, 3).sample(rng, n)
+    lexmin = _is_anchor_lexmin(X1)
+    assert np.array_equal(seen[0], X1[lexmin])
+    assert np.array_equal(seen[1], X2rel[lexmin])
