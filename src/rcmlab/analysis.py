@@ -9,6 +9,11 @@ once (_with_additions): one kd-tree query and one mark hash decide the
 fresh edges of all of them, and one pass over the component table
 forms every merged component.
 
+Every value follows one rule: a statistic gives each component integer
+counts N (counts), which are summed as integers, and F = a0*N0 +
+a1*N1 + ... is added in the order of a (combine). F thus depends on
+the point set alone, not on ids or the realization's place in a batch.
+
 Fresh points carry reserved negative ids, so their pair marks against
 existing points are fixed by the same mark source and all four
 evaluations behind a second-order difference share every common mark.
@@ -17,6 +22,8 @@ evaluations behind a second-order difference share every common mark.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,6 +83,10 @@ class FunctionalSpec:
         if self.statistic == "weighted":
             if not self.a or not self.classes or len(self.a) != len(self.classes):
                 raise ValueError("weighted statistic needs matching a, classes")
+            if not all(isinstance(w, numbers.Real) and not isinstance(w, bool)
+                       and abs(w) <= sys.float_info.max for w in self.a):
+                raise ValueError(
+                    f"weights a must be finite real numbers, got {self.a!r}")
         for g in self.named_classes:
             if not _is_canonical(g):
                 raise ValueError(
@@ -115,29 +126,37 @@ class FunctionalSpec:
         return (korder + 1) * reach
 
 
-def share(spec: FunctionalSpec, c):
-    """f's share of one Component, or of each row of a ComponentTable.
-
-    F of a realization is the sum of its components' shares
-    (ComponentTable.realization_sums); evaluate, EvaluationContext and
-    the experiments' replicate ladder all read F this way. A component
-    that census.counted does not count has share 0, except under
-    point_count, whose share is the component's points inside the
-    window; total_components counts in "inside" mode.
-    """
+def counts(spec: FunctionalSpec, rows) -> np.ndarray:
+    """The statistic's int64 counts on each row of a ComponentTable or
+    MergedRows, one column per weight (one per class of a weighted
+    statistic, else one): 1 where the row is of the column's class
+    (count_class, weighted) or has k vertices (count_order), 1 for
+    total_components, and the row's points inside the window for
+    point_count. A row that census.counted does not count reads 0 except
+    under point_count; total_components counts in "inside" mode."""
     if spec.statistic == "point_count":
-        return c.n_inside * 1.0
-    mode = spec.mode
+        return rows.n_inside.astype(np.int64)[:, None]
+    mode = "inside" if spec.statistic == "total_components" else spec.mode
+    keep = counted(rows, mode)
     if spec.statistic == "total_components":
-        value, mode = 1.0, "inside"
+        cols = [keep]
     elif spec.statistic == "count_order":
-        value = c.order == spec.k
+        cols = [keep & (rows.order == spec.k)]
     else:
-        pairs = (((1.0, spec.cls),) if spec.statistic == "count_class"
-                 else zip(spec.a, spec.classes))
-        value = sum(w * ((c.order == g.order) & (c.canon == g.canon))
-                    for w, g in pairs)
-    return np.where(counted(c, mode), value, 0.0)
+        cols = [keep & (rows.order == g.order) & (rows.canon == g.canon)
+                for g in spec.named_classes]
+    return np.stack(cols, axis=-1).astype(np.int64)
+
+
+def combine(spec: FunctionalSpec, n) -> np.ndarray:
+    """F = a0*N0 + a1*N1 + ... of counts n, one column per weight on the
+    last axis (a = (1.0,) unless the statistic is weighted): the terms
+    added in the order of a, starting from +0.0, so that a zero count
+    never reads -0."""
+    value = 0.0
+    for j, w in enumerate(spec.a if spec.statistic == "weighted" else (1.0,)):
+        value = value + float(w) * n[..., j]
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +166,12 @@ class EvaluationContext:
     """Base-realization census with support for fresh-point insertions.
 
     The context reads its realization's rows of the component table over
-    the graph's whole batch, f's share of every component of the batch
-    and F of every realization, all computed once per batch and spec:
-    realization r's labels c0 + c and ids v0 + i are its own labels c
-    and ids i. Values with additions that _batched evaluated for the
-    whole chunk are looked up; any other is evaluated on its own.
+    the graph's whole batch, the statistic's counts on every component
+    of the batch, every realization's counts and F, all computed once per
+    batch and spec: realization r's labels c0 + c and ids v0 + i are its
+    own labels c and ids i. Values with additions that _batched
+    evaluated for the whole chunk are looked up; any other is evaluated
+    on its own.
     """
 
     def __init__(self, graph: RcmGraph, spec: FunctionalSpec):
@@ -160,14 +180,15 @@ class EvaluationContext:
 
         def values():
             table = batch_table(graph, spec.window, spec.class_order)
-            shares = share(spec, table)
-            return table, shares, table.realization_sums(shares)
+            n = counts(spec, table)
+            totals = table.realization_totals(n)
+            return table, n, totals, combine(spec, totals)
 
-        # the table and F ride in the spec's entry, so that a context
-        # hashes the spec, its costliest key, once
+        # the table, the counts and F ride in the spec's entry, so that a
+        # context hashes the spec, its costliest key, once
         self._values = graph.batch.shared(("values", spec), values)
-        self._table, _, sums = self._values
-        self.base_value = float(sums[graph.index])
+        self._table, _, _, base = self._values
+        self.base_value = float(base[graph.index])
         self._known = {}
 
     @cached_property
@@ -222,44 +243,21 @@ def _inserted(table: ComponentTable, batch: RcmBatch,
 def _with_additions(batch: RcmBatch, spec: FunctionalSpec, values,
                     insertions) -> np.ndarray:
     """F of each realization r augmented by additions, for each
-    (r, additions) of insertions; values is the batch's (table, shares,
-    F) entry for spec.
+    (r, additions) of insertions; values is the batch's (table, row
+    counts, realization counts, F) entry for spec.
 
     Only the components that an insertion's fresh points join change:
     each group of fresh points, with the components it touches, becomes
-    one merged component. An insertion's value is F, plus each merged
-    component's share, minus the shares of the components it joins,
-    each term added in turn: the merged components in order of their
-    first fresh point, the joined ones in the order of a Python set of
-    their labels, which fixes how non-integer weights round.
+    one merged component. An insertion's counts are its realization's,
+    plus its merged components' counts, minus the counts of the
+    components they join; its value is their combination.
     """
-    table, shares, sums = values
+    table, n, totals, _ = values
     rows = _inserted(table, batch, insertions)
-    n_roots = np.diff(rows.root_start)
-    place = np.zeros(len(rows.roots), dtype=np.int64)
-    for m in np.flatnonzero(n_roots > 1).tolist():
-        lo, hi = rows.root_start[m], rows.root_start[m + 1]
-        own = (rows.roots[lo:hi] - table.label_start[
-            table.realization[rows.roots[lo]]]).tolist()
-        order = {c: k for k, c in enumerate(set(own))}
-        place[lo:hi] = [order[c] for c in own]
-    # each merged component's terms in a block: its share, then the
-    # joined components' negated shares
-    block = rows.root_start[:-1] + np.arange(len(rows.order))
-    at = np.repeat(block + 1, n_roots) + place
-    terms = np.empty(len(block) + len(at))
-    terms[block] = share(spec, rows)
-    terms[at] = -shares[rows.roots]
-    term_of = np.empty(len(terms), dtype=np.int64)
-    term_of[block] = rows.insertion
-    term_of[at] = np.repeat(rows.insertion, n_roots)
-    # np.bincount adds each insertion's terms one at a time, in order,
-    # F first
-    n = len(insertions)
-    return np.bincount(
-        np.concatenate([np.arange(n), term_of]),
-        np.concatenate([sums[[r for r, _ in insertions]], terms]),
-        minlength=n)
+    total = totals[[r for r, _ in insertions]]
+    np.add.at(total, rows.insertion, counts(spec, rows))
+    np.subtract.at(total, rows.insertion[rows.joins], n[rows.roots])
+    return combine(spec, total)
 
 
 def evaluate(spec: FunctionalSpec, graph: RcmGraph) -> float:

@@ -199,10 +199,10 @@ class MergedRows:
     """The components that fresh points form with rows of a
     ComponentTable, one entry per merged component, in the table's
     columns order, n_inside, boundary, lexmin_inside and canon, with
-    the coordinates lexmin_pos of the lexicographic minimum, the
-    insertion that formed each, and roots: the labels of the rows each
-    joins, those of merged component m in roots[root_start[m]:
-    root_start[m + 1]], in the order the insertion first reaches them.
+    the coordinates lexmin_pos of the lexicographic minimum and the
+    insertion that formed each. roots are the labels of the rows that
+    the merged components join, each once, in no particular order;
+    merged component joins[j] joins row roots[j].
     """
 
     insertion: np.ndarray
@@ -213,7 +213,7 @@ class MergedRows:
     lexmin_inside: np.ndarray
     canon: np.ndarray
     roots: np.ndarray
-    root_start: np.ndarray
+    joins: np.ndarray
 
 
 def _ranges(lo, hi) -> np.ndarray:
@@ -477,17 +477,14 @@ class ComponentTable(Mapping):
             lexmin_pos=cand[lexmin],
             lexmin_inside=np.concatenate([self.lexmin_inside[roots],
                                           inside])[lexmin],
-            canon=canon, roots=roots[np.lexsort((first, joins))],
-            root_start=np.concatenate(([0], np.cumsum(
-                np.bincount(joins, minlength=n_rows)))))
+            canon=canon, roots=roots, joins=joins)
 
-    def realization_sums(self, weights) -> np.ndarray:
-        """Per realization, the sum of its rows' weights: F where the
-        weights are a statistic's shares. The terms are added one at a
-        time in label order; a pairwise np.sum rounds non-integer
-        weights differently."""
-        return np.bincount(self.realization, weights=weights,
-                           minlength=len(self.starts) - 1)
+    def realization_totals(self, n) -> np.ndarray:
+        """Per realization, the integer sum of its rows of n: those of
+        realization r are n[label_start[r]:label_start[r + 1]]."""
+        cum = np.zeros((len(n) + 1,) + n.shape[1:], dtype=np.int64)
+        np.cumsum(n, axis=0, out=cum[1:])
+        return cum[self.label_start[1:]] - cum[self.label_start[:-1]]
 
     def class_counts(self, mask: np.ndarray) -> dict:
         """class_id -> number of resolved components selected by mask."""

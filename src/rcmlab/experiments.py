@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import FunctionalSpec, _is_canonical, empirical_distance, share
+from .analysis import (FunctionalSpec, _is_canonical, combine, counts,
+                       empirical_distance)
 from .census import K_MAX, GraphClass, batch_table
 from .census import census as run_census
 from .connection import ConnectionFunction
@@ -277,13 +278,15 @@ def _rung_samples(scenario: Scenario, rung: int, threads: int):
     its in-window point count. With threads > 1 each worker counts one
     contiguous block of replicates.
 
-    A replicate's values are the sums of each statistic's shares
-    (analysis.share) over its components, and its point count the sum
-    of their n_inside, all read from its chunk's one component table
-    and summed once per chunk by ComponentTable.realization_sums.
+    A replicate's values, and its point count as point_count's value,
+    follow the one rule of analysis: each statistic's counts on the
+    rows of its chunk's one component table (analysis.counts), summed
+    per realization as integers (ComponentTable.realization_totals) and
+    combined once per chunk (analysis.combine).
     """
     window = scenario.window(rung)
-    specs = scenario.specs(rung)
+    specs = scenario.specs(rung) + [FunctionalSpec(
+        "point_count", window, scenario.phi, scenario.beta)]
     k_max = max(s.class_order for s in specs)
 
     def count(reps):
@@ -293,10 +296,10 @@ def _rung_samples(scenario: Scenario, rung: int, threads: int):
             # census_ladder check round of rcmbench captures this call
             run_census(graph, window, k_max=k_max)
             table = batch_table(graph, window, k_max)
-            sums = graph.batch.shared(("ladder", window), lambda: np.array(
-                [table.realization_sums(share(spec, table)) for spec in specs]
-                + [table.realization_sums(table.n_inside)]).T)
-            out.append(sums[graph.index])
+            values = graph.batch.shared(("ladder", window), lambda: np.array(
+                [combine(spec, table.realization_totals(counts(spec, table)))
+                 for spec in specs]).T)
+            out.append(values[graph.index])
         return out
 
     n = scenario.replicates

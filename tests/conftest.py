@@ -61,20 +61,16 @@ class Reach:
 
 
 def insertion_recount(graph, spec, additions) -> float:
-    """F of the graph with fresh points, recounted by networkx and summed
-    as value_with_additions sums it, so that non-integer weights compare
-    exactly.
+    """F of the graph with fresh points, recounted from scratch by
+    networkx: every component of the augmented graph gives its integer
+    counts, one per weight, and F is their sums a0*N0 + a1*N1 + ...,
+    added in the order of a from +0.0, so that non-integer weights
+    compare exactly.
 
     Fresh edges follow from the definition: a pair is a candidate when
     its squared coordinate differences, summed in coordinate order, are
     at most rmax**2, and is joined when its mark is at most phi of the
-    square root. F is the base components' shares added in order of
-    their smallest id; each group of fresh points, taken in order of its
-    first fresh point, then adds its share and subtracts those of the
-    base components it joins, in the order of a Python set of their
-    numbers (base components numbered by smallest id), the set built in
-    the order the fresh points (in turn) reach them through base ids
-    ascending. A component's share is read from its coordinates and
+    square root. A component's counts are read from its coordinates and
     graph: counted by its lexicographic minimum or all of its points in
     the window, off the boundary band, its class by isomorphism.
     """
@@ -83,63 +79,49 @@ def insertion_recount(graph, spec, additions) -> float:
     nxg = nx.Graph()
     nxg.add_nodes_from(range(graph.n))
     nxg.add_edges_from(graph.edges.tolist())
-    base = sorted((sorted(c) for c in nx.connected_components(nxg)),
-                  key=lambda c: c[0])
-    number = {v: c for c, members in enumerate(base) for v in members}
     pos = {v: pts[v] for v in range(graph.n)}
-    reached = []
     for k, (x, i) in enumerate(additions):
         x = np.asarray(x, dtype=float)
         nxg.add_node(i)
-        for j in range(graph.n):
-            sq = sum(float(d) * float(d) for d in pts[j] - x)
+        others = [(j, pts[j]) for j in range(graph.n)] + \
+            [(other, np.asarray(y, float)) for y, other in additions[:k]]
+        for j, y in others:
+            sq = sum(float(d) * float(d) for d in x - y)
             if sq <= rmax * rmax and graph.marks.mark(i, j) <= \
                     spec.phi.phi_of_dist(np.sqrt(sq)):
                 nxg.add_edge(i, j)
-                reached.append((i, number[j]))
-        for y, other in additions[:k]:
-            sq = sum(float(d) * float(d) for d in x - np.asarray(y, float))
-            if sq <= rmax * rmax and graph.marks.mark(i, other) <= \
-                    spec.phi.phi_of_dist(np.sqrt(sq)):
-                nxg.add_edge(i, other)
         pos[i] = x
+    weights = spec.a if spec.statistic == "weighted" else (1.0,)
+    classes = (spec.cls,) if spec.statistic == "count_class" else spec.classes
 
-    def share(members):
+    def counts(members):
         xy = np.array([pos[v] for v in members])
         inside = window.contains(xy)
         if spec.statistic == "point_count":
-            return float(inside.sum())
+            return [int(inside.sum())]
+        none = [0] * len(weights)
         if (region.boundary_distance(xy) < rmax).any():
-            return 0.0
+            return none
         lexmin = min(range(len(xy)), key=lambda v: xy[v].tolist())
         if spec.statistic == "total_components" or spec.mode == "inside":
             if not inside.all():
-                return 0.0
+                return none
         elif not inside[lexmin]:
-            return 0.0
+            return none
         if spec.statistic == "total_components":
-            return 1.0
+            return [1]
         if spec.statistic == "count_order":
-            return float(len(members) == spec.k)
-        pairs = (((1.0, spec.cls),) if spec.statistic == "count_class"
-                 else zip(spec.a, spec.classes))
+            return [int(len(members) == spec.k)]
         sub = nxg.subgraph(members)
-        return sum(w * nx.is_isomorphic(sub, nx.from_numpy_array(
-            g.adjacency())) for w, g in pairs)
+        return [int(nx.is_isomorphic(sub, nx.from_numpy_array(g.adjacency())))
+                for g in classes]
 
+    n = [0] * len(weights)
+    for members in nx.connected_components(nxg):
+        n = [m + c for m, c in zip(n, counts(sorted(members)))]
     value = 0.0
-    for members in base:
-        value += share(members)
-    seen = set()
-    for _, i in additions:
-        if i in seen:
-            continue
-        group = nx.node_connected_component(nxg, i)
-        seen |= group
-        roots = list(dict.fromkeys(c for f, c in reached if f in group))
-        value += share(sorted(group))
-        for c in set(roots):
-            value -= share(base[c])
+    for w, m in zip(weights, n):
+        value += w * m
     return value
 
 

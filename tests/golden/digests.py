@@ -9,6 +9,8 @@ them:
     PYTHONPATH=src python3 tests/golden/digests.py          # compare
     PYTHONPATH=src python3 tests/golden/digests.py --write  # regenerate
 
+--write first prints every key it changes, adds or drops.
+
 The bytes depend on the toolchain; digests.json was written with the one
 named in TOOLCHAIN.
 """
@@ -91,6 +93,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     actual = compute()
     if argv == ["--write"]:
+        for line in mismatches(load() if os.path.exists(DIGESTS) else {},
+                               actual):
+            print(line)
         with open(DIGESTS, "w") as fh:
             json.dump(actual, fh, indent=1)
             fh.write("\n")

@@ -104,7 +104,9 @@ def test_second_difference_symmetry():
 def _recount(spec, g, additions):
     """f of the graph plus fresh points, from a rebuild in which every
     pair is re-tested with the same marks and networkx finds the
-    components; classes come from canonical_form of each component."""
+    components; classes come from canonical_form of each component.
+    The components' counts, one per weight, are summed as integers and
+    combined as a0*N0 + a1*N1 + ... in the order of a from +0.0."""
     pts = np.vstack([g.points.points] + [np.asarray(p)[None]
                                          for p, _ in additions])
     ids = np.array(list(range(g.n)) + [i for _, i in additions])
@@ -119,26 +121,29 @@ def _recount(spec, g, additions):
     full = nx.empty_graph(len(pts))
     full.add_edges_from(zip(a[joined].tolist(), b[joined].tolist()))
     region = g.points.region
-    weights = (dict(zip(spec.classes, spec.a)) if spec.statistic == "weighted"
-               else {spec.cls: 1.0} if spec.statistic == "count_class"
-               else {})
-    val = 0.0
+    weights = spec.a if spec.statistic == "weighted" else (1.0,)
+    classes = (spec.cls,) if spec.statistic == "count_class" else spec.classes
+    n = [0] * len(weights)
     for members in nx.connected_components(full):
         idx = sorted(members)
         if np.min(region.boundary_distance(pts[idx])) < g.rmax:
             continue
         if spec.statistic == "total_components":
-            val += float(np.all(inside[idx]))
+            n[0] += int(np.all(inside[idx]))
             continue
         counted = (inside[idx][lex_order(pts[idx])[0]]
                    if spec.mode == "lexmin" else np.all(inside[idx]))
         if not counted:
             continue
         if spec.statistic == "count_order":
-            val += float(len(idx) == spec.k)
-        elif len(idx) <= max(c.order for c in weights):
+            n[0] += int(len(idx) == spec.k)
+        elif len(idx) <= max(c.order for c in classes):
             adj = nx.to_numpy_array(full.subgraph(idx), dtype=bool)
-            val += weights.get(canonical_form(adj), 0.0)
+            cls = canonical_form(adj)
+            n = [m + int(cls == c) for m, c in zip(n, classes)]
+    val = 0.0
+    for w, m in zip(weights, n):
+        val += w * m
     return val
 
 
@@ -175,11 +180,7 @@ def test_difference_against_full_recount():
                 additions = [(centre + rng.normal(0, 0.6, 2), i)
                              for i in ids]
                 incremental = ctx.value_with_additions(additions)
-                full = _recount(spec, g, additions)
-                if spec.statistic == "weighted":
-                    assert incremental == pytest.approx(full, abs=1e-12)
-                else:
-                    assert incremental == full
+                assert incremental == _recount(spec, g, additions)
 
 
 def test_fresh_ids_are_validated():
@@ -197,6 +198,15 @@ def test_fresh_ids_are_validated():
             ctx.value_with_additions(additions)
     with pytest.raises(ValueError, match="duplicates"):
         g.fresh_edges([(g.points.points[3], -1)])
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), "x", True])
+def test_weights_must_be_finite_real_numbers(weight):
+    """A spec refuses weights that are not finite real numbers, bools
+    included, whether or not a configuration file named them."""
+    with pytest.raises(ValueError, match="weights a must be finite real"):
+        FunctionalSpec("weighted", W, GILBERT, 1.0, a=(1.0, weight),
+                       classes=(single_vertex_class(), edge_class()))
 
 
 def test_classes_resolved_beyond_k_max():
@@ -256,8 +266,7 @@ def test_lexmin_independent_of_id_order():
     The weighted spec resolves classes of order up to 3, so the shuffled
     ids reach the component table's class packing and the merged
     components of insertions in an order that is not lexicographic.
-    Its values are sums of non-integer weights taken in label order,
-    which follows the ids, so they agree up to rounding.
+    Its values combine integer counts, so they agree exactly.
     """
     classes = tuple(GraphClass.from_class_id(c) for c in ("1:0", "2:1", "3:3"))
     specs = [FunctionalSpec("count_order", W, GILBERT, 1.0, k=2,
@@ -265,8 +274,6 @@ def test_lexmin_independent_of_id_order():
              FunctionalSpec("weighted", W, GILBERT, 1.0, a=(0.3, -1.7, 2.9),
                             classes=classes)]
     for spec in specs:
-        same = (pytest.approx if spec.statistic == "weighted"
-                else lambda v: v)
         rng = np.random.default_rng(11)
         for seed in range(20):
             g = _graph(seed, spec)
@@ -281,10 +288,10 @@ def test_lexmin_independent_of_id_order():
             assert census(shuffled, W) == census(g, W)
             ctx = EvaluationContext(g, spec)
             ctx_shuffled = EvaluationContext(shuffled, spec)
-            assert ctx_shuffled.base_value == same(ctx.base_value)
+            assert ctx_shuffled.base_value == ctx.base_value
             for x in rng.uniform(-4, 4, (3, 2)):
                 assert ctx_shuffled.value_with_additions([(x, -1)]) == \
-                    same(ctx.value_with_additions([(x, -1)]))
+                    ctx.value_with_additions([(x, -1)])
 
 
 def test_per_sample_difference_bounds(reach_oracle):

@@ -52,7 +52,9 @@ def _specs(phi):
 def _recount(spec, points, marks, rmax, additions):
     """f of the points plus fresh points: every pair within rmax is
     tested with its mark, networkx finds the components, and the window,
-    boundary and lexicographic-minimum rules are applied to coordinates."""
+    boundary and lexicographic-minimum rules are applied to coordinates.
+    The components' counts, one per weight, are summed as integers and
+    combined as a0*N0 + a1*N1 + ... in the order of a from +0.0."""
     pts = np.vstack([points] + [np.asarray(p)[None] for p, _ in additions])
     ids = np.array(list(range(len(points))) + [i for _, i in additions])
     graph = nx.empty_graph(len(pts))
@@ -65,27 +67,29 @@ def _recount(spec, points, marks, rmax, additions):
                   <= spec.phi.phi_of_dist(dist))
         graph.add_edges_from(zip(a[joined].tolist(), b[joined].tolist()))
     inside = spec.window.contains(pts) if len(pts) else np.zeros(0, bool)
-    weights = (dict(zip(spec.classes, spec.a)) if spec.statistic == "weighted"
-               else {spec.cls: 1.0} if spec.statistic == "count_class"
-               else {})
-    value = 0.0
+    weights = spec.a if spec.statistic == "weighted" else (1.0,)
+    classes = (spec.cls,) if spec.statistic == "count_class" else spec.classes
+    n = [0] * len(weights)
     for members in nx.connected_components(graph):
         idx = sorted(members)
         if np.min(REGION.boundary_distance(pts[idx])) < rmax:
             continue
         if spec.statistic == "total_components":
-            value += float(np.all(inside[idx]))
+            n[0] += int(np.all(inside[idx]))
             continue
         counted = (inside[idx][lex_order(pts[idx])[0]]
                    if spec.mode == "lexmin" else np.all(inside[idx]))
         if not counted:
             continue
         if spec.statistic == "count_order":
-            value += float(len(idx) == spec.k)
-        else:
-            sub = nx.to_numpy_array(graph.subgraph(idx), dtype=bool)
-            if len(idx) <= 3:
-                value += weights.get(canonical_form(sub), 0.0)
+            n[0] += int(len(idx) == spec.k)
+        elif len(idx) <= 3:
+            cls = canonical_form(
+                nx.to_numpy_array(graph.subgraph(idx), dtype=bool))
+            n = [m + int(cls == c) for m, c in zip(n, classes)]
+    value = 0.0
+    for w, m in zip(weights, n):
+        value += w * m
     return value
 
 
@@ -154,8 +158,8 @@ def test_batch_realizations_equal_alone_and_networkx(batch):
             for additions in ([], one, two):
                 value = ctx.value_with_additions(additions)
                 assert value == ctx_alone.value_with_additions(additions)
-                expect = _recount(spec, pts.points, src, g.rmax, additions)
-                assert value == pytest.approx(expect, abs=1e-12)
+                assert value == _recount(spec, pts.points, src, g.rmax,
+                                         additions)
 
 
 def test_single_and_batched_edges_are_ordered_pairs():

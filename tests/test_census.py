@@ -231,8 +231,8 @@ def test_merged_component_equals_a_table_from_scratch(kind, seed, where,
     """Each merged component that ComponentTable.merged gives for a
     group of fresh points equals the row of a table built on the points
     and edges with the fresh points appended (fresh id -1 - k as id
-    n + k), the merged components in order of their first fresh point
-    and the rows they join in the order the fresh points reach them."""
+    n + k), the merged components in order of their first fresh point,
+    each joining every row it contains once."""
     phi = (ConnectionFunction("gilbert", 2, r=0.8) if kind == "gilbert"
            else ConnectionFunction("gaussian", 2, s=0.3))
     window = Window("box", 1.0, 2)
@@ -269,12 +269,9 @@ def test_merged_component_equals_a_table_from_scratch(kind, seed, where,
     assert len(rows.order) == len(comps)
     assert rows.insertion.tolist() == [0] * len(comps)
     for m, c in enumerate(comps):
-        roots = rows.roots[rows.root_start[m]:rows.root_start[m + 1]]
-        assert roots.tolist() == list(dict.fromkeys(
-            base.labels[b] for f, b in fresh.tolist()
-            if b >= 0 and whole.labels[n - 1 - f] == c))
-        assert (set(roots.tolist())
-                == set(base.labels[whole.labels[:n] == c].tolist()))
+        roots = rows.roots[rows.joins == m].tolist()
+        assert len(roots) == len(set(roots))
+        assert set(roots) == set(base.labels[whole.labels[:n] == c].tolist())
         row = whole[c]
         assert rows.order[m] == row.order
         assert rows.n_inside[m] == row.n_inside

@@ -329,6 +329,28 @@ def test_non_canonical_class_ids_are_config_errors(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_zero_weighted_value_is_written_without_sign(tmp_path):
+    """A weighted statistic with a negative weight whose class no
+    replicate holds writes 0, not -0: F is added up from +0.0."""
+    cfg = {
+        "dimension": 2, "beta": 1.0,
+        "phi": {"kind": "gilbert", "r": 1.0},
+        "window": {"shape": "box", "extents": [0.05]},
+        "statistics": [{"statistic": "weighted", "a": [-1.7],
+                        "classes": ["3:3"]}],
+        "replicates": 4, "seed_base": 1,
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["census", "--config", str(path),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    (run,) = os.listdir(tmp_path / "results")
+    text = (tmp_path / "results" / run / "0" / "census.csv").read_text()
+    assert [row["value"] for row in csv.DictReader(text.splitlines())] == \
+        ["0"] * 4
+    assert "-0" not in text
+
+
 def test_threads_flag_and_env(tmp_path, config_path, monkeypatch):
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")

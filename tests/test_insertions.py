@@ -128,20 +128,20 @@ def test_a_point_on_its_own_base_point_is_refused():
 
 
 @pytest.mark.parametrize("kind, seed", [("gilbert", 59), ("gaussian", 77)])
-def test_joined_components_leave_in_set_order_of_their_own_labels(kind,
-                                                                  seed):
-    """A merged component's joined components are subtracted in the
-    order of a Python set of their labels in their own realization, as
-    a realization evaluated alone numbers them. Realization 1's labels
-    in the batch are its own plus realization 0's count; these seeds
-    give weighted insertions into it whose joined components come out
-    of the two sets in different orders and round differently."""
+def test_weighted_insertions_into_a_later_realization_are_exact(kind, seed):
+    """Weighted insertions into realization 1 of a two-realization batch,
+    whose labels there are its own plus realization 0's count, each
+    joining several components: their values are the values of the
+    realization built alone and of the recount, exactly. With these
+    seeds a sum of non-integer weights that depended on the order of
+    the joined components would round differently."""
     phi = PHIS[kind]
     rng = np.random.default_rng(seed)
     sets = [PointSet(points=rng.uniform(-2.5, 2.5, (40, 2)), seed=0,
                      region=REGION, beta=1.0) for _ in range(2)]
-    graphs = build_rcm_batch(sets, phi, [PairMarkSource(seed + r)
-                                         for r in range(2)])
+    sources = [PairMarkSource(seed + r) for r in range(2)]
+    graphs = build_rcm_batch(sets, phi, sources)
+    alone = build_rcm(sets[1], phi, sources[1])
     insertions = []
     for _ in range(8):
         centre = rng.uniform(-1.5, 1.5, 2)
@@ -152,4 +152,6 @@ def test_joined_components_leave_in_set_order_of_their_own_labels(kind,
                                  EvaluationContext(graphs[0], spec)._values,
                                  insertions)
         for value, (r, additions) in zip(values.tolist(), insertions):
+            assert value == EvaluationContext(
+                alone, spec).value_with_additions(additions)
             assert value == insertion_recount(graphs[r], spec, additions)
