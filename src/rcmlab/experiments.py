@@ -519,8 +519,10 @@ def _stat_label(s: dict) -> str:
 
 
 def _jsonable(x):
+    """doc with numpy values as Python ones, every float rounded to 17
+    digits and every non-finite float as None (JSON null)."""
     if isinstance(x, float):
-        return float(_fmt(x))
+        return float(_fmt(x)) if math.isfinite(x) else None
     if isinstance(x, (np.floating, np.integer)):
         return _jsonable(x.item())
     if isinstance(x, np.ndarray):
@@ -533,11 +535,12 @@ def _jsonable(x):
 
 
 def _write_json(path: str, doc) -> str:
-    """Write doc as sorted, indented JSON, every float at 17 digits;
-    returns path."""
+    """Write doc as sorted, indented, strict JSON (RFC 8259), every float
+    at 17 digits and every non-finite one as null; returns path."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_jsonable(doc), fh, sort_keys=True, indent=1)
+        json.dump(_jsonable(doc), fh, sort_keys=True, indent=1,
+                  allow_nan=False)
     return path
 
 

@@ -22,19 +22,22 @@ nested copies); many copies go through one numpy pass, in blocks of at
 most _BLOCK_ELEMENTS products, and are added one at a time in a fixed
 order.
 
-For the indicator kinds the interaction exponent is an
-inclusion-exclusion sum of ball intersection volumes, which one rule
-slices into (d-1)-dimensional ones in every dimension. The terms go in
-one (subsets x rows) table: one matrix product with the
-pair-disjointness matrix finds the active subsets, the active subsets
-of one size go to the volume rule together, and rows go in blocks of at
-most _BLOCK_ELEMENTS table entries, which bounds the memory up to the
-2 * ENUM_CAP points of a covariance. `q_kl` reads the joint exponent
-and both cluster exponents from one table. For the smooth kinds it is
-a tensor Gauss-Legendre integral over a box per row; the squared
-distance from a grid node to a point is the broadcast sum of per-axis
-squared offsets, and rows go in blocks of at most _BLOCK_ELEMENTS grid
-nodes, so no Python loop runs over the draws.
+For the indicator and Gaussian kinds the interaction exponent is an
+inclusion-exclusion sum over point subsets, in one (subsets x rows)
+table whose rows go in blocks of at most _BLOCK_ELEMENTS table entries,
+which bounds the memory up to the 2 * ENUM_CAP points of a covariance.
+An indicator subset's term is a ball intersection volume, which one
+rule slices into (d-1)-dimensional ones in every dimension; one matrix
+product with the pair-disjointness matrix finds the active subsets, and
+the active subsets of one size go to the volume rule together. A
+Gaussian subset's term is its exact closed form, for any mix of widths,
+so those exponents carry no truncation or quadrature error. `q_kl`
+reads the joint exponent and both cluster exponents from one table.
+Only the exponential kind and tuples of mixed kinds take a tensor
+Gauss-Legendre integral over a box per row; the squared distance from a
+grid node to a point is the broadcast sum of per-axis squared offsets,
+and rows go in blocks of at most _BLOCK_ELEMENTS grid nodes, so no
+Python loop runs over the draws.
 
 Every Monte Carlo integrand is a graph probability times an interaction
 kernel (the exponential of the interaction exponent, or the two-cluster
@@ -304,28 +307,23 @@ def _subsets(m: int):
     return _subset_cache[m]
 
 
-def _inclusion_exclusion(X: np.ndarray, radii: np.ndarray,
-                         scales: np.ndarray, n_nodes: int = 64,
+def _inclusion_exclusion(X: np.ndarray, scales: np.ndarray, integrals,
                          split: int | None = None):
-    """Sums of the inclusion-exclusion terms of indicator_union_exponent
+    """Sums of the inclusion-exclusion terms of an interaction exponent
     (without the factor beta): over all point subsets, and with split = k
     also over the subsets of the first k points and of the others.
 
-    The terms go in one (subsets x rows) table, rows in blocks of at most
-    _BLOCK_ELEMENTS table entries (one row at least). A subset of two or
-    more points is active on a row unless two of its balls are disjoint;
-    one product of the pair-disjointness matrix with the subsets' pair
-    matrix finds them all, and the active subsets of one size go to
-    _blocked_volume together. Each row's terms are added in increasing
-    bitmask order, as a loop over subsets adds them.
+    A subset S has the coefficient prod_{i in S} (-scales_i) and the term
+    integrals(X) gives for it: the integral over R^d of the product of its
+    members' kernel profiles, as a (subsets x rows) table in the row order
+    of _subsets. The terms go in one table, rows in blocks of at most
+    _BLOCK_ELEMENTS table entries (one row at least), and each row's terms
+    are added in increasing bitmask order, as a loop over subsets adds
+    them.
     """
-    n, m, d = X.shape
-    member, holds, by_size = _subsets(m)
-    iu = np.triu_indices(m, 1)
-    disjoint = (_pair_dists(X) >= (radii[iu[0]] + radii[iu[1]])[None, :]
-                ).astype(float)
+    n, m, _ = X.shape
+    member = _subsets(m)[0]
     coef = np.prod(np.where(member, -scales, 1.0), axis=1)
-    single = [unit_ball_volume(d) * radii[i] ** d for i in range(m)]
     if split is not None:
         # the subsets of the first k points are the bitmasks below 2^k,
         # those of the others the multiples of 2^k below 2^m
@@ -334,26 +332,90 @@ def _inclusion_exclusion(X: np.ndarray, radii: np.ndarray,
     sums = [np.empty(n) for _ in range(1 if split is None else 3)]
     step = max(1, _BLOCK_ELEMENTS // len(member))
     for r in range(0, n, step):
-        nb = min(step, n - r)
-        table = np.zeros((len(member), nb))
-        for i in range(m):
-            table[(1 << i) - 1] = coef[(1 << i) - 1] * single[i]
-        active = holds @ disjoint[r:r + nb].T == 0
-        for subs, members in by_size:
-            sub, row = np.nonzero(active[subs])
-            if not sub.size:
-                continue
-            # (balls, entries) in C order, so the volume's temporaries are
-            # contiguous along the nodes axis it sums over
-            idx = np.ascontiguousarray(members[sub].T)
-            vol = _blocked_volume(X[r + row, idx], radii[idx], n_nodes)
-            table[subs[sub], row] = coef[subs[sub]] * vol
+        table = integrals(X[r:r + step])
+        table *= coef[:, None]
         total = np.add.accumulate(table, axis=0)
-        sums[0][r:r + nb] = total[-1]
+        sums[0][r:r + step] = total[-1]
         if split is not None:
-            sums[1][r:r + nb] = total[first]
-            sums[2][r:r + nb] = np.add.accumulate(table[rest], axis=0)[-1]
+            sums[1][r:r + step] = total[first]
+            sums[2][r:r + step] = np.add.accumulate(table[rest], axis=0)[-1]
     return sums
+
+
+def _ball_integrals(X: np.ndarray, radii: np.ndarray,
+                    n_nodes: int) -> np.ndarray:
+    """Intersection volumes of the balls B(x_i, r_i) of every point
+    subset, as a (subsets x rows) table.
+
+    A subset of two or more points is active on a row unless two of its
+    balls are disjoint; one product of the pair-disjointness matrix with
+    the subsets' pair matrix finds them all, the active subsets of one
+    size go to _blocked_volume together, and the others hold 0.
+    """
+    n, m, d = X.shape
+    member, holds, by_size = _subsets(m)
+    iu = np.triu_indices(m, 1)
+    disjoint = (_pair_dists(X) >= (radii[iu[0]] + radii[iu[1]])[None, :]
+                ).astype(float)
+    table = np.zeros((len(member), n))
+    for i in range(m):
+        table[(1 << i) - 1] = unit_ball_volume(d) * radii[i] ** d
+    active = holds @ disjoint.T == 0
+    for subs, members in by_size:
+        sub, row = np.nonzero(active[subs])
+        if not sub.size:
+            continue
+        # (balls, entries) in C order, so the volume's temporaries are
+        # contiguous along the nodes axis it sums over
+        idx = np.ascontiguousarray(members[sub].T)
+        table[subs[sub], row] = _blocked_volume(X[row, idx], radii[idx],
+                                                n_nodes)
+    return table
+
+
+def _gaussian_integrals(X: np.ndarray, prec: np.ndarray) -> np.ndarray:
+    """integral prod_{i in S} exp(-prec_i |y - x_i|^2) dy of every point
+    subset S, as a (subsets x rows) table, in closed form.
+
+    With A = sum prec_i and the centre c = sum prec_i x_i / A the integral
+    is (pi / A)^(d/2) exp(-sum prec_i |x_i - c|^2). The centred form has no
+    cancelling difference, and (pi / A)^(d/2) is the product of d factors
+    sqrt(pi / A). Sums run elementwise over the members in increasing
+    order and over the coordinates in order, so a row's value does not
+    depend on the other rows.
+    """
+    n, m, d = X.shape
+    member, _, by_size = _subsets(m)
+    table = np.empty((len(member), n))
+    for i in range(m):
+        table[(1 << i) - 1] = _gaussian_norm(prec[i], d)
+    P = X.transpose(1, 0, 2)
+    for subs, members in by_size:
+        w = prec[members]
+        total = w[:, 0]
+        centre = w[:, 0, None, None] * P[members[:, 0]]
+        for j in range(1, members.shape[1]):
+            total = total + w[:, j]
+            centre = centre + w[:, j, None, None] * P[members[:, j]]
+        centre = centre / total[:, None, None]
+        spread = 0.0
+        for j in range(members.shape[1]):
+            diff = P[members[:, j]] - centre
+            sq = diff[..., 0] * diff[..., 0]
+            for a in range(1, d):
+                sq = sq + diff[..., a] * diff[..., a]
+            spread = spread + w[:, j, None] * sq
+        table[subs] = _gaussian_norm(total, d)[:, None] * np.exp(-spread)
+    return table
+
+
+def _gaussian_norm(total, d: int):
+    """(pi / total)^(d/2), as the product of d factors sqrt(pi / total)."""
+    root = np.sqrt(math.pi / total)
+    out = root
+    for _ in range(d - 1):
+        out = out * root
+    return out
 
 
 def indicator_union_exponent(X: np.ndarray, radii, scales,
@@ -363,9 +425,44 @@ def indicator_union_exponent(X: np.ndarray, radii, scales,
     Exact inclusion-exclusion over point subsets; each term is a volume
     of an intersection of balls. X: (n, m, d).
     """
-    (total,) = _inclusion_exclusion(X, np.asarray(radii, dtype=float),
-                                    np.asarray(scales, dtype=float), n_nodes)
+    (total,) = _inclusion_exclusion(X, *_ball_terms(radii, scales, n_nodes))
     return beta * total
+
+
+def gaussian_union_exponent(X: np.ndarray, widths,
+                            beta: float) -> np.ndarray:
+    """beta * integral(prod_i (1 - exp(-|y-x_i|^2 / s_i^2)) - 1) dy, batched.
+
+    Exact inclusion-exclusion over point subsets, each term in closed form
+    (_gaussian_integrals): no grid and no truncation. X: (n, m, d).
+    """
+    (total,) = _inclusion_exclusion(X, *_gaussian_terms(widths))
+    return beta * total
+
+
+def _ball_terms(radii, scales, n_nodes: int = 64):
+    """(scales, integrals) of _inclusion_exclusion for indicator kinds."""
+    radii = np.asarray(radii, dtype=float)
+    return (np.asarray(scales, dtype=float),
+            lambda X: _ball_integrals(X, radii, n_nodes))
+
+
+def _gaussian_terms(widths):
+    """(scales, integrals) of _inclusion_exclusion for Gaussians of
+    widths s_i: scales 1 and precisions 1 / s_i^2."""
+    widths = np.asarray(widths, dtype=float)
+    prec = 1.0 / (widths * widths)
+    return np.ones(len(widths)), lambda X: _gaussian_integrals(X, prec)
+
+
+def _subset_terms(funcs):
+    """(scales, integrals) of _inclusion_exclusion when every function is
+    of an indicator kind or every one is Gaussian; None otherwise."""
+    if all(_is_indicator(f) for f in funcs):
+        return _ball_terms([f.r for f in funcs], [f.p for f in funcs])
+    if all(f.kind == "gaussian" for f in funcs):
+        return _gaussian_terms([f.s for f in funcs])
+    return None
 
 
 def generic_union_exponent(X: np.ndarray, funcs, beta: float,
@@ -373,8 +470,10 @@ def generic_union_exponent(X: np.ndarray, funcs, beta: float,
     """beta * integral(prod_i phibar_i(y - x_i) - 1) dy by tensor quadrature.
 
     Works for any connection function kinds; the integration box covers
-    every truncation ball. Used for smooth kinds where the subset
-    expansion does not apply. X: (n, m, d).
+    every truncation ball, so the value carries the truncation error of
+    EPS_TRUNC and the quadrature error of n_nodes. Only the exponential
+    kind and tuples of mixed kinds use it; the indicator and Gaussian
+    kinds have exact subset expansions. X: (n, m, d).
 
     The grid is a tensor product, so a node differs from a point by one
     offset per axis: the squared distances are broadcast sums of per-axis
@@ -420,10 +519,17 @@ def _is_indicator(phi: ConnectionFunction) -> bool:
 
 
 def mixed_exponent(X: np.ndarray, funcs, beta: float) -> np.ndarray:
-    """Interaction exponent for per-point connection functions, batched."""
+    """Interaction exponent for per-point connection functions, batched.
+
+    Tuples of indicator kinds only and of Gaussians only (of any widths)
+    are exact subset expansions; the tensor grid of
+    generic_union_exponent takes the exponential kind and mixed kinds.
+    """
     if all(_is_indicator(f) for f in funcs):
         return indicator_union_exponent(X, [f.r for f in funcs],
                                         [f.p for f in funcs], beta)
+    if all(f.kind == "gaussian" for f in funcs):
+        return gaussian_union_exponent(X, [f.s for f in funcs], beta)
     return generic_union_exponent(X, funcs, beta)
 
 
@@ -435,7 +541,9 @@ def inner_exponent(x, phi: ConnectionFunction, beta: float) -> float:
     and 2^(16/(d-1)) in higher d, which keeps 2^16 one-dimensional
     slices: 256 nodes in d = 3. Where lens boundaries kink the slice
     volume that is about 1e-7 relative in d = 2 and 2e-6 in d = 3.
-    Smooth kinds use tensor Gauss-Legendre quadrature.
+    For the Gaussian kind it is exact (gaussian_union_exponent); the
+    exponential kind uses tensor Gauss-Legendre quadrature at 96 nodes
+    per axis.
     """
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.ndim != 2:
@@ -450,6 +558,8 @@ def inner_exponent(x, phi: ConnectionFunction, beta: float) -> float:
         return float(indicator_union_exponent(X[None], [phi.r] * k,
                                               [phi.p] * k, beta,
                                               n_nodes=n_nodes)[0])
+    if phi.kind == "gaussian":
+        return float(gaussian_union_exponent(X[None], [phi.s] * k, beta)[0])
     return float(generic_union_exponent(X[None, :, :], [phi] * k, beta,
                                         n_nodes=96)[0])
 
@@ -461,16 +571,17 @@ def q_kl(X1: np.ndarray, X2: np.ndarray, phi: ConnectionFunction,
     X1: (n, k, d) first cluster (anchored at 0), X2: (n, l, d) second
     cluster. Value: cross product of phibar over inter-cluster pairs
     times the joint exponent, minus the product of the two separate
-    cluster exponents. For indicator kinds the three exponents come from
-    one inclusion-exclusion table: the cluster exponents sum its subsets
-    inside X1 and inside X2.
+    cluster exponents. When phi and psi are both of indicator kinds or
+    both Gaussian the three exponents come from one inclusion-exclusion
+    table: the cluster exponents sum its subsets inside X1 and inside
+    X2. Other pairs take three mixed_exponent calls.
     """
     k, l = X1.shape[1], X2.shape[1]
     Xall = np.concatenate([X1, X2], axis=1)
-    if _is_indicator(phi) and _is_indicator(psi):
+    terms = _subset_terms([phi] * k + [psi] * l)
+    if terms is not None:
         e_joint, e1, e2 = (beta * e for e in _inclusion_exclusion(
-            Xall, np.array([phi.r] * k + [psi.r] * l),
-            np.array([phi.p] * k + [psi.p] * l), split=k))
+            Xall, *terms, split=k))
     else:
         e_joint = mixed_exponent(Xall, [phi] * k + [psi] * l, beta)
         e1 = mixed_exponent(X1, [phi] * k, beta)

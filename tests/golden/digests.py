@@ -42,8 +42,8 @@ RUNS = [*(("ladder.json", command) for command in
 THREADS = (1, 3)
 
 
-def compute() -> dict:
-    """"<scenario>/<command>/threads=<n>/<path>" -> SHA-256 of the file.
+def outputs() -> dict:
+    """"<scenario>/<command>/threads=<n>/<path>" -> bytes of the file.
 
     RCMLAB_THREADS is cleared for the duration, so the --threads flag
     takes effect.
@@ -68,13 +68,20 @@ def compute() -> dict:
                         for name in files:
                             path = os.path.join(folder, name)
                             with open(path, "rb") as fh:
-                                digest = hashlib.sha256(fh.read())
-                            rel = os.path.relpath(path, root)
-                            out[f"{run}/{rel}"] = digest.hexdigest()
+                                rel = os.path.relpath(path, root)
+                                out[f"{run}/{rel}"] = fh.read()
     finally:
         if saved is not None:
             os.environ["RCMLAB_THREADS"] = saved
     return dict(sorted(out.items()))
+
+
+def compute(files: dict | None = None) -> dict:
+    """"<scenario>/<command>/threads=<n>/<path>" -> SHA-256 of the file,
+    for the given outputs() or a fresh run."""
+    files = outputs() if files is None else files
+    return {key: hashlib.sha256(data).hexdigest()
+            for key, data in files.items()}
 
 
 def load() -> dict:

@@ -19,12 +19,14 @@ from rcmlab.geometry import Window, unit_ball_volume
 from rcmlab.moments import (ENUM_CAP, AnchorProposal, BoxAnchor,
                             ClusterProposal, asy_cov, asy_cov_kl,
                             asy_var_quadratic, expected_count_intensity,
-                            finite_window_cross_moment, indicator_union_exponent,
+                            finite_window_cross_moment,
+                            gaussian_union_exponent, indicator_union_exponent,
                             inner_exponent, iso_masks,
                             joint_prob_coupled, mixed_exponent, prob_connected,
                             prob_isomorphic, prufer_decode, q_kl,
                             sigma_total_partial, window_overlap_volume)
-from rcmlab.moments import (_balls_intersection_volume, _gl_nodes,
+from rcmlab.moments import (_balls_intersection_volume, _cross_phibar,
+                            _gl_nodes,
                             _is_anchor_lexmin, _lexmin_points, _mc_estimate,
                             _pair_dists, _pair_values, generic_union_exponent)
 from rcmlab.sampling import build_rcm, seeded_sample
@@ -320,6 +322,35 @@ def test_expected_count_intensity_d3_edge_oracle():
                                    n_samples=20000, seed=0)
     assert abs(est.value - oracle) <= 3.0 * est.std_error
     assert est.std_error < 0.02 * oracle
+
+
+def _gaussian_edge_intensity(d, beta, s):
+    """rho of the edge class under phi = exp(-|x|^2 / s^2) in R^d:
+    (beta^2 / 2) int phi(x) exp(beta [-2 m_phi + (phi * phi)(x)]) dx with
+    m_phi = (pi s^2)^(d/2) and (phi * phi)(x) = (pi s^2 / 2)^(d/2)
+    exp(-|x|^2 / (2 s^2)), as one radial quadrature."""
+    m_phi = (math.pi * s * s) ** (d / 2)
+    half = (math.pi * s * s / 2) ** (d / 2)
+
+    def radial(t):
+        return d * unit_ball_volume(d) * t ** (d - 1) * math.exp(
+            -(t / s) ** 2
+            + beta * (half * math.exp(-t * t / (2 * s * s)) - 2 * m_phi))
+
+    return beta ** 2 / 2 * quad(radial, 0.0, math.inf, epsabs=0.0,
+                                epsrel=1e-12, limit=200)[0]
+
+
+@pytest.mark.parametrize("d, exact", [(1, 0.0732430), (2, 0.0089064),
+                                      (3, 0.00013181)])
+def test_gaussian_edge_intensity_matches_exact_oracle(d, exact):
+    oracle = _gaussian_edge_intensity(d, 1.0, 1.0)
+    assert oracle == pytest.approx(exact, rel=1e-5)
+    est = expected_count_intensity(
+        edge_class(), ConnectionFunction("gaussian", d, s=1.0), 1.0,
+        n_samples=20000, seed=0)
+    assert abs(est.value - oracle) <= 3.0 * est.std_error
+    assert est.std_error < 0.03 * oracle
 
 
 @pytest.mark.acceptance
@@ -838,32 +869,147 @@ def test_window_overlap_volume_rows_equal_scalar_reference(shape, d):
 GAUSS_NARROW = ConnectionFunction("gaussian", 2, s=0.6)
 EXPO_1D = ConnectionFunction("exponential", 1, theta=1.0)
 
+def _per_row_gaussian_integrals(X, prec):
+    """moments._gaussian_integrals one row and one point subset at a
+    time, in scalar arithmetic: the reference the table must match bit
+    for bit."""
+    n, m, d = X.shape
+    table = np.empty(((1 << m) - 1, n))
+    for row in range(n):
+        x = X[row]
+        for sub in range(1, 1 << m):
+            members = [i for i in range(m) if (sub >> i) & 1]
+            total = prec[members[0]]
+            for i in members[1:]:
+                total = total + prec[i]
+            centre = []
+            for a in range(d):
+                c = prec[members[0]] * x[members[0], a]
+                for i in members[1:]:
+                    c = c + prec[i] * x[i, a]
+                centre.append(c / total)
+            spread = 0.0
+            for i in members:
+                sq = (x[i, 0] - centre[0]) * (x[i, 0] - centre[0])
+                for a in range(1, d):
+                    sq = sq + (x[i, a] - centre[a]) * (x[i, a] - centre[a])
+                spread = spread + prec[i] * sq
+            root = math.sqrt(math.pi / total)
+            norm = root
+            for _ in range(d - 1):
+                norm = norm * root
+            table[sub - 1, row] = norm * np.exp(-spread)
+    return table
+
+
+def _per_subset_gaussian_exponent(X, widths, beta):
+    """gaussian_union_exponent one row and one point subset at a time:
+    the terms (-1)^|S| times the subset integral, added in increasing
+    bitmask order."""
+    widths = np.asarray(widths, dtype=float)
+    table = _per_row_gaussian_integrals(X, 1.0 / (widths * widths))
+    out = np.empty(X.shape[0])
+    for row in range(X.shape[0]):
+        total = 0.0
+        for sub in range(1, len(table) + 1):
+            total = total + (-1.0) ** bin(sub).count("1") * table[sub - 1, row]
+        out[row] = total
+    return beta * out
+
+
+def _no_grid(*args, **kwargs):
+    raise AssertionError("the tensor grid serves no Gaussian tuple")
+
+
 _SMOOTH_ESTIMATES = {
-    "asy_cov-edge-vertex": lambda: asy_cov(
+    "asy_cov-edge-vertex": ("gaussian", lambda: asy_cov(
         edge_class(), single_vertex_class(), GAUSS, GAUSS_NARROW, 1.0,
-        n_samples=400, seed=61),
-    "asy_cov_kl-2-2": lambda: asy_cov_kl(2, 2, GAUSS, GAUSS, 1.0,
-                                         n_samples=400, seed=62),
-    "window-box": lambda: finite_window_cross_moment(
+        n_samples=400, seed=61)),
+    "asy_cov_kl-2-2": ("gaussian", lambda: asy_cov_kl(
+        2, 2, GAUSS, GAUSS, 1.0, n_samples=400, seed=62)),
+    "window-box": ("gaussian", lambda: finite_window_cross_moment(
         edge_class(), edge_class(), GAUSS, GAUSS, Window("box", 2.0, 2), 1.0,
-        n_samples=400, seed=63),
-    "window-ball": lambda: finite_window_cross_moment(
+        n_samples=400, seed=63)),
+    "window-ball": ("gaussian", lambda: finite_window_cross_moment(
         edge_class(), edge_class(), GAUSS, GAUSS, Window("ball", 2.0, 2),
-        1.0, n_samples=400, seed=64),
-    "intensity-path3-d1": lambda: expected_count_intensity(
-        path_class(3), EXPO_1D, 1.0, n_samples=2000, seed=65),
+        1.0, n_samples=400, seed=64)),
+    "intensity-path3-d1": ("exponential", lambda: expected_count_intensity(
+        path_class(3), EXPO_1D, 1.0, n_samples=2000, seed=65)),
 }
 
 
 @pytest.mark.parametrize("name", list(_SMOOTH_ESTIMATES))
 def test_smooth_estimates_equal_per_sample_loop_estimates(monkeypatch, name):
+    # Gaussian estimates against the per-row, per-subset closed form (and
+    # no grid at all); the exponential kind against the grid's loop
     from rcmlab import moments
-    est = _SMOOTH_ESTIMATES[name]()
-    monkeypatch.setattr(moments, "generic_union_exponent",
-                        _per_sample_union_exponent)
-    ref = _SMOOTH_ESTIMATES[name]()
+    kind, run = _SMOOTH_ESTIMATES[name]
+    est = run()
+    if kind == "gaussian":
+        monkeypatch.setattr(moments, "_gaussian_integrals",
+                            _per_row_gaussian_integrals)
+        monkeypatch.setattr(moments, "generic_union_exponent", _no_grid)
+    else:
+        monkeypatch.setattr(moments, "generic_union_exponent",
+                            _per_sample_union_exponent)
+    ref = run()
     assert est.value != 0
     assert est == ref
+
+
+# ---------------------------------------------------------------------------
+# Gaussian exponent in closed form
+
+def _gaussian_widths(m, mixed):
+    return [1.0 if i % 2 == 0 or not mixed else 0.6 for i in range(m)]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["one-width", "s=1,0.6"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_union_exponent_agrees_with_fine_grid(d, mixed):
+    # the grid at 96 nodes carries its truncation and quadrature errors,
+    # about 1e-7 relative; the closed form carries neither
+    rng = np.random.default_rng(40 + 2 * d + mixed)
+    orders = (1, 2, 3, 4, 6) if d == 3 else (1, 2, 3, 4, 6, 8, 12)
+    for m in orders:
+        n = 2 if d == 3 else 4
+        X = rng.normal(scale=0.8, size=(n, m, d))
+        widths = _gaussian_widths(m, mixed)
+        funcs = [ConnectionFunction("gaussian", d, s=w) for w in widths]
+        got = gaussian_union_exponent(X, widths, 1.3)
+        grid = generic_union_exponent(X, funcs, 1.3, n_nodes=96)
+        np.testing.assert_allclose(got, grid, rtol=1e-5, atol=0, err_msg=m)
+        assert np.array_equal(mixed_exponent(X, funcs, 1.3), got)
+
+
+@pytest.mark.parametrize("block", [1, 2 ** 30])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_union_exponent_equals_per_subset_loop(monkeypatch, d,
+                                                        block):
+    # one row per block, or every row in one block: a row's value must not
+    # depend on its block
+    from rcmlab import moments
+    monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(50 + d)
+    for m in (1, 2, 3, 5, 8):
+        for mixed in (False, True):
+            X = rng.normal(scale=0.8, size=(3 if m == 8 else 6, m, d))
+            widths = _gaussian_widths(m, mixed)
+            got = gaussian_union_exponent(X, widths, 1.3)
+            ref = _per_subset_gaussian_exponent(X, widths, 1.3)
+            assert np.array_equal(got, ref), (m, mixed)
+
+
+def test_gaussian_inner_exponent_is_exact():
+    # two points: -beta (2 m_phi - (pi s^2 / 2)^(d/2) exp(-|x|^2 / (2 s^2)))
+    for d in (1, 2, 3):
+        phi = ConnectionFunction("gaussian", d, s=0.7)
+        x = np.zeros((2, d))
+        x[1, 0] = 0.9
+        exact = -1.3 * (2 * phi.m_phi - (math.pi * 0.49 / 2) ** (d / 2)
+                        * math.exp(-0.81 / (2 * 0.49)))
+        assert inner_exponent(x, phi, 1.3) == pytest.approx(exact,
+                                                            rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -962,25 +1108,26 @@ def _three_call_q_kl(X1, X2, phi, psi, beta):
                              [phi] * k + [psi] * l, beta)
     e1 = mixed_exponent(X1, [phi] * k, beta)
     e2 = mixed_exponent(X2, [psi] * l, beta)
-    cross = np.prod(1.0 - phi.phi_of_dist(np.linalg.norm(
-        X1[:, :, None, :] - X2[:, None, :, :], axis=-1)), axis=(1, 2))
-    return cross * np.exp(e_joint) - np.exp(e1 + e2)
+    return _cross_phibar(X1, X2, phi) * np.exp(e_joint) - np.exp(e1 + e2)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_q_kl_exponents_equal_three_separate_calls(d):
     rng = np.random.default_rng(70 + d)
-    phi = ConnectionFunction("gilbert", d, r=1.0)
-    psi = ConnectionFunction("scaled_indicator", d, r=0.7, p=0.6)
-    for k, l in [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3)]:
-        for second in (phi, psi):
-            X1 = rng.uniform(-0.8, 0.8, size=(40, k, d))
-            X2 = rng.uniform(-0.8, 0.8, size=(40, l, d)) \
-                + rng.uniform(-2.0, 2.0, size=(40, 1, d))
-            got = q_kl(X1, X2, phi, second, 1.2)
-            ref = _three_call_q_kl(X1, X2, phi, second, 1.2)
-            assert np.any(got != 0), (k, l)
-            assert np.array_equal(got, ref), (k, l)
+    pairs = [(ConnectionFunction("gilbert", d, r=1.0),
+              ConnectionFunction("scaled_indicator", d, r=0.7, p=0.6)),
+             (ConnectionFunction("gaussian", d, s=1.0),
+              ConnectionFunction("gaussian", d, s=0.6))]
+    for phi, psi in pairs:
+        for k, l in [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3)]:
+            for second in (phi, psi):
+                X1 = rng.uniform(-0.8, 0.8, size=(40, k, d))
+                X2 = rng.uniform(-0.8, 0.8, size=(40, l, d)) \
+                    + rng.uniform(-2.0, 2.0, size=(40, 1, d))
+                got = q_kl(X1, X2, phi, second, 1.2)
+                ref = _three_call_q_kl(X1, X2, phi, second, 1.2)
+                assert np.any(got != 0), (phi.kind, k, l)
+                assert np.array_equal(got, ref), (phi.kind, k, l)
 
 
 def _per_copy_prob_isomorphic(pe, G):
