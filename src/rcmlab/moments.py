@@ -31,8 +31,10 @@ rule slices into (d-1)-dimensional ones in every dimension; one matrix
 product with the pair-disjointness matrix finds the active subsets, and
 the active subsets of one size go to the volume rule together. A
 Gaussian subset's term is its exact closed form, for any mix of widths,
-so those exponents carry no truncation or quadrature error. `q_kl`
-reads the joint exponent and both cluster exponents from one table.
+so those exponents carry no truncation or quadrature error; one pass per
+point adds it to every subset of the points before it (a weighted
+Welford update). `q_kl` reads the joint exponent and both cluster
+exponents from one table.
 Only the exponential kind and tuples of mixed kinds take a tensor
 Gauss-Legendre integral over a box per row; the squared distance from a
 grid node to a point is the broadcast sum of per-axis squared offsets,
@@ -61,6 +63,7 @@ domination and ENUM_CAP for all three.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -378,44 +381,62 @@ def _gaussian_integrals(X: np.ndarray, prec: np.ndarray) -> np.ndarray:
     subset S, as a (subsets x rows) table, in closed form.
 
     With A = sum prec_i and the centre c = sum prec_i x_i / A the integral
-    is (pi / A)^(d/2) exp(-sum prec_i |x_i - c|^2). The centred form has no
-    cancelling difference, and (pi / A)^(d/2) is the product of d factors
-    sqrt(pi / A). Sums run elementwise over the members in increasing
-    order and over the coordinates in order, so a row's value does not
-    depend on the other rows.
+    is (pi / A)^(d/2) exp(-q), q = sum prec_i |x_i - c|^2. A subset takes
+    its members in increasing order, from the empty subset (A = q = 0,
+    c = 0): adding point i to a subset of the points below it gives
+    A' = A + w_i, c' = c + (w_i / A')(x_i - c) and
+    q' = q + (A w_i / A')|x_i - c|^2 (the weighted Welford update: every
+    term is positive, so nothing cancels). One pass per point adds it to
+    all subsets of the points below it, so the table costs m numpy passes
+    and no loop over subset sizes or members; every operation is
+    elementwise, so a row's value does not depend on the other rows.
     """
     n, m, d = X.shape
-    member, _, by_size = _subsets(m)
-    table = np.empty((len(member), n))
+    norm, shift, gain = _gaussian_steps(tuple(prec), d)
+    # by bitmask: the centres of the subsets some later point extends
+    centre = np.zeros((1 << (m - 1), n, d))
+    spread = np.zeros((1 << m, n))
+    diff = np.empty((1 << (m - 1), n, d))
+    sq = np.empty((1 << (m - 1), n))
     for i in range(m):
-        table[(1 << i) - 1] = _gaussian_norm(prec[i], d)
-    P = X.transpose(1, 0, 2)
-    for subs, members in by_size:
-        w = prec[members]
-        total = w[:, 0]
-        centre = w[:, 0, None, None] * P[members[:, 0]]
-        for j in range(1, members.shape[1]):
-            total = total + w[:, j]
-            centre = centre + w[:, j, None, None] * P[members[:, j]]
-        centre = centre / total[:, None, None]
-        spread = 0.0
-        for j in range(members.shape[1]):
-            diff = P[members[:, j]] - centre
-            sq = diff[..., 0] * diff[..., 0]
-            for a in range(1, d):
-                sq = sq + diff[..., a] * diff[..., a]
-            spread = spread + w[:, j, None] * sq
-        table[subs] = _gaussian_norm(total, d)[:, None] * np.exp(-spread)
+        lo = 1 << i
+        new, dl, ql = slice(lo, 2 * lo), diff[:lo], sq[:lo]
+        np.subtract(X[:, i], centre[:lo], out=dl)
+        np.multiply(dl[..., 0], dl[..., 0], out=ql)
+        for a in range(1, d):
+            ql += dl[..., a] * dl[..., a]
+        ql *= gain[new, None]
+        np.add(spread[:lo], ql, out=spread[new])
+        if i < m - 1:
+            dl *= shift[new, None, None]
+            np.add(centre[:lo], dl, out=centre[new])
+    table = spread[1:]
+    np.negative(table, out=table)
+    np.exp(table, out=table)
+    table *= norm[:, None]
     return table
 
 
-def _gaussian_norm(total, d: int):
-    """(pi / total)^(d/2), as the product of d factors sqrt(pi / total)."""
-    root = np.sqrt(math.pi / total)
-    out = root
+@functools.lru_cache(maxsize=32)
+def _gaussian_steps(prec: tuple, d: int):
+    """Per-subset constants of _gaussian_integrals: the norms
+    (pi / A)^(d/2) of the nonempty subsets (row s for bitmask s + 1), each
+    the product of d factors sqrt(pi / A), and by bitmask b = b' + 2^i
+    (b' below 2^i) the centre weight w_i / A_b and the spread weight
+    A_b' w_i / A_b."""
+    total = np.zeros(1 << len(prec))
+    shift = np.zeros(1 << len(prec))
+    gain = np.zeros(1 << len(prec))
+    for i, w in enumerate(prec):
+        lo = 1 << i
+        total[lo:2 * lo] = total[:lo] + w
+        shift[lo:2 * lo] = w / total[lo:2 * lo]
+        gain[lo:2 * lo] = total[:lo] * w / total[lo:2 * lo]
+    root = np.sqrt(math.pi / total[1:])
+    norm = root
     for _ in range(d - 1):
-        out = out * root
-    return out
+        norm = norm * root
+    return norm, shift, gain
 
 
 def indicator_union_exponent(X: np.ndarray, radii, scales,
@@ -455,13 +476,17 @@ def _gaussian_terms(widths):
     return np.ones(len(widths)), lambda X: _gaussian_integrals(X, prec)
 
 
-def _subset_terms(funcs):
-    """(scales, integrals) of _inclusion_exclusion when every function is
-    of an indicator kind or every one is Gaussian; None otherwise."""
+def _expansion(funcs):
+    """The exact subset expansion of a tuple's exponent, when every
+    function is of an indicator kind or every one is Gaussian (of any
+    widths): (its public exponent function, the terms builder of
+    _inclusion_exclusion, their per-point parameters). None otherwise."""
     if all(_is_indicator(f) for f in funcs):
-        return _ball_terms([f.r for f in funcs], [f.p for f in funcs])
+        return (indicator_union_exponent, _ball_terms,
+                ([f.r for f in funcs], [f.p for f in funcs]))
     if all(f.kind == "gaussian" for f in funcs):
-        return _gaussian_terms([f.s for f in funcs])
+        return (gaussian_union_exponent, _gaussian_terms,
+                ([f.s for f in funcs],))
     return None
 
 
@@ -522,15 +547,14 @@ def mixed_exponent(X: np.ndarray, funcs, beta: float) -> np.ndarray:
     """Interaction exponent for per-point connection functions, batched.
 
     Tuples of indicator kinds only and of Gaussians only (of any widths)
-    are exact subset expansions; the tensor grid of
+    are exact subset expansions (_expansion); the tensor grid of
     generic_union_exponent takes the exponential kind and mixed kinds.
     """
-    if all(_is_indicator(f) for f in funcs):
-        return indicator_union_exponent(X, [f.r for f in funcs],
-                                        [f.p for f in funcs], beta)
-    if all(f.kind == "gaussian" for f in funcs):
-        return gaussian_union_exponent(X, [f.s for f in funcs], beta)
-    return generic_union_exponent(X, funcs, beta)
+    expansion = _expansion(funcs)
+    if expansion is None:
+        return generic_union_exponent(X, funcs, beta)
+    exponent, _, params = expansion
+    return exponent(X, *params, beta)
 
 
 def inner_exponent(x, phi: ConnectionFunction, beta: float) -> float:
@@ -578,10 +602,11 @@ def q_kl(X1: np.ndarray, X2: np.ndarray, phi: ConnectionFunction,
     """
     k, l = X1.shape[1], X2.shape[1]
     Xall = np.concatenate([X1, X2], axis=1)
-    terms = _subset_terms([phi] * k + [psi] * l)
-    if terms is not None:
+    expansion = _expansion([phi] * k + [psi] * l)
+    if expansion is not None:
+        _, terms, params = expansion
         e_joint, e1, e2 = (beta * e for e in _inclusion_exclusion(
-            Xall, *terms, split=k))
+            Xall, *terms(*params), split=k))
     else:
         e_joint = mixed_exponent(Xall, [phi] * k + [psi] * l, beta)
         e1 = mixed_exponent(X1, [phi] * k, beta)
