@@ -26,14 +26,15 @@ For the indicator and Gaussian kinds the interaction exponent is an
 inclusion-exclusion sum over point subsets, in one (subsets x rows)
 table whose rows go in blocks of at most _BLOCK_ELEMENTS table entries,
 which bounds the memory up to the 2 * ENUM_CAP points of a covariance.
-An indicator subset's term is a ball intersection volume, which one
-rule slices into (d-1)-dimensional ones in every dimension; one matrix
-product with the pair-disjointness matrix finds the active subsets, and
-the active subsets of one size go to the volume rule together. A
-Gaussian subset's term is its exact closed form, for any mix of widths,
-so those exponents carry no truncation or quadrature error; one pass per
-point adds it to every subset of the points before it (a weighted
-Welford update). `q_kl` reads the joint exponent and both cluster
+An indicator subset's term is a ball intersection volume: for two
+balls the exact lens (two caps, by a recurrence in the dimension), for
+three or more one rule that slices it into (d-1)-dimensional ones in
+every dimension; one matrix product with the pair-disjointness matrix
+finds the active subsets, and the active subsets of one size go to the
+volume rule together. A Gaussian subset's term is its exact closed
+form, for any mix of widths, so those exponents carry no truncation or
+quadrature error; one pass per point adds it to every subset of the
+points before it (a weighted Welford update). `q_kl` reads the joint exponent and both cluster
 exponents from one table.
 Only the exponential kind and tuples of mixed kinds take a tensor
 Gauss-Legendre integral over a box per row; the squared distance from a
@@ -264,12 +265,67 @@ def _sliced_volume(centers: np.ndarray, radii: np.ndarray,
     return 0.5 * width * np.sum(area * weights, axis=-1)
 
 
+def _cap_volume(r: np.ndarray, a: np.ndarray, d: int) -> np.ndarray:
+    """Volume of the cap {x in B(0, r): x_1 >= a}, |a| <= r, elementwise.
+
+    It is kappa_(d-1) J_(d-1), J_n = integral_a^r (r^2 - x^2)^(n/2) dx:
+    J_0 = r - a, J_1 = (r^2 arccos(a/r) - a s) / 2 with s^2 = r^2 - a^2,
+    and (n + 1) J_n = -a s^n + n r^2 J_(n-2). s^2 is (r - a)(r + a) and
+    the angle arctan2(s, a), so a thin cap loses no digits to a
+    difference of squares or to arccos near 1.
+    """
+    s2 = (r - a) * (r + a)
+    if d % 2:
+        J, power, n = r - a, 1.0, 0
+    else:
+        s = np.sqrt(s2)
+        J, power, n = 0.5 * (r * r * np.arctan2(s, a) - a * s), s, 1
+    while n < d - 1:
+        n += 2
+        power = power * s2
+        J = (n * r * r * J - a * power) / (n + 1)
+    return unit_ball_volume(d - 1) * J
+
+
+def _two_ball_volume(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Exact volume of B(c_1, r_1) intersected with B(c_2, r_2), for
+    centers (2, n, d) and radii (2, n), elementwise over the n rows.
+
+    With t = |c_2 - c_1| it is 0 for t >= r_1 + r_2 and the smaller
+    ball's volume for t <= |r_1 - r_2|; otherwise the sum of the two caps
+    beyond the radical plane, at signed distances a_1 and a_2 from the
+    centres. Each a_i has its own formula, (t^2 + (r_i - r_j)(r_i + r_j))
+    / 2t, so swapping the balls swaps the caps bit for bit.
+    """
+    d = centers.shape[-1]
+    diff = centers[1] - centers[0]
+    sq = diff[..., 0] * diff[..., 0]
+    for a in range(1, d):
+        sq = sq + diff[..., a] * diff[..., a]
+    t = np.sqrt(sq)
+    r1, r2 = radii
+    nested = t <= np.abs(r1 - r2)
+    vol = np.where(nested, unit_ball_volume(d) * np.minimum(r1, r2) ** d,
+                   0.0)
+    lens = ~nested & (t < r1 + r2)
+    t, r1, r2 = t[lens], r1[lens], r2[lens]
+    tt, half = t * t, (r1 - r2) * (r1 + r2)
+    # in floating point a_i may stray past +-r_i by a rounding
+    a1 = np.clip((tt + half) / (2.0 * t), -r1, r1)
+    a2 = np.clip((tt - half) / (2.0 * t), -r2, r2)
+    vol[lens] = _cap_volume(r1, a1, d) + _cap_volume(r2, a2, d)
+    return vol
+
+
 def _blocked_volume(centers: np.ndarray, radii: np.ndarray,
                     n_nodes: int) -> np.ndarray:
-    """_sliced_volume of centers (m, n, d) and radii (m, n), n rows of m
-    balls, in blocks of at most _BLOCK_ELEMENTS rows x nodes^(d-1) x
-    balls; a row's volume does not depend on its block."""
+    """Intersection volumes of centers (m, n, d) and radii (m, n), n rows
+    of m balls: the exact lens for two balls, otherwise _sliced_volume in
+    blocks of at most _BLOCK_ELEMENTS rows x nodes^(d-1) x balls. A row's
+    volume does not depend on its block."""
     m, n, d = centers.shape
+    if m == 2:
+        return _two_ball_volume(centers, radii)
     step = max(1, _BLOCK_ELEMENTS // (n_nodes ** (d - 1) * m))
     return np.concatenate([
         _sliced_volume(centers[:, s:s + step], radii[:, s:s + step], n_nodes)
@@ -280,10 +336,11 @@ def _balls_intersection_volume(centers: np.ndarray, radii: np.ndarray,
                                n_nodes: int = 64) -> np.ndarray:
     """Volume of the intersection of balls B(c_i, r_i), batched.
 
-    centers: (n, m, d); radii: (n, m). The slice at x_1 = t is the
-    intersection of the (d-1)-balls B(c_i[1:], sqrt(r_i^2 - (t - c_i1)^2)),
-    so the volume is a Gauss-Legendre integral (n_nodes) over t of slice
-    volumes, down to exact interval lengths in d = 1.
+    centers: (n, m, d); radii: (n, m). Two balls (m = 2) take the exact
+    lens. For more, the slice at x_1 = t is the intersection of the
+    (d-1)-balls B(c_i[1:], sqrt(r_i^2 - (t - c_i1)^2)), so the volume is
+    a Gauss-Legendre integral (n_nodes) over t of slice volumes, down to
+    exact interval lengths in d = 1.
     """
     return _blocked_volume(centers.transpose(1, 0, 2), radii.T, n_nodes)
 
@@ -561,10 +618,12 @@ def inner_exponent(x, phi: ConnectionFunction, beta: float) -> float:
     """beta * integral(prod_i phibar(y - x_i) - 1) dy for one tuple.
 
     For indicator kinds this is the inclusion-exclusion sum of
-    indicator_union_exponent, with 1024 nodes per coordinate in d <= 2
-    and 2^(16/(d-1)) in higher d, which keeps 2^16 one-dimensional
-    slices: 256 nodes in d = 3. Where lens boundaries kink the slice
-    volume that is about 1e-7 relative in d = 2 and 2e-6 in d = 3.
+    indicator_union_exponent. Its pair terms are exact lenses, so up to
+    two points the value is exact; subsets of three or more points are
+    sliced with 1024 nodes per coordinate in d <= 2 and 2^(16/(d-1)) in
+    higher d, which keeps 2^16 one-dimensional slices: 256 nodes in
+    d = 3. Where lens boundaries kink the slice volume those terms are
+    off by about 1e-7 relative in d = 2 and 2e-6 in d = 3.
     For the Gaussian kind it is exact (gaussian_union_exponent); the
     exponential kind uses tensor Gauss-Legendre quadrature at 96 nodes
     per axis.

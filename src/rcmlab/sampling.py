@@ -52,8 +52,13 @@ def sample_poisson(window: Window, padding: float, beta: float,
     if beta <= 0:
         raise ValueError("beta must be positive")
     region = window.pad(padding)
+    try:
+        mean = beta * region.volume
+    except OverflowError:
+        raise ValueError(f"sampling region volume overflows: extent "
+                         f"{region.extent:g} in d = {region.dim}") from None
     rng = np.random.default_rng(seed)
-    n = rng.poisson(beta * region.volume)
+    n = rng.poisson(mean)
     pts = region.sample_uniform(rng, n)
     pts = pts[lex_order(pts)]
     if n > 1 and np.any(np.all(pts[1:] == pts[:-1], axis=1)):

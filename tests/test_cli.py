@@ -449,3 +449,25 @@ def test_out_that_is_a_file_is_a_config_error(tmp_path, config_path,
     assert "configuration error: --out" in err
     assert "Traceback" not in err
     assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command", ["sample", "census", "clt", "bounds",
+                                     "expectation"])
+def test_overflowing_region_volume_is_a_numerical_error(tmp_path, capsys,
+                                                        command):
+    # the window padded by a range of 1e200 has a volume beyond any float
+    cfg = {
+        "dimension": 2, "beta": 1.0,
+        "phi": {"kind": "gilbert", "r": 1e200},
+        "window": {"shape": "box", "extents": [2.0]},
+        "statistics": [{"statistic": "count_order", "k": 1}],
+        "replicates": 2, "seed_base": 1,
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg))
+    rc = main([command, "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_NUMERICAL
+    assert err.splitlines() == [
+        "numerical precondition violated: sampling region volume overflows:"
+        " extent 2e+200 in d = 2"]

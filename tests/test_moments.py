@@ -139,9 +139,9 @@ def test_inner_exponent_two_disks():
         X = np.array([[0.0, 0.0], [t, 0.0]])
         overlap = 2 * math.acos(t / 2) - (t / 2) * math.sqrt(4 - t * t)
         assert inner_exponent(X, GILBERT, 1.0) == \
-            pytest.approx(-(2 * math.pi - overlap), rel=1e-6)
+            pytest.approx(-(2 * math.pi - overlap), rel=1e-12)
         assert inner_exponent(X, scaled, 1.3) == pytest.approx(
-            -1.3 * (2 * 0.6 * math.pi - 0.6 ** 2 * overlap), rel=1e-6)
+            -1.3 * (2 * 0.6 * math.pi - 0.6 ** 2 * overlap), rel=1e-12)
     # far apart: areas add
     X2 = np.array([[0.0, 0.0], [5.0, 0.0]])
     assert inner_exponent(X2, GILBERT, 1.0) == pytest.approx(-2 * math.pi)
@@ -165,7 +165,7 @@ def test_inner_exponent_d3_overlapping_balls(delta, axis):
     X = np.array([[0.1, 0.2, -0.3], [0.1, 0.2, -0.3] + delta * u])
     lens = math.pi * (4 + delta) * (2 - delta) ** 2 / 12
     assert inner_exponent(X, phi3, 1.3) == pytest.approx(
-        -1.3 * (2 * unit_ball_volume(3) - lens), rel=1e-5)
+        -1.3 * (2 * unit_ball_volume(3) - lens), rel=1e-12)
 
 
 def test_inner_exponent_d1():
@@ -184,11 +184,13 @@ def _lens_volume(d, r1, r2, t):
     if d == 1:
         return r1 + r2 - t
     if d == 2:
-        return (r1 ** 2 * math.acos((t * t + r1 * r1 - r2 * r2) / (2 * t * r1))
-                + r2 ** 2 * math.acos((t * t + r2 * r2 - r1 * r1)
-                                      / (2 * t * r2))
-                - 0.5 * math.sqrt((r1 + r2 - t) * (t + r1 - r2)
-                                  * (t - r1 + r2) * (t + r1 + r2)))
+        # the angles the lens subtends at the centres, by the half-angle
+        # form of the law of cosines: no acos of an argument near 1
+        p, u, v, w = r1 + r2 - t, t + r1 - r2, t - r1 + r2, t + r1 + r2
+        return (2 * r1 ** 2 * math.atan2(math.sqrt(p * v), math.sqrt(u * w))
+                + 2 * r2 ** 2 * math.atan2(math.sqrt(p * u),
+                                           math.sqrt(v * w))
+                - 0.5 * math.sqrt(p * u * v * w))
     return math.pi * (r1 + r2 - t) ** 2 \
         * (t * t + 2 * t * (r1 + r2) - 3 * (r1 - r2) ** 2) / (12 * t)
 
@@ -209,9 +211,12 @@ def _volume(centers, radii):
     return _balls_intersection_volume(centers[None], radii[None])[0]
 
 
-# the 64-node rule is within 6e-5 of the smallest ball's volume where the
-# lens rim kinks a slice (measured on 300 random pairs per dimension)
+# the 64-node rule, which takes three or more balls, is within 8.5e-5 of
+# the smallest ball's volume where a lens rim kinks a slice (measured on
+# 300 random triples per dimension against 2048 nodes in d = 2, 384 in
+# d = 3); two balls take the exact lens, within a few rounding errors
 _SLICE_TOL = 2e-4
+_LENS_TOL = 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,7 +261,55 @@ def test_two_balls_intersect_in_the_closed_form_lens(balls):
     lens = _lens_volume(d, radii[0], radii[1],
                         float(np.linalg.norm(centers[1] - centers[0])))
     assert abs(_volume(centers, radii) - lens) <= \
-        _SLICE_TOL * unit_ball_volume(d) * radii.min() ** d
+        _LENS_TOL * unit_ball_volume(d) * radii.min() ** d
+
+
+@st.composite
+def _ball_pairs(draw):
+    """Two balls in d = 1, 2, 3 at a distance t along a random direction:
+    t anywhere up to past touching, or exactly 0, |r1 - r2| (internal
+    tangency), r1 + r2 (touching), or inside the larger ball; the radii
+    equal or not."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    r1 = draw(st.floats(0.2, 1.5))
+    r2 = r1 if draw(st.booleans()) else draw(st.floats(0.2, 1.5))
+    gap = abs(r1 - r2)
+    t = draw(st.one_of(st.floats(0.0, r1 + r2 + 0.5),
+                       st.sampled_from([0.0, gap, r1 + r2]),
+                       st.floats(0.0, gap)))
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d,
+                               max_size=d)))
+    norm = np.linalg.norm(u)
+    u = u / norm if norm > 1e-3 else np.eye(d)[0]
+    start = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d,
+                                   max_size=d)))
+    return np.array([start, start + t * u]), np.array([r1, r2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ball_pairs())
+def test_two_ball_volume_is_the_closed_form_lens(balls):
+    centers, radii = balls
+    d = centers.shape[1]
+    t = float(np.linalg.norm(centers[1] - centers[0]))
+    got = _volume(centers, radii)
+    assert abs(got - _lens_volume(d, radii[0], radii[1], t)) <= \
+        _LENS_TOL * unit_ball_volume(d) * radii.min() ** d
+    assert _volume(centers[::-1], radii[::-1]) == got
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_two_ball_volume_matches_the_incomplete_beta_lens(d):
+    # window_overlap_volume takes a ball window's lens by betainc
+    for extent in (0.4, 1.0, 1.7):
+        w = Window("ball", extent, d)
+        u = np.random.default_rng(d).normal(size=d)
+        u /= np.linalg.norm(u)
+        for t in np.linspace(0.0, 2.0 * extent, 41)[:-1]:
+            x = t * u
+            got = _volume(np.array([np.zeros(d), x]), np.full(2, extent))
+            assert got == pytest.approx(window_overlap_volume(w, x),
+                                        rel=1e-9)
 
 
 @pytest.mark.parametrize("k", range(1, ENUM_CAP + 1))
@@ -302,7 +355,32 @@ def test_expected_count_intensity_edge_oracle():
     assert abs(est.value - RHO_EDGE) < 4.0 * est.std_error
 
 
-GILBERT3 = ConnectionFunction("gilbert", 3, r=1.0)
+# In d = 1 the gaps between consecutive Poisson points are iid Exp(beta),
+# and under Gilbert phi a component is a maximal run of gaps shorter than
+# r, which gives these moments exactly (Mecke formula, at beta = r = 1)
+GILBERT1 = ConnectionFunction("gilbert", 1, r=1.0)
+#   rho_2:1 = beta e^{-2 beta r} (1 - e^{-beta r})
+RHO_EDGE_D1 = math.exp(-2.0) * (1.0 - math.exp(-1.0))
+#   sigma^{(1,1)} = beta e^{-2 beta r} + 2 beta (e^{-3 beta r} - e^{-4 beta r})
+#   - 4 r beta^2 e^{-4 beta r}
+SIGMA_11_D1 = (math.exp(-2.0) + 2.0 * (math.exp(-3.0) - math.exp(-4.0))
+               - 4.0 * math.exp(-4.0))
+
+
+def test_d1_edge_intensity_is_exact():
+    assert RHO_EDGE_D1 == pytest.approx(0.0855482, abs=1e-7)
+    est = expected_count_intensity(edge_class(), GILBERT1, 1.0,
+                                   n_samples=40000, seed=1)
+    assert abs(est.value - RHO_EDGE_D1) < 3.0 * est.std_error
+
+
+def test_d1_isolated_vertex_covariance_is_exact():
+    assert SIGMA_11_D1 == pytest.approx(0.1250156, abs=1e-7)
+    est = asy_cov_kl(1, 1, GILBERT1, GILBERT1, 1.0, n_samples=40000, seed=1)
+    assert abs(est.value - SIGMA_11_D1) < 3.0 * est.std_error
+
+
+GILBERT3 =ConnectionFunction("gilbert", 3, r=1.0)
 
 
 @pytest.mark.acceptance
