@@ -33,7 +33,7 @@ from scipy.special import ndtr, ndtri
 from .census import (K_MAX, ComponentTable, GraphClass, MergedRows,
                      batch_table, canonical_form, counted)
 from .connection import ConnectionFunction
-from .geometry import Window, unit_ball_volume
+from .geometry import Window, squared_lengths, unit_ball_volume
 from .marks import PairMarkSource, pair_marks
 from .moments import MomentEstimate, _mc_estimate
 from .sampling import (PointSet, RcmBatch, RcmGraph, build_chunks,
@@ -526,7 +526,7 @@ def gamma_terms(spec: FunctionalSpec, std: Standardization,
     def _ball_offset():
         while True:
             u = rng.uniform(-reach, reach, dim)
-            if np.dot(u, u) <= reach * reach:
+            if squared_lengths(u) <= reach * reach:
                 return u
 
     # accumulators of per-outer-draw integrand values, volume weights

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .geometry import unit_ball_volume
+from .geometry import squared_lengths, unit_ball_volume
 
 _KINDS = ("gilbert", "scaled_indicator", "exponential", "gaussian")
 
@@ -156,7 +156,7 @@ def radial_sampler(phi: ConnectionFunction, widen: float = 1.0):
 def random_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """n unit vectors drawn uniformly on the sphere S^(d-1), as (n, d)."""
     dirs = rng.standard_normal((n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= np.sqrt(squared_lengths(dirs.T))[:, None]
     return dirs
 
 

@@ -1,4 +1,5 @@
-"""Convex observation windows (boxes and balls) in R^d."""
+"""Convex observation windows (boxes and balls) in R^d, and
+squared_lengths, rcmlab's one rule for a Euclidean length."""
 
 from __future__ import annotations
 
@@ -6,6 +7,19 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma
+
+
+def squared_lengths(diffs) -> np.ndarray:
+    """Squared Euclidean lengths from coordinate differences, one array
+    per coordinate, the squares summed in coordinate order as scipy's
+    kd-tree sums them. Every distance in rcmlab is the square root of
+    this, so its last bit does not depend on the module computing it."""
+    diffs = iter(diffs)
+    first = next(diffs)
+    sq = first * first
+    for d in diffs:
+        sq += d * d
+    return sq
 
 
 def unit_ball_volume(d: int) -> float:
@@ -18,7 +32,8 @@ class Window:
     """A box (half-side `extent`) or ball (radius `extent`) centred at `center`.
 
     For both shapes the inradius equals `extent`. The centre is held as a
-    tuple of floats, so windows compare and hash by value.
+    tuple of floats and the extent as a float, so windows compare and
+    hash by value, and a volume beyond any float raises OverflowError.
     """
 
     shape: str
@@ -27,6 +42,7 @@ class Window:
     center: tuple = None
 
     def __post_init__(self):
+        object.__setattr__(self, "extent", float(self.extent))
         if self.shape not in ("box", "ball"):
             raise ValueError(f"unknown window shape {self.shape!r}")
         if self.extent < 0:
@@ -65,14 +81,15 @@ class Window:
             raise ValueError("points have wrong dimension")
         if self.shape == "box":
             return (np.abs(delta) <= self.extent).all(axis=-1)
-        return np.einsum("...i,...i->...", delta, delta) <= self.extent ** 2
+        return squared_lengths(np.moveaxis(delta, -1, 0)) <= self.extent ** 2
 
     def boundary_distance(self, points: np.ndarray) -> np.ndarray:
         """Distance from each point to the boundary (negative if outside)."""
         delta = self._delta(points)
         if self.shape == "box":
             return self.extent - np.abs(delta).max(axis=-1)
-        return self.extent - np.sqrt(np.einsum("...i,...i->...", delta, delta))
+        return self.extent - np.sqrt(
+            squared_lengths(np.moveaxis(delta, -1, 0)))
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.subtract(self.center, self.extent)

@@ -27,8 +27,9 @@ inclusion-exclusion sum over point subsets, in one (subsets x rows)
 table whose rows go in blocks of at most _BLOCK_ELEMENTS table entries,
 which bounds the memory up to the 2 * ENUM_CAP points of a covariance.
 An indicator subset's term is a ball intersection volume: for two
-balls the exact lens (two caps, by a recurrence in the dimension), for
-three or more one rule that slices it into (d-1)-dimensional ones in
+balls the exact lens (two caps, by a recurrence in the dimension; the
+same lens gives a ball window's overlap with its shift), for three or
+more one rule that slices it into (d-1)-dimensional ones in
 every dimension; one matrix product with the pair-disjointness matrix
 finds the active subsets, and the active subsets of one size go to the
 volume rule together. A Gaussian subset's term is its exact closed
@@ -40,7 +41,9 @@ Only the exponential kind and tuples of mixed kinds take a tensor
 Gauss-Legendre integral over a box per row; the squared distance from a
 grid node to a point is the broadcast sum of per-axis squared offsets,
 and rows go in blocks of at most _BLOCK_ELEMENTS grid nodes, so no
-Python loop runs over the draws.
+Python loop runs over the draws. Every other distance is the square
+root of geometry.squared_lengths; the Gaussian table and the grid add
+their squares inline in the same coordinate order.
 
 Every Monte Carlo integrand is a graph probability times an interaction
 kernel (the exponential of the interaction exponent, or the two-cluster
@@ -69,11 +72,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, roots_legendre
+from scipy.special import roots_legendre
 
 from .census import GraphClass, _lexmin, permuted_bits
 from .connection import ConnectionFunction, RadialProposal
-from .geometry import Window, unit_ball_volume
+from .geometry import Window, squared_lengths, unit_ball_volume
 
 ENUM_CAP = 6
 
@@ -107,8 +110,8 @@ def _pair_dists(X: np.ndarray) -> np.ndarray:
     """Distances of all point pairs of X (n, k, d) -> (n, npairs), in
     np.triu_indices(k, 1) order."""
     i, j = np.triu_indices(X.shape[1], 1)
-    disp = X[:, i, :] - X[:, j, :]
-    return np.sqrt(np.einsum("nij,nij->ni", disp, disp))
+    return np.sqrt(squared_lengths(c[:, i] - c[:, j]
+                                   for c in np.moveaxis(X, -1, 0)))
 
 
 def _pair_values(X: np.ndarray, func: ConnectionFunction) -> np.ndarray:
@@ -247,7 +250,7 @@ def _gl_nodes(n: int):
 
 def _sliced_volume(centers: np.ndarray, radii: np.ndarray,
                    n_nodes: int) -> np.ndarray:
-    """_balls_intersection_volume for centers (m, ..., d) and radii
+    """_blocked_volume's slicing rule for centers (m, ..., d) and radii
     (m, ...) whose axes after the first broadcast; reducing over the
     leading ball axis is elementwise work on whole rows."""
     lo = np.max(centers[..., 0] - radii, axis=0)
@@ -298,11 +301,7 @@ def _two_ball_volume(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
     / 2t, so swapping the balls swaps the caps bit for bit.
     """
     d = centers.shape[-1]
-    diff = centers[1] - centers[0]
-    sq = diff[..., 0] * diff[..., 0]
-    for a in range(1, d):
-        sq = sq + diff[..., a] * diff[..., a]
-    t = np.sqrt(sq)
+    t = np.sqrt(squared_lengths((centers[1] - centers[0]).T))
     r1, r2 = radii
     nested = t <= np.abs(r1 - r2)
     vol = np.where(nested, unit_ball_volume(d) * np.minimum(r1, r2) ** d,
@@ -319,10 +318,16 @@ def _two_ball_volume(centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
 
 def _blocked_volume(centers: np.ndarray, radii: np.ndarray,
                     n_nodes: int) -> np.ndarray:
-    """Intersection volumes of centers (m, n, d) and radii (m, n), n rows
-    of m balls: the exact lens for two balls, otherwise _sliced_volume in
-    blocks of at most _BLOCK_ELEMENTS rows x nodes^(d-1) x balls. A row's
-    volume does not depend on its block."""
+    """Volume of the intersection of balls B(c_i, r_i), batched.
+
+    centers: (m, n, d); radii: (m, n), n rows of m balls. Two balls
+    (m = 2) take the exact lens. For more, the slice at x_1 = t is the
+    intersection of the (d-1)-balls B(c_i[1:], sqrt(r_i^2 - (t - c_i1)^2)),
+    so the volume is a Gauss-Legendre integral (n_nodes) over t of slice
+    volumes, down to exact interval lengths in d = 1, taken in blocks of
+    at most _BLOCK_ELEMENTS rows x nodes^(d-1) x balls. A row's volume
+    does not depend on its block.
+    """
     m, n, d = centers.shape
     if m == 2:
         return _two_ball_volume(centers, radii)
@@ -330,19 +335,6 @@ def _blocked_volume(centers: np.ndarray, radii: np.ndarray,
     return np.concatenate([
         _sliced_volume(centers[:, s:s + step], radii[:, s:s + step], n_nodes)
         for s in range(0, n, step)])
-
-
-def _balls_intersection_volume(centers: np.ndarray, radii: np.ndarray,
-                               n_nodes: int = 64) -> np.ndarray:
-    """Volume of the intersection of balls B(c_i, r_i), batched.
-
-    centers: (n, m, d); radii: (n, m). Two balls (m = 2) take the exact
-    lens. For more, the slice at x_1 = t is the intersection of the
-    (d-1)-balls B(c_i[1:], sqrt(r_i^2 - (t - c_i1)^2)), so the volume is
-    a Gauss-Legendre integral (n_nodes) over t of slice volumes, down to
-    exact interval lengths in d = 1.
-    """
-    return _blocked_volume(centers.transpose(1, 0, 2), radii.T, n_nodes)
 
 
 _subset_cache: dict = {}
@@ -680,7 +672,7 @@ def _cross_phibar(X1: np.ndarray, X2: np.ndarray,
     cross = np.ones(len(X1))
     for i in range(X1.shape[1]):
         disp = X2 - X1[:, i: i + 1, :]
-        dist = np.sqrt(np.einsum("nij,nij->ni", disp, disp))
+        dist = np.sqrt(squared_lengths(np.moveaxis(disp, -1, 0)))
         cross *= np.prod(1.0 - phi.phi_of_dist(dist), axis=1)
     return cross
 
@@ -781,7 +773,7 @@ class AnchorProposal(RadialProposal):
 
     def density(self, X1: np.ndarray, anchor: np.ndarray) -> np.ndarray:
         diff = anchor[:, None, :] - X1
-        dist = np.sqrt(np.einsum("nij,nij->ni", diff, diff))
+        dist = np.sqrt(squared_lengths(np.moveaxis(diff, -1, 0)))
         return np.mean(self._disp_density(dist), axis=1)
 
 
@@ -952,23 +944,17 @@ def expected_count_intensity(G: GraphClass, phi: ConnectionFunction,
 
 def window_overlap_volume(window: Window, x):
     """Volume of the window intersected with itself shifted by x: a float
-    for one shift x (d,), one volume per row for shifts x (..., d)."""
+    for one shift x (d,), one volume per row for shifts x (..., d). For
+    a ball window of radius R it is the lens of B(0, R) and B(x, R)."""
     x = np.asarray(x, dtype=float)
     if window.shape == "box":
         vol = np.prod(np.maximum(0.0, 2.0 * window.extent - np.abs(x)),
                       axis=-1)
     else:
-        # one BLAS dot per row, as the norm of a single shift takes it
-        t = np.sqrt(np.vecdot(x, x))
-        R = window.extent
-        vol = np.zeros(t.shape)
-        lens = t < 2.0 * R
-        # a lens of two caps of height R - t/2; t^2 by libm's pow, as a
-        # Python float takes it (t * t rounds differently for about 8 t
-        # in 10,000)
-        vol[lens] = window.volume * betainc(
-            (window.dim + 1) / 2, 0.5,
-            1.0 - np.float_power(t[lens], 2) / (4.0 * R ** 2))
+        shifts = x.reshape(-1, window.dim)
+        vol = _two_ball_volume(
+            np.stack([np.zeros_like(shifts), shifts]),
+            np.full((2, len(shifts)), window.extent)).reshape(x.shape[:-1])
     return float(vol) if vol.ndim == 0 else vol
 
 

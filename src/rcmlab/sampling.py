@@ -6,7 +6,8 @@ in that order. Ids need not follow that order in general: the census
 takes each component's lexicographic minimum from the coordinates, so
 point sets assembled in any order count correctly. Edges follow from
 deterministic pair marks: {i, j} is an edge iff mark(i, j) <=
-phi(x_i - x_j).
+phi(x_i - x_j). A pair is a candidate when geometry.squared_lengths,
+the kd-tree's own sum, is <= rmax**2, and phi takes its square root.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .connection import ConnectionFunction
-from .geometry import Window, lex_order
+from .geometry import Window, lex_order, squared_lengths
 from .marks import PairMarkSource, pair_marks
 
 # build_chunked's chunk size, in points (each graph counting one more):
@@ -81,19 +82,6 @@ def _candidate_pairs(points: np.ndarray, rmax: float):
         return np.empty((0, 2), dtype=np.int64), None
     tree = cKDTree(points)
     return tree.query_pairs(rmax, output_type="ndarray"), tree
-
-
-def _squared_lengths(diffs) -> np.ndarray:
-    """Squared Euclidean lengths from coordinate differences, one array
-    per coordinate, the squares summed in coordinate order as the
-    kd-tree sums them: a pair is a candidate when this is <= rmax**2,
-    and phi is taken at its square root."""
-    diffs = iter(diffs)
-    first = next(diffs)
-    sq = first * first
-    for d in diffs:
-        sq += d * d
-    return sq
 
 
 class RcmBatch:
@@ -190,14 +178,14 @@ class RcmBatch:
         # so always a candidate
         if (offsets == 0).all(axis=1).any():
             raise ValueError("added point duplicates an existing point")
-        sq = _squared_lengths(offsets.T)
+        sq = squared_lengths(offsets.T)
         # every pair (u, v), u < v, of points of one insertion
         after = np.searchsorted(ins, ins, side="right") - 1 - np.arange(
             len(ids))
         u = np.repeat(np.arange(len(ids)), after)
         v = u + 1 + np.arange(len(u)) - np.repeat(np.cumsum(after) - after,
                                                   after)
-        sq_uv = _squared_lengths((pos[u] - pos[v]).T)
+        sq_uv = squared_lengths((pos[u] - pos[v]).T)
         near = sq_uv <= self.rmax * self.rmax
         u, v = u[near], v[near]
         links = np.column_stack([fresh, base])
@@ -315,7 +303,7 @@ def build_rcm_batch(points, phi: ConnectionFunction, marks) -> list[RcmGraph]:
     # a small index type makes the stable sort below a radix sort
     owner = np.repeat(np.arange(n_real, dtype=np.min_scalar_type(n_real)),
                       sizes)[pairs[:, 0]]
-    dist = np.sqrt(_squared_lengths(
+    dist = np.sqrt(squared_lengths(
         np.take(c, pairs[:, 0]) - np.take(c, pairs[:, 1])
         for c in batch.points.T))
     # marks are keyed by each realization's own ids
@@ -397,8 +385,8 @@ def build_coupled(points: PointSet, phi: ConnectionFunction,
         raise ValueError("psi must be dominated by phi")
     graph_phi = build_rcm(points, phi, marks)
     i, j = graph_phi.edges.T
-    dist = np.sqrt(_squared_lengths(np.take(c, i) - np.take(c, j)
-                                    for c in points.points.T))
+    dist = np.sqrt(squared_lengths(np.take(c, i) - np.take(c, j)
+                                   for c in points.points.T))
     edges = graph_phi.edges[np.atleast_1d(marks.mark(i, j))
                             <= psi.phi_of_dist(dist)]
     shared = graph_phi.batch

@@ -451,14 +451,25 @@ def test_out_that_is_a_file_is_a_config_error(tmp_path, config_path,
     assert blocker.read_text() == "not a directory"
 
 
-@pytest.mark.parametrize("command", ["sample", "census", "clt", "bounds",
-                                     "expectation"])
+# a range of 1e200 pads the window to a volume beyond any float; the
+# smooth kinds' truncation radii are numpy floats
+_OVERFLOWING_PHIS = [({"kind": "gilbert", "r": 1e200}, "2e+200"),
+                     ({"kind": "gaussian", "s": 1e200}, "7.43384e+200"),
+                     ({"kind": "exponential", "theta": 1e200}, "2.7631e+201")]
+
+
+@pytest.mark.parametrize("phi, extent, command", [
+    pytest.param(phi, extent, command,
+                 id=command if phi["kind"] == "gilbert"
+                 else f"{phi['kind']}-{command}")
+    for phi, extent in _OVERFLOWING_PHIS
+    for command in ["sample", "census", "clt", "bounds", "expectation"]])
 def test_overflowing_region_volume_is_a_numerical_error(tmp_path, capsys,
+                                                        phi, extent,
                                                         command):
-    # the window padded by a range of 1e200 has a volume beyond any float
     cfg = {
         "dimension": 2, "beta": 1.0,
-        "phi": {"kind": "gilbert", "r": 1e200},
+        "phi": phi,
         "window": {"shape": "box", "extents": [2.0]},
         "statistics": [{"statistic": "count_order", "k": 1}],
         "replicates": 2, "seed_base": 1,
@@ -470,4 +481,4 @@ def test_overflowing_region_volume_is_a_numerical_error(tmp_path, capsys,
     assert rc == EXIT_NUMERICAL
     assert err.splitlines() == [
         "numerical precondition violated: sampling region volume overflows:"
-        " extent 2e+200 in d = 2"]
+        f" extent {extent} in d = 2"]

@@ -1,12 +1,17 @@
-"""Windows, volumes, lexicographic ordering."""
+"""Windows, volumes, lexicographic ordering, the Euclidean length rule."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rcmlab.connection import ConnectionFunction
 from rcmlab.geometry import Window, lex_order, unit_ball_volume
+from rcmlab.moments import AnchorProposal, _pair_dists
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "rcmlab"
 
 
 def test_unit_ball_volumes():
@@ -122,8 +127,55 @@ def test_windows_compare_and_hash_by_value(shape, dim):
         assert a.pad(0.5) == b.pad(0.5)
     base = Window(shape, 1.5, dim)
     assert base == Window(shape, 1.5, dim, np.zeros(dim))
+    # a numpy extent is held as a float: same value and hash
+    wide = Window(shape, np.float64(1.5), dim)
+    assert type(wide.extent) is float and hash(wide) == hash(base)
     other_shape = "ball" if shape == "box" else "box"
     for other in (Window(other_shape, 1.5, dim), Window(shape, 2.0, dim),
                   Window(shape, 1.5, dim + 1),
                   Window(shape, 1.5, dim, np.full(dim, 0.25))):
         assert other != base
+
+
+def _squared(a, b):
+    """|a - b|^2 in scalar arithmetic, the squares summed in coordinate
+    order."""
+    sq = (a[0] - b[0]) * (a[0] - b[0])
+    for k in range(1, len(a)):
+        sq = sq + (a[k] - b[k]) * (a[k] - b[k])
+    return sq
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_every_length_follows_the_coordinate_order_rule(d):
+    rng = np.random.default_rng(40 + d)
+    X = rng.normal(size=(300, 4, d))
+    pairs = list(zip(*np.triu_indices(4, 1)))
+    ref = [[math.sqrt(_squared(x[i], x[j])) for i, j in pairs] for x in X]
+    assert np.array_equal(_pair_dists(X), ref)
+
+    prop = AnchorProposal(ConnectionFunction("gaussian", d, s=1.0), 2.0)
+    anchor = rng.normal(size=(300, d))
+    dist = np.array([[math.sqrt(_squared(a, x)) for x in row]
+                     for a, row in zip(anchor, X)])
+    assert np.array_equal(prop.density(X, anchor),
+                          np.mean(prop._disp_density(dist), axis=1))
+
+    # half the points on the sphere, where the last bit decides membership
+    w = Window("ball", 1.5, d, center=rng.normal(size=d))
+    u = rng.normal(size=(600, d))
+    u[:300] *= 1.5 / np.sqrt((u[:300] ** 2).sum(axis=1, keepdims=True))
+    pts = u + w.center
+    sq = [_squared(p, w.center) for p in pts]
+    assert np.array_equal(w.contains(pts), [s <= 1.5 ** 2 for s in sq])
+    assert np.array_equal(w.boundary_distance(pts),
+                          [1.5 - math.sqrt(s) for s in sq])
+
+
+def test_no_second_length_rule_in_the_sources():
+    """Every Euclidean length goes through geometry.squared_lengths; these
+    calls sum squares in orders of their own."""
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for call in ("einsum(", "vecdot(", "linalg.norm(", "np.dot("):
+            assert call not in text, (path.name, call)
