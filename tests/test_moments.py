@@ -185,8 +185,10 @@ def _lens_volume(d, r1, r2, t):
         return r1 + r2 - t
     if d == 2:
         # the angles the lens subtends at the centres, by the half-angle
-        # form of the law of cosines: no acos of an argument near 1
-        p, u, v, w = r1 + r2 - t, t + r1 - r2, t - r1 + r2, t + r1 + r2
+        # form of the law of cosines: no acos of an argument near 1. The
+        # radius difference is taken first, so a tiny t is not absorbed
+        # into r1 before r2 cancels it
+        p, u, v, w = r1 + r2 - t, t + (r1 - r2), t - (r1 - r2), t + r1 + r2
         return (2 * r1 ** 2 * math.atan2(math.sqrt(p * v), math.sqrt(u * w))
                 + 2 * r2 ** 2 * math.atan2(math.sqrt(p * u),
                                            math.sqrt(v * w))
