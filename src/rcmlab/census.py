@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -24,7 +24,6 @@ from .sampling import RcmBatch, RcmGraph
 
 K_MAX = 8
 
-_perm_cache: dict[int, tuple] = {}
 _canon_cache: dict[tuple, int] = {}
 
 
@@ -62,13 +61,12 @@ def _unpack(k: int, packed: int) -> np.ndarray:
     return a | a.T
 
 
+@cache
 def _perm_tables(k: int):
-    if k not in _perm_cache:
-        perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
-        iu = np.triu_indices(k, 1)
-        weights = (np.int64(1) << np.arange(len(iu[0]), dtype=np.int64))
-        _perm_cache[k] = (perms, iu, weights)
-    return _perm_cache[k]
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
+    iu = np.triu_indices(k, 1)
+    weights = (np.int64(1) << np.arange(len(iu[0]), dtype=np.int64))
+    return perms, iu, weights
 
 
 def _pair_bits(k, a, b) -> np.ndarray:

@@ -29,8 +29,8 @@ from .census import K_MAX, GraphClass, batch_table
 from .census import census as run_census
 from .connection import ConnectionFunction
 from .geometry import Window
-from .moments import (ENUM_CAP, _asy_cov_matrix, expected_count_intensity,
-                      sigma_total_partial)
+from .moments import (ENUM_CAP, _estimate_matrix, asy_cov,
+                      expected_count_intensity, sigma_total_partial)
 from .sampling import build_chunked, seeded_sample
 
 VERSION = "0.1.0"
@@ -441,8 +441,11 @@ def covariance_experiment(config, threads: int = None) -> ExperimentResult:
         rung.extras["empirical_cov"] = cov.tolist()
         rung.extras["empirical_min_eigenvalue"] = float(
             np.min(np.linalg.eigvalsh(cov)))
-    mat, err = _asy_cov_matrix(classes, scenario.phi, scenario.beta,
-                               scenario.mc_samples, scenario.seed_base, 7919)
+    m = len(classes)
+    _, mat, err = _estimate_matrix(m, lambda i, j: asy_cov(
+        classes[i], classes[j], scenario.phi, scenario.phi, scenario.beta,
+        n_samples=scenario.mc_samples,
+        seed=scenario.seed_base + 7919 * (i * m + j)))
     extras = {
         "analytic_cov": mat.tolist(),
         "analytic_cov_se": err.tolist(),

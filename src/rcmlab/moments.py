@@ -35,8 +35,8 @@ finds the active subsets, and the active subsets of one size go to the
 volume rule together. A Gaussian subset's term is its exact closed
 form, for any mix of widths, so those exponents carry no truncation or
 quadrature error; one pass per point adds it to every subset of the
-points before it (a weighted Welford update). `q_kl` reads the joint exponent and both cluster
-exponents from one table.
+points before it (a weighted Welford update). `q_kl` reads the joint
+exponent and both cluster exponents from one table.
 Only the exponential kind and tuples of mixed kinds take a tensor
 Gauss-Legendre integral over a box per row; the squared distance from a
 grid node to a point is the broadcast sum of per-axis squared offsets,
@@ -62,14 +62,17 @@ Every second moment (`asy_cov`, `asy_cov_kl`,
 two-cluster term plus, for equal orders, a shared-tuple term, scaled by
 the window volume for the finite window. A term for a psi-component
 nested in a phi-component of larger order would go there. It checks
-domination and ENUM_CAP for all three.
+domination and ENUM_CAP for all three. Its two terms, and the
+covariances of a quadratic form or a partial sum, add by
+`_linear_combination`, the one rule for sums of independent estimates;
+`_estimate_matrix` fills every matrix of pairwise covariances.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -99,7 +102,7 @@ class MomentEstimate:
     method: str    # closed_form | quadrature | monte_carlo
 
     def __post_init__(self):
-        if self.std_error < 0:
+        if not self.std_error >= 0:
             raise ValueError("std_error must be nonnegative")
 
 
@@ -119,18 +122,13 @@ def _pair_values(X: np.ndarray, func: ConnectionFunction) -> np.ndarray:
     return func.phi_of_dist(_pair_dists(X))
 
 
-_iso_cache: dict = {}
-_nested_cache: dict = {}
-
-
+@functools.cache
 def iso_masks(G: GraphClass):
     """All labeled edge subsets isomorphic to G, as a (m, npairs) bool
     array, in the order the vertex permutations first reach them."""
-    if G not in _iso_cache:
-        bits = permuted_bits(G.adjacency())
-        _, first = np.unique(bits, axis=0, return_index=True)
-        _iso_cache[G] = bits[np.sort(first)]
-    return _iso_cache[G]
+    bits = permuted_bits(G.adjacency())
+    _, first = np.unique(bits, axis=0, return_index=True)
+    return bits[np.sort(first)]
 
 
 def _sum_band_products(bands: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -172,10 +170,8 @@ def prob_connected(pe: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
         return np.ones(n)
     iu = np.triu_indices(k, 1)
-    pair_of = {}
-    for e, (i, j) in enumerate(zip(*iu)):
-        pair_of[(int(i), int(j))] = e
-        pair_of[(int(j), int(i))] = e
+    pair_of = np.zeros((k, k), dtype=np.intp)
+    pair_of[iu] = pair_of[iu[::-1]] = np.arange(len(iu[0]))
     qe = 1.0 - pe
     # qv[j][mask] = P(no edge between vertex j and any vertex in mask)
     qv = [dict() for _ in range(k)]
@@ -186,7 +182,7 @@ def prob_connected(pe: np.ndarray, k: int) -> np.ndarray:
                 continue
             low = mask & -mask
             i = low.bit_length() - 1
-            qv[j][mask] = qv[j][mask ^ low] * qe[:, pair_of[(i, j)]]
+            qv[j][mask] = qv[j][mask ^ low] * qe[:, pair_of[i, j]]
     conn = {0: np.zeros(n)}
     for mask in range(1, 1 << k):
         anchor = mask & -mask
@@ -224,28 +220,23 @@ def joint_prob_coupled(pe_phi: np.ndarray, pe_psi: np.ndarray,
     return _sum_band_products(bands, _nested_codes(G, H))
 
 
+@functools.cache
 def _nested_codes(G: GraphClass, H: GraphClass) -> np.ndarray:
     """Band codes (0 neither, 1 phi only, 2 both) of the pairs of every
     G-copy and H-copy with the H-copy's edges inside the G-copy's, G-copies
     outer and H-copies inner."""
-    if (G, H) not in _nested_cache:
-        mphi, mpsi = iso_masks(G), iso_masks(H)
-        nested = ~np.any(mpsi[None, :, :] & ~mphi[:, None, :], axis=2)
-        i, j = np.nonzero(nested)
-        _nested_cache[(G, H)] = mphi[i].astype(np.intp) + mpsi[j]
-    return _nested_cache[(G, H)]
+    mphi, mpsi = iso_masks(G), iso_masks(H)
+    nested = ~np.any(mpsi[None, :, :] & ~mphi[:, None, :], axis=2)
+    i, j = np.nonzero(nested)
+    return mphi[i].astype(np.intp) + mpsi[j]
 
 
 # ---------------------------------------------------------------------------
 # interaction exponents
 
-_gl_cache: dict = {}
-
-
+@functools.cache
 def _gl_nodes(n: int):
-    if n not in _gl_cache:
-        _gl_cache[n] = roots_legendre(n)
-    return _gl_cache[n]
+    return roots_legendre(n)
 
 
 def _sliced_volume(centers: np.ndarray, radii: np.ndarray,
@@ -337,26 +328,22 @@ def _blocked_volume(centers: np.ndarray, radii: np.ndarray,
         for s in range(0, n, step)])
 
 
-_subset_cache: dict = {}
-
-
+@functools.cache
 def _subsets(m: int):
     """The nonempty subsets of m points, row s for bitmask s + 1: their
     member matrix (2^m - 1, m), which point pairs each holds (float
     (2^m - 1, npairs), pairs in np.triu_indices order), and per size
     >= 2 the subsets of that size in increasing bitmask order with their
     members in increasing order."""
-    if m not in _subset_cache:
-        member = (np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1 == 1
-        i, j = np.triu_indices(m, 1)
-        holds = (member[:, i] & member[:, j]).astype(float)
-        size = member.sum(axis=1)
-        by_size = []
-        for s in range(2, m + 1):
-            subs = np.flatnonzero(size == s)
-            by_size.append((subs, np.nonzero(member[subs])[1].reshape(-1, s)))
-        _subset_cache[m] = member, holds, by_size
-    return _subset_cache[m]
+    member = (np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1 == 1
+    i, j = np.triu_indices(m, 1)
+    holds = (member[:, i] & member[:, j]).astype(float)
+    size = member.sum(axis=1)
+    by_size = []
+    for s in range(2, m + 1):
+        subs = np.flatnonzero(size == s)
+        by_size.append((subs, np.nonzero(member[subs])[1].reshape(-1, s)))
+    return member, holds, by_size
 
 
 def _inclusion_exclusion(X: np.ndarray, scales: np.ndarray, integrals,
@@ -827,6 +814,29 @@ def _mc_estimate(weights: np.ndarray, scale: float) -> tuple[float, float]:
     return scale * mean, scale * se
 
 
+def _mc_moment(estimate: tuple[float, float], n_samples: int,
+               phi: ConnectionFunction) -> MomentEstimate:
+    """The Monte Carlo (value, se) of n_samples draws under phi."""
+    value, se = estimate
+    return MomentEstimate(value=value, std_error=se, n_samples=n_samples,
+                          truncation_radius=phi.truncation_radius(),
+                          method="monte_carlo")
+
+
+def _linear_combination(terms) -> MomentEstimate:
+    """sum_k c_k X_k of independent estimates X_k, for terms (c_k, X_k):
+    the values added in order starting from +0.0, as analysis.combine
+    adds counts, and the standard errors in quadrature. The sample count,
+    truncation radius and method are those of the first term."""
+    terms = [(float(c), est) for c, est in terms]
+    value = 0.0
+    for c, est in terms:
+        value = value + c * est.value
+    return replace(
+        terms[0][1], value=value,
+        std_error=math.hypot(*(c * est.std_error for c, est in terms)))
+
+
 def _importance_mc(phi, beta, k, prob_fn, kernel_fn, n_samples, seed,
                    second=None):
     """Importance-sampled integral of prob_fn(*Xs) * kernel_fn(*Xs).
@@ -903,20 +913,18 @@ def _second_moment(k, l, prob1, prob2, diag_prob, kernel, phi, psi, beta,
         raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
     if anchor is None:
         anchor = AnchorProposal(phi, widen=float(l + 2))
-    value, se = _importance_mc(
+    terms = [(1.0, _mc_moment(_importance_mc(
         phi, beta, k, lambda X1, X2: prob1(_pair_values(X1, phi))
         * prob2(_pair_values(X2, psi)), kernel, n_samples, seed,
-        second=(psi, l, anchor))
+        second=(psi, l, anchor)), n_samples, phi))]
     if k == l:
-        v2, se2 = _importance_mc(
+        n_shared = max(n_samples // 2, 1000)
+        terms.append((scale, _mc_moment(_importance_mc(
             phi, beta, k,
             lambda X: diag_prob(_pair_values(X, phi), _pair_values(X, psi)),
-            _cluster_kernel(phi, beta, k), max(n_samples // 2, 1000),
-            seed + 1)
-        value, se = value + v2 * scale, math.hypot(se, se2 * scale)
-    return MomentEstimate(value=value, std_error=se, n_samples=n_samples,
-                          truncation_radius=phi.truncation_radius(),
-                          method="monte_carlo")
+            _cluster_kernel(phi, beta, k), n_shared, seed + 1),
+            n_shared, phi)))
+    return _linear_combination(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -935,11 +943,9 @@ def expected_count_intensity(G: GraphClass, phi: ConnectionFunction,
                               std_error=0.0, n_samples=0,
                               truncation_radius=trunc, method="closed_form")
 
-    value, se = _importance_mc(
+    return _mc_moment(_importance_mc(
         phi, beta, k, lambda X: prob_isomorphic(_pair_values(X, phi), G),
-        _cluster_kernel(phi, beta, k), n_samples, seed)
-    return MomentEstimate(value=value, std_error=se, n_samples=n_samples,
-                          truncation_radius=trunc, method="monte_carlo")
+        _cluster_kernel(phi, beta, k), n_samples, seed), n_samples, phi)
 
 
 def window_overlap_volume(window: Window, x):
@@ -1020,73 +1026,64 @@ def asy_cov_kl(k: int, l: int, phi: ConnectionFunction,
         n_samples, seed)
 
 
-def _asy_cov_matrix(classes, phi: ConnectionFunction, beta: float,
-                    n_samples: int, seed: int, stride: int):
-    """Matrices of asy_cov(classes[i], classes[j]) under phi and of its
-    standard errors; entry (i, j), i <= j, uses seed + stride*(i*m + j)."""
-    m = len(classes)
-    mat = np.zeros((m, m))
-    err = np.zeros((m, m))
+def _estimate_matrix(m: int, entry):
+    """The symmetric m x m matrix of the estimates entry(i, j), each
+    computed once, for i <= j: its rows of MomentEstimates, and the
+    arrays of their values and of their standard errors."""
+    rows = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            est = asy_cov(classes[i], classes[j], phi, phi, beta,
-                          n_samples=n_samples,
-                          seed=seed + stride * (i * m + j))
-            mat[i, j] = mat[j, i] = est.value
-            err[i, j] = err[j, i] = est.std_error
-    return mat, err
+            rows[i][j] = rows[j][i] = entry(i, j)
+    return (rows, np.array([[e.value for e in row] for row in rows]),
+            np.array([[e.std_error for e in row] for row in rows]))
+
+
+def _quadratic_form(a, rows) -> MomentEstimate:
+    """sum_ij a_i a_j X_ij of a symmetric matrix of independent estimates
+    (rows, read in its leading len(a) x len(a) block): the upper triangle
+    row by row, each entry off the diagonal twice."""
+    m = len(a)
+    return _linear_combination(
+        (a[i] * a[j] * (1.0 if i == j else 2.0), rows[i][j])
+        for i in range(m) for j in range(i, m))
 
 
 def asy_var_quadratic(a, classes, phi: ConnectionFunction, beta: float,
                       n_samples: int = 200000, seed: int = 0):
     """Quadratic form sum_ij a_i a_j sigma(G_i, G_j) with its error.
 
-    Returns (estimate, matrix, matrix_errors).
+    Returns (estimate, matrix, matrix_errors); entry (i, j), i <= j, uses
+    seed + 97*(i*m + j).
     """
     a = np.asarray(a, dtype=float)
     classes = list(classes)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"weights a must be finite real numbers, got {a!r}")
     if not np.any(a != 0):
         raise ValueError("weights must not all vanish")
     if len(a) != len(classes):
         raise ValueError("weight and class lists differ in length")
     m = len(classes)
-    mat, err = _asy_cov_matrix(classes, phi, beta, n_samples, seed, 97)
-    value = float(a @ mat @ a)
-    var = 0.0
-    for i in range(m):
-        for j in range(i, m):
-            mult = (a[i] * a[j]) if i == j else (2.0 * a[i] * a[j])
-            var += (mult * err[i, j]) ** 2
-    estimate = MomentEstimate(value=value, std_error=math.sqrt(var),
-                              n_samples=n_samples,
-                              truncation_radius=phi.truncation_radius(),
-                              method="monte_carlo")
-    return estimate, mat, err
+    rows, mat, err = _estimate_matrix(m, lambda i, j: asy_cov(
+        classes[i], classes[j], phi, phi, beta, n_samples=n_samples,
+        seed=seed + 97 * (i * m + j)))
+    return _quadratic_form(a, rows), mat, err
 
 
 def sigma_total_partial(m: int, phi: ConnectionFunction, beta: float,
                         n_samples: int = 200000, seed: int = 0):
-    """Partial sums sum_{i,j<=m'} sigma^(i,j) for m' = 1..m.
+    """Partial sums sum_{i,j<=m'} sigma^(i,j) for m' = 1..m; the pair of
+    orders (i, j), i <= j, uses seed + 131*(i*(m+1) + j).
 
     Returns (estimate_of_level_m, list_of_partial_sum_estimates).
     """
+    if m < 1:
+        raise ValueError("m must be at least 1")
     if m > ENUM_CAP:
         raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
-    terms = {}
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            est = asy_cov_kl(i, j, phi, phi, beta, n_samples=n_samples,
-                             seed=seed + 131 * (i * (m + 1) + j))
-            terms[(i, j)] = est
-    partials = []
-    for level in range(1, m + 1):
-        total, var = 0.0, 0.0
-        for i in range(1, level + 1):
-            for j in range(i, level + 1):
-                mult = 1.0 if i == j else 2.0
-                total += mult * terms[(i, j)].value
-                var += (mult * terms[(i, j)].std_error) ** 2
-        partials.append(MomentEstimate(
-            value=total, std_error=math.sqrt(var), n_samples=n_samples,
-            truncation_radius=phi.truncation_radius(), method="monte_carlo"))
+    rows, _, _ = _estimate_matrix(m, lambda i, j: asy_cov_kl(
+        i + 1, j + 1, phi, phi, beta, n_samples=n_samples,
+        seed=seed + 131 * ((i + 1) * (m + 1) + j + 1)))
+    partials = [_quadratic_form([1.0] * level, rows)
+                for level in range(1, m + 1)]
     return partials[-1], partials

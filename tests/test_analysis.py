@@ -439,6 +439,21 @@ def test_cluster_tail_degree_lower_bound():
     assert est.upper.value >= floor - 3.0 * est.upper.std_error
 
 
+@pytest.mark.parametrize("m", [4, 6])
+def test_cluster_tail_brackets_the_d1_tail(m):
+    """In d = 1 under Gilbert phi (beta = r = 1) the origin's left and right
+    run lengths L, R are iid geometric with q = 1 - e^{-1}, so
+    P(L + R >= m) = 1 - sum_{j<m} (j+1) q^j (1-q)^2 exactly. At seed 3 the
+    upper bound reads z = -1.18 (m = 4) and -1.95 (m = 6), the lower
+    bound z = -4.09 and -2.38."""
+    q = 1.0 - math.exp(-1.0)
+    tail = 1.0 - sum((j + 1) * q ** j * (1.0 - q) ** 2 for j in range(m))
+    est = cluster_tail(ConnectionFunction("gilbert", 1, r=1.0), 1.0, m,
+                       n_samples=20000, seed=3)
+    assert est.lower.value - 3.0 * est.lower.std_error <= tail
+    assert tail <= est.upper.value + 3.0 * est.upper.std_error
+
+
 def test_cluster_tail_monotone_in_m():
     beta = 0.5 / math.pi
     vals = [cluster_tail(GILBERT, beta, m, n_samples=600, seed=7).upper.value
