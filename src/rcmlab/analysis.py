@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +35,8 @@ from .census import (K_MAX, ComponentTable, GraphClass, MergedRows,
 from .connection import ConnectionFunction
 from .geometry import Window, squared_lengths, unit_ball_volume
 from .marks import PairMarkSource, pair_marks
-from .moments import MomentEstimate, _mc_estimate
+from .moments import (MomentEstimate, _linear_combination, _mc_moment,
+                      _sqrt_estimate)
 from .sampling import (PointSet, RcmBatch, RcmGraph, build_chunks,
                        seeded_sample)
 
@@ -80,6 +81,15 @@ class FunctionalSpec:
             raise ValueError(f"unknown statistic {self.statistic!r}")
         if self.mode not in ("lexmin", "inside"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.statistic == "count_order" and not (
+                isinstance(self.k, numbers.Integral)
+                and not isinstance(self.k, bool) and self.k >= 1):
+            raise ValueError(f"count_order needs an integer k >= 1, "
+                             f"got {self.k!r}")
+        if self.statistic == "count_class" and not isinstance(self.cls,
+                                                              GraphClass):
+            raise ValueError(f"count_class needs a GraphClass cls, "
+                             f"got {self.cls!r}")
         if self.statistic == "weighted":
             if not self.a or not self.classes or len(self.a) != len(self.classes):
                 raise ValueError("weighted statistic needs matching a, classes")
@@ -370,10 +380,8 @@ def poincare_bound(spec: FunctionalSpec, n_outer: int = 200,
         vals = np.array([ctx.value_with_additions(additions)
                          - ctx.base_value for additions in insertions(xs)])
         per_sample[i] = np.mean(vals ** 2)
-    value, se = _mc_estimate(per_sample, spec.beta * region.volume)
-    return MomentEstimate(value=value, std_error=se, n_samples=n_outer,
-                          truncation_radius=spec.phi.truncation_radius(),
-                          method="monte_carlo")
+    return _mc_moment(per_sample, spec.beta * region.volume,
+                      spec.phi.truncation_radius())
 
 
 class _SplitMarkSource:
@@ -461,10 +469,7 @@ def birth_time_variance(spec: FunctionalSpec, n_outer: int = 2000,
         deltas = np.array([ctx.value_with_additions([(x, -1)])
                            - ctx.base_value for ctx in ctxs])
         outer_vals[i] = np.mean(deltas[:half]) * np.mean(deltas[half:])
-    value, se = _mc_estimate(outer_vals, beta * vol)
-    return MomentEstimate(value=value, std_error=se, n_samples=n_outer,
-                          truncation_radius=spec.phi.truncation_radius(),
-                          method="monte_carlo")
+    return _mc_moment(outer_vals, beta * vol, spec.phi.truncation_radius())
 
 
 # ---------------------------------------------------------------------------
@@ -576,39 +581,17 @@ def gamma_terms(spec: FunctionalSpec, std: Standardization,
         acc["g6"][i] = vol * vol_ball * (
             6.0 * math.sqrt(m4) * math.sqrt(m4_s) + 3.0 * m4_s)
 
-    def integ(name, lam_power):
-        return _mc_estimate(acc[name], beta ** lam_power)
-
     ef4 = max(float(np.mean(f4)), 0.0)
-    out = {}
-    m, s = integ("g1", 3)
-    out["gamma1"] = _sqrt_estimate(2.0, m, s, n_outer, trunc)
-    m, s = integ("g2", 3)
-    out["gamma2"] = _sqrt_estimate(1.0, m, s, n_outer, trunc)
-    m, s = integ("g3", 1)
-    out["gamma3"] = MomentEstimate(value=m, std_error=s, n_samples=n_outer,
-                                   truncation_radius=trunc,
-                                   method="monte_carlo")
-    m, s = integ("g4_inner", 1)
-    out["gamma4"] = MomentEstimate(value=0.5 * ef4 ** 0.25 * m,
-                                   std_error=0.5 * ef4 ** 0.25 * s,
-                                   n_samples=n_outer,
-                                   truncation_radius=trunc,
-                                   method="monte_carlo")
-    m, s = integ("g5", 1)
-    out["gamma5"] = _sqrt_estimate(1.0, m, s, n_outer, trunc)
-    m, s = integ("g6", 2)
-    out["gamma6"] = _sqrt_estimate(1.0, m, s, n_outer, trunc)
-    return out
-
-
-def _sqrt_estimate(prefactor, value, se, n, trunc) -> MomentEstimate:
-    root = math.sqrt(max(value, 0.0))
-    root_se = 0.5 * se / root if root > 0 else math.sqrt(max(se, 0.0))
-    return MomentEstimate(value=prefactor * root,
-                          std_error=prefactor * root_se,
-                          n_samples=n, truncation_radius=trunc,
-                          method="monte_carlo")
+    est = {name: _mc_moment(acc[name], beta ** power, trunc) for name, power
+           in (("g1", 3), ("g2", 3), ("g3", 1), ("g4_inner", 1), ("g5", 1),
+               ("g6", 2))}
+    return {"gamma1": _sqrt_estimate(2.0, est["g1"]),
+            "gamma2": _sqrt_estimate(1.0, est["g2"]),
+            "gamma3": est["g3"],
+            "gamma4": _linear_combination([(0.5 * ef4 ** 0.25,
+                                            est["g4_inner"])]),
+            "gamma5": _sqrt_estimate(1.0, est["g5"]),
+            "gamma6": _sqrt_estimate(1.0, est["g6"])}
 
 
 def fourth_moment_bound(spec: FunctionalSpec, std: Standardization,
@@ -635,19 +618,15 @@ def fourth_moment_bound(spec: FunctionalSpec, std: Standardization,
         m4 = max(float(np.mean(vals ** 4)), 0.0)
         inner_sqrt[i] = math.sqrt(m4)
         inner_raw[i] = m4
-    i_sqrt, i_sqrt_se = _mc_estimate(inner_sqrt, beta * vol)
-    i_raw, i_raw_se = _mc_estimate(inner_raw, beta * vol)
-    branch1 = 256.0 * i_sqrt ** 2
-    branch1_se = 256.0 * 2.0 * i_sqrt * i_sqrt_se
-    branch2 = 4.0 * i_raw + 2.0
-    branch2_se = 4.0 * i_raw_se
-    if branch1 >= branch2:
-        value, se = branch1, branch1_se
-    else:
-        value, se = branch2, branch2_se
-    return MomentEstimate(value=value, std_error=se, n_samples=n_outer,
-                          truncation_radius=spec.phi.truncation_radius(),
-                          method="monte_carlo")
+    trunc = spec.phi.truncation_radius()
+    i_sqrt = _mc_moment(inner_sqrt, beta * vol, trunc)
+    i_raw = _mc_moment(inner_raw, beta * vol, trunc)
+    branch1 = 256.0 * i_sqrt.value ** 2
+    if branch1 >= 4.0 * i_raw.value + 2.0:
+        return replace(i_sqrt, value=branch1, std_error=256.0 * 2.0
+                       * i_sqrt.value * i_sqrt.std_error)
+    return replace(i_raw, value=4.0 * i_raw.value + 2.0,
+                   std_error=4.0 * i_raw.std_error)
 
 
 # ---------------------------------------------------------------------------
@@ -692,14 +671,8 @@ def cluster_tail(phi: ConnectionFunction, beta: float, m: int,
         i = [i for i, _ in chunk]
         hits_hi[i] = (total >= m) | rows.boundary
         hits_lo[i] = (total >= m) & ~rows.boundary
-
-    def est(vals):
-        value, se = _mc_estimate(vals, 1.0)
-        return MomentEstimate(value=value, std_error=se, n_samples=n_samples,
-                              truncation_radius=sim_radius,
-                              method="monte_carlo")
-
-    return ClusterTailEstimate(lower=est(hits_lo), upper=est(hits_hi))
+    return ClusterTailEstimate(lower=_mc_moment(hits_lo, 1.0, sim_radius),
+                               upper=_mc_moment(hits_hi, 1.0, sim_radius))
 
 
 # ---------------------------------------------------------------------------
@@ -725,5 +698,9 @@ def empirical_distance(samples, kind: str) -> float:
 
 def dkw_bound(n: int, confidence: float = 0.99) -> float:
     """Dvoretzky-Kiefer-Wolfowitz envelope for the Kolmogorov statistic."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))
 

@@ -16,6 +16,7 @@ is what the importance-sampling proposals are built from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,9 @@ class ConnectionFunction:
             raise ValueError(f"unknown connection function kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        for name in ("p", "r", "theta", "s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite")
         if self.kind in ("gilbert", "scaled_indicator"):
             if self.r <= 0:
                 raise ValueError("r: must be positive")

@@ -31,7 +31,7 @@ from .connection import ConnectionFunction
 from .geometry import Window
 from .moments import (ENUM_CAP, _estimate_matrix, asy_cov,
                       expected_count_intensity, sigma_total_partial)
-from .sampling import build_chunked, seeded_sample
+from .sampling import build_chunks, seeded_sample
 
 VERSION = "0.1.0"
 
@@ -249,13 +249,14 @@ def replicate_seed(scenario: Scenario, rung: int, rep: int) -> int:
 def replicate_graphs(scenario: Scenario, rung: int, reps):
     """The graphs of replicates reps of rung, in order: points on the
     rung's window grown by the scenario's padding, and marks, from each
-    replicate's seed, built by sampling.build_chunked."""
+    replicate's seed, built in chunks by sampling.build_chunks."""
     window = scenario.window(rung)
     draws = ((rep, [seeded_sample(window, scenario.padding, scenario.beta,
                                   replicate_seed(scenario, rung, rep))])
              for rep in reps)
-    for _, (graph,) in build_chunked(draws, scenario.phi):
-        yield graph
+    for chunk in build_chunks(draws, scenario.phi):
+        for _, (graph,) in chunk:
+            yield graph
 
 
 def _thread_count(requested: int = None) -> int:

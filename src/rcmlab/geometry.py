@@ -3,6 +3,7 @@ squared_lengths, rcmlab's one rule for a Euclidean length."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ class Window:
         object.__setattr__(self, "extent", float(self.extent))
         if self.shape not in ("box", "ball"):
             raise ValueError(f"unknown window shape {self.shape!r}")
-        if self.extent < 0:
-            raise ValueError("extent must be nonnegative")
+        if not 0 <= self.extent < math.inf:
+            raise ValueError("extent must be nonnegative and finite")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         c = self.center
@@ -55,6 +56,8 @@ class Window:
         c = np.asarray(c, dtype=float)
         if c.shape != (self.dim,):
             raise ValueError("center has wrong dimension")
+        if not np.all(np.isfinite(c)):
+            raise ValueError("center must be finite")
         object.__setattr__(self, "center", tuple(c.tolist()))
 
     @property
@@ -65,7 +68,7 @@ class Window:
 
     def pad(self, padding: float) -> "Window":
         """The window grown by `padding` (box: per side, ball: radius)."""
-        if padding < 0:
+        if not padding >= 0:
             raise ValueError("padding must be nonnegative")
         return Window(self.shape, self.extent + padding, self.dim, self.center)
 

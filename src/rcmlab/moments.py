@@ -57,6 +57,13 @@ row, so a draw's density and kernel value do not depend on which other
 draws share its batch, and each estimate is bit for bit the one an
 evaluation of every draw would give.
 
+Per-draw values become a MomentEstimate by one rule, `_mc_moment`:
+scale times their mean, its standard error, the number of draws and the
+truncation radius in use. `_importance_mc` and every estimator in
+`analysis` end in it. Estimates derived from estimates follow two more
+rules: `_linear_combination` for sums of independent estimates and
+`_sqrt_estimate` for the square root of one.
+
 Every second moment (`asy_cov`, `asy_cov_kl`,
 `finite_window_cross_moment`) is one call of `_second_moment`: a
 two-cluster term plus, for equal orders, a shared-tuple term, scaled by
@@ -99,7 +106,7 @@ class MomentEstimate:
     std_error: float
     n_samples: int
     truncation_radius: float
-    method: str    # closed_form | quadrature | monte_carlo
+    method: str    # closed_form | monte_carlo
 
     def __post_init__(self):
         if not self.std_error >= 0:
@@ -808,18 +815,22 @@ _PAIR_BATCH = 20000
 _SINGLE_BATCH = 40000
 
 def _mc_estimate(weights: np.ndarray, scale: float) -> tuple[float, float]:
+    """scale times the sample mean of the draws, and its standard error."""
     n = len(weights)
+    if n < 2:
+        raise ValueError("a Monte Carlo estimate needs at least 2 draws")
     mean = float(np.mean(weights))
-    se = float(np.std(weights, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    se = float(np.std(weights, ddof=1) / math.sqrt(n))
     return scale * mean, scale * se
 
 
-def _mc_moment(estimate: tuple[float, float], n_samples: int,
-               phi: ConnectionFunction) -> MomentEstimate:
-    """The Monte Carlo (value, se) of n_samples draws under phi."""
-    value, se = estimate
-    return MomentEstimate(value=value, std_error=se, n_samples=n_samples,
-                          truncation_radius=phi.truncation_radius(),
+def _mc_moment(values: np.ndarray, scale: float,
+               truncation_radius: float) -> MomentEstimate:
+    """The Monte Carlo estimate of scale * E[value] from per-draw values:
+    the one rule by which draws become a MomentEstimate."""
+    value, se = _mc_estimate(values, scale)
+    return MomentEstimate(value=value, std_error=se, n_samples=len(values),
+                          truncation_radius=truncation_radius,
                           method="monte_carlo")
 
 
@@ -835,6 +846,16 @@ def _linear_combination(terms) -> MomentEstimate:
     return replace(
         terms[0][1], value=value,
         std_error=math.hypot(*(c * est.std_error for c, est in terms)))
+
+
+def _sqrt_estimate(prefactor: float, est: MomentEstimate) -> MomentEstimate:
+    """prefactor * sqrt(X) of an estimate X, by the delta method; at a
+    root of 0 the standard error is prefactor * sqrt(se)."""
+    root = math.sqrt(max(est.value, 0.0))
+    root_se = (0.5 * est.std_error / root if root > 0
+               else math.sqrt(max(est.std_error, 0.0)))
+    return replace(est, value=prefactor * root,
+                   std_error=prefactor * root_se)
 
 
 def _importance_mc(phi, beta, k, prob_fn, kernel_fn, n_samples, seed,
@@ -886,7 +907,7 @@ def _importance_mc(phi, beta, k, prob_fn, kernel_fn, n_samples, seed,
         if rows.size:
             weights[done + rows] = p * kernel_fn(*(X[rows] for X in Xs)) \
                 * factor / dens
-    return _mc_estimate(weights, beta ** n_points)
+    return _mc_moment(weights, beta ** n_points, phi.truncation_radius())
 
 
 def _cluster_kernel(phi, beta, k):
@@ -913,17 +934,16 @@ def _second_moment(k, l, prob1, prob2, diag_prob, kernel, phi, psi, beta,
         raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
     if anchor is None:
         anchor = AnchorProposal(phi, widen=float(l + 2))
-    terms = [(1.0, _mc_moment(_importance_mc(
+    terms = [(1.0, _importance_mc(
         phi, beta, k, lambda X1, X2: prob1(_pair_values(X1, phi))
         * prob2(_pair_values(X2, psi)), kernel, n_samples, seed,
-        second=(psi, l, anchor)), n_samples, phi))]
+        second=(psi, l, anchor)))]
     if k == l:
         n_shared = max(n_samples // 2, 1000)
-        terms.append((scale, _mc_moment(_importance_mc(
+        terms.append((scale, _importance_mc(
             phi, beta, k,
             lambda X: diag_prob(_pair_values(X, phi), _pair_values(X, psi)),
-            _cluster_kernel(phi, beta, k), n_shared, seed + 1),
-            n_shared, phi)))
+            _cluster_kernel(phi, beta, k), n_shared, seed + 1)))
     return _linear_combination(terms)
 
 
@@ -937,15 +957,14 @@ def expected_count_intensity(G: GraphClass, phi: ConnectionFunction,
     k = G.order
     if k > ENUM_CAP:
         raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
-    trunc = phi.truncation_radius()
     if k == 1:
         return MomentEstimate(value=beta * math.exp(-beta * phi.m_phi),
                               std_error=0.0, n_samples=0,
-                              truncation_radius=trunc, method="closed_form")
-
-    return _mc_moment(_importance_mc(
+                              truncation_radius=phi.truncation_radius(),
+                              method="closed_form")
+    return _importance_mc(
         phi, beta, k, lambda X: prob_isomorphic(_pair_values(X, phi), G),
-        _cluster_kernel(phi, beta, k), n_samples, seed), n_samples, phi)
+        _cluster_kernel(phi, beta, k), n_samples, seed)
 
 
 def window_overlap_volume(window: Window, x):

@@ -22,7 +22,7 @@ from .connection import ConnectionFunction
 from .geometry import Window, lex_order, squared_lengths
 from .marks import PairMarkSource, pair_marks
 
-# build_chunked's chunk size, in points (each graph counting one more):
+# build_chunks' chunk size, in points (each graph counting one more):
 # large enough that per-graph set-up is shared, small enough that long
 # runs hold little at a time and that graphs of thousands of points are
 # built one at a time.
@@ -354,13 +354,6 @@ def build_chunks(draws, phi: ConnectionFunction):
         size += n
     if chunk:
         yield _built(chunk, phi)
-
-
-def build_chunked(draws, phi: ConnectionFunction):
-    """Each draw with the graphs of its samples, (payload, graphs) per
-    draw, in order, built in chunks by build_chunks."""
-    for chunk in build_chunks(draws, phi):
-        yield from chunk
 
 
 def _built(chunk, phi: ConnectionFunction) -> list:

@@ -527,6 +527,29 @@ def test_dkw_bound_formula():
     assert dkw_bound(n, conf) == pytest.approx(expect)
 
 
+@pytest.mark.parametrize("args, named", [
+    ((0,), "n"), ((-3,), "n"), ((10, 1.0), "confidence"),
+    ((10, 1.5), "confidence"), ((10, 0.0), "confidence"),
+    ((10, math.nan), "confidence")])
+def test_dkw_bound_refuses_bad_arguments(args, named):
+    with pytest.raises(ValueError, match=f"^{named} must"):
+        dkw_bound(*args)
+
+
+@pytest.mark.parametrize("k", [None, 0, -2, 2.5, True])
+def test_count_order_needs_a_positive_integer_order(k):
+    """At each of these k, count_order was 0 on every graph."""
+    with pytest.raises(ValueError, match="integer k >= 1"):
+        FunctionalSpec("count_order", W, GILBERT, 1.0, k=k)
+    FunctionalSpec("count_order", W, GILBERT, 1.0, k=np.int64(2))
+
+
+@pytest.mark.parametrize("cls", [None, "2:1", 2])
+def test_count_class_needs_a_graph_class(cls):
+    with pytest.raises(ValueError, match="needs a GraphClass"):
+        FunctionalSpec("count_class", W, GILBERT, 1.0, cls=cls)
+
+
 def test_difference_sample_properties():
     s = DifferenceSample(base=1.0, with_x=3.0, with_y=0.0, with_xy=2.5)
     assert s.delta_x == 2.0

@@ -91,3 +91,51 @@ def test_each_insertion_goes_through_value_with_additions(estimator):
     for ctx, additions, value in calls:
         alone = EvaluationContext(dataclasses.replace(ctx.graph), ctx.spec)
         assert alone.value_with_additions(additions) == value
+
+
+def test_every_keep_function_records_a_value(tmp_path):
+    """Every traced benchmark run applies each hook's keep function to
+    its calls and reads the kept values in spans.layer_metrics, so a
+    renamed attribute that a keep or that reading uses (such as
+    CensusReport.boundary_touching or ClusterProposal.trees) must fail
+    here. One tiny call reaches each keep-bearing hook."""
+    import json
+
+    import numpy as np
+
+    from rcmlab import analysis, cli, marks, moments, sampling
+    from rcmlab.census import edge_class, path_class
+    from rcmlab.connection import ConnectionFunction
+    from rcmlab.geometry import Window
+
+    phi = ConnectionFunction("gilbert", 2, r=1.0)
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({
+        "dimension": 2, "beta": 1.0, "phi": {"kind": "gilbert", "r": 1.0},
+        "window": {"shape": "box", "extents": [2.0]},
+        "statistics": [{"statistic": "count_class", "class": "2:1"}],
+        "replicates": 2, "seed_base": 5}))
+    i, j = np.array([0, 1]), np.array([1, 2])
+    tracer = spans.Tracer()
+    with tracer:
+        for command in ("census", "sample"):
+            assert cli.main([command, "--config", str(config),
+                             "--out", str(tmp_path)]) == cli.EXIT_OK
+        spec = analysis.FunctionalSpec("count_class", Window("box", 2.0, 2),
+                                       phi, 1.0, cls=edge_class())
+        points, source = sampling.seeded_sample(spec.window, spec.padding(),
+                                                1.0, 7)
+        graph = sampling.build_rcm(points, phi, source)
+        analysis.EvaluationContext(graph, spec)
+        marks.PairMarkSource(3).mark(i, j)
+        analysis._SplitMarkSource(marks.PairMarkSource(3),
+                                  marks.PairMarkSource(4), 2).mark(i, j)
+        moments.expected_count_intensity(path_class(4), phi, 1.0,
+                                         n_samples=200, seed=1)
+    keeps = [name for name, (_, _, keep) in spans.HOOKS.items() if keep]
+    assert keeps and all(tracer.kept[name] for name in keeps), [
+        name for name in keeps if not tracer.kept[name]]
+    metrics = spans.layer_metrics(tracer, 1.0, 0, 0, {})
+    for name in ("census.components", "sampling.points", "marks.pairs",
+                 "moments.trees_enumerated"):
+        assert metrics[name] > 0, name

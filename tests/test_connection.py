@@ -22,6 +22,15 @@ def test_kind_validation():
         ConnectionFunction("exponential", 2, theta=-1.0)
 
 
+@pytest.mark.parametrize("kind, field", [
+    ("gilbert", "r"), ("scaled_indicator", "r"), ("exponential", "theta"),
+    ("gaussian", "s"), ("gaussian", "r")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_parameters_are_refused(kind, field, bad):
+    with pytest.raises(ValueError, match=f"^{field}: must be finite"):
+        ConnectionFunction(kind, 2, **{field: bad})
+
+
 def test_profiles():
     g = ConnectionFunction("gilbert", 2, r=2.0)
     assert g.phi_of_dist(1.9) == 1.0 and g.phi_of_dist(2.1) == 0.0

@@ -37,6 +37,19 @@ def test_validation():
         Window("box", 1.0, 2, center=np.zeros(3))
 
 
+@pytest.mark.parametrize("shape", ["box", "ball"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_geometry_is_refused(shape, bad):
+    """A NaN ball would reject every candidate in sample_uniform forever;
+    every non-finite extent, centre or padding is refused up front."""
+    with pytest.raises(ValueError, match="extent"):
+        Window(shape, bad, 2)
+    with pytest.raises(ValueError, match="center"):
+        Window(shape, 1.0, 2, center=[0.0, bad])
+    with pytest.raises(ValueError, match="padding|extent"):
+        Window(shape, 1.0, 2).pad(bad)
+
+
 def test_contains_and_boundary_distance_box():
     w = Window("box", 2.0, 2)
     pts = np.array([[0.0, 0.0], [1.9, 0.0], [2.1, 0.0], [-3.0, -3.0]])

@@ -30,7 +30,8 @@ from rcmlab.moments import (ENUM_CAP, AnchorProposal, BoxAnchor,
                             sigma_total_partial, window_overlap_volume)
 from rcmlab.moments import (_blocked_volume, _gl_nodes,
                             _is_anchor_lexmin, _lexmin_points, _mc_estimate,
-                            _pair_dists, _pair_values, generic_union_exponent)
+                            _mc_moment, _pair_dists, _pair_values,
+                            generic_union_exponent)
 from rcmlab.sampling import build_rcm, seeded_sample
 
 GILBERT = ConnectionFunction("gilbert", 2, r=1.0)
@@ -567,6 +568,30 @@ def test_one_combination_rule_in_the_sources():
     assert sum(text.count("hypot(") for text in texts) == 1
     assert "hypot(" in inspect.getsource(moments._linear_combination)
     assert not any("@ mat @" in text for text in texts)
+
+
+def test_one_monte_carlo_rule_in_the_sources():
+    """Draws become a MomentEstimate in _mc_moment alone; the only other
+    record built from scratch is the closed-form singleton intensity."""
+    from rcmlab import analysis, moments
+    src = pathlib.Path(moments.__file__).parent
+    texts = [path.read_text() for path in sorted(src.glob("*.py"))]
+    assert sum(text.count("MomentEstimate(") for text in texts) == 2
+    assert "MomentEstimate(" not in inspect.getsource(analysis)
+    assert "MomentEstimate(" in inspect.getsource(moments._mc_moment)
+    closed = inspect.getsource(moments.expected_count_intensity)
+    assert closed.count("MomentEstimate(") == 1
+    assert 'method="closed_form"' in closed
+
+
+def test_mc_moment_counts_its_draws_and_refuses_fewer_than_two():
+    values = np.array([1.0, 4.0, 2.5])
+    value, se = _mc_estimate(values, 2.0)
+    assert _mc_moment(values, 2.0, 0.5) == MomentEstimate(
+        value, se, 3, 0.5, "monte_carlo")
+    for short in (np.array([]), np.array([1.0])):
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            _mc_moment(short, 1.0, 0.5)
 
 
 def test_q_kl_vanishes_for_distant_clusters():
@@ -1434,7 +1459,7 @@ def _density_first_importance_mc(phi, beta, k, prob_fn, kernel_fn,
         if rows.size:
             weights[done + rows] = p * kernel_fn(*(X[rows] for X in Xs)) \
                 * factor / dens[rows]
-    return _mc_estimate(weights, beta ** n_points)
+    return _mc_moment(weights, beta ** n_points, phi.truncation_radius())
 
 
 _MONTE_CARLO_ESTIMATES = {
