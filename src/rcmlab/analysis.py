@@ -35,8 +35,8 @@ from .census import (K_MAX, ComponentTable, GraphClass, MergedRows,
 from .connection import ConnectionFunction
 from .geometry import Window, squared_lengths, unit_ball_volume
 from .marks import PairMarkSource, pair_marks
-from .moments import (MomentEstimate, _linear_combination, _mc_moment,
-                      _sqrt_estimate)
+from .moments import (MomentEstimate, _check_beta, _linear_combination,
+                      _mc_moment, _sqrt_estimate)
 from .sampling import (PointSet, RcmBatch, RcmGraph, build_chunks,
                        seeded_sample)
 
@@ -81,6 +81,7 @@ class FunctionalSpec:
             raise ValueError(f"unknown statistic {self.statistic!r}")
         if self.mode not in ("lexmin", "inside"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        _check_beta(self.beta)
         if self.statistic == "count_order" and not (
                 isinstance(self.k, numbers.Integral)
                 and not isinstance(self.k, bool) and self.k >= 1):

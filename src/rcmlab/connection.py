@@ -16,6 +16,7 @@ is what the importance-sampling proposals are built from.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,37 +125,95 @@ class ConnectionFunction:
         return bool(np.all(self.phi_of_dist(t) >= other.phi_of_dist(t) - 1e-12))
 
 
+# Intervals of the radial grid, and buckets of u in [0, 1) per interval
+# in the guide table of its inverse CDF.
+_GRID_CELLS = 4096
+_GUIDE_PER_CELL = 4
+
+
+class RadialGrid:
+    """The radial proposal density ~ phi_tilde(t/widen)^(1/3) * t^(d-1)
+    on [0, widen * truncation_radius()], tabulated on a grid of 4096
+    intervals: t, its trapezoid CDF cdf, and the inverse CDF.
+
+    The inverse CDF is np.interp(u, cdf, t), bit for bit, found by the
+    guide-table lookup of Chen and Asau (1974): 4 x 4096 equal buckets
+    of u each hold the grid interval of their left end, and one
+    comparison finishes the lookup. The few buckets that span more than
+    two intervals (where the density is small) take a binary search.
+    Every array is read-only, since grids are shared (radial_sampler).
+    """
+
+    def __init__(self, phi: ConnectionFunction, widen: float = 1.0):
+        self.phi, self.widen = phi, widen
+        self.upper = widen * phi.truncation_radius()
+        t = np.linspace(0.0, self.upper, _GRID_CELLS + 1)
+        w = self.profile(t)
+        cdf = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(t))))
+        self.norm = cdf[-1]
+        if not self.norm > 0:
+            raise ValueError("degenerate radial proposal")
+        cdf /= self.norm
+        # np.interp's slopes; an interval the lookup returns has
+        # cdf[j] <= u < cdf[j + 1], so its slope is finite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slopes = np.diff(t) / np.diff(cdf)
+        # bucket b holds u in [b / n, (b + 1) / n): b = floor(u * n) and
+        # both ends are exact, because n is a power of two
+        n = _GRID_CELLS * _GUIDE_PER_CELL
+        ends = np.arange(n + 1) / n
+        first = np.searchsorted(cdf, ends[:-1], "right") - 1
+        last = np.searchsorted(cdf, ends[1:], "left") - 1
+        self.t, self.cdf, self._slopes = t, cdf, slopes
+        self._first, self._crowded = first, last - first > 1
+        for a in (t, cdf, slopes, first, self._crowded):
+            a.flags.writeable = False
+
+    def profile(self, r):
+        """The unnormalized radial density at radius r."""
+        return self.phi.phi_tilde(r / self.widen) ** (1.0 / 3.0) \
+            * r ** (self.phi.dim - 1)
+
+    def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
+        """np.interp(u, cdf, t) for u in [0, 1): the interval j with
+        cdf[j] <= u < cdf[j + 1], then numpy's interp arithmetic
+        slope_j * (u - cdf[j]) + t[j], and t[j] where u == cdf[j]."""
+        b = (u * len(self._first)).astype(np.intp)
+        j = self._first[b]
+        j += u >= self.cdf[j + 1]
+        crowded = self._crowded[b]
+        if crowded.any():
+            j[crowded] = np.searchsorted(self.cdf, u[crowded], "right") - 1
+        c, tj = self.cdf[j], self.t[j]
+        return np.where(u == c, tj, self._slopes[j] * (u - c) + tj)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n radii by the inverse CDF of n uniforms."""
+        return self.inverse_cdf(rng.random(n))
+
+    def density(self, radii) -> np.ndarray:
+        """The normalized radial density (per unit radius, the angular
+        part handled by the caller)."""
+        radii = np.asarray(radii, dtype=float)
+        return np.where(radii <= self.upper, self.profile(radii) / self.norm,
+                        0.0)
+
+
+@functools.lru_cache(maxsize=64)
 def radial_sampler(phi: ConnectionFunction, widen: float = 1.0):
     """Sampler for the radial proposal density
     ~ phi_tilde(t/widen)^(1/3) * t^(d-1).
 
-    Returns (draw, density) where draw(rng, n) yields radii on
-    [0, widen * truncation_radius()] via the inverse CDF on a grid of
-    4096 intervals and density(t) is the normalized radial density (per
-    unit radius, the angular part handled by the caller).
+    Returns (draw, density) of one RadialGrid: draw(rng, n) yields radii
+    on [0, widen * truncation_radius()] by the guide-table inverse CDF,
+    and density(t) is the normalized radial density (per unit radius,
+    the angular part handled by the caller). Grids are cached per
+    process on (phi, widen), the 64 most recent, so proposals of one
+    kernel share one read-only grid.
     """
-    d = phi.dim
-    upper = widen * phi.truncation_radius()
-
-    def profile(r):
-        return phi.phi_tilde(r / widen) ** (1.0 / 3.0) * r ** (d - 1)
-
-    t = np.linspace(0.0, upper, 4096 + 1)
-    w = profile(t)
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(t))))
-    norm = cdf[-1]
-    if not norm > 0:
-        raise ValueError("degenerate radial proposal")
-    cdf /= norm
-
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.interp(rng.random(n), cdf, t)
-
-    def density(radii) -> np.ndarray:
-        radii = np.asarray(radii, dtype=float)
-        return np.where(radii <= upper, profile(radii) / norm, 0.0)
-
-    return draw, density
+    grid = RadialGrid(phi, widen)
+    return grid.draw, grid.density
 
 
 def random_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -166,8 +225,8 @@ def random_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 
 class RadialProposal:
     """Displacements with uniform directions and radial density
-    proportional to phi_tilde(t/widen)^(1/3) t^(d-1), from one radial
-    grid built per proposal."""
+    proportional to phi_tilde(t/widen)^(1/3) t^(d-1), from the cached
+    radial grid of (phi, widen), looked up once per proposal."""
 
     def __init__(self, phi: ConnectionFunction, widen: float = 1.0):
         self.d = phi.dim

@@ -9,7 +9,9 @@ the integrand. Each sample draws one uniform Pruefer code, so the
 proposal is the uniform mixture over all k^(k-2) labeled trees; its
 density, a sum over those trees of products of edge densities, is one
 determinant of the reduced weighted Laplacian (Kirchhoff's matrix-tree
-theorem).
+theorem). A draw is table lookups: the code's tree comes from a table of
+all decoded codes and the edge radii from the radial grid's guide
+table, both built once per process and read-only.
 
 Sorted-tuple indicators are removed analytically: the remaining
 integrand is symmetric under relabeling the free points of a cluster, so
@@ -78,7 +80,9 @@ covariances of a quadratic form or a partial sum, add by
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -111,6 +115,13 @@ class MomentEstimate:
     def __post_init__(self):
         if not self.std_error >= 0:
             raise ValueError("std_error must be nonnegative")
+
+
+def _check_beta(beta) -> None:
+    """Refuse a Poisson intensity beta that is not a finite number > 0."""
+    if not (isinstance(beta, numbers.Real) and not isinstance(beta, bool)
+            and 0 < beta < math.inf):
+        raise ValueError(f"beta: must be positive and finite, got {beta!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +713,21 @@ def prufer_decode(codes: np.ndarray, k: int):
     return child, parent
 
 
+@functools.cache
+def _tree_table(k: int):
+    """(child, parent) of every labeled tree on k vertices, as
+    prufer_decode gives them: row c is the tree whose Pruefer code has
+    the base-k digits of c, most significant first. Decoded once per
+    process and read-only, since every ClusterProposal of order k
+    shares it."""
+    m = max(k - 2, 0)
+    codes = np.array(list(itertools.product(range(k), repeat=m)),
+                     dtype=np.intp).reshape(k ** m, m)
+    child, parent = prufer_decode(codes, k)
+    child.flags.writeable = parent.flags.writeable = False
+    return child, parent
+
+
 class ClusterProposal(RadialProposal):
     """Positions of a k-cluster drawn along uniformly mixed labeled trees.
 
@@ -714,26 +740,40 @@ class ClusterProposal(RadialProposal):
     every configuration the integrand can reach. By Kirchhoff's
     matrix-tree theorem that sum over trees is the determinant of the
     weighted Laplacian with weights f(|x_i - x_j|), vertex 0 deleted.
+
+    The trees come from the per-process table of all decoded codes
+    (_tree_table) and the radii from the cached radial grid, so a draw
+    is table lookups; k is at most ENUM_CAP, which bounds the table.
     """
 
     def __init__(self, phi: ConnectionFunction, k: int):
+        if k > ENUM_CAP:
+            raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
         super().__init__(phi)
         self.k = k
         # Pruefer indices of the labeled trees the proposal mixes over
         self.trees = range(k ** max(k - 2, 0))
+        self._child, self._parent = _tree_table(k)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         k, d = self.k, self.d
-        X = np.zeros((n, k, d))
         if k == 1:
-            return X
-        child, parent = prufer_decode(rng.integers(0, k, size=(n, k - 2)), k)
+            return np.zeros((n, k, d))
+        codes = rng.integers(0, k, size=(n, k - 2))
+        tree = codes @ k ** np.arange(k - 3, -1, -1)
+        child, parent = self._child[tree], self._parent[tree]
         disp = self._displacements(rng, n * (k - 1))[0].reshape(n, k - 1, d)
-        rows = np.arange(n)
-        # the root k-1 sits at the origin; later edges hold the parents
+        # coordinate c of vertex v of sample s is X[c, s*k + v], so each
+        # placement is a 1-d gather and scatter; the root k-1 sits at the
+        # origin, and later edges hold the parents
+        X = np.zeros((d, n * k))
+        base = np.arange(0, n * k, k)
         for e in range(k - 2, -1, -1):
-            X[rows, child[:, e]] = X[rows, parent[:, e]] + disp[:, e]
-        return X - X[:, :1, :]
+            to, frm = base + child[:, e], base + parent[:, e]
+            for c, Xc in enumerate(X):
+                Xc[to] = Xc.take(frm) + disp[:, e, c]
+        X = X.T.reshape(n, k, d)
+        return np.subtract(X, X[:, :1, :], order="C")
 
     def density(self, X: np.ndarray) -> np.ndarray:
         n, k, _ = X.shape
@@ -954,6 +994,7 @@ def expected_count_intensity(G: GraphClass, phi: ConnectionFunction,
                              beta: float, n_samples: int = 200000,
                              seed: int = 0) -> MomentEstimate:
     """Per-volume intensity rho_G of components isomorphic to G."""
+    _check_beta(beta)
     k = G.order
     if k > ENUM_CAP:
         raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
@@ -995,6 +1036,7 @@ def finite_window_cross_moment(G: GraphClass, H: GraphClass,
     window with its shift. Second term (equal orders): shared tuple with
     the coupled joint class probability, times the window volume.
     """
+    _check_beta(beta)
     k, l = G.order, H.order
 
     def kernel(X1, X2):
@@ -1020,6 +1062,7 @@ def asy_cov(G: GraphClass, H: GraphClass, phi: ConnectionFunction,
             psi: ConnectionFunction, beta: float,
             n_samples: int = 200000, seed: int = 0) -> MomentEstimate:
     """Asymptotic covariance per unit volume of the two class counts."""
+    _check_beta(beta)
     return _second_moment(
         G.order, H.order, lambda pe: prob_isomorphic(pe, G),
         lambda pe: prob_isomorphic(pe, H),
@@ -1037,6 +1080,7 @@ def asy_cov_kl(k: int, l: int, phi: ConnectionFunction,
     with nested edge sets that event is connectivity of the sparser
     graph, so the diagonal uses the psi connectivity probability.
     """
+    _check_beta(beta)
     return _second_moment(
         k, l, lambda pe: prob_connected(pe, k),
         lambda pe: prob_connected(pe, l),
@@ -1074,6 +1118,7 @@ def asy_var_quadratic(a, classes, phi: ConnectionFunction, beta: float,
     Returns (estimate, matrix, matrix_errors); entry (i, j), i <= j, uses
     seed + 97*(i*m + j).
     """
+    _check_beta(beta)
     a = np.asarray(a, dtype=float)
     classes = list(classes)
     if not np.all(np.isfinite(a)):
@@ -1096,6 +1141,7 @@ def sigma_total_partial(m: int, phi: ConnectionFunction, beta: float,
 
     Returns (estimate_of_level_m, list_of_partial_sum_estimates).
     """
+    _check_beta(beta)
     if m < 1:
         raise ValueError("m must be at least 1")
     if m > ENUM_CAP:

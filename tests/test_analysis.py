@@ -209,6 +209,12 @@ def test_weights_must_be_finite_real_numbers(weight):
                        classes=(single_vertex_class(), edge_class()))
 
 
+@pytest.mark.parametrize("beta", [-1.0, 0.0, math.nan, math.inf])
+def test_spec_refuses_a_bad_beta(beta):
+    with pytest.raises(ValueError, match="^beta: must be positive"):
+        FunctionalSpec("count_order", W, GILBERT, beta, k=1)
+
+
 def test_classes_resolved_beyond_k_max():
     """The statistic's class, not k_max, sets which classes are resolved:
     k_max only sets the padding of unbounded statistics."""

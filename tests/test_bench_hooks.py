@@ -139,3 +139,21 @@ def test_every_keep_function_records_a_value(tmp_path):
     for name in ("census.components", "sampling.points", "marks.pairs",
                  "moments.trees_enumerated"):
         assert metrics[name] > 0, name
+
+
+def test_cached_radial_grid_is_still_one_build_per_proposal():
+    """The radial grid cache sits behind connection.radial_sampler, so
+    the traced proposals still call it once each."""
+    from rcmlab import moments
+    from rcmlab.census import path_class
+    from rcmlab.connection import ConnectionFunction
+
+    phi = ConnectionFunction("gilbert", 2, r=1.0)
+    tracer = spans.Tracer()
+    with tracer:
+        moments.expected_count_intensity(path_class(6), phi, 1.0,
+                                         n_samples=200, seed=1)
+        moments.asy_cov_kl(2, 2, phi, phi, 1.0, n_samples=200, seed=2)
+    metrics = spans.layer_metrics(tracer, 1.0, 0, 0, {})
+    assert metrics["connection.radial_sampler.calls"] > 0
+    assert metrics["connection.radial_builds_per_proposal"] == 1

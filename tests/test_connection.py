@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from rcmlab.connection import (ConnectionFunction, radial_sampler,
+from rcmlab.connection import (ConnectionFunction, RadialGrid, radial_sampler,
                                sample_displacements)
 from rcmlab.geometry import unit_ball_volume
 
@@ -115,6 +116,59 @@ def test_radial_sampler_density_normalized():
     med = np.median(radii)
     tm = t[t <= med]
     assert np.trapezoid(density(tm), tm) == pytest.approx(0.5, abs=0.02)
+
+
+def _kernel(kind, d, scale):
+    """One kernel of a kind in dimension d, its length parameter scale."""
+    if kind == "gilbert":
+        return ConnectionFunction(kind, d, r=scale)
+    if kind == "scaled_indicator":
+        return ConnectionFunction(kind, d, p=0.5, r=scale)
+    if kind == "exponential":
+        return ConnectionFunction(kind, d, theta=scale)
+    return ConnectionFunction(kind, d, s=scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["gilbert", "scaled_indicator", "exponential",
+                        "gaussian"]),
+       st.sampled_from([1, 2, 3]), st.sampled_from([1.0, 4.0]),
+       st.floats(0.25, 4.0), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+def test_guide_table_lookup_is_np_interp(kind, d, widen, scale, seed, extra):
+    # bit for bit, on random u, on every grid CDF value and the double
+    # just below it (the ends of each interval), at 0 and below 1
+    grid = RadialGrid(_kernel(kind, d, scale), widen)
+    cdf = grid.cdf
+    u = np.concatenate([np.random.default_rng(seed).random(5000), extra,
+                        cdf[:-1], np.nextafter(cdf[1:], 0.0),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    got, want = grid.inverse_cdf(u), np.interp(u, cdf, grid.t)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_radial_draw_is_interp_of_the_stream_without_np_interp(monkeypatch):
+    phi = ConnectionFunction("exponential", 3, theta=0.7)
+    draw, _ = radial_sampler(phi, widen=4.0)
+    grid = draw.__self__
+    want = np.interp(np.random.default_rng(3).random(20000), grid.cdf, grid.t)
+
+    def no_interp(*args, **kwargs):
+        raise AssertionError("np.interp ran in draw")
+
+    monkeypatch.setattr(np, "interp", no_interp)
+    got = draw(np.random.default_rng(3), 20000)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_radial_grid_is_cached_and_read_only():
+    phi = ConnectionFunction("gaussian", 2, s=0.8)
+    assert radial_sampler(phi, widen=3.0) is radial_sampler(phi, widen=3.0)
+    grid = radial_sampler(phi, widen=3.0)[0].__self__
+    arrays = [grid.t, grid.cdf, grid._slopes, grid._first, grid._crowded]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[1]
 
 
 def test_sample_displacements_density():

@@ -725,6 +725,86 @@ def test_cluster_sample_matches_density():
     assert abs(np.mean(ratio) - 1.0) < 4.0 * se
 
 
+def _sample_by_decoding(prop, rng, n):
+    """ClusterProposal.sample as it was before the tree table: every
+    sample's Pruefer code decoded on the spot, the vertices placed by
+    (row, vertex) fancy indexing in root-to-leaf order."""
+    k, d = prop.k, prop.d
+    X = np.zeros((n, k, d))
+    if k == 1:
+        return X
+    child, parent = prufer_decode(rng.integers(0, k, size=(n, k - 2)), k)
+    disp = prop._displacements(rng, n * (k - 1))[0].reshape(n, k - 1, d)
+    rows = np.arange(n)
+    for e in range(k - 2, -1, -1):
+        X[rows, child[:, e]] = X[rows, parent[:, e]] + disp[:, e]
+    return X - X[:, :1, :]
+
+
+@pytest.mark.parametrize("phi", [
+    GILBERT, GAUSS, ConnectionFunction("exponential", 3, theta=1.0)],
+    ids=["gilbert", "gaussian", "exponential-d3"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_cluster_sample_equals_decoding_reference(phi, k):
+    # every bit, sign bits included, and the same share of the stream
+    prop = ClusterProposal(phi, k)
+    rng, ref_rng = np.random.default_rng(30 + k), np.random.default_rng(30 + k)
+    X = prop.sample(rng, 3000)
+    ref = _sample_by_decoding(prop, ref_rng, 3000)
+    assert X.shape == ref.shape and X.flags.c_contiguous
+    assert np.array_equal(X.view(np.uint64), ref.view(np.uint64))
+    assert rng.random() == ref_rng.random()
+
+
+def test_tree_table_is_shared_read_only_and_decoded_once(monkeypatch):
+    from rcmlab import moments
+    moments._tree_table.cache_clear()
+    decoded = []
+
+    def counting_decode(codes, k):
+        decoded.append(k)
+        return prufer_decode(codes, k)
+
+    monkeypatch.setattr(moments, "prufer_decode", counting_decode)
+    a, b = ClusterProposal(GILBERT, 6), ClusterProposal(GILBERT, 6)
+    a.sample(np.random.default_rng(0), 50)
+    b.sample(np.random.default_rng(1), 50)
+    ClusterProposal(GAUSS, 6).sample(np.random.default_rng(2), 50)
+    assert decoded == [6]
+    assert a._child is b._child and a._parent is b._parent
+    assert a._draw is b._draw and a._radial is b._radial
+    assert a._child.shape == (6 ** 4, 5)
+    for table in (a._child, a._parent):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+
+
+def test_cluster_proposal_refuses_order_beyond_cap():
+    with pytest.raises(ValueError, match="enumeration cap"):
+        ClusterProposal(GILBERT, ENUM_CAP + 1)
+
+
+@pytest.mark.parametrize("beta", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("estimator", [
+    lambda b: expected_count_intensity(edge_class(), GILBERT, b,
+                                       n_samples=100),
+    lambda b: expected_count_intensity(single_vertex_class(), GILBERT, b),
+    lambda b: asy_cov(edge_class(), edge_class(), GILBERT, GILBERT, b,
+                      n_samples=100),
+    lambda b: asy_cov_kl(1, 2, GILBERT, GILBERT, b, n_samples=100),
+    lambda b: finite_window_cross_moment(
+        edge_class(), edge_class(), GILBERT, GILBERT, Window("box", 2.0, 2),
+        b, n_samples=100),
+    lambda b: asy_var_quadratic([1.0], [edge_class()], GILBERT, b,
+                                n_samples=100),
+    lambda b: sigma_total_partial(1, GILBERT, b, n_samples=100)],
+    ids=["intensity", "intensity-k1", "asy_cov", "asy_cov_kl",
+         "window_cross_moment", "asy_var_quadratic", "sigma_total_partial"])
+def test_estimators_refuse_a_bad_beta(estimator, beta):
+    with pytest.raises(ValueError, match="^beta: must be positive"):
+        estimator(beta)
+
+
 def test_one_radial_grid_per_proposal(monkeypatch):
     """Proposals draw from the sampler built once in their constructor."""
     from rcmlab import connection
