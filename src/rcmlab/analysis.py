@@ -30,8 +30,8 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .census import (K_MAX, ComponentTable, GraphClass, MergedRows,
-                     batch_table, canonical_form, counted)
+from .census import (ComponentTable, GraphClass, MergedRows, batch_table,
+                     check_canonical, counted)
 from .connection import ConnectionFunction
 from .geometry import Window, squared_lengths, unit_ball_volume
 from .marks import PairMarkSource, pair_marks
@@ -39,15 +39,6 @@ from .moments import (MomentEstimate, _check_beta, _linear_combination,
                       _mc_moment, _sqrt_estimate)
 from .sampling import (PointSet, RcmBatch, RcmGraph, build_chunks,
                        seeded_sample)
-
-
-def _is_canonical(g: GraphClass) -> bool:
-    if not 1 <= g.order <= K_MAX:
-        return False
-    try:
-        return canonical_form(g.adjacency()) == g
-    except ValueError:      # not connected
-        return False
 
 
 @dataclass(frozen=True)
@@ -99,10 +90,7 @@ class FunctionalSpec:
                 raise ValueError(
                     f"weights a must be finite real numbers, got {self.a!r}")
         for g in self.named_classes:
-            if not _is_canonical(g):
-                raise ValueError(
-                    f"class {g.class_id} is not the canonical id of a "
-                    f"connected graph of order <= {K_MAX}")
+            check_canonical(g)
 
     @property
     def named_classes(self) -> tuple:

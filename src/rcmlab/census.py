@@ -123,6 +123,25 @@ def canonical_form(adjacency: np.ndarray) -> GraphClass:
         k, _pack(k, *np.nonzero(np.triu(adj)))))
 
 
+def is_canonical(g: GraphClass) -> bool:
+    """Whether g is the class of a connected graph of order in [1, K_MAX]:
+    its canon is the least packing of its own graph, and so holds no bit
+    beyond the order's pairs."""
+    if not 1 <= g.order <= K_MAX:
+        return False
+    try:
+        return canonical_form(g.adjacency()) == g
+    except ValueError:      # not connected
+        return False
+
+
+def check_canonical(g: GraphClass) -> None:
+    """Refuse a class that is not the canonical id of a connected graph."""
+    if not is_canonical(g):
+        raise ValueError(f"class {g.class_id} is not the canonical id of a "
+                         f"connected graph of order <= {K_MAX}")
+
+
 def enumerate_classes(k: int) -> list[GraphClass]:
     """All connected isomorphism classes on k vertices, sorted by canon.
 

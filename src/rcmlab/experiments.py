@@ -23,9 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import (FunctionalSpec, _is_canonical, combine, counts,
-                       empirical_distance)
-from .census import K_MAX, GraphClass, batch_table
+from .analysis import FunctionalSpec, combine, counts, empirical_distance
+from .census import K_MAX, GraphClass, batch_table, is_canonical
 from .census import census as run_census
 from .connection import ConnectionFunction
 from .geometry import Window
@@ -104,7 +103,7 @@ def _class_id(text, path) -> GraphClass:
     except ValueError:
         raise ConfigError(f"{path}: expected a class id <order>:<hex canon>,"
                           f" got {text!r}") from None
-    if not _is_canonical(cls):
+    if not is_canonical(cls):
         raise ConfigError(f"{path}: {text} is not the canonical id of a "
                           f"connected graph of order <= {K_MAX}")
     return cls

@@ -50,14 +50,17 @@ their squares inline in the same coordinate order.
 Every Monte Carlo integrand is a graph probability times an interaction
 kernel (the exponential of the interaction exponent, or the two-cluster
 kernel), and one driver, `_importance_mc`, estimates them all, over one
-cluster or two; it refuses fewer than 2 draws. It takes proposal
-densities only on draws that pass the lexmin test, evaluates the
-probability only on those of them with positive density, and the costly
-kernel only on those whose probability is nonzero; for the indicator
-kinds that is a small share of the draws. Every reduction runs row by
-row, so a draw's density and kernel value do not depend on which other
-draws share its batch, and each estimate is bit for bit the one an
-evaluation of every draw would give.
+cluster or two; it refuses fewer than 2 draws. It evaluates the
+probability only on draws that pass the lexmin test, the proposal
+densities only on those of them whose probability is nonzero, and the
+costly kernel only on those with positive density; for the indicator
+kinds that is a small share of the draws. `prob_isomorphic` in turn
+gives 0 without band products to a row whose count of certain pairs
+(pe = 1) exceeds the class's edge count m or whose count of possible
+pairs (pe > 0) falls short of it. Every reduction runs row by row, so a
+draw's probability, density and kernel value do not depend on which
+other draws share its batch, and each estimate is bit for bit the one
+an evaluation of every draw would give.
 
 Per-draw values become a MomentEstimate by one rule, `_mc_moment`:
 scale times their mean, its standard error, the number of draws and the
@@ -88,7 +91,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import roots_legendre
 
-from .census import GraphClass, _lexmin, permuted_bits
+from .census import GraphClass, _lexmin, check_canonical, permuted_bits
 from .connection import ConnectionFunction, RadialProposal
 from .geometry import Window, squared_lengths, unit_ball_volume
 
@@ -176,10 +179,23 @@ def _sum_band_products(bands: np.ndarray, codes: np.ndarray) -> np.ndarray:
 def prob_isomorphic(pe: np.ndarray, G: GraphClass) -> np.ndarray:
     """P(labeled RCM on the tuple is isomorphic to G) per sample.
 
-    pe holds the per-pair edge probabilities in upper-triangular order.
+    pe holds the per-pair edge probabilities, in [0, 1], in
+    upper-triangular order. Every labeled copy of G has the m edges of
+    G, so a row with more than m pairs at pe = 1 gives each copy a
+    factor 1 - 1 = +0.0 on one of its non-edges, and a row with fewer
+    than m pairs at pe > 0 gives each copy a factor +0.0 on one of its
+    edges. Such rows are exactly 0 and take no band products; the others
+    take them as they would in a batch of every row.
     """
-    return _sum_band_products(np.stack([1.0 - pe, pe]),
-                              iso_masks(G).astype(np.intp))
+    masks = iso_masks(G)
+    m = np.count_nonzero(masks[0])
+    rows = np.flatnonzero((np.count_nonzero(pe == 1.0, axis=1) <= m)
+                          & (np.count_nonzero(pe > 0.0, axis=1) >= m))
+    out = np.zeros(len(pe))
+    live = pe[rows]
+    out[rows] = _sum_band_products(np.stack([1.0 - live, live]),
+                                   masks.astype(np.intp))
+    return out
 
 
 def prob_connected(pe: np.ndarray, k: int) -> np.ndarray:
@@ -908,9 +924,11 @@ def _importance_mc(phi, beta, k, prob_fn, kernel_fn, n_samples, seed,
     the stream as X1, then the anchor, then X2. The sorted indicators'
     combinatorial factors are applied here. Rows whose first cluster is
     not anchored at its lexicographic minimum get weight 0 and no
+    probability; rows whose probability is 0 get weight 0 and no
     proposal density; rows whose proposal density is 0 get weight 0 and
-    no probability; rows whose probability is 0 get weight 0 and no
-    kernel.
+    no kernel. Each of these evaluations is row by row, so a row's
+    weight p * kernel * factor / density is the one an evaluation of
+    every row would give.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
@@ -935,15 +953,15 @@ def _importance_mc(phi, beta, k, prob_fn, kernel_fn, n_samples, seed,
             X2rel = prop2.sample(rng, m)
             Xs = (X1, X2rel + a2[:, None, :])
         rows = np.flatnonzero(_is_anchor_lexmin(X1))
+        p = prob_fn(*(X[rows] for X in Xs))
+        live = p != 0
+        rows, p = rows[live], p[live]
         dens = prop1.density(X1[rows])
         if second is not None:
             dens = dens * anchor.density(X1[rows], a2[rows]) \
                 * prop2.density(X2rel[rows])
         keep = dens > 0
-        rows, dens = rows[keep], dens[keep]
-        p = prob_fn(*(X[rows] for X in Xs))
-        live = p != 0
-        rows, p, dens = rows[live], p[live], dens[live]
+        rows, p, dens = rows[keep], p[keep], dens[keep]
         if rows.size:
             weights[done + rows] = p * kernel_fn(*(X[rows] for X in Xs)) \
                 * factor / dens
@@ -995,6 +1013,7 @@ def expected_count_intensity(G: GraphClass, phi: ConnectionFunction,
                              seed: int = 0) -> MomentEstimate:
     """Per-volume intensity rho_G of components isomorphic to G."""
     _check_beta(beta)
+    check_canonical(G)
     k = G.order
     if k > ENUM_CAP:
         raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
@@ -1037,6 +1056,8 @@ def finite_window_cross_moment(G: GraphClass, H: GraphClass,
     the coupled joint class probability, times the window volume.
     """
     _check_beta(beta)
+    check_canonical(G)
+    check_canonical(H)
     k, l = G.order, H.order
 
     def kernel(X1, X2):
@@ -1063,6 +1084,8 @@ def asy_cov(G: GraphClass, H: GraphClass, phi: ConnectionFunction,
             n_samples: int = 200000, seed: int = 0) -> MomentEstimate:
     """Asymptotic covariance per unit volume of the two class counts."""
     _check_beta(beta)
+    check_canonical(G)
+    check_canonical(H)
     return _second_moment(
         G.order, H.order, lambda pe: prob_isomorphic(pe, G),
         lambda pe: prob_isomorphic(pe, H),
@@ -1127,6 +1150,8 @@ def asy_var_quadratic(a, classes, phi: ConnectionFunction, beta: float,
         raise ValueError("weights must not all vanish")
     if len(a) != len(classes):
         raise ValueError("weight and class lists differ in length")
+    for G in classes:
+        check_canonical(G)
     m = len(classes)
     rows, mat, err = _estimate_matrix(m, lambda i, j: asy_cov(
         classes[i], classes[j], phi, phi, beta, n_samples=n_samples,

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from rcmlab.census import (ComponentTable, GraphClass, canonical_form,
                            census, edge_class, enumerate_classes,
-                           path_class, single_vertex_class)
+                           is_canonical, path_class, single_vertex_class)
 from rcmlab.connection import ConnectionFunction
 from rcmlab.geometry import Window
 from rcmlab.marks import PairMarkSource
@@ -279,3 +279,21 @@ def test_merged_component_equals_a_table_from_scratch(kind, seed, where,
         assert rows.lexmin_pos[m].tolist() == row.lexmin_pos.tolist()
         assert rows.lexmin_inside[m] == row.lexmin_inside
         assert rows.canon[m] == row.canon
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_is_canonical_accepts_exactly_the_enumerated_classes(k):
+    # every class id of order k whose canon fits the k-choose-2 pair bits,
+    # and one more with a bit beyond them
+    npairs = k * (k - 1) // 2
+    accepted = {GraphClass(k, c) for c in range(1 << npairs)
+                if is_canonical(GraphClass(k, c))}
+    assert accepted == set(enumerate_classes(k))
+    assert not is_canonical(GraphClass(k, 1 << npairs))
+
+
+@pytest.mark.parametrize("g", [GraphClass(3, 99), GraphClass(0, 0),
+                               GraphClass(9, 1)],
+                         ids=["3:63", "0:0", "9:1"])
+def test_is_canonical_refuses_ids_beyond_the_pairs_or_order_range(g):
+    assert not is_canonical(g)

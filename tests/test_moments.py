@@ -1503,6 +1503,77 @@ def test_class_probabilities_equal_per_copy_loops(monkeypatch):
     assert prob_isomorphic(np.zeros((0, 3)), path_class(3)).shape == (0,)
 
 
+@st.composite
+def _class_and_rows(draw):
+    """A connected class of order 2..6 (a path, a star or any other) and
+    per-pair probabilities that mix exact 0s, exact 1s and fractions."""
+    k = draw(st.integers(2, 6))
+    G = draw(st.one_of(st.just(path_class(k)), st.just(_star(k)),
+                       st.sampled_from(enumerate_classes(k))))
+    npairs = k * (k - 1) // 2
+    value = st.one_of(st.sampled_from([0.0, 1.0]),
+                      st.floats(0.0, 1.0, allow_subnormal=False))
+    rows = draw(st.lists(st.lists(value, min_size=npairs, max_size=npairs),
+                         min_size=1, max_size=8))
+    return G, np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_class_and_rows())
+def test_prob_isomorphic_multiplies_only_rows_that_can_be_nonzero(case):
+    # a row with more certain pairs (pe = 1) than G has edges, or fewer
+    # possible pairs (pe > 0), is exactly 0 and takes no band products
+    from rcmlab import moments
+    G, pe = case
+    m = int(iso_masks(G)[0].sum())
+    seen = []
+    band_products = moments._sum_band_products
+
+    def recording(bands, codes):
+        seen.append(bands[1].copy())
+        return band_products(bands, codes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moments, "_sum_band_products", recording)
+        got = prob_isomorphic(pe, G)
+    assert np.array_equal(got, _per_copy_prob_isomorphic(pe, G))
+    for rows in seen:
+        assert np.all(np.count_nonzero(rows == 1.0, axis=1) <= m)
+        assert np.all(np.count_nonzero(rows > 0.0, axis=1) >= m)
+
+
+_NOT_CANONICAL = {"3:1-edge-and-vertex": GraphClass(3, 1),
+                  "3:0-no-edge": GraphClass(3, 0),
+                  "3:63-bits-beyond-pairs": GraphClass(3, 99)}
+
+_CLASS_ESTIMATORS = {
+    "intensity": lambda g: expected_count_intensity(
+        g, SCALED, 1.0, n_samples=200, seed=1),
+    "asy_cov-first": lambda g: asy_cov(g, edge_class(), GILBERT, GILBERT,
+                                       1.0, n_samples=200, seed=1),
+    "asy_cov-second": lambda g: asy_cov(edge_class(), g, GILBERT, GILBERT,
+                                        1.0, n_samples=200, seed=1),
+    "window-first": lambda g: finite_window_cross_moment(
+        g, edge_class(), GILBERT, GILBERT, Window("box", 2.0, 2), 1.0,
+        n_samples=200, seed=1),
+    "window-second": lambda g: finite_window_cross_moment(
+        edge_class(), g, GILBERT, GILBERT, Window("box", 2.0, 2), 1.0,
+        n_samples=200, seed=1),
+    "quadratic": lambda g: asy_var_quadratic(
+        [1.0, 1.0], [edge_class(), g], GILBERT, 1.0, n_samples=200, seed=1),
+}
+
+
+@pytest.mark.parametrize("cls", list(_NOT_CANONICAL))
+@pytest.mark.parametrize("estimator", list(_CLASS_ESTIMATORS))
+def test_estimators_refuse_a_class_that_is_not_canonical(estimator, cls):
+    g = _NOT_CANONICAL[cls]
+    with pytest.raises(ValueError, match=(
+            f"^class {g.class_id} is not the canonical id of a connected "
+            f"graph of order <= 8$")):
+        _CLASS_ESTIMATORS[estimator](g)
+
+
 def _density_first_importance_mc(phi, beta, k, prob_fn, kernel_fn,
                                  n_samples, seed, second=None):
     """_importance_mc taking every draw's proposal density before the
@@ -1563,6 +1634,15 @@ _MONTE_CARLO_ESTIMATES = {
         n_samples=1000, seed=97)[0],
     "total": lambda: sigma_total_partial(2, GILBERT, 1.0, n_samples=1000,
                                          seed=98)[0],
+    # the benchmark's rho_k6: about 700 lexmin rows, about 20 of which
+    # pass prob_isomorphic's count rule
+    "intensity-path6": lambda: expected_count_intensity(
+        path_class(6), GILBERT, 1.0, n_samples=4000, seed=7),
+    # fractional pair probabilities pass the count rule
+    "intensity-star4-scaled": lambda: expected_count_intensity(
+        _star(4), SCALED, 1.0, n_samples=3000, seed=100),
+    "intensity-edge-expo": lambda: expected_count_intensity(
+        edge_class(), EXPO_1D, 1.0, n_samples=300, seed=101),
 }
 
 
@@ -1577,7 +1657,9 @@ def test_estimates_equal_density_first_reference(monkeypatch, name):
     assert est == ref
 
 
-def test_cluster_density_sees_only_lexmin_rows(monkeypatch):
+def test_cluster_density_sees_only_live_lexmin_rows(monkeypatch):
+    # the probability comes before the density: ClusterProposal.density
+    # sees exactly the lexmin rows whose probability is nonzero, in order
     seen = []
     density = ClusterProposal.density
 
@@ -1590,17 +1672,28 @@ def test_cluster_density_sees_only_lexmin_rows(monkeypatch):
     expected_count_intensity(path_class(4), GILBERT, 1.0, n_samples=n,
                              seed=seed)
     X = ClusterProposal(GILBERT, 4).sample(np.random.default_rng(seed), n)
-    lexmin = _is_anchor_lexmin(X)
-    assert 0 < lexmin.sum() < n
-    assert len(seen) == 1 and np.array_equal(seen[0], X[lexmin])
+    X = X[_is_anchor_lexmin(X)]
+    live = prob_isomorphic(_pair_values(X, GILBERT), path_class(4)) != 0
+    assert 0 < live.sum() < len(X) < n
+    assert len(seen) == 1 and np.array_equal(seen[0], X[live])
     # two clusters: the first cluster's rows and the second's relative
-    # positions, both on the rows whose first cluster passes the test
+    # positions, both on the lexmin rows whose probability is nonzero.
+    # Under Gilbert a cluster drawn along a tree is always connected, so
+    # asy_cov_kl(2, 3) has no zero rows; the (edge, 3-path) covariance
+    # draws the same orders and gives 0 where the 3-path closes a triangle
     seen.clear()
-    asy_cov_kl(2, 3, GILBERT, GILBERT, 1.0, n_samples=n, seed=seed)
+    asy_cov(edge_class(), path_class(3), GILBERT, GILBERT, 1.0,
+            n_samples=n, seed=seed)
     rng = np.random.default_rng(seed)
     X1 = ClusterProposal(GILBERT, 2).sample(rng, n)
-    AnchorProposal(GILBERT, widen=5.0).sample(rng, X1)
+    a2 = AnchorProposal(GILBERT, widen=5.0).sample(rng, X1)
     X2rel = ClusterProposal(GILBERT, 3).sample(rng, n)
     lexmin = _is_anchor_lexmin(X1)
-    assert np.array_equal(seen[0], X1[lexmin])
-    assert np.array_equal(seen[1], X2rel[lexmin])
+    X1, X2rel, a2 = X1[lexmin], X2rel[lexmin], a2[lexmin]
+    live = (prob_isomorphic(_pair_values(X1, GILBERT), edge_class())
+            * prob_isomorphic(_pair_values(X2rel + a2[:, None, :], GILBERT),
+                              path_class(3))) != 0
+    assert 0 < live.sum() < len(X1)
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], X1[live])
+    assert np.array_equal(seen[1], X2rel[live])
