@@ -20,7 +20,6 @@ from .geometry import Window, unit_ball_volume
 from .marks import PairMarkSource
 from .moments import (MomentEstimate, asy_cov, asy_cov_kl,
                       asy_var_quadratic, expected_count_intensity,
-                      finite_window_cross_moment, inner_exponent,
-                      sigma_total_partial)
+                      finite_window_cov, sigma_total_partial)
 from .sampling import (PointSet, RcmBatch, RcmGraph, build_coupled,
                        build_rcm, build_rcm_batch, sample_poisson)

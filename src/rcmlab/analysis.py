@@ -637,8 +637,10 @@ def cluster_tail(phi: ConnectionFunction, beta: float, m: int,
     the lower one. The simulated ball has radius (m + 2) times the
     truncation radius.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    _check_beta(beta)
+    if not (isinstance(m, numbers.Integral) and not isinstance(m, bool)
+            and m >= 1):
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     sim_radius = (m + 2) * phi.truncation_radius()

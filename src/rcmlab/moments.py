@@ -69,13 +69,13 @@ truncation radius in use. `_importance_mc` and every estimator in
 rules: `_linear_combination` for sums of independent estimates and
 `_sqrt_estimate` for the square root of one.
 
-Every second moment (`asy_cov`, `asy_cov_kl`,
-`finite_window_cross_moment`) is one call of `_second_moment`: a
-two-cluster term plus, for equal orders, a shared-tuple term, scaled by
-the window volume for the finite window. A term for a psi-component
-nested in a phi-component of larger order would go there. It checks
-domination and ENUM_CAP for all three. Its two terms, and the
-covariances of a quadratic form or a partial sum, add by
+Every second moment (`asy_cov`, `asy_cov_kl`, `finite_window_cov`) is
+one call of `_second_moment`: a two-cluster term plus, for equal
+orders, a shared-tuple term; the finite window only weights the
+two-cluster kernel by the window's overlap with its shift. A term for
+a psi-component nested in a phi-component of larger order would go
+there. It checks domination and ENUM_CAP for all three. Its two terms,
+and the covariances of a quadratic form or a partial sum, add by
 `_linear_combination`, the one rule for sums of independent estimates;
 `_estimate_matrix` fills every matrix of pairwise covariances.
 """
@@ -627,39 +627,6 @@ def mixed_exponent(X: np.ndarray, funcs, beta: float) -> np.ndarray:
     return exponent(X, *params, beta)
 
 
-def inner_exponent(x, phi: ConnectionFunction, beta: float) -> float:
-    """beta * integral(prod_i phibar(y - x_i) - 1) dy for one tuple.
-
-    For indicator kinds this is the inclusion-exclusion sum of
-    indicator_union_exponent. Its pair terms are exact lenses, so up to
-    two points the value is exact; subsets of three or more points are
-    sliced with 1024 nodes per coordinate in d <= 2 and 2^(16/(d-1)) in
-    higher d, which keeps 2^16 one-dimensional slices: 256 nodes in
-    d = 3. Where lens boundaries kink the slice volume those terms are
-    off by about 1e-7 relative in d = 2 and 2e-6 in d = 3.
-    For the Gaussian kind it is exact (gaussian_union_exponent); the
-    exponential kind uses tensor Gauss-Legendre quadrature at 96 nodes
-    per axis.
-    """
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    if X.ndim != 2:
-        raise ValueError("x must be a (k, d) array")
-    k, d = X.shape
-    if len(np.unique(X, axis=0)) != k:
-        raise ValueError("points must be distinct")
-    if k == 1:
-        return -beta * phi.m_phi
-    if _is_indicator(phi):
-        n_nodes = 1024 if d <= 2 else round(2.0 ** (16 / (d - 1)))
-        return float(indicator_union_exponent(X[None], [phi.r] * k,
-                                              [phi.p] * k, beta,
-                                              n_nodes=n_nodes)[0])
-    if phi.kind == "gaussian":
-        return float(gaussian_union_exponent(X[None], [phi.s] * k, beta)[0])
-    return float(generic_union_exponent(X[None, :, :], [phi] * k, beta,
-                                        n_nodes=96)[0])
-
-
 def q_kl(X1: np.ndarray, X2: np.ndarray, phi: ConnectionFunction,
          psi: ConnectionFunction, beta: float) -> np.ndarray:
     """The two-cluster interaction kernel of the asymptotic covariances.
@@ -827,22 +794,6 @@ class AnchorProposal(RadialProposal):
         return np.mean(self._disp_density(dist), axis=1)
 
 
-class BoxAnchor:
-    """Second-cluster anchor drawn uniformly from the cube [-half, half]^d,
-    whatever the first cluster; same interface as AnchorProposal."""
-
-    def __init__(self, half: float, d: int):
-        self.half = half
-        self.d = d
-        self._density = 1.0 / (2.0 * half) ** d
-
-    def sample(self, rng: np.random.Generator, X1: np.ndarray) -> np.ndarray:
-        return rng.uniform(-self.half, self.half, size=(len(X1), self.d))
-
-    def density(self, X1: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-        return np.full(len(anchor), self._density)
-
-
 def _lexmin_ids(X: np.ndarray) -> np.ndarray:
     """Row of each cluster's lexicographically smallest point in
     X.reshape(-1, d), by the census rule (census._lexmin, one label per
@@ -974,31 +925,30 @@ def _cluster_kernel(phi, beta, k):
 
 
 def _second_moment(k, l, prob1, prob2, diag_prob, kernel, phi, psi, beta,
-                   n_samples, seed, anchor=None, scale=1.0) -> MomentEstimate:
+                   n_samples, seed) -> MomentEstimate:
     """A second moment of a count of k-clusters under phi and one of
     l-clusters under psi; prob1 and prob2 map per-pair edge
     probabilities to the clusters' class probabilities.
 
     Two-cluster term: prob1 * prob2 * kernel(X1, X2), with the second
-    cluster's anchor drawn by `anchor` (default: an AnchorProposal around
-    the first cluster). Shared-tuple term, for equal orders only: both
-    counts see the same k-tuple and diag_prob maps (pe_phi, pe_psi) to
-    the coupled class probability; it has its own stream at seed + 1 and
-    max(n_samples // 2, 1000) draws, and is multiplied by `scale`.
+    cluster's anchor drawn by an AnchorProposal around the first
+    cluster. Shared-tuple term, for equal orders only: both counts see
+    the same k-tuple and diag_prob maps (pe_phi, pe_psi) to the coupled
+    class probability; it has its own stream at seed + 1 and
+    max(n_samples // 2, 1000) draws.
     """
     if not phi.dominates(psi):
         raise ValueError("psi must be dominated by phi")
     if max(k, l) > ENUM_CAP:
         raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
-    if anchor is None:
-        anchor = AnchorProposal(phi, widen=float(l + 2))
+    anchor = AnchorProposal(phi, widen=float(l + 2))
     terms = [(1.0, _importance_mc(
         phi, beta, k, lambda X1, X2: prob1(_pair_values(X1, phi))
         * prob2(_pair_values(X2, psi)), kernel, n_samples, seed,
         second=(psi, l, anchor)))]
     if k == l:
         n_shared = max(n_samples // 2, 1000)
-        terms.append((scale, _importance_mc(
+        terms.append((1.0, _importance_mc(
             phi, beta, k,
             lambda X: diag_prob(_pair_values(X, phi), _pair_values(X, psi)),
             _cluster_kernel(phi, beta, k), n_shared, seed + 1)))
@@ -1032,6 +982,9 @@ def window_overlap_volume(window: Window, x):
     for one shift x (d,), one volume per row for shifts x (..., d). For
     a ball window of radius R it is the lens of B(0, R) and B(x, R)."""
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != window.dim:
+        raise ValueError(f"shifts need the window's dimension {window.dim} "
+                         f"in their last axis, got shape {x.shape}")
     if window.shape == "box":
         vol = np.prod(np.maximum(0.0, 2.0 * window.extent - np.abs(x)),
                       axis=-1)
@@ -1043,55 +996,54 @@ def window_overlap_volume(window: Window, x):
     return float(vol) if vol.ndim == 0 else vol
 
 
-def finite_window_cross_moment(G: GraphClass, H: GraphClass,
-                               phi: ConnectionFunction,
-                               psi: ConnectionFunction,
-                               window: Window, beta: float,
-                               n_samples: int = 200000,
-                               seed: int = 0) -> MomentEstimate:
-    """E[count_G under phi * count_H under psi] on the same window.
-
-    First term: distinct tuples, weighted by the overlap volume of the
-    window with its shift. Second term (equal orders): shared tuple with
-    the coupled joint class probability, times the window volume.
-    """
-    _check_beta(beta)
-    check_canonical(G)
-    check_canonical(H)
-    k, l = G.order, H.order
-
-    def kernel(X1, X2):
-        e = mixed_exponent(np.concatenate([X1, X2], axis=1),
-                           [phi] * k + [psi] * l, beta)
-        # the counted anchor of the second cluster is its lexicographic
-        # minimum, and the overlap weight is evaluated there
-        ov = window_overlap_volume(window, _lexmin_points(X2))
-        return _cross_phibar(X1, X2, phi) * np.exp(e) * ov
-
-    # the anchor of the second cluster ranges over the whole difference
-    # body of the window, not just near the first cluster: sample it
-    # uniformly over the bounding box of the difference body
-    return _second_moment(
-        k, l, lambda pe: prob_isomorphic(pe, G),
-        lambda pe: prob_isomorphic(pe, H),
-        lambda a, b: joint_prob_coupled(a, b, G, H), kernel, phi, psi, beta,
-        n_samples, seed, anchor=BoxAnchor(2.0 * window.extent, window.dim),
-        scale=window.volume)
-
-
-def asy_cov(G: GraphClass, H: GraphClass, phi: ConnectionFunction,
-            psi: ConnectionFunction, beta: float,
-            n_samples: int = 200000, seed: int = 0) -> MomentEstimate:
-    """Asymptotic covariance per unit volume of the two class counts."""
+def _class_cov(G: GraphClass, H: GraphClass, phi: ConnectionFunction,
+               psi: ConnectionFunction, beta: float, kernel, n_samples: int,
+               seed: int) -> MomentEstimate:
+    """Covariance per unit volume of the count of G-components under phi
+    and of H-components under psi, with the two-cluster kernel `kernel`."""
     _check_beta(beta)
     check_canonical(G)
     check_canonical(H)
     return _second_moment(
         G.order, H.order, lambda pe: prob_isomorphic(pe, G),
         lambda pe: prob_isomorphic(pe, H),
-        lambda a, b: joint_prob_coupled(a, b, G, H),
-        lambda X1, X2: q_kl(X1, X2, phi, psi, beta), phi, psi, beta,
+        lambda a, b: joint_prob_coupled(a, b, G, H), kernel, phi, psi, beta,
         n_samples, seed)
+
+
+def asy_cov(G: GraphClass, H: GraphClass, phi: ConnectionFunction,
+            psi: ConnectionFunction, beta: float,
+            n_samples: int = 200000, seed: int = 0) -> MomentEstimate:
+    """Asymptotic covariance per unit volume of the two class counts."""
+    return _class_cov(G, H, phi, psi, beta,
+                      lambda X1, X2: q_kl(X1, X2, phi, psi, beta),
+                      n_samples, seed)
+
+
+def finite_window_cov(G: GraphClass, H: GraphClass, phi: ConnectionFunction,
+                      psi: ConnectionFunction, window: Window, beta: float,
+                      n_samples: int = 200000,
+                      seed: int = 0) -> MomentEstimate:
+    """Cov(count_G under phi, count_H under psi) / |W| on one window W,
+    each component counted when its lexicographic minimum lies in W.
+
+    The asymptotic covariance with its two-cluster kernel q_kl weighted
+    by |W intersected with W + x| / |W|, x the second cluster's lexmin
+    point (the first cluster's is the origin); the weight tends to 1 as
+    W grows. The shared-tuple term is asy_cov's.
+    """
+    if window.dim != phi.dim:
+        raise ValueError(f"window dimension {window.dim} differs from the "
+                         f"connection function's dimension {phi.dim}")
+    if not window.volume > 0:
+        raise ValueError("window: a covariance per volume needs a window of "
+                         "positive volume")
+
+    def kernel(X1, X2):
+        return q_kl(X1, X2, phi, psi, beta) * window_overlap_volume(
+            window, _lexmin_points(X2)) / window.volume
+
+    return _class_cov(G, H, phi, psi, beta, kernel, n_samples, seed)
 
 
 def asy_cov_kl(k: int, l: int, phi: ConnectionFunction,

@@ -460,6 +460,24 @@ def test_cluster_tail_brackets_the_d1_tail(m):
     assert tail <= est.upper.value + 3.0 * est.upper.std_error
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_cluster_tail_refuses_a_bad_beta(beta):
+    with pytest.raises(ValueError, match="^beta: must be positive"):
+        cluster_tail(GILBERT, beta, 2, n_samples=10)
+
+
+@pytest.mark.parametrize("m", [2.5, True, 0])
+def test_cluster_tail_refuses_an_order_that_is_not_an_integer_above_0(m):
+    with pytest.raises(ValueError, match=(
+            f"^m must be an integer >= 1, got {m!r}$")):
+        cluster_tail(GILBERT, 1.0, m, n_samples=10)
+
+
+def test_cluster_tail_takes_a_numpy_integer_order():
+    est = cluster_tail(GILBERT, 1.0, np.int64(2), n_samples=10, seed=1)
+    assert est == cluster_tail(GILBERT, 1.0, 2, n_samples=10, seed=1)
+
+
 def test_cluster_tail_monotone_in_m():
     beta = 0.5 / math.pi
     vals = [cluster_tail(GILBERT, beta, m, n_samples=600, seed=7).upper.value

@@ -17,14 +17,15 @@ from scipy.special import betainc
 from rcmlab.census import (GraphClass, canonical_form, census, edge_class,
                            enumerate_classes, path_class, single_vertex_class)
 from rcmlab.connection import ConnectionFunction, radial_sampler
+from rcmlab.experiments import run_scenario
 from rcmlab.geometry import Window, unit_ball_volume
-from rcmlab.moments import (ENUM_CAP, AnchorProposal, BoxAnchor,
+from rcmlab.moments import (ENUM_CAP, AnchorProposal,
                             ClusterProposal, MomentEstimate, asy_cov,
                             asy_cov_kl,
                             asy_var_quadratic, expected_count_intensity,
-                            finite_window_cross_moment,
+                            finite_window_cov,
                             gaussian_union_exponent, indicator_union_exponent,
-                            inner_exponent, iso_masks,
+                            iso_masks,
                             joint_prob_coupled, mixed_exponent, prob_connected,
                             prob_isomorphic, prufer_decode, q_kl,
                             sigma_total_partial, window_overlap_volume)
@@ -128,7 +129,13 @@ def _triangle():
                                    dtype=bool))
 
 
+def inner_exponent(x, phi, beta):
+    """The interaction exponent of one tuple x (k, d) of phi points."""
+    return mixed_exponent(x[None], [phi] * len(x), beta)[0]
+
+
 def test_inner_exponent_single_point():
+    # one ball's term of the inclusion-exclusion table
     assert inner_exponent(np.zeros((1, 2)), GILBERT, 1.0) == \
         pytest.approx(-math.pi)
     assert inner_exponent(np.zeros((1, 2)), GILBERT, 2.0) == \
@@ -347,7 +354,9 @@ def test_indicator_union_exponent_matches_public():
     fast = indicator_union_exponent(X, np.array([1.0] * 3),
                                     np.array([1.0] * 3), 1.0)
     for x, f in zip(X, fast):
-        assert f == pytest.approx(inner_exponent(x, GILBERT, 1.0), rel=1e-4)
+        ref = indicator_union_exponent(x[None], [1.0] * 3, [1.0] * 3, 1.0,
+                                       n_nodes=1024)[0]
+        assert f == pytest.approx(ref, rel=1e-4)
 
 
 def test_mixed_exponent_smooth_kind():
@@ -633,26 +642,99 @@ def test_window_overlap_volume_ball_d4_matches_slicing():
         assert window_overlap_volume(w, x) == pytest.approx(sliced, rel=1e-4)
 
 
-def test_finite_window_cross_moment_on_4d_ball_window():
+def test_finite_window_cov_on_4d_ball_window():
     phi4 = ConnectionFunction("gilbert", 4, r=1.0)
-    est = finite_window_cross_moment(
+    est = finite_window_cov(
         single_vertex_class(), single_vertex_class(), phi4, phi4,
         Window("ball", 1.0, 4), 0.5, n_samples=200, seed=3)
     assert math.isfinite(est.value) and est.value > 0
 
 
-def test_finite_window_cross_moment_consistent_with_asymptotic():
-    # large window: finite-window second moment per volume approaches the
-    # asymptotic covariance
-    w = Window("box", 25.0, 2)
-    fin = finite_window_cross_moment(single_vertex_class(),
-                                     single_vertex_class(), GILBERT, GILBERT,
-                                     w, 1.0, n_samples=60000, seed=13)
-    # anchored counting is stationary, so the mean is exactly rho_1 * volume
-    mean_count = RHO_1 * w.volume
-    cov_per_vol = (fin.value - mean_count ** 2) / w.volume
-    assert abs(cov_per_vol - SIGMA_11) < max(0.1 * SIGMA_11,
-                                             4.0 * fin.std_error / w.volume)
+ISOLATED = (single_vertex_class(), single_vertex_class(), GILBERT, GILBERT)
+
+
+def test_finite_window_cov_consistent_with_asymptotic():
+    # isolated vertices at extent 25 on the draws of asy_cov: the
+    # boundary correction, O(|boundary| / |W|), is below 3 combined
+    # standard errors, and the overlap weight does not inflate the
+    # standard error
+    fin = finite_window_cov(*ISOLATED, Window("box", 25.0, 2), 1.0,
+                            n_samples=60000, seed=13)
+    asy = asy_cov(*ISOLATED, 1.0, n_samples=60000, seed=13)
+    assert 0.5 < fin.std_error / asy.std_error < 2.0
+    assert abs(fin.value - asy.value) < 3.0 * math.hypot(fin.std_error,
+                                                         asy.std_error)
+
+
+def test_finite_window_cov_matches_census_variance():
+    # isolated vertices at extent 5 against the sample variance per
+    # volume of the lexmin count over census replicates on that window;
+    # a sample variance s^2 of n counts with fourth central moment m4
+    # has Var(s^2) ~ (m4 - s^4 (n - 3) / (n - 1)) / n
+    window = Window("box", 5.0, 2)
+    res = run_scenario({
+        "dimension": 2, "beta": 1.0, "phi": {"kind": "gilbert", "r": 1.0},
+        "window": {"shape": "box", "extents": [window.extent]},
+        "statistics": [{"statistic": "count_class", "class": "1:0"}],
+        "replicates": 4000, "seed_base": 700000}, threads=1)
+    counts = res.rungs[0].values[:, 0]
+    n = len(counts)
+    s2 = float(np.var(counts, ddof=1))
+    m4 = float(np.mean((counts - np.mean(counts)) ** 4))
+    census_se = math.sqrt((m4 - s2 ** 2 * (n - 3) / (n - 1)) / n)
+    fin = finite_window_cov(*ISOLATED, window, 1.0, n_samples=60000,
+                            seed=13)
+    asy = asy_cov(*ISOLATED, 1.0, n_samples=60000, seed=13)
+    assert 0.5 < fin.std_error / asy.std_error < 2.0
+    assert abs(fin.value - s2 / window.volume) < 3.0 * math.hypot(
+        fin.std_error, census_se / window.volume)
+
+
+@pytest.mark.parametrize("extent", [5.0, 25.0])
+def test_finite_window_cov_matches_radial_quadrature(extent):
+    # isolated vertices (beta = r = 1): Cov / |W| = rho_1 + int g(|z|)
+    # |W intersected with W + z| / |W| dz with g(t) = 1{t > 1}
+    # e^{-(2 pi - lens(t))} - e^{-2 pi} for t < 2, 0 beyond; over the
+    # angle the box's overlap fraction (1 - |z_1|/L)(1 - |z_2|/L), L the
+    # side, integrates to 4 (pi/2 - 2t/L + t^2/(2 L^2))
+    side = 2.0 * extent
+
+    def g(t):
+        inside = math.exp(-(2.0 * math.pi - _lens_volume(2, 1.0, 1.0, t)))
+        return (inside if t > 1.0 else 0.0) - math.exp(-2.0 * math.pi)
+
+    exact = RHO_1 + sum(quad(
+        lambda t: 4.0 * t * g(t) * (math.pi / 2 - 2.0 * t / side
+                                    + t * t / (2.0 * side * side)),
+        lo, hi, epsabs=1e-14)[0] for lo, hi in ((0.0, 1.0), (1.0, 2.0)))
+    fin = finite_window_cov(*ISOLATED, Window("box", extent, 2), 1.0,
+                            n_samples=60000, seed=13)
+    assert abs(fin.value - exact) < 3.0 * fin.std_error
+
+
+def test_window_overlap_volume_refuses_a_shift_of_another_dimension():
+    with pytest.raises(ValueError, match=(
+            r"^shifts need the window's dimension 2 in their last axis, "
+            r"got shape \(3,\)$")):
+        window_overlap_volume(Window("box", 1.0, 2), [0.5, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("window", [Window("box", 3.0, 3),
+                                    Window("ball", 3.0, 1)],
+                         ids=["box-d3", "ball-d1"])
+def test_finite_window_cov_refuses_a_window_of_another_dimension(window):
+    with pytest.raises(ValueError, match=(
+            f"^window dimension {window.dim} differs from the connection "
+            f"function's dimension 2$")):
+        finite_window_cov(*ISOLATED, window, 1.0, n_samples=1000)
+
+
+def test_finite_window_cov_refuses_a_window_of_volume_zero():
+    # Cov / |W| would be 0 / 0 in the overlap fraction
+    with pytest.raises(ValueError, match="^window: a covariance per volume "
+                       "needs a window of positive volume$"):
+        finite_window_cov(*ISOLATED, Window("box", 0.0, 2), 1.0,
+                          n_samples=1000)
 
 
 def _edge_density(phi):
@@ -792,7 +874,7 @@ def test_cluster_proposal_refuses_order_beyond_cap():
     lambda b: asy_cov(edge_class(), edge_class(), GILBERT, GILBERT, b,
                       n_samples=100),
     lambda b: asy_cov_kl(1, 2, GILBERT, GILBERT, b, n_samples=100),
-    lambda b: finite_window_cross_moment(
+    lambda b: finite_window_cov(
         edge_class(), edge_class(), GILBERT, GILBERT, Window("box", 2.0, 2),
         b, n_samples=100),
     lambda b: asy_var_quadratic([1.0], [edge_class()], GILBERT, b,
@@ -965,29 +1047,22 @@ def test_window_cross_moment_equals_same_draw_reference():
     window, beta, n, seed = Window("box", 1.5, 2), 1.2, 3000, 44
 
     def kernel(X1, X2):
-        # no phi edge between the clusters (Gilbert: exact 0/1 factors),
-        # the joint exponent, and the overlap weight at X2's lexmin point
-        cross = np.prod(1.0 - GILBERT.phi_of_dist(np.linalg.norm(
-            X1[:, :, None, :] - X2[:, None, :, :], axis=-1)), axis=(1, 2))
-        e = mixed_exponent(np.concatenate([X1, X2], axis=1),
-                           [GILBERT] * k + [SCALED] * l, beta)
+        # q_kl weighted by the overlap fraction at X2's lexmin point
         ov = np.array([window_overlap_volume(window, min(map(tuple, x)))
                        for x in X2.tolist()])
-        return cross * np.exp(e) * ov
+        return q_kl(X1, X2, GILBERT, SCALED, beta) * ov / window.volume
 
     v1, se1 = _same_draw_pair_term(
         GILBERT, SCALED, k, l, lambda pe: prob_isomorphic(pe, G),
         lambda pe: prob_isomorphic(pe, H), kernel, beta, n, seed,
-        BoxAnchor(2.0 * window.extent, window.dim))
+        AnchorProposal(GILBERT, widen=float(l + 2)))
     v2, se2 = _same_draw_shared_term(
         GILBERT, SCALED, k, lambda a, b: joint_prob_coupled(a, b, G, H),
         beta, n, seed)
     assert v1 != 0 and v2 != 0
-    est = finite_window_cross_moment(G, H, GILBERT, SCALED, window, beta,
-                                     n_samples=n, seed=seed)
-    assert (est.value, est.std_error) == (
-        v1 + v2 * window.volume,
-        math.hypot(se1, se2 * window.volume))
+    est = finite_window_cov(G, H, GILBERT, SCALED, window, beta,
+                            n_samples=n, seed=seed)
+    assert (est.value, est.std_error) == (v1 + v2, math.hypot(se1, se2))
 
 
 def test_coupled_asy_cov_kl_equals_same_draw_reference():
@@ -1016,9 +1091,8 @@ def test_monte_carlo_budgets_below_two_are_refused(n):
         lambda: asy_cov(edge_class(), path_class(3), GILBERT, GILBERT, 1.0,
                         n_samples=n),
         lambda: asy_cov_kl(2, 2, GILBERT, SCALED, 1.0, n_samples=n),
-        lambda: finite_window_cross_moment(edge_class(), edge_class(),
-                                           GILBERT, GILBERT, W, 1.0,
-                                           n_samples=n),
+        lambda: finite_window_cov(edge_class(), edge_class(), GILBERT,
+                                  GILBERT, W, 1.0, n_samples=n),
         lambda: asy_var_quadratic([1.0], [edge_class()], GILBERT, 1.0,
                                   n_samples=n),
         lambda: sigma_total_partial(2, GILBERT, 1.0, n_samples=n),
@@ -1034,9 +1108,8 @@ def test_monte_carlo_budgets_below_two_are_refused(n):
 
 def test_window_cross_moment_refuses_orders_beyond_enumeration_cap():
     with pytest.raises(ValueError, match=f"enumeration cap {ENUM_CAP}"):
-        finite_window_cross_moment(path_class(ENUM_CAP + 1), edge_class(),
-                                   GILBERT, GILBERT, Window("box", 2.0, 2),
-                                   1.0, n_samples=50)
+        finite_window_cov(path_class(ENUM_CAP + 1), edge_class(), GILBERT,
+                          GILBERT, Window("box", 2.0, 2), 1.0, n_samples=50)
 
 
 # ---------------------------------------------------------------------------
@@ -1187,10 +1260,10 @@ _SMOOTH_ESTIMATES = {
         n_samples=400, seed=61)),
     "asy_cov_kl-2-2": ("gaussian", lambda: asy_cov_kl(
         2, 2, GAUSS, GAUSS, 1.0, n_samples=400, seed=62)),
-    "window-box": ("gaussian", lambda: finite_window_cross_moment(
+    "window-box": ("gaussian", lambda: finite_window_cov(
         edge_class(), edge_class(), GAUSS, GAUSS, Window("box", 2.0, 2), 1.0,
         n_samples=400, seed=63)),
-    "window-ball": ("gaussian", lambda: finite_window_cross_moment(
+    "window-ball": ("gaussian", lambda: finite_window_cov(
         edge_class(), edge_class(), GAUSS, GAUSS, Window("ball", 2.0, 2),
         1.0, n_samples=400, seed=64)),
     "intensity-path3-d1": ("exponential", lambda: expected_count_intensity(
@@ -1553,10 +1626,10 @@ _CLASS_ESTIMATORS = {
                                        1.0, n_samples=200, seed=1),
     "asy_cov-second": lambda g: asy_cov(edge_class(), g, GILBERT, GILBERT,
                                         1.0, n_samples=200, seed=1),
-    "window-first": lambda g: finite_window_cross_moment(
+    "window-first": lambda g: finite_window_cov(
         g, edge_class(), GILBERT, GILBERT, Window("box", 2.0, 2), 1.0,
         n_samples=200, seed=1),
-    "window-second": lambda g: finite_window_cross_moment(
+    "window-second": lambda g: finite_window_cov(
         edge_class(), g, GILBERT, GILBERT, Window("box", 2.0, 2), 1.0,
         n_samples=200, seed=1),
     "quadratic": lambda g: asy_var_quadratic(
@@ -1623,10 +1696,10 @@ _MONTE_CARLO_ESTIMATES = {
         seed=93),
     "asy_cov_kl-2-3": lambda: asy_cov_kl(2, 3, GILBERT, GILBERT, 1.0,
                                          n_samples=2000, seed=94),
-    "window-box": lambda: finite_window_cross_moment(
+    "window-box": lambda: finite_window_cov(
         path_class(3), edge_class(), GILBERT, GILBERT, Window("box", 3.0, 2),
         1.0, n_samples=3000, seed=95),
-    "window-ball": lambda: finite_window_cross_moment(
+    "window-ball": lambda: finite_window_cov(
         edge_class(), edge_class(), GILBERT, SCALED, Window("ball", 2.0, 2),
         1.0, n_samples=3000, seed=96),
     "quadratic": lambda: asy_var_quadratic(
