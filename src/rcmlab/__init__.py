@@ -4,8 +4,7 @@ connection model over stationary Poisson processes."""
 from .analysis import (DifferenceSample, EvaluationContext, FunctionalSpec,
                        Standardization, birth_time_variance, cluster_tail,
                        difference, dkw_bound, empirical_distance, evaluate,
-                       fourth_moment_bound, gamma_terms,
-                       pilot_standardization, poincare_bound,
+                       gamma_terms, pilot_standardization, poincare_bound,
                        second_difference)
 from .census import (CensusReport, Component, ComponentTable, GraphClass,
                      canonical_form, census, edge_class,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,8 +35,9 @@ from .census import (ComponentTable, GraphClass, MergedRows, batch_table,
 from .connection import ConnectionFunction
 from .geometry import Window, squared_lengths, unit_ball_volume
 from .marks import PairMarkSource, pair_marks
-from .moments import (MomentEstimate, _check_beta, _linear_combination,
-                      _mc_moment, _sqrt_estimate)
+from .moments import (MomentEstimate, _check_beta, _check_dimension,
+                      _check_order, _linear_combination, _mc_moment,
+                      _sqrt_estimate)
 from .sampling import (PointSet, RcmBatch, RcmGraph, build_chunks,
                        seeded_sample)
 
@@ -73,6 +74,7 @@ class FunctionalSpec:
         if self.mode not in ("lexmin", "inside"):
             raise ValueError(f"unknown mode {self.mode!r}")
         _check_beta(self.beta)
+        _check_dimension(self.window, self.phi)
         if self.statistic == "count_order" and not (
                 isinstance(self.k, numbers.Integral)
                 and not isinstance(self.k, bool) and self.k >= 1):
@@ -314,26 +316,20 @@ def _spec_draw(spec: FunctionalSpec, draw, seeds):
                   for s in seeds]
 
 
-def _alone(x):
-    """The one insertion of a single fresh point x, with id -1."""
-    return [[(x, -1)]]
-
-
 def _batched(spec: FunctionalSpec, draws, insertions):
-    """Each outer draw with the evaluation contexts of its graphs, the
-    graphs built by sampling.build_chunks.
+    """Each outer draw's payload with F on each of its graphs (base,
+    shape (g,)) and F with each insertion of insertions(payload) (values,
+    shape (g, len(insertions(payload)))), the graphs built by
+    sampling.build_chunks.
 
-    insertions(payload) lists the additions that every context of the
-    draw will be asked for; _with_additions evaluates those of a whole
-    chunk at once, and the contexts look them up.
+    _with_additions evaluates the insertions of a whole chunk at once,
+    and each value is read through its context's value_with_additions.
     """
     for chunk in build_chunks(draws, spec.phi):
-        contexts = [[EvaluationContext(g, spec) for g in graphs]
-                    for _, graphs in chunk]
-        asked = [
-            (ctx, additions)
-            for (payload, _), ctxs in zip(chunk, contexts)
-            for additions in insertions(payload) for ctx in ctxs]
+        drawn = [(payload, [EvaluationContext(g, spec) for g in graphs],
+                  insertions(payload)) for payload, graphs in chunk]
+        asked = [(ctx, additions) for _, ctxs, adds in drawn
+                 for additions in adds for ctx in ctxs]
         if asked:
             head = asked[0][0]
             values = _with_additions(
@@ -341,8 +337,10 @@ def _batched(spec: FunctionalSpec, draws, insertions):
                 [(ctx.graph.index, additions) for ctx, additions in asked])
             for (ctx, additions), value in zip(asked, values.tolist()):
                 ctx._known[_key(additions)] = value
-        for (payload, _), ctxs in zip(chunk, contexts):
-            yield payload, ctxs
+        for payload, ctxs, adds in drawn:
+            yield (payload, np.array([ctx.base_value for ctx in ctxs]),
+                   np.array([[ctx.value_with_additions(additions)
+                              for additions in adds] for ctx in ctxs]))
 
 
 def poincare_bound(spec: FunctionalSpec, n_outer: int = 200,
@@ -360,15 +358,9 @@ def poincare_bound(spec: FunctionalSpec, n_outer: int = 200,
     region = spec.window.pad(spec.padding())
     draws = (_spec_draw(spec, region.sample_uniform(rng, n_points),
                         [seed + 1 + i]) for i in range(n_outer))
-
-    def insertions(xs):
-        return [[(x, -1)] for x in xs]
-
-    per_sample = np.empty(n_outer)
-    for i, (xs, (ctx,)) in enumerate(_batched(spec, draws, insertions)):
-        vals = np.array([ctx.value_with_additions(additions)
-                         - ctx.base_value for additions in insertions(xs)])
-        per_sample[i] = np.mean(vals ** 2)
+    per_sample = np.array([
+        np.mean((values[0] - base[0]) ** 2) for _, base, values in _batched(
+            spec, draws, lambda xs: [[(x, -1)] for x in xs])])
     return _mc_moment(per_sample, spec.beta * region.volume,
                       spec.phi.truncation_radius())
 
@@ -453,11 +445,10 @@ def birth_time_variance(spec: FunctionalSpec, n_outer: int = 2000,
             yield x, samples
 
     half = n_inner // 2
-    outer_vals = np.empty(n_outer)
-    for i, (x, ctxs) in enumerate(_batched(spec, draws(), _alone)):
-        deltas = np.array([ctx.value_with_additions([(x, -1)])
-                           - ctx.base_value for ctx in ctxs])
-        outer_vals[i] = np.mean(deltas[:half]) * np.mean(deltas[half:])
+    deltas = (values[:, 0] - base for _, base, values in _batched(
+        spec, draws(), lambda x: [[(x, -1)]]))
+    outer_vals = np.array([np.mean(d[:half]) * np.mean(d[half:])
+                           for d in deltas])
     return _mc_moment(outer_vals, beta * vol, spec.phi.truncation_radius())
 
 
@@ -468,7 +459,6 @@ def birth_time_variance(spec: FunctionalSpec, n_outer: int = 2000,
 class Standardization:
     mean: float
     variance: float
-    source: str = "pilot"    # analytic | pilot
 
     def __post_init__(self):
         if not (math.isfinite(self.variance) and self.variance > 0):
@@ -481,11 +471,10 @@ def pilot_standardization(spec: FunctionalSpec, n_reps: int = 400,
     if n_reps < 2:
         raise ValueError("n_reps must be at least 2 for a sample variance")
     draws = (_spec_draw(spec, None, [seed + i]) for i in range(n_reps))
-    vals = np.array([ctx.base_value for _, (ctx,) in _batched(
+    vals = np.concatenate([base for _, base, _ in _batched(
         spec, draws, lambda _: ())])
     return Standardization(mean=float(np.mean(vals)),
-                           variance=float(np.var(vals, ddof=1)),
-                           source="pilot")
+                           variance=float(np.var(vals, ddof=1)))
 
 
 def gamma_terms(spec: FunctionalSpec, std: Standardization,
@@ -542,24 +531,16 @@ def gamma_terms(spec: FunctionalSpec, std: Standardization,
         return ([(x1, -1)], [(x2, -1)], [(x3, -2)], [(x1, -1), (x3, -2)],
                 [(x2, -1), (x3, -2)])
 
-    for i, (points, ctxs) in enumerate(_batched(spec, draws(), insertions)):
-        d1 = np.empty(n_inner)
-        d2 = np.empty(n_inner)
-        s13 = np.empty(n_inner)
-        s23 = np.empty(n_inner)
-        for r, ctx in enumerate(ctxs):
-            base = ctx.base_value
-            v1, v2, v3, v13, v23 = (ctx.value_with_additions(additions)
-                                    for additions in insertions(points))
-            d1[r] = (v1 - base) / sd
-            d2[r] = (v2 - base) / sd
-            s13[r] = (v13 - v1 - v3 + base) / sd
-            s23[r] = (v23 - v2 - v3 + base) / sd
-            if r == 0:
-                f4[i] = ((base - std.mean) / sd) ** 4
+    w3 = vol * vol_ball * vol_ball
+    for i, (_, base, values) in enumerate(_batched(spec, draws(), insertions)):
+        v1, v2, v3, v13, v23 = values.T
+        d1 = (v1 - base) / sd
+        d2 = (v2 - base) / sd
+        s13 = (v13 - v1 - v3 + base) / sd
+        s23 = (v23 - v2 - v3 + base) / sd
+        f4[i] = ((base[0] - std.mean) / sd) ** 4
         m_sq = max(np.mean(d1 ** 2 * d2 ** 2), 0.0)
         m_ss = max(np.mean(s13 ** 2 * s23 ** 2), 0.0)
-        w3 = vol * vol_ball * vol_ball
         acc["g1"][i] = w3 * math.sqrt(m_sq) * math.sqrt(m_ss)
         acc["g2"][i] = w3 * m_ss
         acc["g3"][i] = vol * np.mean(np.abs(d1) ** 3)
@@ -583,41 +564,6 @@ def gamma_terms(spec: FunctionalSpec, std: Standardization,
             "gamma6": _sqrt_estimate(1.0, est["g6"])}
 
 
-def fourth_moment_bound(spec: FunctionalSpec, std: Standardization,
-                        n_outer: int = 300, n_inner: int = 8,
-                        seed: int = 0) -> MomentEstimate:
-    """Upper bound on E F^4 from fourth moments of the first difference."""
-    if n_outer < 2:
-        raise ValueError("n_outer must be at least 2")
-    if n_inner < 1:
-        raise ValueError("n_inner must be at least 1")
-    rng = np.random.default_rng(seed)
-    region = spec.window.pad(spec.padding())
-    vol = region.volume
-    beta = spec.beta
-    sd = math.sqrt(std.variance)
-    inner_sqrt = np.empty(n_outer)
-    inner_raw = np.empty(n_outer)
-    draws = (_spec_draw(spec, region.sample_uniform(rng, 1)[0], range(
-        seed + 1 + i * n_inner, seed + 1 + (i + 1) * n_inner))
-        for i in range(n_outer))
-    for i, (x, ctxs) in enumerate(_batched(spec, draws, _alone)):
-        vals = np.array([(ctx.value_with_additions([(x, -1)])
-                          - ctx.base_value) / sd for ctx in ctxs])
-        m4 = max(float(np.mean(vals ** 4)), 0.0)
-        inner_sqrt[i] = math.sqrt(m4)
-        inner_raw[i] = m4
-    trunc = spec.phi.truncation_radius()
-    i_sqrt = _mc_moment(inner_sqrt, beta * vol, trunc)
-    i_raw = _mc_moment(inner_raw, beta * vol, trunc)
-    branch1 = 256.0 * i_sqrt.value ** 2
-    if branch1 >= 4.0 * i_raw.value + 2.0:
-        return replace(i_sqrt, value=branch1, std_error=256.0 * 2.0
-                       * i_sqrt.value * i_sqrt.std_error)
-    return replace(i_raw, value=4.0 * i_raw.value + 2.0,
-                   std_error=4.0 * i_raw.std_error)
-
-
 # ---------------------------------------------------------------------------
 # cluster tail
 
@@ -638,9 +584,7 @@ def cluster_tail(phi: ConnectionFunction, beta: float, m: int,
     truncation radius.
     """
     _check_beta(beta)
-    if not (isinstance(m, numbers.Integral) and not isinstance(m, bool)
-            and m >= 1):
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    m = _check_order("m", m)
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     sim_radius = (m + 2) * phi.truncation_radius()
@@ -689,8 +633,7 @@ def empirical_distance(samples, kind: str) -> float:
 
 def dkw_bound(n: int, confidence: float = 0.99) -> float:
     """Dvoretzky-Kiefer-Wolfowitz envelope for the Kolmogorov statistic."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n!r}")
+    n = _check_order("n", n)
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * n))

@@ -127,6 +127,22 @@ def _check_beta(beta) -> None:
         raise ValueError(f"beta: must be positive and finite, got {beta!r}")
 
 
+def _check_dimension(window: Window, phi: ConnectionFunction) -> None:
+    """Refuse a window whose dimension is not phi's."""
+    if window.dim != phi.dim:
+        raise ValueError(f"window dimension {window.dim} differs from the "
+                         f"connection function's dimension {phi.dim}")
+
+
+def _check_order(name: str, value) -> int:
+    """value, an order or a sample size, as an int; refuse one that is not
+    an integer >= 1 (bools included), naming it name."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # pair bookkeeping and graph probabilities
 
@@ -1032,9 +1048,7 @@ def finite_window_cov(G: GraphClass, H: GraphClass, phi: ConnectionFunction,
     point (the first cluster's is the origin); the weight tends to 1 as
     W grows. The shared-tuple term is asy_cov's.
     """
-    if window.dim != phi.dim:
-        raise ValueError(f"window dimension {window.dim} differs from the "
-                         f"connection function's dimension {phi.dim}")
+    _check_dimension(window, phi)
     if not window.volume > 0:
         raise ValueError("window: a covariance per volume needs a window of "
                          "positive volume")
@@ -1056,6 +1070,7 @@ def asy_cov_kl(k: int, l: int, phi: ConnectionFunction,
     graph, so the diagonal uses the psi connectivity probability.
     """
     _check_beta(beta)
+    k, l = _check_order("k", k), _check_order("l", l)
     return _second_moment(
         k, l, lambda pe: prob_connected(pe, k),
         lambda pe: prob_connected(pe, l),
@@ -1119,8 +1134,7 @@ def sigma_total_partial(m: int, phi: ConnectionFunction, beta: float,
     Returns (estimate_of_level_m, list_of_partial_sum_estimates).
     """
     _check_beta(beta)
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = _check_order("m", m)
     if m > ENUM_CAP:
         raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
     rows, _, _ = _estimate_matrix(m, lambda i, j: asy_cov_kl(

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 from rcmlab import analysis, marks as marks_mod, sampling
 from rcmlab.analysis import (EvaluationContext, FunctionalSpec,
                              _SplitMarkSource, birth_time_variance,
-                             cluster_tail, fourth_moment_bound, gamma_terms,
+                             cluster_tail, gamma_terms,
                              pilot_standardization, poincare_bound)
 from rcmlab.census import (ComponentTable, canonical_form, component_table,
                            edge_class, path_class, single_vertex_class)
@@ -325,8 +325,6 @@ def test_estimators_do_not_depend_on_the_chunk_budget(monkeypatch, tmp_path,
         return (birth_time_variance(spec, n_outer=12, n_inner=4, seed=2),
                 poincare_bound(weighted, n_outer=4, n_points=5, seed=4),
                 std,
-                fourth_moment_bound(weighted, std, n_outer=4, n_inner=4,
-                                    seed=5),
                 gamma_terms(weighted, std, n_outer=3, n_inner=4, seed=6),
                 cluster_tail(phi, 1.0, 3, n_samples=40, seed=7),
                 *(_emitted(run_scenario(ladder, threads=t),

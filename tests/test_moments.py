@@ -556,10 +556,30 @@ def test_asy_var_quadratic_refuses_non_finite_weights(bad):
                           GILBERT, 1.0, n_samples=2)
 
 
-@pytest.mark.parametrize("m", [0, -1])
+@pytest.mark.parametrize("m", [0, -1, True, 2.5])
 def test_sigma_total_partial_refuses_levels_below_one(m):
-    with pytest.raises(ValueError, match="m must be at least 1"):
+    # a bool is not a level, though it compares as 1
+    with pytest.raises(ValueError, match=(
+            f"^m must be an integer >= 1, got {m!r}$")):
         sigma_total_partial(m, GILBERT, 1.0, n_samples=2)
+
+
+@pytest.mark.parametrize("k, l, named", [
+    (0, 1, "k"), (True, 1, "k"), (2.0, 2, "k"), (1, -1, "l"),
+    (1, False, "l"), (1, 1.5, "l")])
+def test_asy_cov_kl_refuses_an_order_that_is_not_an_integer_above_0(
+        k, l, named):
+    bad = k if named == "k" else l
+    with pytest.raises(ValueError, match=(
+            f"^{named} must be an integer >= 1, got {bad!r}$")):
+        asy_cov_kl(k, l, GILBERT, GILBERT, 1.0, n_samples=100)
+
+
+def test_asy_cov_kl_reads_a_numpy_integer_order_as_an_int():
+    est = asy_cov_kl(np.int64(1), np.int64(1), GILBERT, GILBERT, 1.0,
+                     n_samples=100)
+    assert type(est.value) is float
+    assert est == asy_cov_kl(1, 1, GILBERT, GILBERT, 1.0, n_samples=100)
 
 
 @pytest.mark.parametrize("se", [-1.0, math.nan])
