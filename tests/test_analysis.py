@@ -529,9 +529,10 @@ def test_dkw_bound_formula():
 
 
 @pytest.mark.parametrize("args, named", [
-    ((0,), "n"), ((-3,), "n"), ((True,), "n"), ((2.5,), "n"),
+    ((0,), "n"), ((-3,), "n"),
     ((10, 1.0), "confidence"), ((10, 1.5), "confidence"),
-    ((10, 0.0), "confidence"), ((10, math.nan), "confidence")])
+    ((10, 0.0), "confidence"), ((10, math.nan), "confidence"),
+    ((True,), "n"), ((2.5,), "n")])
 def test_dkw_bound_refuses_bad_arguments(args, named):
     with pytest.raises(ValueError, match=f"^{named} must"):
         dkw_bound(*args)
