@@ -102,12 +102,12 @@ class ConnectionFunction:
     # truncation
 
     def truncation_radius(self, eps: float = EPS_TRUNC) -> float:
-        """Smallest R with phi_tilde(R) <= eps."""
+        """Smallest R with phi_tilde(R) <= eps, as a Python float."""
         if self.kind in ("gilbert", "scaled_indicator"):
-            return self.r
+            return float(self.r)
         if self.kind == "exponential":
-            return self.theta * np.log(1.0 / eps)
-        return self.s * np.sqrt(np.log(1.0 / eps))
+            return float(self.theta * np.log(1.0 / eps))
+        return float(self.s * np.sqrt(np.log(1.0 / eps)))
 
     def dominates(self, other: "ConnectionFunction") -> bool:
         """Whether self >= other pointwise (analytic per kind, plus a probe grid)."""

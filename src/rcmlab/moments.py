@@ -24,21 +24,28 @@ nested copies); many copies go through one numpy pass, in blocks of at
 most _BLOCK_ELEMENTS products, and are added one at a time in a fixed
 order.
 
-For the indicator and Gaussian kinds the interaction exponent is an
-inclusion-exclusion sum over point subsets, in one (subsets x rows)
-table whose rows go in blocks of at most _BLOCK_ELEMENTS table entries,
-which bounds the memory up to the 2 * ENUM_CAP points of a covariance.
-An indicator subset's term is a ball intersection volume: for two
-balls the exact lens (two caps, by a recurrence in the dimension; the
-same lens gives a ball window's overlap with its shift), for three or
-more one rule that slices it into (d-1)-dimensional ones in
-every dimension; one matrix product with the pair-disjointness matrix
-finds the active subsets, and the active subsets of one size go to the
-volume rule together. A Gaussian subset's term is its exact closed
-form, for any mix of widths, so those exponents carry no truncation or
-quadrature error; one pass per point adds it to every subset of the
-points before it (a weighted Welford update). `q_kl` reads the joint
-exponent and both cluster exponents from one table.
+For the indicator kinds the route is chosen per row. In d <= 2 a row
+where some three balls overlap pairwise takes the exact arrangement of
+its balls (_arrangement_sums): by Green's theorem the exponent is a sum
+over the arcs of each circle between consecutive crossings (in d = 1
+over the segments between sorted interval ends), each weighed by the
+cover of the other balls, read off a cumulative sum over the sorted
+crossings. Every other row, every row in d >= 3 and every Gaussian row
+take an inclusion-exclusion sum over point subsets, in one (subsets x
+rows) table whose rows go in blocks of at most _BLOCK_ELEMENTS table
+entries, which bounds the memory up to the 2 * ENUM_CAP points of a
+covariance. An indicator subset's term is a ball intersection volume:
+for two balls the exact lens (two caps, by a recurrence in the
+dimension; the same lens gives a ball window's overlap with its
+shift), for three or more, which only d >= 3 reaches, a rule that
+slices it into (d-1)-dimensional ones; one matrix product with the
+pair-disjointness matrix finds the active subsets, and the active
+subsets of one size go to the volume rule together. A Gaussian
+subset's term is its exact closed form, for any mix of widths, so
+those exponents carry no truncation or quadrature error; one pass per
+point adds it to every subset of the points before it (a weighted
+Welford update). `q_kl` reads the joint exponent and both cluster
+exponents from one table or one arrangement pass.
 Only the exponential kind and tuples of mixed kinds take a tensor
 Gauss-Legendre integral over a box per row; the squared distance from a
 grid node to a point is the broadcast sum of per-axis squared offsets,
@@ -99,7 +106,8 @@ ENUM_CAP = 6
 
 # Elements of one block: (copy, sample) band products in
 # _sum_band_products, (subset, row) terms in _inclusion_exclusion, rows x
-# nodes^(d-1) x balls in _blocked_volume, rows x nodes^d grid nodes in
+# nodes^(d-1) x balls in _blocked_volume, rows x covers in
+# _arrangement_sums, rows x nodes^d grid nodes in
 # generic_union_exponent. It bounds their memory in any dimension. A
 # block's float temporaries take 128 KiB; at 256 KiB glibc's malloc gave
 # the freed heap top back to the system after most ball-volume blocks,
@@ -293,7 +301,9 @@ def _sliced_volume(centers: np.ndarray, radii: np.ndarray,
                    n_nodes: int) -> np.ndarray:
     """_blocked_volume's slicing rule for centers (m, ..., d) and radii
     (m, ...) whose axes after the first broadcast; reducing over the
-    leading ball axis is elementwise work on whole rows."""
+    leading ball axis is elementwise work on whole rows. Only d >= 3
+    reaches it with three or more balls; in d <= 2 such rows take the
+    arrangement (_ball_sums)."""
     lo = np.max(centers[..., 0] - radii, axis=0)
     hi = np.min(centers[..., 0] + radii, axis=0)
     width = np.maximum(0.0, hi - lo)
@@ -367,7 +377,9 @@ def _blocked_volume(centers: np.ndarray, radii: np.ndarray,
     so the volume is a Gauss-Legendre integral (n_nodes) over t of slice
     volumes, down to exact interval lengths in d = 1, taken in blocks of
     at most _BLOCK_ELEMENTS rows x nodes^(d-1) x balls. A row's volume
-    does not depend on its block.
+    does not depend on its block. The exponents send no intersection of
+    three or more balls here in d <= 2, where the arrangement of the
+    balls takes those rows whole, so n_nodes matters only in d >= 3.
     """
     m, n, d = centers.shape
     if m == 2:
@@ -431,6 +443,14 @@ def _inclusion_exclusion(X: np.ndarray, scales: np.ndarray, integrals,
     return sums
 
 
+def _disjoint_pairs(X: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """1.0 where the balls of a point pair are disjoint (or touch), else
+    0.0, as (rows, pairs) in np.triu_indices order."""
+    iu = np.triu_indices(X.shape[1], 1)
+    return (_pair_dists(X) >= (radii[iu[0]] + radii[iu[1]])[None, :]
+            ).astype(float)
+
+
 def _ball_integrals(X: np.ndarray, radii: np.ndarray,
                     n_nodes: int) -> np.ndarray:
     """Intersection volumes of the balls B(x_i, r_i) of every point
@@ -443,9 +463,7 @@ def _ball_integrals(X: np.ndarray, radii: np.ndarray,
     """
     n, m, d = X.shape
     member, holds, by_size = _subsets(m)
-    iu = np.triu_indices(m, 1)
-    disjoint = (_pair_dists(X) >= (radii[iu[0]] + radii[iu[1]])[None, :]
-                ).astype(float)
+    disjoint = _disjoint_pairs(X, radii)
     table = np.zeros((len(member), n))
     for i in range(m):
         table[(1 << i) - 1] = unit_ball_volume(d) * radii[i] ** d
@@ -460,6 +478,206 @@ def _ball_integrals(X: np.ndarray, radii: np.ndarray,
         table[subs[sub], row] = _blocked_volume(X[row, idx], radii[idx],
                                                 n_nodes)
     return table
+
+
+def _overlapping_triples(X: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Per row, whether some three of its balls B(x_i, r_i) overlap
+    pairwise: the rows on which the subset table needs a volume of three
+    or more balls. One product of the subsets' pair matrix with the
+    pair-disjointness matrix, as in _ball_integrals, counts the disjoint
+    pairs of every size-3 subset."""
+    n, m, _ = X.shape
+    if m < 3:
+        return np.zeros(n, dtype=bool)
+    _, holds, by_size = _subsets(m)
+    return np.any(holds[by_size[1][0]] @ _disjoint_pairs(X, radii).T == 0,
+                  axis=0)
+
+
+def _cover_rule(scales: np.ndarray):
+    """How covers weigh: (steps, weights). A piece covered by the balls
+    C weighs prod_{i in C} (1 - p_i). Its cover is a sum of per-ball
+    steps (q, m), log(1 - p_i) where some p < 1 and a count of balls
+    with p_i = 1 where some p = 1, so no log(0) enters a sum;
+    weights(cover) maps covers (c, q, ...) to weights (c, ...)."""
+    full = scales == 1.0
+    if full.all():
+        return full[None].astype(float), lambda cover: cover[:, 0] == 0
+    logs = np.log1p(-np.where(full, 0.0, scales))
+    if not full.any():
+        return logs[None], lambda cover: np.exp(cover[:, 0])
+    return np.stack([logs, full.astype(float)]), lambda cover: np.where(
+        cover[:, 1] == 0, np.exp(cover[:, 0]), 0.0)
+
+
+def _arc_sums(X: np.ndarray, radii: np.ndarray, scales: np.ndarray,
+              split: int | None) -> np.ndarray:
+    """integral(prod_j (1 - p_j 1{y in B_j}) - 1) dy over R^2 per row,
+    exactly, by Green's theorem; with split = k also over the balls of
+    the first k points alone and over the others alone. X: (n, m, 2),
+    m >= 2; returns (1 or 3, n).
+
+    The integrand is constant on each cell of the arrangement of the
+    circles, so its integral is a sum over the arcs of each circle i
+    between consecutive cuts: an arc adds -p_i prod_{j != i covers it}
+    (1 - p_j) times (1/2) integral (x dy - y dx) along it,
+    counterclockwise, with the row's first point as origin. Circle j
+    cuts circle i at x_i + a u -+ h u', u the unit vector towards x_j,
+    u' its quarter turn, a the signed distance to the radical line and h
+    the half chord (as in _two_ball_volume): going counterclockwise,
+    circle i enters B_j at the first and leaves it at the second. So the
+    covers of the arcs of circle i are a cumulative sum over its cuts
+    sorted by angle, started at angle 0 from the balls that hold circle
+    i whole and those whose arc on it wraps past angle 0. Of two
+    coincident equal balls the one of lower index covers the other's
+    circle, so their shared boundary counts once. The cluster sums weigh
+    each arc of a circle by the cover of its own cluster's balls alone.
+    Every reduction runs within a row.
+    """
+    n, m, _ = X.shape
+    # the ordered pairs (i, j), j != i: row i of I and J holds circle i
+    # and the others in increasing order
+    I, J = (a.reshape(m, m - 1) for a in np.nonzero(~np.eye(m, dtype=bool)))
+    ri, rj = radii[I], radii[J]
+    # each crossing is computed once, from the ball of lower index, so
+    # both circles meet at the same two points
+    lo, hi = np.minimum(I, J), np.maximum(I, J)
+    dx = X[:, hi, 0] - X[:, lo, 0]
+    dy = X[:, hi, 1] - X[:, lo, 1]
+    t = np.sqrt(squared_lengths((dx, dy)))
+    cross = (t > np.abs(ri - rj)) & (t < ri + rj)
+    inside = (t <= rj - ri) & ~((t == 0) & (ri == rj) & (J > I))
+    # circle lo crosses circle hi at x_lo + a u -+ h u' and enters B_hi at
+    # the first, going counterclockwise; circle hi enters B_lo at the
+    # second, x_hi - (t - a) u + h u'. The arc of circle i inside B_j
+    # starts at its enter cut and spans 2 arctan2(h, the distance from
+    # x_i to the radical line), up to 2 pi, so its leave cut and whether
+    # it wraps past angle 0 follow from its enter cut without a second
+    # rounding that could turn a tiny gap into a near-full arc. The cuts
+    # as offsets from x_i, the enter cuts then the leave cuts; a pair
+    # that does not cross gives two cuts at angle 0, which change no
+    # cover
+    rl, rh = radii[lo], radii[hi]
+    flip = I > J
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.clip((t * t + (rl - rh) * (rl + rh)) / (2.0 * t), -rl, rl)
+        h = np.sqrt((rl - a) * (rl + a)) / t
+        a = a / t - flip
+        span = 2.0 * np.arctan2(h, np.where(flip, -a, a))
+        h = np.where(flip, -h, h)
+        both = np.concatenate([cross, cross], axis=-1)
+        px = np.where(both, np.concatenate(
+            [a * dx + h * dy, a * dx - h * dy], axis=-1), radii[:, None])
+        py = np.where(both, np.concatenate(
+            [a * dy - h * dx, a * dy + h * dx], axis=-1), 0.0)
+    enter = np.arctan2(py[..., :m - 1], px[..., :m - 1])
+    enter += np.where(enter < 0, 2.0 * np.pi, 0.0)
+    leave = enter + span
+    wraps = cross & (leave >= 2.0 * np.pi)
+    leave -= np.where(wraps, 2.0 * np.pi, 0.0)
+    angle = np.concatenate([enter, np.where(cross, leave, 0.0)], axis=-1)
+    # (1/2) integral (x dy - y dx) from angle 0 to each cut, up to a
+    # constant per circle: r^2 angle + c x p, c the centre and p the cut
+    C = X - X[:, :1]
+    green = radii[:, None] ** 2 * angle + C[..., 0, None] * py \
+        - C[..., 1, None] * px
+    # cover channels: every other ball, and with split its own cluster's
+    members = np.ones((1,) + I.shape, dtype=bool)
+    if split is not None:
+        first = np.arange(m) < split
+        members = np.stack([members[0], first[I] == first[J]])
+    steps, weights = _cover_rule(scales)
+    steps = (steps[:, J] * members[:, None]).reshape(-1, 1, m, m - 1)
+    init = np.sum(np.where(inside | wraps, steps, 0.0), axis=-1)
+    cut = np.where(cross, steps, 0.0)
+    cuts = 2 * (m - 1)
+    order = np.argsort(angle, axis=-1)
+    order += np.arange(0, n * m * cuts, cuts).reshape(n, m, 1)
+    green = green.take(order)
+    # arc k runs from cut k to cut k + 1, and the last one on to the first
+    # cut, 2 pi on, so a circle no other circle cuts is one arc of 2 pi
+    green = 0.5 * np.diff(green, axis=-1, append=green[..., :1]
+                          + 2.0 * np.pi * radii[:, None] ** 2)
+    cover = np.concatenate([cut, -cut], axis=-1).reshape(len(cut), -1)[
+        :, order]
+    cover[..., 0] += init
+    cover = np.cumsum(cover, axis=-1).reshape(len(members), -1, n, m, cuts)
+    arcs = -scales * np.sum(weights(cover) * green, axis=-1)
+    if split is None:
+        return np.sum(arcs, axis=-1)
+    return np.stack([np.sum(arcs[0], axis=-1),
+                     np.sum(arcs[1, :, :split], axis=-1),
+                     np.sum(arcs[1, :, split:], axis=-1)])
+
+
+def _segment_sums(X: np.ndarray, radii: np.ndarray, scales: np.ndarray,
+                  split: int | None) -> np.ndarray:
+    """_arc_sums in d = 1: the interval ends cut the line into segments,
+    each covered by the intervals over it. Sorted, the 2m ends bound
+    2m - 1 segments; a segment's cover is a cumulative sum over the ends
+    before it (interval i enters at x_i - r_i and leaves at x_i + r_i),
+    and it adds (its weight - 1) times its length. Summed by parts, this
+    is the sum over the ends of their signed positions times -p_i times
+    the cover of the other intervals there, with no position taken
+    against an origin. X: (n, m, 1); returns (1 or 3, n): all
+    intervals, then with split = k the first k and the others."""
+    n, m, _ = X.shape
+    members = np.ones((1, m), dtype=bool)
+    if split is not None:
+        first = np.arange(m) < split
+        members = np.stack([members[0], first, ~first])
+    steps, weights = _cover_rule(scales)
+    steps = (steps * members[:, None]).reshape(-1, m)
+    ends = np.concatenate([X[..., 0] - radii, X[..., 0] + radii], axis=-1)
+    order = np.argsort(ends, axis=-1)
+    ends = np.take_along_axis(ends, order, axis=-1)
+    cover = np.concatenate([steps, -steps], axis=-1)[:, order[:, :-1]]
+    cover = np.cumsum(cover, axis=-1).reshape(len(members), -1, n, 2 * m - 1)
+    return np.sum((weights(cover) - 1.0) * np.diff(ends, axis=-1), axis=-1)
+
+
+def _arrangement_sums(X: np.ndarray, radii: np.ndarray, scales: np.ndarray,
+                      split: int | None = None):
+    """_inclusion_exclusion's sums for balls in d <= 2, from the
+    arrangement of the balls (_segment_sums in d = 1, _arc_sums in
+    d = 2): exact, with no volume table and no quadrature. Rows go in
+    blocks of at most _BLOCK_ELEMENTS covers (one row at least): a
+    cover per cut and channel, the channels being (log, count) pairs
+    (_cover_rule) for all balls and, with split, per cluster (in d = 2
+    one for a circle's own cluster)."""
+    n, m, d = X.shape
+    rule, cuts = (_segment_sums, 2 * m) if d == 1 \
+        else (_arc_sums, 2 * m * (m - 1))
+    groups = 1 if split is None else 3 if d == 1 else 2
+    covers = groups * len(_cover_rule(scales)[0]) * cuts
+    out = np.empty((1 if split is None else 3, n))
+    step = max(1, _BLOCK_ELEMENTS // covers)
+    for s in range(0, n, step):
+        out[:, s:s + step] = rule(X[s:s + step], radii, scales, split)
+    return out
+
+
+def _ball_sums(X: np.ndarray, radii, scales, n_nodes: int = 64,
+               split: int | None = None):
+    """_inclusion_exclusion's sums of an indicator exponent, the route
+    chosen per row. In d <= 2 a row where some three balls overlap
+    pairwise takes the exact arrangement (_arrangement_sums); every
+    other row, and every row in d >= 3, takes the subset table, which in
+    d <= 2 then holds single balls and exact lenses only."""
+    radii = np.asarray(radii, dtype=float)
+    scales = np.asarray(scales, dtype=float)
+    n, m, d = X.shape
+    arranged = _overlapping_triples(X, radii) if d <= 2 \
+        else np.zeros(n, dtype=bool)
+    terms = (scales, lambda Y: _ball_integrals(Y, radii, n_nodes))
+    if not arranged.any():
+        return _inclusion_exclusion(X, *terms, split=split)
+    sums = np.empty((1 if split is None else 3, n))
+    sums[:, arranged] = _arrangement_sums(X[arranged], radii, scales, split)
+    if not arranged.all():
+        sums[:, ~arranged] = _inclusion_exclusion(X[~arranged], *terms,
+                                                  split=split)
+    return list(sums)
 
 
 def _gaussian_integrals(X: np.ndarray, prec: np.ndarray) -> np.ndarray:
@@ -529,11 +747,34 @@ def indicator_union_exponent(X: np.ndarray, radii, scales,
                              beta: float, n_nodes: int = 64) -> np.ndarray:
     """beta * integral(prod_i (1 - p_i 1{|y-x_i|<=r_i}) - 1) dy, batched.
 
-    Exact inclusion-exclusion over point subsets; each term is a volume
-    of an intersection of balls. X: (n, m, d).
+    X: (n, m, d); radii and scales (the p_i), one per point, each radius
+    finite and > 0 and each scale in (0, 1]. In d <= 2 a row where some
+    three balls overlap pairwise takes the exact arrangement of its
+    balls; every other row takes exact inclusion-exclusion over point
+    subsets, each term a volume of an intersection of balls, and only
+    d >= 3 slices volumes of three or more balls with n_nodes nodes.
     """
-    (total,) = _inclusion_exclusion(X, *_ball_terms(radii, scales, n_nodes))
+    radii, scales = _check_balls(X, radii, scales)
+    (total,) = _ball_sums(X, radii, scales, n_nodes)
     return beta * total
+
+
+def _check_balls(X: np.ndarray, radii, scales):
+    """radii and scales as float arrays; refuse either unless it holds
+    one value per point of X, each radius finite and > 0 and each scale
+    in (0, 1]."""
+    m = X.shape[1]
+    radii = np.asarray(radii, dtype=float)
+    scales = np.asarray(scales, dtype=float)
+    for name, values in (("radii", radii), ("scales", scales)):
+        if values.shape != (m,):
+            raise ValueError(f"{name}: need one value per point ({m}), got "
+                             f"shape {values.shape}")
+    if not np.all((radii > 0) & (radii < math.inf)):
+        raise ValueError(f"radii: must be finite and > 0, got {radii!r}")
+    if not np.all((scales > 0) & (scales <= 1)):
+        raise ValueError(f"scales: must lie in (0, 1], got {scales!r}")
+    return radii, scales
 
 
 def gaussian_union_exponent(X: np.ndarray, widths,
@@ -543,35 +784,30 @@ def gaussian_union_exponent(X: np.ndarray, widths,
     Exact inclusion-exclusion over point subsets, each term in closed form
     (_gaussian_integrals): no grid and no truncation. X: (n, m, d).
     """
-    (total,) = _inclusion_exclusion(X, *_gaussian_terms(widths))
+    (total,) = _gaussian_sums(X, widths)
     return beta * total
 
 
-def _ball_terms(radii, scales, n_nodes: int = 64):
-    """(scales, integrals) of _inclusion_exclusion for indicator kinds."""
-    radii = np.asarray(radii, dtype=float)
-    return (np.asarray(scales, dtype=float),
-            lambda X: _ball_integrals(X, radii, n_nodes))
-
-
-def _gaussian_terms(widths):
-    """(scales, integrals) of _inclusion_exclusion for Gaussians of
-    widths s_i: scales 1 and precisions 1 / s_i^2."""
+def _gaussian_sums(X: np.ndarray, widths, split: int | None = None):
+    """_inclusion_exclusion's sums for Gaussians of widths s_i: scales 1
+    and precisions 1 / s_i^2."""
     widths = np.asarray(widths, dtype=float)
     prec = 1.0 / (widths * widths)
-    return np.ones(len(widths)), lambda X: _gaussian_integrals(X, prec)
+    return _inclusion_exclusion(
+        X, np.ones(len(widths)), lambda Y: _gaussian_integrals(Y, prec),
+        split=split)
 
 
 def _expansion(funcs):
-    """The exact subset expansion of a tuple's exponent, when every
-    function is of an indicator kind or every one is Gaussian (of any
-    widths): (its public exponent function, the terms builder of
-    _inclusion_exclusion, their per-point parameters). None otherwise."""
+    """The exact expansion of a tuple's exponent, when every function is
+    of an indicator kind or every one is Gaussian (of any widths): (its
+    public exponent function, its sums function (_ball_sums or
+    _gaussian_sums), their per-point parameters). None otherwise."""
     if all(_is_indicator(f) for f in funcs):
-        return (indicator_union_exponent, _ball_terms,
+        return (indicator_union_exponent, _ball_sums,
                 ([f.r for f in funcs], [f.p for f in funcs]))
     if all(f.kind == "gaussian" for f in funcs):
-        return (gaussian_union_exponent, _gaussian_terms,
+        return (gaussian_union_exponent, _gaussian_sums,
                 ([f.s for f in funcs],))
     return None
 
@@ -584,7 +820,7 @@ def generic_union_exponent(X: np.ndarray, funcs, beta: float,
     every truncation ball, so the value carries the truncation error of
     EPS_TRUNC and the quadrature error of n_nodes. Only the exponential
     kind and tuples of mixed kinds use it; the indicator and Gaussian
-    kinds have exact subset expansions. X: (n, m, d).
+    kinds have exact expansions. X: (n, m, d).
 
     The grid is a tensor product, so a node differs from a point by one
     offset per axis: the squared distances are broadcast sums of per-axis
@@ -633,7 +869,7 @@ def mixed_exponent(X: np.ndarray, funcs, beta: float) -> np.ndarray:
     """Interaction exponent for per-point connection functions, batched.
 
     Tuples of indicator kinds only and of Gaussians only (of any widths)
-    are exact subset expansions (_expansion); the tensor grid of
+    have exact expansions (_expansion); the tensor grid of
     generic_union_exponent takes the exponential kind and mixed kinds.
     """
     expansion = _expansion(funcs)
@@ -651,17 +887,19 @@ def q_kl(X1: np.ndarray, X2: np.ndarray, phi: ConnectionFunction,
     cluster. Value: cross product of phibar over inter-cluster pairs
     times the joint exponent, minus the product of the two separate
     cluster exponents. When phi and psi are both of indicator kinds or
-    both Gaussian the three exponents come from one inclusion-exclusion
-    table: the cluster exponents sum its subsets inside X1 and inside
-    X2. Other pairs take three mixed_exponent calls.
+    both Gaussian the three exponents come from one pass: an
+    inclusion-exclusion table, whose cluster exponents sum its subsets
+    inside X1 and inside X2, or, for a row that takes the arrangement of
+    its balls (_ball_sums), one arrangement pass, whose cluster exponents
+    weigh each cluster's arcs by that cluster's balls alone. Other pairs
+    take three mixed_exponent calls.
     """
     k, l = X1.shape[1], X2.shape[1]
     Xall = np.concatenate([X1, X2], axis=1)
     expansion = _expansion([phi] * k + [psi] * l)
     if expansion is not None:
-        _, terms, params = expansion
-        e_joint, e1, e2 = (beta * e for e in _inclusion_exclusion(
-            Xall, *terms(*params), split=k))
+        _, sums, params = expansion
+        e_joint, e1, e2 = (beta * e for e in sums(Xall, *params, split=k))
     else:
         e_joint = mixed_exponent(Xall, [phi] * k + [psi] * l, beta)
         e1 = mixed_exponent(X1, [phi] * k, beta)

@@ -76,6 +76,22 @@ def test_truncation_radius():
     assert ga.phi_of_dist(ga.truncation_radius(1e-6)) == pytest.approx(1e-6)
 
 
+@pytest.mark.parametrize("phi, expect", [
+    (ConnectionFunction("gilbert", 2, r=1.5), 1.5),
+    (ConnectionFunction("gilbert", 2, r=2), 2.0),
+    (ConnectionFunction("scaled_indicator", 3, p=0.4, r=0.7), 0.7),
+    (ConnectionFunction("exponential", 2, theta=2.0),
+     2.0 * np.log(1.0 / 1e-6)),
+    (ConnectionFunction("gaussian", 2, s=1.3),
+     1.3 * np.sqrt(np.log(1.0 / 1e-6))),
+])
+def test_truncation_radius_is_a_python_float(phi, expect):
+    # the same value as the numpy expression, bit for bit, but a float
+    for R in (phi.truncation_radius(), phi.truncation_radius(1e-6)):
+        assert type(R) is float
+        assert R == expect
+
+
 def test_dominates():
     g1 = ConnectionFunction("gilbert", 2, r=1.0)
     g2 = ConnectionFunction("gilbert", 2, r=2.0)
