@@ -22,8 +22,6 @@ evaluations behind a second-order difference share every common mark.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,8 +34,8 @@ from .connection import ConnectionFunction
 from .geometry import Window, squared_lengths, unit_ball_volume
 from .marks import PairMarkSource, pair_marks
 from .moments import (MomentEstimate, _check_beta, _check_dimension,
-                      _check_order, _linear_combination, _mc_moment,
-                      _sqrt_estimate)
+                      _check_order, _check_weights, _linear_combination,
+                      _mc_moment, _sqrt_estimate)
 from .sampling import (PointSet, RcmBatch, RcmGraph, build_chunks,
                        seeded_sample)
 
@@ -75,11 +73,8 @@ class FunctionalSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         _check_beta(self.beta)
         _check_dimension(self.window, self.phi)
-        if self.statistic == "count_order" and not (
-                isinstance(self.k, numbers.Integral)
-                and not isinstance(self.k, bool) and self.k >= 1):
-            raise ValueError(f"count_order needs an integer k >= 1, "
-                             f"got {self.k!r}")
+        if self.statistic == "count_order":
+            _check_order("k", self.k)
         if self.statistic == "count_class" and not isinstance(self.cls,
                                                               GraphClass):
             raise ValueError(f"count_class needs a GraphClass cls, "
@@ -87,10 +82,7 @@ class FunctionalSpec:
         if self.statistic == "weighted":
             if not self.a or not self.classes or len(self.a) != len(self.classes):
                 raise ValueError("weighted statistic needs matching a, classes")
-            if not all(isinstance(w, numbers.Real) and not isinstance(w, bool)
-                       and abs(w) <= sys.float_info.max for w in self.a):
-                raise ValueError(
-                    f"weights a must be finite real numbers, got {self.a!r}")
+            _check_weights("a", self.a)
         for g in self.named_classes:
             check_canonical(g)
 
@@ -350,10 +342,8 @@ def poincare_bound(spec: FunctionalSpec, n_outer: int = 200,
     The integration domain is the padded region; outside it the
     difference vanishes for compact-support connection functions.
     """
-    if n_outer < 2:
-        raise ValueError("n_outer must be at least 2")
-    if n_points < 1:
-        raise ValueError("n_points must be at least 1")
+    n_outer = _check_order("n_outer", n_outer, 2)
+    n_points = _check_order("n_points", n_points)
     rng = np.random.default_rng(seed)
     region = spec.window.pad(spec.padding())
     draws = (_spec_draw(spec, region.sample_uniform(rng, n_points),
@@ -415,10 +405,8 @@ def birth_time_variance(spec: FunctionalSpec, n_outer: int = 2000,
     debiased by splitting the inner replicates into two halves. The
     padded region's volume may be at most 64.
     """
-    if n_outer < 2:
-        raise ValueError("n_outer must be at least 2")
-    if n_inner < 4:
-        raise ValueError("n_inner must be at least 4 for the debiasing split")
+    n_outer = _check_order("n_outer", n_outer, 2)
+    n_inner = _check_order("n_inner", n_inner, 4)
     region = spec.window.pad(spec.padding())
     if region.volume > 64.0:
         raise ValueError("padded region volume exceeds the nested-MC cap")
@@ -468,8 +456,7 @@ class Standardization:
 
 def pilot_standardization(spec: FunctionalSpec, n_reps: int = 400,
                           seed: int = 0) -> Standardization:
-    if n_reps < 2:
-        raise ValueError("n_reps must be at least 2 for a sample variance")
+    n_reps = _check_order("n_reps", n_reps, 2)
     draws = (_spec_draw(spec, None, [seed + i]) for i in range(n_reps))
     vals = np.concatenate([base for _, base, _ in _batched(
         spec, draws, lambda _: ())])
@@ -487,10 +474,8 @@ def gamma_terms(spec: FunctionalSpec, std: Standardization,
     at sampled locations use n_inner independent realizations; square
     roots are taken after inner averaging.
     """
-    if n_outer < 2:
-        raise ValueError("n_outer must be at least 2")
-    if n_inner < 4:
-        raise ValueError("n_inner must be at least 4")
+    n_outer = _check_order("n_outer", n_outer, 2)
+    n_inner = _check_order("n_inner", n_inner, 4)
     rng = np.random.default_rng(seed)
     region = spec.window.pad(spec.padding())
     vol = region.volume
@@ -585,8 +570,7 @@ def cluster_tail(phi: ConnectionFunction, beta: float, m: int,
     """
     _check_beta(beta)
     m = _check_order("m", m)
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+    n_samples = _check_order("n_samples", n_samples, 2)
     sim_radius = (m + 2) * phi.truncation_radius()
     window = Window("ball", sim_radius, phi.dim)
     hits_lo = np.zeros(n_samples)
@@ -617,8 +601,8 @@ def empirical_distance(samples, kind: str) -> float:
     """Distance between the empirical law and the standard normal."""
     x = np.sort(np.asarray(samples, dtype=float))
     n = len(x)
-    if n < 2:
-        raise ValueError("need at least two samples")
+    if n < 2 or not np.all(np.isfinite(x)):
+        raise ValueError("need at least two samples, all finite")
     if kind == "kolmogorov":
         cdf = ndtr(x)
         i = np.arange(1, n + 1)

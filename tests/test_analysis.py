@@ -1,6 +1,7 @@
 """Functionals, difference operators, variance bounds, distances."""
 
 import math
+import re
 
 import networkx as nx
 import numpy as np
@@ -19,6 +20,9 @@ from rcmlab.census import (ComponentTable, GraphClass, canonical_form,
 from rcmlab.connection import ConnectionFunction
 from rcmlab.geometry import Window, lex_order
 from rcmlab.marks import PairMarkSource
+from rcmlab.moments import (asy_cov, asy_cov_kl, asy_var_quadratic,
+                            expected_count_intensity, finite_window_cov,
+                            sigma_total_partial)
 from rcmlab.sampling import PointSet, RcmGraph, build_rcm, sample_poisson
 
 GILBERT = ConnectionFunction("gilbert", 2, r=1.0)
@@ -335,7 +339,7 @@ def test_poincare_budget_validation():
     spec = FunctionalSpec("count_order", W, GILBERT, 1.0, k=1)
     with pytest.raises(ValueError):
         poincare_bound(spec, n_outer=1)
-    with pytest.raises(ValueError, match="n_points must be at least 1"):
+    with pytest.raises(ValueError, match="n_points must be an integer >= 1"):
         poincare_bound(spec, n_points=0)
 
 
@@ -350,8 +354,79 @@ def test_single_draw_budgets_are_rejected(estimator):
     # one draw has no sample standard error
     spec = FunctionalSpec("point_count", Window("box", 1.5, 2), GILBERT, 1.0)
     std = Standardization(mean=9.0, variance=9.0)
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ValueError, match="must be an integer >= 2"):
         estimator(spec, std)
+
+
+_POINTS = FunctionalSpec("point_count", Window("box", 1.5, 2), GILBERT, 1.0)
+_STD = Standardization(mean=9.0, variance=9.0)
+
+# (count argument, least value, call with it); every other budget small
+_COUNTS = [pytest.param(name, least, call, id=f"{fn}-{name}")
+           for fn, name, least, call in [
+    ("poincare_bound", "n_outer", 2,
+     lambda n: poincare_bound(_POINTS, n_outer=n, n_points=1)),
+    ("poincare_bound", "n_points", 1,
+     lambda n: poincare_bound(_POINTS, n_outer=2, n_points=n)),
+    ("birth_time_variance", "n_outer", 2,
+     lambda n: birth_time_variance(_POINTS, n_outer=n, n_inner=4)),
+    ("birth_time_variance", "n_inner", 4,
+     lambda n: birth_time_variance(_POINTS, n_outer=2, n_inner=n)),
+    ("gamma_terms", "n_outer", 2,
+     lambda n: gamma_terms(_POINTS, _STD, n_outer=n, n_inner=4)),
+    ("gamma_terms", "n_inner", 4,
+     lambda n: gamma_terms(_POINTS, _STD, n_outer=2, n_inner=n)),
+    ("pilot_standardization", "n_reps", 2,
+     lambda n: pilot_standardization(_POINTS, n_reps=n)),
+    ("cluster_tail", "n_samples", 2,
+     lambda n: cluster_tail(GILBERT, 1.0, 2, n_samples=n)),
+    ("expected_count_intensity", "n_samples", 2,
+     lambda n: expected_count_intensity(edge_class(), GILBERT, 1.0,
+                                        n_samples=n)),
+    ("asy_cov", "n_samples", 2,
+     lambda n: asy_cov(edge_class(), edge_class(), GILBERT, GILBERT, 1.0,
+                       n_samples=n)),
+    ("asy_cov_kl", "n_samples", 2,
+     lambda n: asy_cov_kl(1, 1, GILBERT, GILBERT, 1.0, n_samples=n)),
+    ("finite_window_cov", "n_samples", 2,
+     lambda n: finite_window_cov(edge_class(), edge_class(), GILBERT,
+                                 GILBERT, W, 1.0, n_samples=n)),
+    ("asy_var_quadratic", "n_samples", 2,
+     lambda n: asy_var_quadratic([1.0], [edge_class()], GILBERT, 1.0,
+                                 n_samples=n)),
+    ("sigma_total_partial", "n_samples", 2,
+     lambda n: sigma_total_partial(1, GILBERT, 1.0, n_samples=n)),
+    ("FunctionalSpec", "k", 1,
+     lambda n: FunctionalSpec("count_order", W, GILBERT, 1.0, k=n)),
+]]
+
+
+@pytest.mark.parametrize("bad", ["true", "2.5", "float64", "below"])
+@pytest.mark.parametrize("name, least, call", _COUNTS)
+def test_every_count_refuses_what_is_not_an_integer_at_its_least(
+        name, least, call, bad):
+    """Floats, numpy floats and bools are refused like a count below its
+    least value, by one check that names the argument."""
+    value = {"true": True, "2.5": 2.5, "float64": np.float64(3.0),
+             "below": least - 1}[bad]
+    with pytest.raises(ValueError, match=(
+            f"^{name} must be an integer >= {least}, "
+            f"got {re.escape(repr(value))}$")):
+        call(value)
+
+
+@pytest.mark.parametrize("weight", [True, "1.5", math.nan],
+                         ids=["true", "string", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda a: FunctionalSpec("weighted", W, GILBERT, 1.0, a=a,
+                             classes=(single_vertex_class(), edge_class())),
+    lambda a: asy_var_quadratic(a, [single_vertex_class(), edge_class()],
+                                GILBERT, 1.0, n_samples=2),
+], ids=["FunctionalSpec", "asy_var_quadratic"])
+def test_every_weight_vector_refuses_what_is_not_a_finite_real(call, weight):
+    with pytest.raises(ValueError, match="^weights a must be finite real "
+                                         "numbers, got "):
+        call((1.0, weight))
 
 
 def test_birth_time_pure_count_exact():
@@ -388,7 +463,7 @@ def test_standardization_rejects_non_finite_variance(variance):
 def test_pilot_needs_two_replicates(n_reps):
     # fewer than two values have no sample variance (NaN, not an error)
     spec = FunctionalSpec("count_order", W, GILBERT, 1.0, k=1)
-    with pytest.raises(ValueError, match="n_reps must be at least 2"):
+    with pytest.raises(ValueError, match="n_reps must be an integer >= 2"):
         pilot_standardization(spec, n_reps=n_reps)
 
 
@@ -473,6 +548,14 @@ def test_empirical_distance_kolmogorov_exact():
     assert empirical_distance(z, "kolmogorov") == pytest.approx(expect)
 
 
+@pytest.mark.parametrize("kind", ["kolmogorov", "wasserstein"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_empirical_distance_refuses_non_finite_samples(kind, bad):
+    # a NaN sorts last and made the Kolmogorov distance NaN
+    with pytest.raises(ValueError, match="all finite"):
+        empirical_distance([0.0, bad, 1.0], kind)
+
+
 def test_empirical_distance_gaussian_sample():
     rng = np.random.default_rng(8)
     z = rng.normal(size=4000)
@@ -541,7 +624,7 @@ def test_dkw_bound_refuses_bad_arguments(args, named):
 @pytest.mark.parametrize("k", [None, 0, -2, 2.5, True])
 def test_count_order_needs_a_positive_integer_order(k):
     """At each of these k, count_order was 0 on every graph."""
-    with pytest.raises(ValueError, match="integer k >= 1"):
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
         FunctionalSpec("count_order", W, GILBERT, 1.0, k=k)
     FunctionalSpec("count_order", W, GILBERT, 1.0, k=np.int64(2))
 

@@ -91,6 +91,57 @@ def test_prob_connected_pairs_and_triples():
             assert g == pytest.approx(_brute_prob_connected(row), rel=1e-12)
 
 
+def _bit_scan_prob_connected(pe, k):
+    """prob_connected as a subset recursion that scans each mask's bits
+    for its anchored proper submasks and starts every cross product from
+    ones: the reference the scheduled recursion must match bit for bit."""
+    n = len(pe)
+    if k == 1:
+        return np.ones(n)
+    iu = np.triu_indices(k, 1)
+    pair_of = np.zeros((k, k), dtype=np.intp)
+    pair_of[iu] = pair_of[iu[::-1]] = np.arange(len(iu[0]))
+    qe = 1.0 - pe
+    qv = [dict() for _ in range(k)]
+    for j in range(k):
+        qv[j][0] = np.ones(n)
+        for mask in range(1, 1 << k):
+            if (mask >> j) & 1:
+                continue
+            low = mask & -mask
+            i = low.bit_length() - 1
+            qv[j][mask] = qv[j][mask ^ low] * qe[:, pair_of[i, j]]
+    conn = {0: np.zeros(n)}
+    for mask in range(1, 1 << k):
+        anchor = mask & -mask
+        bits = [j for j in range(k) if (mask >> j) & 1]
+        if len(bits) == 1:
+            conn[mask] = np.ones(n)
+            continue
+        total = np.ones(n)
+        sub = (mask - 1) & mask
+        while sub:
+            if sub & anchor and sub != mask:
+                rest = mask ^ sub
+                cross = np.ones(n)
+                for j in range(k):
+                    if (rest >> j) & 1:
+                        cross = cross * qv[j][sub]
+                total = total - conn[sub] * cross
+            sub = (sub - 1) & mask
+        conn[mask] = total
+    return conn[(1 << k) - 1]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_prob_connected_matches_the_bit_scan_recursion(k):
+    rng = np.random.default_rng(100 + k)
+    pe = rng.choice([0.0, 1.0, 0.3, 0.85], size=(40, k * (k - 1) // 2))
+    pe[20:] = rng.uniform(0.0, 1.0, size=(20, k * (k - 1) // 2))
+    assert np.array_equal(prob_connected(pe, k),
+                          _bit_scan_prob_connected(pe, k))
+
+
 def test_prob_isomorphic_edge_and_path():
     # two points: P(shape = edge) is just the edge probability
     pe = np.array([[0.4]])
@@ -351,8 +402,12 @@ def test_iso_masks_match_brute_force_permutations(k):
 
 
 def test_indicator_union_exponent_matches_public():
+    # d = 3, where rows with a pairwise overlapping triple take the
+    # slicing rule and n_nodes changes their values; in d <= 2 every row
+    # is exact and n_nodes is never read
     rng = np.random.default_rng(3)
-    X = rng.uniform(-1, 1, (8, 3, 2))
+    X = rng.uniform(-1, 1, (8, 3, 3))
+    assert np.any(_overlapping_triples(X, np.ones(3)))
     fast = indicator_union_exponent(X, np.array([1.0] * 3),
                                     np.array([1.0] * 3), 1.0)
     for x, f in zip(X, fast):
@@ -1127,7 +1182,8 @@ def test_monte_carlo_budgets_below_two_are_refused(n):
         lambda: sigma_total_partial(2, GILBERT, 1.0, n_samples=n),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+        with pytest.raises(ValueError,
+                           match="n_samples must be an integer >= 2"):
             call()
     # the isolated-vertex intensity is a closed form and draws nothing
     est = expected_count_intensity(single_vertex_class(), GILBERT, 1.0,
