@@ -344,6 +344,7 @@ def poincare_bound(spec: FunctionalSpec, n_outer: int = 200,
     """
     n_outer = _check_order("n_outer", n_outer, 2)
     n_points = _check_order("n_points", n_points)
+    seed = _check_order("seed", seed, 0)
     rng = np.random.default_rng(seed)
     region = spec.window.pad(spec.padding())
     draws = (_spec_draw(spec, region.sample_uniform(rng, n_points),
@@ -407,6 +408,7 @@ def birth_time_variance(spec: FunctionalSpec, n_outer: int = 2000,
     """
     n_outer = _check_order("n_outer", n_outer, 2)
     n_inner = _check_order("n_inner", n_inner, 4)
+    seed = _check_order("seed", seed, 0)
     region = spec.window.pad(spec.padding())
     if region.volume > 64.0:
         raise ValueError("padded region volume exceeds the nested-MC cap")
@@ -457,6 +459,7 @@ class Standardization:
 def pilot_standardization(spec: FunctionalSpec, n_reps: int = 400,
                           seed: int = 0) -> Standardization:
     n_reps = _check_order("n_reps", n_reps, 2)
+    seed = _check_order("seed", seed, 0)
     draws = (_spec_draw(spec, None, [seed + i]) for i in range(n_reps))
     vals = np.concatenate([base for _, base, _ in _batched(
         spec, draws, lambda _: ())])
@@ -476,6 +479,7 @@ def gamma_terms(spec: FunctionalSpec, std: Standardization,
     """
     n_outer = _check_order("n_outer", n_outer, 2)
     n_inner = _check_order("n_inner", n_inner, 4)
+    seed = _check_order("seed", seed, 0)
     rng = np.random.default_rng(seed)
     region = spec.window.pad(spec.padding())
     vol = region.volume
@@ -571,6 +575,7 @@ def cluster_tail(phi: ConnectionFunction, beta: float, m: int,
     _check_beta(beta)
     m = _check_order("m", m)
     n_samples = _check_order("n_samples", n_samples, 2)
+    seed = _check_order("seed", seed, 0)
     sim_radius = (m + 2) * phi.truncation_radius()
     window = Window("ball", sim_radius, phi.dim)
     hits_lo = np.zeros(n_samples)

@@ -44,8 +44,8 @@ subsets of one size go to the volume rule together. A Gaussian
 subset's term is its exact closed form, for any mix of widths, so
 those exponents carry no truncation or quadrature error; one pass per
 point adds it to every subset of the points before it (a weighted
-Welford update). `q_kl` reads the joint exponent and both cluster
-exponents from one table or one arrangement pass.
+Welford update). `q_kl` takes the joint exponent and each cluster's
+exponent from three calls of the same exponent function.
 Only the exponential kind and tuples of mixed kinds take a tensor
 Gauss-Legendre integral over a box per row; the squared distance from a
 grid node to a point is the broadcast sum of per-axis squared offsets,
@@ -57,10 +57,11 @@ their squares inline in the same coordinate order.
 Every Monte Carlo integrand is a graph probability times an interaction
 kernel (the exponential of the interaction exponent, or the two-cluster
 kernel), and one driver, `_importance_mc`, estimates them all, over one
-cluster or two; it refuses fewer than 2 draws. It evaluates the
-probability only on draws that pass the lexmin test, the proposal
-densities only on those of them whose probability is nonzero, and the
-costly kernel only on those with positive density; for the indicator
+cluster or two; it refuses fewer than 2 draws and a seed that is not an
+integer >= 0. It evaluates the probability only on draws that pass the
+lexmin test, the proposal densities only on those of them whose
+probability is nonzero, and the costly kernel only on those with
+positive density; for the indicator
 kinds that is a small share of the draws. `prob_isomorphic` in turn
 gives 0 without band products to a row whose count of certain pairs
 (pe = 1) exceeds the class's edge count m or whose count of possible
@@ -317,7 +318,7 @@ def _sliced_volume(centers: np.ndarray, radii: np.ndarray,
     (m, ...) whose axes after the first broadcast; reducing over the
     leading ball axis is elementwise work on whole rows. Only d >= 3
     reaches it with three or more balls; in d <= 2 such rows take the
-    arrangement (_ball_sums)."""
+    arrangement (indicator_union_exponent)."""
     lo = np.max(centers[..., 0] - radii, axis=0)
     hi = np.min(centers[..., 0] + radii, axis=0)
     width = np.maximum(0.0, hi - lo)
@@ -422,11 +423,10 @@ def _subsets(m: int):
     return member, holds, by_size
 
 
-def _inclusion_exclusion(X: np.ndarray, scales: np.ndarray, integrals,
-                         split: int | None = None):
-    """Sums of the inclusion-exclusion terms of an interaction exponent
-    (without the factor beta): over all point subsets, and with split = k
-    also over the subsets of the first k points and of the others.
+def _inclusion_exclusion(X: np.ndarray, scales: np.ndarray,
+                         integrals) -> np.ndarray:
+    """Sum over all point subsets of the inclusion-exclusion terms of an
+    interaction exponent (without the factor beta), per row.
 
     A subset S has the coefficient prod_{i in S} (-scales_i) and the term
     integrals(X) gives for it: the integral over R^d of the product of its
@@ -439,22 +439,13 @@ def _inclusion_exclusion(X: np.ndarray, scales: np.ndarray, integrals,
     n, m, _ = X.shape
     member = _subsets(m)[0]
     coef = np.prod(np.where(member, -scales, 1.0), axis=1)
-    if split is not None:
-        # the subsets of the first k points are the bitmasks below 2^k,
-        # those of the others the multiples of 2^k below 2^m
-        first = (1 << split) - 2
-        rest = (np.arange(1, 1 << (m - split)) << split) - 1
-    sums = [np.empty(n) for _ in range(1 if split is None else 3)]
+    total = np.empty(n)
     step = max(1, _BLOCK_ELEMENTS // len(member))
     for r in range(0, n, step):
         table = integrals(X[r:r + step])
         table *= coef[:, None]
-        total = np.add.accumulate(table, axis=0)
-        sums[0][r:r + step] = total[-1]
-        if split is not None:
-            sums[1][r:r + step] = total[first]
-            sums[2][r:r + step] = np.add.accumulate(table[rest], axis=0)[-1]
-    return sums
+        total[r:r + step] = np.add.accumulate(table, axis=0)[-1]
+    return total
 
 
 def _disjoint_pairs(X: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -513,23 +504,21 @@ def _cover_rule(scales: np.ndarray):
     C weighs prod_{i in C} (1 - p_i). Its cover is a sum of per-ball
     steps (q, m), log(1 - p_i) where some p < 1 and a count of balls
     with p_i = 1 where some p = 1, so no log(0) enters a sum;
-    weights(cover) maps covers (c, q, ...) to weights (c, ...)."""
+    weights(cover) maps covers (q, ...) to weights (...)."""
     full = scales == 1.0
     if full.all():
-        return full[None].astype(float), lambda cover: cover[:, 0] == 0
+        return full[None].astype(float), lambda cover: cover[0] == 0
     logs = np.log1p(-np.where(full, 0.0, scales))
     if not full.any():
-        return logs[None], lambda cover: np.exp(cover[:, 0])
+        return logs[None], lambda cover: np.exp(cover[0])
     return np.stack([logs, full.astype(float)]), lambda cover: np.where(
-        cover[:, 1] == 0, np.exp(cover[:, 0]), 0.0)
+        cover[1] == 0, np.exp(cover[0]), 0.0)
 
 
-def _arc_sums(X: np.ndarray, radii: np.ndarray, scales: np.ndarray,
-              split: int | None) -> np.ndarray:
+def _arc_sums(X: np.ndarray, radii: np.ndarray,
+              scales: np.ndarray) -> np.ndarray:
     """integral(prod_j (1 - p_j 1{y in B_j}) - 1) dy over R^2 per row,
-    exactly, by Green's theorem; with split = k also over the balls of
-    the first k points alone and over the others alone. X: (n, m, 2),
-    m >= 2; returns (1 or 3, n).
+    exactly, by Green's theorem. X: (n, m, 2), m >= 2; returns (n,).
 
     The integrand is constant on each cell of the arrangement of the
     circles, so its integral is a sum over the arcs of each circle i
@@ -544,9 +533,8 @@ def _arc_sums(X: np.ndarray, radii: np.ndarray, scales: np.ndarray,
     sorted by angle, started at angle 0 from the balls that hold circle
     i whole and those whose arc on it wraps past angle 0. Of two
     coincident equal balls the one of lower index covers the other's
-    circle, so their shared boundary counts once. The cluster sums weigh
-    each arc of a circle by the cover of its own cluster's balls alone.
-    Every reduction runs within a row.
+    circle, so their shared boundary counts once. Every reduction runs
+    within a row.
     """
     n, m, _ = X.shape
     # the ordered pairs (i, j), j != i: row i of I and J holds circle i
@@ -595,13 +583,8 @@ def _arc_sums(X: np.ndarray, radii: np.ndarray, scales: np.ndarray,
     C = X - X[:, :1]
     green = radii[:, None] ** 2 * angle + C[..., 0, None] * py \
         - C[..., 1, None] * px
-    # cover channels: every other ball, and with split its own cluster's
-    members = np.ones((1,) + I.shape, dtype=bool)
-    if split is not None:
-        first = np.arange(m) < split
-        members = np.stack([members[0], first[I] == first[J]])
     steps, weights = _cover_rule(scales)
-    steps = (steps[:, J] * members[:, None]).reshape(-1, 1, m, m - 1)
+    steps = steps[:, None, J]
     init = np.sum(np.where(inside | wraps, steps, 0.0), axis=-1)
     cut = np.where(cross, steps, 0.0)
     cuts = 2 * (m - 1)
@@ -615,17 +598,13 @@ def _arc_sums(X: np.ndarray, radii: np.ndarray, scales: np.ndarray,
     cover = np.concatenate([cut, -cut], axis=-1).reshape(len(cut), -1)[
         :, order]
     cover[..., 0] += init
-    cover = np.cumsum(cover, axis=-1).reshape(len(members), -1, n, m, cuts)
+    cover = np.cumsum(cover, axis=-1)
     arcs = -scales * np.sum(weights(cover) * green, axis=-1)
-    if split is None:
-        return np.sum(arcs, axis=-1)
-    return np.stack([np.sum(arcs[0], axis=-1),
-                     np.sum(arcs[1, :, :split], axis=-1),
-                     np.sum(arcs[1, :, split:], axis=-1)])
+    return np.sum(arcs, axis=-1)
 
 
-def _segment_sums(X: np.ndarray, radii: np.ndarray, scales: np.ndarray,
-                  split: int | None) -> np.ndarray:
+def _segment_sums(X: np.ndarray, radii: np.ndarray,
+                  scales: np.ndarray) -> np.ndarray:
     """_arc_sums in d = 1: the interval ends cut the line into segments,
     each covered by the intervals over it. Sorted, the 2m ends bound
     2m - 1 segments; a segment's cover is a cumulative sum over the ends
@@ -633,65 +612,31 @@ def _segment_sums(X: np.ndarray, radii: np.ndarray, scales: np.ndarray,
     and it adds (its weight - 1) times its length. Summed by parts, this
     is the sum over the ends of their signed positions times -p_i times
     the cover of the other intervals there, with no position taken
-    against an origin. X: (n, m, 1); returns (1 or 3, n): all
-    intervals, then with split = k the first k and the others."""
-    n, m, _ = X.shape
-    members = np.ones((1, m), dtype=bool)
-    if split is not None:
-        first = np.arange(m) < split
-        members = np.stack([members[0], first, ~first])
+    against an origin. X: (n, m, 1); returns (n,)."""
     steps, weights = _cover_rule(scales)
-    steps = (steps * members[:, None]).reshape(-1, m)
     ends = np.concatenate([X[..., 0] - radii, X[..., 0] + radii], axis=-1)
     order = np.argsort(ends, axis=-1)
     ends = np.take_along_axis(ends, order, axis=-1)
     cover = np.concatenate([steps, -steps], axis=-1)[:, order[:, :-1]]
-    cover = np.cumsum(cover, axis=-1).reshape(len(members), -1, n, 2 * m - 1)
+    cover = np.cumsum(cover, axis=-1)
     return np.sum((weights(cover) - 1.0) * np.diff(ends, axis=-1), axis=-1)
 
 
-def _arrangement_sums(X: np.ndarray, radii: np.ndarray, scales: np.ndarray,
-                      split: int | None = None):
-    """_inclusion_exclusion's sums for balls in d <= 2, from the
+def _arrangement_sums(X: np.ndarray, radii: np.ndarray,
+                      scales: np.ndarray) -> np.ndarray:
+    """_inclusion_exclusion's sum for balls in d <= 2, from the
     arrangement of the balls (_segment_sums in d = 1, _arc_sums in
     d = 2): exact, with no volume table and no quadrature. Rows go in
     blocks of at most _BLOCK_ELEMENTS covers (one row at least): a
-    cover per cut and channel, the channels being (log, count) pairs
-    (_cover_rule) for all balls and, with split, per cluster (in d = 2
-    one for a circle's own cluster)."""
+    cover per cut and (log, count) channel (_cover_rule)."""
     n, m, d = X.shape
     rule, cuts = (_segment_sums, 2 * m) if d == 1 \
         else (_arc_sums, 2 * m * (m - 1))
-    groups = 1 if split is None else 3 if d == 1 else 2
-    covers = groups * len(_cover_rule(scales)[0]) * cuts
-    out = np.empty((1 if split is None else 3, n))
-    step = max(1, _BLOCK_ELEMENTS // covers)
+    out = np.empty(n)
+    step = max(1, _BLOCK_ELEMENTS // (len(_cover_rule(scales)[0]) * cuts))
     for s in range(0, n, step):
-        out[:, s:s + step] = rule(X[s:s + step], radii, scales, split)
+        out[s:s + step] = rule(X[s:s + step], radii, scales)
     return out
-
-
-def _ball_sums(X: np.ndarray, radii, scales, n_nodes: int = 64,
-               split: int | None = None):
-    """_inclusion_exclusion's sums of an indicator exponent, the route
-    chosen per row. In d <= 2 a row where some three balls overlap
-    pairwise takes the exact arrangement (_arrangement_sums); every
-    other row, and every row in d >= 3, takes the subset table, which in
-    d <= 2 then holds single balls and exact lenses only."""
-    radii = np.asarray(radii, dtype=float)
-    scales = np.asarray(scales, dtype=float)
-    n, m, d = X.shape
-    arranged = _overlapping_triples(X, radii) if d <= 2 \
-        else np.zeros(n, dtype=bool)
-    terms = (scales, lambda Y: _ball_integrals(Y, radii, n_nodes))
-    if not arranged.any():
-        return _inclusion_exclusion(X, *terms, split=split)
-    sums = np.empty((1 if split is None else 3, n))
-    sums[:, arranged] = _arrangement_sums(X[arranged], radii, scales, split)
-    if not arranged.all():
-        sums[:, ~arranged] = _inclusion_exclusion(X[~arranged], *terms,
-                                                  split=split)
-    return list(sums)
 
 
 def _gaussian_integrals(X: np.ndarray, prec: np.ndarray) -> np.ndarray:
@@ -768,27 +713,39 @@ def indicator_union_exponent(X: np.ndarray, radii, scales,
     subsets, each term a volume of an intersection of balls, and only
     d >= 3 slices volumes of three or more balls with n_nodes nodes.
     """
-    radii, scales = _check_balls(X, radii, scales)
-    (total,) = _ball_sums(X, radii, scales, n_nodes)
+    radii, scales = _check_points(X, radii=radii, scales=scales)
+    n, _, d = X.shape
+    arranged = _overlapping_triples(X, radii) if d <= 2 \
+        else np.zeros(n, dtype=bool)
+    total = np.empty(n)
+    if arranged.any():
+        total[arranged] = _arrangement_sums(X[arranged], radii, scales)
+    if not arranged.all():
+        total[~arranged] = _inclusion_exclusion(
+            X[~arranged], scales,
+            lambda Y: _ball_integrals(Y, radii, n_nodes))
     return beta * total
 
 
-def _check_balls(X: np.ndarray, radii, scales):
-    """radii and scales as float arrays; refuse either unless it holds
-    one value per point of X, each radius finite and > 0 and each scale
-    in (0, 1]."""
+def _check_points(X: np.ndarray, **values):
+    """The named per-point values (radii, widths or scales) as float
+    arrays, in order; refuse one unless X has at least one point and it
+    holds one value per point, each radius and width finite and > 0 and
+    each scale in (0, 1]."""
     m = X.shape[1]
-    radii = np.asarray(radii, dtype=float)
-    scales = np.asarray(scales, dtype=float)
-    for name, values in (("radii", radii), ("scales", scales)):
-        if values.shape != (m,):
-            raise ValueError(f"{name}: need one value per point ({m}), got "
-                             f"shape {values.shape}")
-    if not np.all((radii > 0) & (radii < math.inf)):
-        raise ValueError(f"radii: must be finite and > 0, got {radii!r}")
-    if not np.all((scales > 0) & (scales <= 1)):
-        raise ValueError(f"scales: must lie in (0, 1], got {scales!r}")
-    return radii, scales
+    out = []
+    for name, value in values.items():
+        value = np.asarray(value, dtype=float)
+        if m == 0 or value.shape != (m,):
+            raise ValueError(f"{name}: need one value per point of at least "
+                             f"one, got shape {value.shape} for {m} points")
+        if name == "scales":
+            if not np.all((value > 0) & (value <= 1)):
+                raise ValueError(f"scales: must lie in (0, 1], got {value!r}")
+        elif not np.all((value > 0) & (value < math.inf)):
+            raise ValueError(f"{name}: must be finite and > 0, got {value!r}")
+        out.append(value)
+    return out
 
 
 def gaussian_union_exponent(X: np.ndarray, widths,
@@ -796,34 +753,14 @@ def gaussian_union_exponent(X: np.ndarray, widths,
     """beta * integral(prod_i (1 - exp(-|y-x_i|^2 / s_i^2)) - 1) dy, batched.
 
     Exact inclusion-exclusion over point subsets, each term in closed form
-    (_gaussian_integrals): no grid and no truncation. X: (n, m, d).
+    (_gaussian_integrals) with scale 1 and precision 1 / s_i^2: no grid
+    and no truncation. X: (n, m, d); widths one per point, each finite
+    and > 0.
     """
-    (total,) = _gaussian_sums(X, widths)
-    return beta * total
-
-
-def _gaussian_sums(X: np.ndarray, widths, split: int | None = None):
-    """_inclusion_exclusion's sums for Gaussians of widths s_i: scales 1
-    and precisions 1 / s_i^2."""
-    widths = np.asarray(widths, dtype=float)
+    (widths,) = _check_points(X, widths=widths)
     prec = 1.0 / (widths * widths)
-    return _inclusion_exclusion(
-        X, np.ones(len(widths)), lambda Y: _gaussian_integrals(Y, prec),
-        split=split)
-
-
-def _expansion(funcs):
-    """The exact expansion of a tuple's exponent, when every function is
-    of an indicator kind or every one is Gaussian (of any widths): (its
-    public exponent function, its sums function (_ball_sums or
-    _gaussian_sums), their per-point parameters). None otherwise."""
-    if all(_is_indicator(f) for f in funcs):
-        return (indicator_union_exponent, _ball_sums,
-                ([f.r for f in funcs], [f.p for f in funcs]))
-    if all(f.kind == "gaussian" for f in funcs):
-        return (gaussian_union_exponent, _gaussian_sums,
-                ([f.s for f in funcs],))
-    return None
+    return beta * _inclusion_exclusion(
+        X, np.ones(len(widths)), lambda Y: _gaussian_integrals(Y, prec))
 
 
 def generic_union_exponent(X: np.ndarray, funcs, beta: float,
@@ -883,14 +820,16 @@ def mixed_exponent(X: np.ndarray, funcs, beta: float) -> np.ndarray:
     """Interaction exponent for per-point connection functions, batched.
 
     Tuples of indicator kinds only and of Gaussians only (of any widths)
-    have exact expansions (_expansion); the tensor grid of
-    generic_union_exponent takes the exponential kind and mixed kinds.
+    have exact expansions (indicator_union_exponent and
+    gaussian_union_exponent); the tensor grid of generic_union_exponent
+    takes the exponential kind and mixed kinds.
     """
-    expansion = _expansion(funcs)
-    if expansion is None:
-        return generic_union_exponent(X, funcs, beta)
-    exponent, _, params = expansion
-    return exponent(X, *params, beta)
+    if all(_is_indicator(f) for f in funcs):
+        return indicator_union_exponent(X, [f.r for f in funcs],
+                                        [f.p for f in funcs], beta)
+    if all(f.kind == "gaussian" for f in funcs):
+        return gaussian_union_exponent(X, [f.s for f in funcs], beta)
+    return generic_union_exponent(X, funcs, beta)
 
 
 def q_kl(X1: np.ndarray, X2: np.ndarray, phi: ConnectionFunction,
@@ -900,24 +839,15 @@ def q_kl(X1: np.ndarray, X2: np.ndarray, phi: ConnectionFunction,
     X1: (n, k, d) first cluster (anchored at 0), X2: (n, l, d) second
     cluster. Value: cross product of phibar over inter-cluster pairs
     times the joint exponent, minus the product of the two separate
-    cluster exponents. When phi and psi are both of indicator kinds or
-    both Gaussian the three exponents come from one pass: an
-    inclusion-exclusion table, whose cluster exponents sum its subsets
-    inside X1 and inside X2, or, for a row that takes the arrangement of
-    its balls (_ball_sums), one arrangement pass, whose cluster exponents
-    weigh each cluster's arcs by that cluster's balls alone. Other pairs
-    take three mixed_exponent calls.
+    cluster exponents. Each of the three exponents is its own
+    mixed_exponent call, on the joint tuple, on X1 and on X2, so a
+    cluster's exponent is bit for bit the one it has on its own.
     """
     k, l = X1.shape[1], X2.shape[1]
-    Xall = np.concatenate([X1, X2], axis=1)
-    expansion = _expansion([phi] * k + [psi] * l)
-    if expansion is not None:
-        _, sums, params = expansion
-        e_joint, e1, e2 = (beta * e for e in sums(Xall, *params, split=k))
-    else:
-        e_joint = mixed_exponent(Xall, [phi] * k + [psi] * l, beta)
-        e1 = mixed_exponent(X1, [phi] * k, beta)
-        e2 = mixed_exponent(X2, [psi] * l, beta)
+    e_joint = mixed_exponent(np.concatenate([X1, X2], axis=1),
+                             [phi] * k + [psi] * l, beta)
+    e1 = mixed_exponent(X1, [phi] * k, beta)
+    e2 = mixed_exponent(X2, [psi] * l, beta)
     return _cross_phibar(X1, X2, phi) * np.exp(e_joint) - np.exp(e1 + e2)
 
 
@@ -1150,7 +1080,7 @@ def _importance_mc(phi, beta, k, prob_fn, kernel_fn, n_samples, seed,
     every row would give.
     """
     n_samples = _check_order("n_samples", n_samples, 2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_order("seed", seed, 0))
     prop1 = ClusterProposal(phi, k)
     if second is None:
         batch, n_points = _SINGLE_BATCH, k
@@ -1364,6 +1294,7 @@ def asy_var_quadratic(a, classes, phi: ConnectionFunction, beta: float,
     """
     _check_beta(beta)
     a = _check_weights("a", a)
+    seed = _check_order("seed", seed, 0)
     classes = list(classes)
     if not np.any(a != 0):
         raise ValueError("weights must not all vanish")
@@ -1387,6 +1318,7 @@ def sigma_total_partial(m: int, phi: ConnectionFunction, beta: float,
     """
     _check_beta(beta)
     m = _check_order("m", m)
+    seed = _check_order("seed", seed, 0)
     if m > ENUM_CAP:
         raise ValueError(f"order beyond enumeration cap {ENUM_CAP}")
     rows, _, _ = _estimate_matrix(m, lambda i, j: asy_cov_kl(

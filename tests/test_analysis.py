@@ -361,7 +361,8 @@ def test_single_draw_budgets_are_rejected(estimator):
 _POINTS = FunctionalSpec("point_count", Window("box", 1.5, 2), GILBERT, 1.0)
 _STD = Standardization(mean=9.0, variance=9.0)
 
-# (count argument, least value, call with it); every other budget small
+# (count or seed argument, least value, call with it); every other budget
+# small
 _COUNTS = [pytest.param(name, least, call, id=f"{fn}-{name}")
            for fn, name, least, call in [
     ("poincare_bound", "n_outer", 2,
@@ -398,6 +399,33 @@ _COUNTS = [pytest.param(name, least, call, id=f"{fn}-{name}")
      lambda n: sigma_total_partial(1, GILBERT, 1.0, n_samples=n)),
     ("FunctionalSpec", "k", 1,
      lambda n: FunctionalSpec("count_order", W, GILBERT, 1.0, k=n)),
+    ("poincare_bound", "seed", 0,
+     lambda n: poincare_bound(_POINTS, n_outer=2, n_points=1, seed=n)),
+    ("birth_time_variance", "seed", 0,
+     lambda n: birth_time_variance(_POINTS, n_outer=2, n_inner=4, seed=n)),
+    ("gamma_terms", "seed", 0,
+     lambda n: gamma_terms(_POINTS, _STD, n_outer=2, n_inner=4, seed=n)),
+    ("pilot_standardization", "seed", 0,
+     lambda n: pilot_standardization(_POINTS, n_reps=2, seed=n)),
+    ("cluster_tail", "seed", 0,
+     lambda n: cluster_tail(GILBERT, 1.0, 2, n_samples=2, seed=n)),
+    ("expected_count_intensity", "seed", 0,
+     lambda n: expected_count_intensity(edge_class(), GILBERT, 1.0,
+                                        n_samples=2, seed=n)),
+    ("asy_cov", "seed", 0,
+     lambda n: asy_cov(edge_class(), edge_class(), GILBERT, GILBERT, 1.0,
+                       n_samples=2, seed=n)),
+    ("asy_cov_kl", "seed", 0,
+     lambda n: asy_cov_kl(1, 1, GILBERT, GILBERT, 1.0, n_samples=2,
+                          seed=n)),
+    ("finite_window_cov", "seed", 0,
+     lambda n: finite_window_cov(edge_class(), edge_class(), GILBERT,
+                                 GILBERT, W, 1.0, n_samples=2, seed=n)),
+    ("asy_var_quadratic", "seed", 0,
+     lambda n: asy_var_quadratic([1.0], [edge_class()], GILBERT, 1.0,
+                                 n_samples=2, seed=n)),
+    ("sigma_total_partial", "seed", 0,
+     lambda n: sigma_total_partial(1, GILBERT, 1.0, n_samples=2, seed=n)),
 ]]
 
 

@@ -1,6 +1,7 @@
 """Import graph and package surface: rcmlab and a census run load no
-heavy scipy subpackage, the package has one version, and every exported
-name is reached by some subcommand or is listed as unreached."""
+heavy scipy subpackage, the package has one version, every exported
+name is reached by some subcommand or is listed as unreached, and every
+function or class is read, exported or hooked by the benchmark."""
 
 import argparse
 import ast
@@ -167,3 +168,27 @@ def test_every_exported_name_is_reached_by_a_subcommand_or_listed():
     unreached = {name for name, key in exported.items() if key not in reached}
     assert unreached - UNREACHED == set(), "exported but reached by none"
     assert UNREACHED - unreached == set(), "reached now: drop from UNREACHED"
+
+
+def _hooked() -> set:
+    """(module, name) of each top-level definition rcmbench/spans.py
+    HOOKS wraps (of a method, its class)."""
+    spans = pathlib.Path(__file__).resolve().parents[1] / "rcmbench" / \
+        "spans.py"
+    (hooks,) = [node.value for node in ast.parse(spans.read_text()).body
+                if isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) == "HOOKS"]
+    return {(value.elts[0].value.removeprefix("rcmlab."),
+             value.elts[1].value.split(".")[0]) for value in hooks.values}
+
+
+def test_every_definition_is_read_exported_or_hooked():
+    # a function or class that nothing reads is a leftover of a refactor
+    src = pathlib.Path(rcmlab.__file__).parent
+    graph, imports, resolve = _package_graph(src)
+    read = {r for key, reads in graph.items() for r in reads if r != key}
+    exported = {resolve("__init__", name) for name in imports["__init__"]}
+    defined = {(path.stem, node.name) for path in src.glob("*.py")
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined - read - exported - _hooked() == set()

@@ -34,7 +34,7 @@ from rcmlab.moments import (_blocked_volume, _gl_nodes,
                             _mc_moment, _overlapping_triples, _pair_dists,
                             _pair_values, _two_ball_volume,
                             generic_union_exponent)
-from rcmlab.moments import _arrangement_sums, _ball_sums
+from rcmlab.moments import _arrangement_sums
 from rcmlab.sampling import build_rcm, seeded_sample
 
 GILBERT = ConnectionFunction("gilbert", 2, r=1.0)
@@ -1552,24 +1552,18 @@ def test_indicator_union_exponent_memory_is_bounded():
 # ---------------------------------------------------------------------------
 # the indicator exponent from the arrangement of the balls (d <= 2)
 
-def _loop_sums(X, radii, scales, split, n_nodes=64):
-    """The arrangement's sums by the per-subset loop: the exponent of the
-    whole tuple and, with split = k, of its first k points and of the
-    others (without beta)."""
-    radii, scales = np.asarray(radii), np.asarray(scales)
-    parts = [slice(None)]
-    if split is not None:
-        parts += [slice(None, split), slice(split, None)]
-    return [_per_subset_union_exponent(X[:, part], radii[part],
-                                       scales[part], 1.0, n_nodes)
-            for part in parts]
+def _loop_sums(X, radii, scales, n_nodes=64):
+    """The arrangement's sum by the per-subset loop: the exponent of the
+    whole tuple (without beta)."""
+    return _per_subset_union_exponent(X, np.asarray(radii),
+                                      np.asarray(scales), 1.0, n_nodes)
 
 
 @st.composite
 def _interval_tuples(draw):
     """Rows of up to 8 intervals with unequal radii and scales, ends
     often on a grid of quarters, so ends coincide and intervals nest,
-    touch or repeat; and a split into two clusters, or None."""
+    touch or repeat."""
     m = draw(st.integers(1, 8))
     n = draw(st.integers(1, 4))
     quarter = st.integers(-8, 8).map(lambda i: i / 4.0)
@@ -1580,19 +1574,17 @@ def _interval_tuples(draw):
                           min_size=m, max_size=m))
     scales = draw(st.lists(st.one_of(st.floats(0.05, 1.0), st.just(1.0)),
                            min_size=m, max_size=m))
-    split = draw(st.none() | st.integers(1, m - 1)) if m > 1 else None
     return (np.array(centers).reshape(n, m, 1), np.array(radii),
-            np.array(scales), split)
+            np.array(scales))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_interval_tuples())
 def test_arrangement_equals_the_exact_table_in_d1(case):
     # in d = 1 the table's intersections are exact interval overlaps
-    X, radii, scales, split = case
-    got = _arrangement_sums(X, radii, scales, split)
-    for g, ref in zip(got, _loop_sums(X, radii, scales, split)):
-        np.testing.assert_allclose(g, ref, rtol=1e-12)
+    X, radii, scales = case
+    np.testing.assert_allclose(_arrangement_sums(X, radii, scales),
+                               _loop_sums(X, radii, scales), rtol=1e-12)
 
 
 def test_arrangement_is_within_the_fine_table_in_d2():
@@ -1603,11 +1595,10 @@ def test_arrangement_is_within_the_fine_table_in_d2():
         X = rng.uniform(-1.0, 1.0, size=(5, m, 2))
         radii = rng.uniform(0.5, 1.1, size=m)
         scales = np.where(rng.random(m) < 0.3, 1.0, rng.uniform(0.2, 1.0, m))
-        split = m // 2
-        got = _arrangement_sums(X, radii, scales, split)
-        for g, ref in zip(got, _loop_sums(X, radii, scales, split,
-                                          n_nodes=1024)):
-            np.testing.assert_allclose(g, ref, rtol=1e-6, err_msg=str(m))
+        np.testing.assert_allclose(
+            _arrangement_sums(X, radii, scales),
+            _loop_sums(X, radii, scales, n_nodes=1024), rtol=1e-6,
+            err_msg=str(m))
 
 
 @settings(max_examples=200, deadline=None)
@@ -1620,7 +1611,7 @@ def test_arrangement_of_two_balls_is_the_exact_lens(balls, p1, p2):
     lens = _two_ball_volume(centers[:, None], radii[:, None])[0]
     expect = -np.dot(scales, unit_ball_volume(d) * radii ** d) \
         + p1 * p2 * lens
-    (got,) = _arrangement_sums(centers[None], radii, scales)
+    got = _arrangement_sums(centers[None], radii, scales)
     assert abs(got[0] - expect) <= \
         1e-12 * unit_ball_volume(d) * radii.max() ** d
 
@@ -1658,7 +1649,7 @@ def test_arrangement_of_degenerate_balls(d):
                      [(k, p[:1]), (k, p[1:2]), (k, p[2:])]),
     }
     for name, (centers, radii, cells) in cases.items():
-        (got,) = _arrangement_sums(centers[None], radii, p)
+        got = _arrangement_sums(centers[None], radii, p)
         assert got[0] == pytest.approx(_cover_integral(cells), rel=1e-12), \
             name
         # the public exponent, whichever route the row takes
@@ -1667,10 +1658,9 @@ def test_arrangement_of_degenerate_balls(d):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_arrangement_split_sums_with_phi_and_psi_balls(d):
-    # q_kl's three exponents from one pass, with the first cluster's
-    # balls of one radius and scale and the second's of another, against
-    # the per-subset loop on the joint tuple and on each cluster
+def test_arrangement_sums_with_phi_and_psi_balls(d):
+    # q_kl's joint tuple, with the first cluster's balls of one radius and
+    # scale and the second's of another, against the per-subset loop
     rng = np.random.default_rng(40 + d)
     pairs = [((1.0, 1.0), (0.7, 0.6)), ((1.2, 0.8), (1.0, 1.0)),
              ((0.9, 0.5), (0.6, 0.3))]
@@ -1680,13 +1670,11 @@ def test_arrangement_split_sums_with_phi_and_psi_balls(d):
             radii = np.array([r1] * k + [r2] * l)
             scales = np.array([p1] * k + [p2] * l)
             assert np.any(_overlapping_triples(X, radii))
-            got = _ball_sums(X, radii, scales, split=k)
-            refs = _loop_sums(X, radii, scales, k,
-                              n_nodes=1024 if d == 2 else 64)
-            for g, ref in zip(got, refs):
-                np.testing.assert_allclose(
-                    g, ref, rtol=1e-12 if d == 1 else 1e-6,
-                    err_msg=str((r1, p1, r2, p2, k, l)))
+            np.testing.assert_allclose(
+                indicator_union_exponent(X, radii, scales, 1.0),
+                _loop_sums(X, radii, scales, n_nodes=1024 if d == 2 else 64),
+                rtol=1e-12 if d == 1 else 1e-6,
+                err_msg=str((r1, p1, r2, p2, k, l)))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -1696,10 +1684,9 @@ def test_arrangement_rows_do_not_depend_on_their_block(monkeypatch, d):
     X = rng.uniform(-1.0, 1.0, size=(300, 6, d))
     radii = np.array([1.0, 1.0, 1.0, 0.7, 0.7, 0.7])
     scales = np.array([1.0, 1.0, 1.0, 0.6, 0.6, 0.6])
-    whole = _arrangement_sums(X, radii, scales, split=3)
+    whole = _arrangement_sums(X, radii, scales)
     monkeypatch.setattr(moments, "_BLOCK_ELEMENTS", 1)
-    for got, ref in zip(_arrangement_sums(X, radii, scales, split=3), whole):
-        assert np.array_equal(got, ref)
+    assert np.array_equal(_arrangement_sums(X, radii, scales), whole)
 
 
 @pytest.mark.parametrize("radii,scales,name", [
@@ -1720,6 +1707,25 @@ def test_indicator_union_exponent_refuses_bad_balls(radii, scales, name):
     X = np.random.default_rng(0).uniform(-0.5, 0.5, size=(4, 3, 2))
     with pytest.raises(ValueError, match=f"^{name}: "):
         indicator_union_exponent(X, radii, scales, 1.0)
+
+
+@pytest.mark.parametrize("widths", [
+    [1.0, 1.0], [1.0] * 4, [[1.0] * 3], [1.0, 0.0, 1.0], [1.0, -1.0, 1.0],
+    [1.0, math.nan, 1.0], [1.0, math.inf, 1.0],
+])
+def test_gaussian_union_exponent_refuses_bad_widths(widths):
+    # a width of -1 used to be taken as 1, one of 0, NaN or inf gave NaN
+    X = np.random.default_rng(0).uniform(-0.5, 0.5, size=(4, 3, 2))
+    with pytest.raises(ValueError, match="^widths: "):
+        gaussian_union_exponent(X, widths, 1.0)
+
+
+def test_union_exponents_refuse_a_tuple_of_no_points():
+    X = np.zeros((4, 0, 2))
+    with pytest.raises(ValueError, match="^radii: "):
+        indicator_union_exponent(X, [], [], 1.0)
+    with pytest.raises(ValueError, match="^widths: "):
+        gaussian_union_exponent(X, [], 1.0)
 
 
 def _per_pair_cross_phibar(X1, X2, phi):
@@ -1782,17 +1788,7 @@ def test_q_kl_exponents_equal_three_separate_calls(d):
                 got = q_kl(X1, X2, phi, second, 1.2)
                 ref = _three_call_q_kl(X1, X2, phi, second, 1.2)
                 assert np.any(got != 0), (phi.kind, k, l)
-                # a joint tuple with three pairwise overlapping balls
-                # takes the arrangement in d <= 2, whose cluster sums
-                # weigh the joint pass's finer arcs: equal up to rounding
-                same = np.ones(len(got), dtype=bool)
-                if phi.kind != "gaussian" and d <= 2:
-                    same = ~_overlapping_triples(
-                        np.concatenate([X1, X2], axis=1),
-                        np.array([phi.r] * k + [second.r] * l))
-                assert np.array_equal(got[same], ref[same]), (phi.kind, k, l)
-                np.testing.assert_allclose(got[~same], ref[~same], rtol=0,
-                                           atol=1e-13)
+                assert np.array_equal(got, ref), (phi.kind, k, l)
 
 
 def _per_copy_prob_isomorphic(pe, G):
