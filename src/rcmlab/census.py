@@ -197,8 +197,7 @@ class Component:
     """One connected component of a realization relative to a window.
 
     canon is the canonical bitset of the component's isomorphism class,
-    or -1 where the class is not resolved. ids and edges are None for a
-    component that exists only in a difference-operator evaluation.
+    or -1 where the class is not resolved.
     """
 
     order: int
@@ -207,8 +206,8 @@ class Component:
     lexmin_pos: np.ndarray
     lexmin_inside: bool
     canon: int
-    ids: np.ndarray = None
-    edges: np.ndarray = None
+    ids: np.ndarray
+    edges: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from .analysis import poincare_bound
 from .experiments import (ConfigError, _thread_count, _write_csv,
                           _write_json, covariance_experiment, emit,
@@ -31,10 +29,6 @@ from .experiments import (ConfigError, _thread_count, _write_csv,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-class PreconditionError(RuntimeError):
-    """A numerical precondition of the requested computation failed."""
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -121,16 +115,9 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _check_result(result):
-    for rung in result.rungs:
-        if np.any(~np.isfinite(rung.means)):
-            raise PreconditionError("non-finite replicate statistics")
-
-
 def _run_and_emit(args, runner) -> int:
     scenario = _load(args)
     result = runner(scenario, threads=args.threads)
-    _check_result(result)
     paths = emit(result, args.out)
     print(f"wrote {len(paths)} files under "
           f"{os.path.join(args.out, 'results', result.scenario_hash)}")
@@ -156,7 +143,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PreconditionError, FloatingPointError, ValueError) as exc:
+    except (FloatingPointError, ValueError) as exc:
         print(f"numerical precondition violated: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

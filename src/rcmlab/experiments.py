@@ -357,6 +357,10 @@ def _standardize_and_distances(values: np.ndarray):
 def _make_rung(scenario, rung, threads) -> RungResult:
     window = scenario.window(rung)
     values, n_points = _rung_samples(scenario, rung, threads)
+    bad = np.flatnonzero(~np.all(np.isfinite(values), axis=0))
+    if bad.size:
+        raise ValueError(f"statistics[{bad[0]}]: replicate values at extent "
+                         f"{scenario.extents[rung]} are not finite")
     means = np.mean(values, axis=0)
     variances = np.var(values, axis=0, ddof=1)
     mecke_mean = float(np.mean(n_points))

@@ -74,14 +74,14 @@ class Window:
 
     def _delta(self, points) -> np.ndarray:
         """Offsets from the centre, as rows (one row for a single point)."""
-        pts = np.asarray(points, dtype=float)
-        return (pts if pts.ndim > 1 else pts.reshape(1, -1)) - self.center
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[-1] != self.dim:
+            raise ValueError("points have wrong dimension")
+        return pts - self.center
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean membership for an (n, d) array of points."""
         delta = self._delta(points)
-        if delta.shape[-1] != self.dim:
-            raise ValueError("points have wrong dimension")
         if self.shape == "box":
             return (np.abs(delta) <= self.extent).all(axis=-1)
         return squared_lengths(np.moveaxis(delta, -1, 0)) <= self.extent ** 2

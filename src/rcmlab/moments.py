@@ -24,28 +24,31 @@ nested copies); many copies go through one numpy pass, in blocks of at
 most _BLOCK_ELEMENTS products, and are added one at a time in a fixed
 order.
 
-For the indicator kinds the route is chosen per row. In d <= 2 a row
-where some three balls overlap pairwise takes the exact arrangement of
-its balls (_arrangement_sums): by Green's theorem the exponent is a sum
-over the arcs of each circle between consecutive crossings (in d = 1
-over the segments between sorted interval ends), each weighed by the
-cover of the other balls, read off a cumulative sum over the sorted
-crossings. Every other row, every row in d >= 3 and every Gaussian row
-take an inclusion-exclusion sum over point subsets, in one (subsets x
-rows) table whose rows go in blocks of at most _BLOCK_ELEMENTS table
-entries, which bounds the memory up to the 2 * ENUM_CAP points of a
-covariance. An indicator subset's term is a ball intersection volume:
+For the indicator kinds the route is chosen per row. A row where no
+three balls overlap pairwise has no active subset beyond pairs, so its
+inclusion-exclusion sum takes its singles and pairs only (top = 2); the
+terms it skips are +-0.0, so it is the full sum bit for bit. In d <= 2
+a row with such a triple takes the exact arrangement of its balls
+(_arrangement_sums): by Green's theorem the exponent is a sum over the
+arcs of each circle between consecutive crossings (in d = 1 over the
+segments between sorted interval ends), each weighed by the cover of
+the other balls, read off a cumulative sum over the sorted crossings.
+In d >= 3 it, like every Gaussian row, takes all subsets (top = m). The
+subsets of at most top points go in one (subsets x rows) table in
+increasing bitmask order, rows in blocks of at most _BLOCK_ELEMENTS
+table entries, which bounds the memory up to the 2 * ENUM_CAP points of
+a covariance. An indicator subset's term is a ball intersection volume:
 for two balls the exact lens (two caps, by a recurrence in the
 dimension; the same lens gives a ball window's overlap with its
 shift), for three or more, which only d >= 3 reaches, a rule that
 slices it into (d-1)-dimensional ones; one matrix product with the
-pair-disjointness matrix finds the active subsets, and the active
-subsets of one size go to the volume rule together. A Gaussian
-subset's term is its exact closed form, for any mix of widths, so
-those exponents carry no truncation or quadrature error; one pass per
-point adds it to every subset of the points before it (a weighted
-Welford update). `q_kl` takes the joint exponent and each cluster's
-exponent from three calls of the same exponent function.
+pair-disjointness matrix finds the active subsets (over the 3-subsets,
+it routes the rows), and the active subsets of one size go to the
+volume rule together. A Gaussian subset's term is its exact closed
+form, for any mix of widths, so those exponents carry no truncation or
+quadrature error; one pass per point adds it to every subset of the
+points before it (a weighted Welford update). `q_kl` takes the joint
+exponent and each cluster's from three calls of the same function.
 Only the exponential kind and tuples of mixed kinds take a tensor
 Gauss-Legendre integral over a box per row; the squared distance from a
 grid node to a point is the broadcast sum of per-axis squared offsets,
@@ -316,9 +319,7 @@ def _sliced_volume(centers: np.ndarray, radii: np.ndarray,
                    n_nodes: int) -> np.ndarray:
     """_blocked_volume's slicing rule for centers (m, ..., d) and radii
     (m, ...) whose axes after the first broadcast; reducing over the
-    leading ball axis is elementwise work on whole rows. Only d >= 3
-    reaches it with three or more balls; in d <= 2 such rows take the
-    arrangement (indicator_union_exponent)."""
+    leading ball axis is elementwise work on whole rows."""
     lo = np.max(centers[..., 0] - radii, axis=0)
     hi = np.min(centers[..., 0] + radii, axis=0)
     width = np.maximum(0.0, hi - lo)
@@ -392,9 +393,8 @@ def _blocked_volume(centers: np.ndarray, radii: np.ndarray,
     so the volume is a Gauss-Legendre integral (n_nodes) over t of slice
     volumes, down to exact interval lengths in d = 1, taken in blocks of
     at most _BLOCK_ELEMENTS rows x nodes^(d-1) x balls. A row's volume
-    does not depend on its block. The exponents send no intersection of
-    three or more balls here in d <= 2, where the arrangement of the
-    balls takes those rows whole, so n_nodes matters only in d >= 3.
+    does not depend on its block. Only d >= 3 sends three or more balls
+    (in d <= 2 the arrangement takes such rows).
     """
     m, n, d = centers.shape
     if m == 2:
@@ -406,38 +406,42 @@ def _blocked_volume(centers: np.ndarray, radii: np.ndarray,
 
 
 @functools.cache
-def _subsets(m: int):
-    """The nonempty subsets of m points, row s for bitmask s + 1: their
-    member matrix (2^m - 1, m), which point pairs each holds (float
-    (2^m - 1, npairs), pairs in np.triu_indices order), and per size
-    >= 2 the subsets of that size in increasing bitmask order with their
-    members in increasing order."""
-    member = (np.arange(1, 1 << m)[:, None] >> np.arange(m)) & 1 == 1
+def _subsets(m: int, top: int):
+    """The nonempty subsets of at most top of m points in increasing
+    bitmask order (for top < m from combinations, never all 2^m): their
+    member matrix (subsets, m), which point pairs each holds (float
+    (subsets, npairs), pairs in np.triu_indices order), and per size 1
+    to top their rows of that size with members in increasing order."""
+    masks = np.arange(1, 1 << m) if top >= m else np.sort(
+        [sum(1 << i for i in c) for s in range(1, top + 1)
+         for c in itertools.combinations(range(m), s)])
+    member = (masks[:, None] >> np.arange(m)) & 1 == 1
     i, j = np.triu_indices(m, 1)
     holds = (member[:, i] & member[:, j]).astype(float)
     size = member.sum(axis=1)
     by_size = []
-    for s in range(2, m + 1):
+    for s in range(1, top + 1):
         subs = np.flatnonzero(size == s)
         by_size.append((subs, np.nonzero(member[subs])[1].reshape(-1, s)))
     return member, holds, by_size
 
 
-def _inclusion_exclusion(X: np.ndarray, scales: np.ndarray,
+def _inclusion_exclusion(X: np.ndarray, scales: np.ndarray, top: int,
                          integrals) -> np.ndarray:
-    """Sum over all point subsets of the inclusion-exclusion terms of an
-    interaction exponent (without the factor beta), per row.
+    """Sum over the subsets of at most top points of the inclusion-
+    exclusion terms of an interaction exponent (without beta), per row.
 
     A subset S has the coefficient prod_{i in S} (-scales_i) and the term
     integrals(X) gives for it: the integral over R^d of the product of its
     members' kernel profiles, as a (subsets x rows) table in the row order
-    of _subsets. The terms go in one table, rows in blocks of at most
-    _BLOCK_ELEMENTS table entries (one row at least), and each row's terms
-    are added in increasing bitmask order, as a loop over subsets adds
-    them.
+    of _subsets(m, top). The terms go in one table, rows in blocks of at
+    most _BLOCK_ELEMENTS table entries (one row at least), and each row's
+    terms are added in increasing bitmask order, as a loop over subsets
+    adds them; where every larger subset's term is 0.0, that is the sum
+    over all subsets bit for bit.
     """
     n, m, _ = X.shape
-    member = _subsets(m)[0]
+    member = _subsets(m, top)[0]
     coef = np.prod(np.where(member, -scales, 1.0), axis=1)
     total = np.empty(n)
     step = max(1, _BLOCK_ELEMENTS // len(member))
@@ -456,10 +460,11 @@ def _disjoint_pairs(X: np.ndarray, radii: np.ndarray) -> np.ndarray:
             ).astype(float)
 
 
-def _ball_integrals(X: np.ndarray, radii: np.ndarray,
+def _ball_integrals(X: np.ndarray, radii: np.ndarray, top: int,
                     n_nodes: int) -> np.ndarray:
-    """Intersection volumes of the balls B(x_i, r_i) of every point
-    subset, as a (subsets x rows) table.
+    """Intersection volumes of the balls B(x_i, r_i) of every subset of
+    at most top points, as a (subsets x rows) table in the row order of
+    _subsets(m, top).
 
     A subset of two or more points is active on a row unless two of its
     balls are disjoint; one product of the pair-disjointness matrix with
@@ -467,13 +472,13 @@ def _ball_integrals(X: np.ndarray, radii: np.ndarray,
     size go to _blocked_volume together, and the others hold 0.
     """
     n, m, d = X.shape
-    member, holds, by_size = _subsets(m)
+    _, holds, by_size = _subsets(m, top)
     disjoint = _disjoint_pairs(X, radii)
-    table = np.zeros((len(member), n))
-    for i in range(m):
-        table[(1 << i) - 1] = unit_ball_volume(d) * radii[i] ** d
+    table = np.zeros((len(holds), n))
+    for i, sub in enumerate(by_size[0][0]):
+        table[sub] = unit_ball_volume(d) * radii[i] ** d
     active = holds @ disjoint.T == 0
-    for subs, members in by_size:
+    for subs, members in by_size[1:]:
         sub, row = np.nonzero(active[subs])
         if not sub.size:
             continue
@@ -487,15 +492,11 @@ def _ball_integrals(X: np.ndarray, radii: np.ndarray,
 
 def _overlapping_triples(X: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Per row, whether some three of its balls B(x_i, r_i) overlap
-    pairwise: the rows on which the subset table needs a volume of three
-    or more balls. One product of the subsets' pair matrix with the
-    pair-disjointness matrix, as in _ball_integrals, counts the disjoint
-    pairs of every size-3 subset."""
-    n, m, _ = X.shape
-    if m < 3:
-        return np.zeros(n, dtype=bool)
-    _, holds, by_size = _subsets(m)
-    return np.any(holds[by_size[1][0]] @ _disjoint_pairs(X, radii).T == 0,
+    pairwise, the only rows where three or more balls can be active: one
+    product of the 3-subsets' pair matrix with the pair-disjointness
+    matrix, as in _ball_integrals, counts their disjoint pairs."""
+    _, holds, by_size = _subsets(X.shape[1], 3)
+    return np.any(holds[by_size[2][0]] @ _disjoint_pairs(X, radii).T == 0,
                   axis=0)
 
 
@@ -707,23 +708,24 @@ def indicator_union_exponent(X: np.ndarray, radii, scales,
     """beta * integral(prod_i (1 - p_i 1{|y-x_i|<=r_i}) - 1) dy, batched.
 
     X: (n, m, d); radii and scales (the p_i), one per point, each radius
-    finite and > 0 and each scale in (0, 1]. In d <= 2 a row where some
-    three balls overlap pairwise takes the exact arrangement of its
-    balls; every other row takes exact inclusion-exclusion over point
-    subsets, each term a volume of an intersection of balls, and only
-    d >= 3 slices volumes of three or more balls with n_nodes nodes.
+    finite and > 0 and each scale in (0, 1]. A row where no three balls
+    overlap pairwise takes exact inclusion-exclusion over its singles
+    and pairs (the table with top = 2; every larger subset's volume is
+    0). A row with such a triple takes the exact arrangement of its
+    balls in d <= 2, and in d >= 3 the table over all subsets, which
+    slices volumes of three or more balls with n_nodes nodes.
     """
     radii, scales = _check_points(X, radii=radii, scales=scales)
-    n, _, d = X.shape
-    arranged = _overlapping_triples(X, radii) if d <= 2 \
-        else np.zeros(n, dtype=bool)
+    n, m, d = X.shape
+    triples = _overlapping_triples(X, radii)
     total = np.empty(n)
-    if arranged.any():
-        total[arranged] = _arrangement_sums(X[arranged], radii, scales)
-    if not arranged.all():
-        total[~arranged] = _inclusion_exclusion(
-            X[~arranged], scales,
-            lambda Y: _ball_integrals(Y, radii, n_nodes))
+    for rows, top in ((~triples, 2), (triples, m)):
+        if rows.any() and top > 2 and d <= 2:
+            total[rows] = _arrangement_sums(X[rows], radii, scales)
+        elif rows.any():
+            total[rows] = _inclusion_exclusion(
+                X[rows], scales, top, functools.partial(
+                    _ball_integrals, radii=radii, top=top, n_nodes=n_nodes))
     return beta * total
 
 
@@ -760,7 +762,8 @@ def gaussian_union_exponent(X: np.ndarray, widths,
     (widths,) = _check_points(X, widths=widths)
     prec = 1.0 / (widths * widths)
     return beta * _inclusion_exclusion(
-        X, np.ones(len(widths)), lambda Y: _gaussian_integrals(Y, prec))
+        X, np.ones(len(widths)), len(widths),
+        lambda Y: _gaussian_integrals(Y, prec))
 
 
 def generic_union_exponent(X: np.ndarray, funcs, beta: float,

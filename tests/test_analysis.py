@@ -212,6 +212,18 @@ def test_weights_must_be_finite_real_numbers(weight):
                        classes=(single_vertex_class(), edge_class()))
 
 
+@pytest.mark.parametrize("statistic, fields, message", [
+    ("nope", {}, "unknown statistic 'nope'"),
+    ("count_order", {"k": 1, "mode": "both"}, "unknown mode 'both'"),
+    ("weighted", {"a": (1.0,), "classes": (single_vertex_class(),
+                                           edge_class())},
+     "weighted statistic needs matching a, classes")])
+def test_spec_refuses_an_unknown_statistic_or_mode_and_unmatched_weights(
+        statistic, fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FunctionalSpec(statistic, W, GILBERT, 1.0, **fields)
+
+
 @pytest.mark.parametrize("beta", [-1.0, 0.0, math.nan, math.inf])
 def test_spec_refuses_a_bad_beta(beta):
     with pytest.raises(ValueError, match="^beta: must be positive"):
@@ -582,6 +594,11 @@ def test_empirical_distance_refuses_non_finite_samples(kind, bad):
     # a NaN sorts last and made the Kolmogorov distance NaN
     with pytest.raises(ValueError, match="all finite"):
         empirical_distance([0.0, bad, 1.0], kind)
+
+
+def test_empirical_distance_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown distance kind 'energy'$"):
+        empirical_distance([0.0, 1.0], "energy")
 
 
 def test_empirical_distance_gaussian_sample():

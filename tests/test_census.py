@@ -292,6 +292,19 @@ def test_is_canonical_accepts_exactly_the_enumerated_classes(k):
     assert not is_canonical(GraphClass(k, 1 << npairs))
 
 
+@pytest.mark.parametrize("k", [0, 9])
+def test_enumerate_classes_refuses_orders_outside_one_to_k_max(k):
+    with pytest.raises(ValueError, match=r"^k must lie in \[1, 8\]$"):
+        enumerate_classes(k)
+
+
+def test_component_table_refuses_k_max_beyond_8():
+    g = build_rcm(sample_poisson(Window("box", 2.0, 2), 1.0, 1.0, 1),
+                  ConnectionFunction("gilbert", 2, r=1.0), PairMarkSource(1))
+    with pytest.raises(ValueError, match="^k_max exceeds K_MAX=8$"):
+        ComponentTable(g.batch, Window("box", 1.0, 2), 9)
+
+
 @pytest.mark.parametrize("g", [GraphClass(3, 99), GraphClass(0, 0),
                                GraphClass(9, 1)],
                          ids=["3:63", "0:0", "9:1"])

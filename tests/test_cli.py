@@ -219,6 +219,10 @@ def test_bad_k_max_and_budgets_are_config_errors(tmp_path, capsys, field):
      "phi.theta: must be positive"),
     ("census", {"psi": {"kind": "scaled_indicator", "p": 0.0, "r": 1.0}}, [],
      "psi.p: must lie in (0, 1]"),
+    ("census", {"dimension": 0}, [], "dimension: must be positive"),
+    ("census", {"statistics": [{"statistic": "weighted", "a": [1.0],
+                                "classes": ["1:0", "2:1"]}]}, [],
+     "statistics[0]: weighted statistic needs matching a, classes"),
 ])
 def test_out_of_range_fields_are_config_errors(tmp_path, capsys, command,
                                                field, argv, named):
@@ -271,6 +275,27 @@ def test_numerical_precondition_exit_code(tmp_path, capsys):
     rc = main(["covariance", "--config", str(path), "--out", str(tmp_path)])
     assert rc == EXIT_NUMERICAL
     assert "degenerate radial proposal" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_replicate_values_are_a_numerical_error(tmp_path, capsys):
+    # each isolated vertex adds 1.7e308, so two of them overflow to inf;
+    # the ladder refuses the column before it is standardized
+    cfg = {
+        "dimension": 2, "beta": 1.0,
+        "phi": {"kind": "gilbert", "r": 1.0},
+        "window": {"shape": "box", "extents": [3.0]},
+        "statistics": [{"statistic": "weighted", "a": [1.7e308],
+                        "classes": ["1:0"]}],
+        "replicates": 3, "seed_base": 1,
+    }
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["census", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical precondition violated: statistics[0]: replicate values "
+        "at extent 3.0 are not finite"]
 
 
 @pytest.mark.parametrize("command", ["expectation", "covariance"])

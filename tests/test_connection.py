@@ -32,6 +32,11 @@ def test_non_finite_parameters_are_refused(kind, field, bad):
         ConnectionFunction(kind, 2, **{field: bad})
 
 
+def test_dimension_zero_is_refused():
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        ConnectionFunction("gilbert", 0)
+
+
 def test_profiles():
     g = ConnectionFunction("gilbert", 2, r=2.0)
     assert g.phi_of_dist(1.9) == 1.0 and g.phi_of_dist(2.1) == 0.0

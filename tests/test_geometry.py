@@ -38,6 +38,21 @@ def test_validation():
 
 
 @pytest.mark.parametrize("shape", ["box", "ball"])
+def test_dimension_zero_and_points_of_another_dimension_are_refused(shape):
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        Window(shape, 1.0, 0)
+    # points of one coordinate broadcast against a 2-d centre without
+    # an error, and a 1-d centre against points of any dimension
+    for dim, points in [(2, np.zeros((4, 3))), (2, np.zeros((4, 1))),
+                        (2, np.zeros(3)), (1, np.zeros((4, 3)))]:
+        for query in (Window(shape, 1.0, dim).contains,
+                      Window(shape, 1.0, dim).boundary_distance):
+            with pytest.raises(ValueError,
+                               match="^points have wrong dimension$"):
+                query(points)
+
+
+@pytest.mark.parametrize("shape", ["box", "ball"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_geometry_is_refused(shape, bad):
     """A NaN ball would reject every candidate in sample_uniform forever;

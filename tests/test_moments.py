@@ -1191,6 +1191,38 @@ def test_monte_carlo_budgets_below_two_are_refused(n):
     assert est.value == pytest.approx(RHO_1, rel=1e-12)
 
 
+@pytest.mark.parametrize("estimator", [
+    lambda: expected_count_intensity(path_class(ENUM_CAP + 1), GILBERT, 1.0,
+                                     n_samples=50),
+    lambda: sigma_total_partial(ENUM_CAP + 1, GILBERT, 1.0, n_samples=50)],
+    ids=["intensity", "sigma_total_partial"])
+def test_estimators_refuse_orders_beyond_enumeration_cap(estimator):
+    with pytest.raises(ValueError, match=f"enumeration cap {ENUM_CAP}$"):
+        estimator()
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda psi: asy_cov(edge_class(), edge_class(), GILBERT, psi, 1.0,
+                        n_samples=50),
+    lambda psi: asy_cov_kl(1, 2, GILBERT, psi, 1.0, n_samples=50),
+    lambda psi: finite_window_cov(edge_class(), edge_class(), GILBERT, psi,
+                                  Window("box", 2.0, 2), 1.0, n_samples=50)],
+    ids=["asy_cov", "asy_cov_kl", "finite_window_cov"])
+def test_second_moments_refuse_a_psi_above_phi(estimator):
+    with pytest.raises(ValueError, match="^psi must be dominated by phi$"):
+        estimator(ConnectionFunction("gilbert", 2, r=1.5))
+
+
+@pytest.mark.parametrize("a, message", [
+    ((0.0, 0.0), "weights must not all vanish"),
+    ((1.0,), "weight and class lists differ in length")])
+def test_asy_var_quadratic_refuses_vanishing_or_unmatched_weights(a,
+                                                                  message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        asy_var_quadratic(a, [single_vertex_class(), edge_class()], GILBERT,
+                          1.0, n_samples=50)
+
+
 def test_window_cross_moment_refuses_orders_beyond_enumeration_cap():
     with pytest.raises(ValueError, match=f"enumeration cap {ENUM_CAP}"):
         finite_window_cov(path_class(ENUM_CAP + 1), edge_class(), GILBERT,
@@ -1547,6 +1579,64 @@ def test_indicator_union_exponent_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def _triple_free_rows(n, m, d, seed):
+    """n rows of m balls along a jittered chain: neighbours 1.5 apart, so
+    some neighbour pairs overlap, and balls two links apart at least 2.6
+    apart, so no three balls overlap pairwise. Radii in [0.8, 1)."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-0.2, 0.2, size=(n, m, d))
+    X[..., 0] += 1.5 * np.arange(m)
+    return X, rng.uniform(0.8, 1.0, size=m), rng.uniform(0.3, 1.0, size=m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_triple_free_rows_equal_per_subset_loop_at_order_12(d):
+    # every subset of three or more points holds a 0.0 volume here, so
+    # summing the singles and pairs alone changes no bit
+    X, radii, scales = _triple_free_rows(4, 12, d, 82 + d)
+    assert not _overlapping_triples(X, radii).any()
+    assert np.array_equal(indicator_union_exponent(X, radii, scales, 1.3),
+                          _per_subset_union_exponent(X, radii, scales, 1.3))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_triple_free_rows_list_no_subset_beyond_three_points(monkeypatch,
+                                                             d):
+    # only singles and pairs can be active on such a row, so neither the
+    # routing nor the table lists the 2^m - 1 subsets
+    from rcmlab import moments
+    listed = []
+    subsets = moments._subsets
+
+    def counted(*args):
+        out = subsets(*args)
+        listed.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(moments, "_subsets", counted)
+    for m in (12, 16):
+        X, radii, scales = _triple_free_rows(4, m, d, 70 + m + d)
+        assert not _overlapping_triples(X, radii).any()
+        listed.clear()
+        indicator_union_exponent(X, radii, scales, 1.3)
+        assert listed and max(listed) <= m + math.comb(m, 2) + math.comb(m, 3)
+
+
+def test_triple_free_row_memory_is_bounded_from_a_cold_cache():
+    # a full m = 16 subset table holds a (65,535 x 120) float pair matrix,
+    # 63 MB, before any volume is taken
+    from rcmlab import moments
+    X, radii, scales = _triple_free_rows(1, 16, 2, 7)
+    moments._subsets.cache_clear()
+    tracemalloc.start()
+    try:
+        indicator_union_exponent(X, radii, scales, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # ---------------------------------------------------------------------------
