@@ -5,9 +5,9 @@ fresh point x only merges the components adjacent to x, so difference
 operators are evaluated incrementally: the base census is computed once
 per batch of realizations and each insertion recomputes only the merged
 block. The estimators evaluate every insertion of a chunk of graphs at
-once (_with_additions): one kd-tree query and one mark hash decide the
-fresh edges of all of them, and one pass over the component table
-forms every merged component.
+once (_with_additions): one kd-tree query proposes the fresh edges of
+all of them, the length rule and one mark hash decide them, and one
+pass over the component table forms every merged component.
 
 Every value follows one rule: a statistic gives each component integer
 counts N (counts), which are summed as integers, and F = a0*N0 +

@@ -12,9 +12,11 @@ from scipy.special import gamma as _gamma
 
 def squared_lengths(diffs) -> np.ndarray:
     """Squared Euclidean lengths from coordinate differences, one array
-    per coordinate, the squares summed in coordinate order as scipy's
-    kd-tree sums them. Every distance in rcmlab is the square root of
-    this, so its last bit does not depend on the module computing it."""
+    per coordinate, the squares summed in coordinate order. Every
+    distance in rcmlab is the square root of this, and every test of a
+    length against a radius compares it with the radius squared, so no
+    last bit depends on the module computing it: the kd-tree of
+    sampling only proposes pairs, and this rule decides them."""
     diffs = iter(diffs)
     first = next(diffs)
     sq = first * first
@@ -121,7 +123,18 @@ class Window:
 
 
 def lex_order(points: np.ndarray) -> np.ndarray:
-    """Indices sorting points by lexicographic order (first coordinate primary)."""
+    """Indices sorting points by lexicographic order (first coordinate
+    primary), ties kept in index order as np.lexsort keeps them.
+
+    Where the first coordinates are distinct, one argsort of them is that
+    permutation; only a tie (0.0 and -0.0 tie) or a NaN takes the
+    lexsort.
+    """
     pts = np.asarray(points)
+    first = pts[:, 0]
+    order = np.argsort(first)
+    ranked = first[order]
+    if (ranked[1:] > ranked[:-1]).all():
+        return order
     keys = tuple(pts[:, k] for k in range(pts.shape[1] - 1, -1, -1))
     return np.lexsort(keys)

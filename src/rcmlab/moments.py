@@ -41,14 +41,15 @@ a covariance. An indicator subset's term is a ball intersection volume:
 for two balls the exact lens (two caps, by a recurrence in the
 dimension; the same lens gives a ball window's overlap with its
 shift), for three or more, which only d >= 3 reaches, a rule that
-slices it into (d-1)-dimensional ones; one matrix product with the
-pair-disjointness matrix finds the active subsets (over the 3-subsets,
-it routes the rows), and the active subsets of one size go to the
-volume rule together. A Gaussian subset's term is its exact closed
-form, for any mix of widths, so those exponents carry no truncation or
-quadrature error; one pass per point adds it to every subset of the
-points before it (a weighted Welford update). `q_kl` takes the joint
-exponent and each cluster's from three calls of the same function.
+slices it into (d-1)-dimensional ones; boolean gathers of each
+subset's pair-disjointness flags find the active subsets (over the
+3-subsets, rows in blocks, they route the rows), and the active
+subsets of one size go to the volume rule together. A Gaussian
+subset's term is its exact closed form, for any mix of widths, so
+those exponents carry no truncation or quadrature error; one pass per
+point adds it to every subset of the points before it (a weighted
+Welford update). `q_kl` takes the joint exponent and each cluster's
+from three calls of the same function.
 Only the exponential kind and tuples of mixed kinds take a tensor
 Gauss-Legendre integral over a box per row; the squared distance from a
 grid node to a point is the broadcast sum of per-axis squared offsets,
@@ -115,11 +116,11 @@ ENUM_CAP = 6
 # Elements of one block: (copy, sample) band products in
 # _sum_band_products, (subset, row) terms in _inclusion_exclusion, rows x
 # nodes^(d-1) x balls in _blocked_volume, rows x covers in
-# _arrangement_sums, rows x nodes^d grid nodes in
-# generic_union_exponent. It bounds their memory in any dimension. A
-# block's float temporaries take 128 KiB; at 256 KiB glibc's malloc gave
-# the freed heap top back to the system after most ball-volume blocks,
-# and every block faulted it in again.
+# _arrangement_sums, (row, 3-subset) flags in _overlapping_triples, rows
+# x nodes^d grid nodes in generic_union_exponent. It bounds their memory
+# in any dimension. A block's float temporaries take 128 KiB; at 256 KiB
+# glibc's malloc gave the freed heap top back to the system after most
+# ball-volume blocks, and every block faulted it in again.
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -409,21 +410,23 @@ def _blocked_volume(centers: np.ndarray, radii: np.ndarray,
 def _subsets(m: int, top: int):
     """The nonempty subsets of at most top of m points in increasing
     bitmask order (for top < m from combinations, never all 2^m): their
-    member matrix (subsets, m), which point pairs each holds (float
-    (subsets, npairs), pairs in np.triu_indices order), and per size 1
-    to top their rows of that size with members in increasing order."""
+    member matrix (subsets, m) and, per size 1 to top, their rows of
+    that size, with members in increasing order and the point pairs
+    each holds, as indices in np.triu_indices order (rows, pairs)."""
     masks = np.arange(1, 1 << m) if top >= m else np.sort(
         [sum(1 << i for i in c) for s in range(1, top + 1)
          for c in itertools.combinations(range(m), s)])
     member = (masks[:, None] >> np.arange(m)) & 1 == 1
-    i, j = np.triu_indices(m, 1)
-    holds = (member[:, i] & member[:, j]).astype(float)
+    pair = np.zeros((m, m), dtype=np.intp)
+    pair[np.triu_indices(m, 1)] = np.arange(m * (m - 1) // 2)
     size = member.sum(axis=1)
     by_size = []
     for s in range(1, top + 1):
         subs = np.flatnonzero(size == s)
-        by_size.append((subs, np.nonzero(member[subs])[1].reshape(-1, s)))
-    return member, holds, by_size
+        members = np.nonzero(member[subs])[1].reshape(-1, s)
+        i, j = np.triu_indices(s, 1)
+        by_size.append((subs, members, pair[members[:, i], members[:, j]]))
+    return member, by_size
 
 
 def _inclusion_exclusion(X: np.ndarray, scales: np.ndarray, top: int,
@@ -453,11 +456,21 @@ def _inclusion_exclusion(X: np.ndarray, scales: np.ndarray, top: int,
 
 
 def _disjoint_pairs(X: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """1.0 where the balls of a point pair are disjoint (or touch), else
-    0.0, as (rows, pairs) in np.triu_indices order."""
+    """True where the balls of a point pair are disjoint (or touch), as
+    (pairs, rows), pairs in np.triu_indices order."""
     iu = np.triu_indices(X.shape[1], 1)
-    return (_pair_dists(X) >= (radii[iu[0]] + radii[iu[1]])[None, :]
-            ).astype(float)
+    return np.ascontiguousarray(
+        (_pair_dists(X) >= (radii[iu[0]] + radii[iu[1]])[None, :]).T)
+
+
+def _active(disjoint: np.ndarray, holds: np.ndarray) -> np.ndarray:
+    """Which subsets have no disjoint pair of balls, as (subsets, rows):
+    boolean gathers of each subset's pair flags (rows of
+    _disjoint_pairs), no matrix product."""
+    hit = disjoint[holds[:, 0]]
+    for k in range(1, holds.shape[1]):
+        hit |= disjoint[holds[:, k]]
+    return ~hit
 
 
 def _ball_integrals(X: np.ndarray, radii: np.ndarray, top: int,
@@ -467,19 +480,17 @@ def _ball_integrals(X: np.ndarray, radii: np.ndarray, top: int,
     _subsets(m, top).
 
     A subset of two or more points is active on a row unless two of its
-    balls are disjoint; one product of the pair-disjointness matrix with
-    the subsets' pair matrix finds them all, the active subsets of one
+    balls are disjoint (_active finds them), the active subsets of one
     size go to _blocked_volume together, and the others hold 0.
     """
     n, m, d = X.shape
-    _, holds, by_size = _subsets(m, top)
+    member, by_size = _subsets(m, top)
     disjoint = _disjoint_pairs(X, radii)
-    table = np.zeros((len(holds), n))
+    table = np.zeros((len(member), n))
     for i, sub in enumerate(by_size[0][0]):
         table[sub] = unit_ball_volume(d) * radii[i] ** d
-    active = holds @ disjoint.T == 0
-    for subs, members in by_size[1:]:
-        sub, row = np.nonzero(active[subs])
+    for subs, members, holds in by_size[1:]:
+        sub, row = np.nonzero(_active(disjoint, holds))
         if not sub.size:
             continue
         # (balls, entries) in C order, so the volume's temporaries are
@@ -492,12 +503,17 @@ def _ball_integrals(X: np.ndarray, radii: np.ndarray, top: int,
 
 def _overlapping_triples(X: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Per row, whether some three of its balls B(x_i, r_i) overlap
-    pairwise, the only rows where three or more balls can be active: one
-    product of the 3-subsets' pair matrix with the pair-disjointness
-    matrix, as in _ball_integrals, counts their disjoint pairs."""
-    _, holds, by_size = _subsets(X.shape[1], 3)
-    return np.any(holds[by_size[2][0]] @ _disjoint_pairs(X, radii).T == 0,
-                  axis=0)
+    pairwise, the only rows where three or more balls can be active:
+    _active over the 3-subsets, rows in blocks of at most
+    _BLOCK_ELEMENTS (row, 3-subset) flags (one row at least)."""
+    n, m, _ = X.shape
+    holds = _subsets(m, 3)[1][2][2]
+    step = max(1, _BLOCK_ELEMENTS // max(len(holds), 1))
+    out = np.zeros(n, dtype=bool)
+    for r in range(0, n, step):
+        out[r:r + step] = _active(_disjoint_pairs(X[r:r + step], radii),
+                                  holds).any(axis=0)
+    return out
 
 
 def _cover_rule(scales: np.ndarray):

@@ -6,8 +6,11 @@ in that order. Ids need not follow that order in general: the census
 takes each component's lexicographic minimum from the coordinates, so
 point sets assembled in any order count correctly. Edges follow from
 deterministic pair marks: {i, j} is an edge iff mark(i, j) <=
-phi(x_i - x_j). A pair is a candidate when geometry.squared_lengths,
-the kd-tree's own sum, is <= rmax**2, and phi takes its square root.
+phi(x_i - x_j). A pair is a candidate when geometry.squared_lengths of
+its coordinate differences is <= rmax**2, and phi takes its square
+root. A kd-tree only proposes the pairs within a radius slightly above
+rmax (RcmBatch._reach); that rule decides them, so no edge depends on
+how the tree sums a distance. A graph's edges are ascending in (i, j).
 """
 
 from __future__ import annotations
@@ -74,29 +77,20 @@ def seeded_sample(window: Window, padding: float, beta: float,
     return sample_poisson(window, padding, beta, seed), PairMarkSource(seed)
 
 
-def _candidate_pairs(points: np.ndarray, rmax: float):
-    """All id pairs (i < j) within distance rmax, as an (m, 2) int64
-    array, and the kd-tree that found them (None for fewer than two
-    points)."""
-    if len(points) < 2:
-        return np.empty((0, 2), dtype=np.int64), None
-    tree = cKDTree(points)
-    return tree.query_pairs(rmax, output_type="ndarray"), tree
-
-
 class RcmBatch:
     """Independent realizations on one region, stacked as a disjoint union.
 
     Realization r owns the union ids starts[r]:starts[r + 1] (its own
     ids shifted by starts[r]) and the union edge rows
-    edge_starts[r]:edge_starts[r + 1]; its edges follow phi and the
-    marks of its source marks[r]. The kd-tree holds every point lifted
-    by one extra coordinate, its realization index times a spacing
-    greater than rmax, so no two realizations' points are ever within
-    rmax of each other, while squared distances within one realization
-    only gain an exact +0.0. The spacing also exceeds the region's
-    diameter, so the tree splits realizations apart before it splits
-    any of them.
+    edge_starts[r]:edge_starts[r + 1], ascending in (i, j); its edges
+    follow phi and the marks of its source marks[r]. The kd-tree holds
+    the shifted points, realization r moved by r * spacing along the
+    first axis. The spacing exceeds rmax + 1 plus the spread of all
+    first coordinates, so points of two realizations are more than
+    rmax + 1 apart. The tree only proposes the pairs within reach
+    (_reach); rcmlab's own rule decides them: a pair is a candidate
+    when geometry.squared_lengths of its unshifted differences is at
+    most rmax**2.
     """
 
     def __init__(self, points: np.ndarray, edges: np.ndarray,
@@ -111,15 +105,42 @@ class RcmBatch:
         self.rmax = rmax
         self.phi = phi
         self.marks = marks              # one mark source per realization
-        self.spacing = rmax + 2.0 * region.extent + 1.0
+        first = points[:, 0]
+        lo, hi = (first.min(), first.max()) if len(first) else (0.0, 0.0)
+        self.spacing = float(rmax + 1.0 + (hi - lo))
+        # no shifted first coordinate is larger in magnitude, rounding
+        # aside
+        self._top = float(max(abs(lo), abs(hi))
+                          + max(len(starts) - 2, 0) * self.spacing)
         self._tree = tree
         self._shared = {}
 
-    def lifted(self) -> np.ndarray:
-        """The union points with their realization coordinate appended."""
-        level = np.arange(len(self.starts) - 1) * self.spacing
-        return np.column_stack([self.points,
-                                np.repeat(level, np.diff(self.starts))])
+    def shifted(self) -> np.ndarray:
+        """The union points, realization r moved by r * spacing along
+        the first axis."""
+        out = self.points.copy()
+        out[:, 0] += np.repeat(np.arange(len(self.starts) - 1) * self.spacing,
+                               np.diff(self.starts))
+        return out
+
+    def _reach(self, query: float = 0.0) -> float:
+        """The tree's search radius: rmax widened by a few spacings of
+        top, the largest shifted coordinate of the points or of a query
+        (its magnitude up to query), or rmax if that is larger. Shifting
+        rounds a coordinate by half a spacing of top at most, so a
+        shifted difference is off by a spacing at most, and summing
+        squares rounds a length near rmax by less than two spacings of
+        rmax: every pair that rcmlab's rule keeps lies within reach in
+        the tree."""
+        top = max(self._top, query, self.rmax)
+        return self.rmax + 8.0 * float(np.spacing(top))
+
+    def tree(self) -> cKDTree:
+        """The kd-tree of the shifted points, built once."""
+        if self._tree is None:
+            self._tree = cKDTree(self.shifted(), balanced_tree=False,
+                                 compact_nodes=False)
+        return self._tree
 
     def shared(self, key, build):
         """build(), computed once per key for the whole batch."""
@@ -148,9 +169,10 @@ class RcmBatch:
         union id b, that fresh point k joins, k ascending and b ascending
         within k; pairs has a row (k, m), k < m, for each pair of fresh
         points of one insertion that is joined, in the same order. One
-        query of the lifted kd-tree finds every fresh point's candidates,
-        pairs of fresh points pass the tree's candidate test as base
-        pairs do, and all marks are hashed in one call, keyed by the ids
+        query of the shifted kd-tree proposes every fresh point's
+        neighbours within reach, rcmlab's length rule decides them as it
+        decides base pairs and pairs of fresh points, and all marks are
+        hashed in one call, keyed by the ids
         (fresh ids and the realization's own base ids), so repeated
         queries are coupled with each other and with the base graph.
         """
@@ -163,22 +185,30 @@ class RcmBatch:
         if np.any(ids >= 0) or np.any(
                 (np.diff(ins[by_id]) == 0) & (np.diff(ids[by_id]) == 0)):
             raise ValueError("added points need distinct negative ids")
-        if self._tree is None:
-            self._tree = cKDTree(self.lifted())
-        found = self._tree.query_ball_point(
-            np.column_stack([pos, owner * self.spacing]), self.rmax,
+        query = pos.copy()
+        query[:, 0] += owner * self.spacing
+        found = self.tree().query_ball_point(
+            query, self._reach(float(np.abs(query[:, 0]).max(initial=0.0))),
             return_sorted=True)
         counts = np.fromiter(map(len, found), dtype=np.int64,
                              count=len(ids))
         base = np.fromiter(itertools.chain.from_iterable(found),
                            dtype=np.int64, count=int(counts.sum()))
         fresh = np.repeat(np.arange(len(ids)), counts)
+        # a fresh point beyond the spread of its realization's points may
+        # be proposed another realization's points
+        home = owner[fresh]
+        local = base - self.starts[home]
+        mine = (local >= 0) & (base < self.starts[home + 1])
+        base, fresh, local = base[mine], fresh[mine], local[mine]
         offsets = self.points[base] - pos[fresh]
         # a base point at the fresh point's position is at distance 0,
         # so always a candidate
         if (offsets == 0).all(axis=1).any():
             raise ValueError("added point duplicates an existing point")
         sq = squared_lengths(offsets.T)
+        near = sq <= self.rmax * self.rmax
+        base, fresh, local, sq = base[near], fresh[near], local[near], sq[near]
         # every pair (u, v), u < v, of points of one insertion
         after = np.searchsorted(ins, ins, side="right") - 1 - np.arange(
             len(ids))
@@ -191,7 +221,7 @@ class RcmBatch:
         links = np.column_stack([fresh, base])
         pairs = np.column_stack([u, v])
         k = np.concatenate([fresh, u])
-        j = np.concatenate([base - self.starts[owner[fresh]], ids[v]])
+        j = np.concatenate([local, ids[v]])
         dist = np.sqrt(np.concatenate([sq, sq_uv[near]]))
         joined = (self._marks(owner[k], ids[k], j)
                   <= self.phi.phi_of_dist(dist))
@@ -273,12 +303,12 @@ def build_rcm_batch(points, phi: ConnectionFunction, marks) -> list[RcmGraph]:
 
     points: PointSets on one region; marks: one mark source for each,
     all of one class, whose stacked_keys keys the pairs of all of them.
-    One kd-tree finds the candidate pairs of all realizations, each
-    pair's mark is hashed under its own realization's key, and graph r
-    is a view of realization r: its own points, edges in its own ids,
-    mark source, phi and rmax. Each graph has the edge set that
-    build_rcm gives its points and marks alone, though its rows may
-    come in another order.
+    One kd-tree proposes the pairs of all realizations, rcmlab's length
+    rule keeps the candidates, each candidate's mark is hashed under its
+    own realization's key, and graph r is a view of realization r: its
+    own points, edges in its own ids ascending in (i, j), mark source,
+    phi and rmax. Each graph has the edges that build_rcm gives its
+    points and marks alone, in the same order.
     """
     points, marks = list(points), list(marks)
     if len(points) != len(marks):
@@ -296,30 +326,36 @@ def build_rcm_batch(points, phi: ConnectionFunction, marks) -> list[RcmGraph]:
     rmax = phi.truncation_radius()
     sizes = np.array([p.n for p in points])
     starts = np.concatenate(([0], np.cumsum(sizes)))
+    n_all = int(starts[-1])
     batch = RcmBatch(np.concatenate([p.points for p in points]), None,
                      starts, None, region, rmax, phi, marks)
-    pairs, batch._tree = _candidate_pairs(batch.lifted(), rmax)
+    pairs = batch.tree().query_pairs(batch._reach(), output_type="ndarray") \
+        if n_all > 1 else np.empty((0, 2), dtype=np.int64)
+    sq = squared_lengths(np.take(c, pairs[:, 0]) - np.take(c, pairs[:, 1])
+                         for c in batch.points.T)
+    near = sq <= rmax * rmax
+    # reach exceeds rmax by a few ulps, so a pair beyond rmax is rare;
+    # without one, no candidate-sized copy is made
+    if not near.all():
+        pairs, sq = pairs[near], sq[near]
     n_real = len(points)
-    # a small index type makes the stable sort below a radix sort
     owner = np.repeat(np.arange(n_real, dtype=np.min_scalar_type(n_real)),
                       sizes)[pairs[:, 0]]
-    dist = np.sqrt(squared_lengths(
-        np.take(c, pairs[:, 0]) - np.take(c, pairs[:, 1])
-        for c in batch.points.T))
     # marks are keyed by each realization's own ids
     local = pairs - starts[owner, None]
     del pairs
-    i, j = local[:, 0], local[:, 1]
-    keys = kinds.pop().stacked_keys(marks, owner, i, j)
-    joined = pair_marks(keys, i, j) <= phi.phi_of_dist(dist)
-    # the edges realization by realization, in the tree's order within one
-    owner = owner[joined]
-    by_owner = np.argsort(owner, kind="stable")
-    local = np.take(local[joined], by_owner, axis=0)
-    owner = owner[by_owner]
-    batch.edges = local + starts[owner, None]
-    batch.edge_starts = np.concatenate(([0], np.cumsum(
-        np.bincount(owner, minlength=n_real))))
+    keys = kinds.pop().stacked_keys(marks, owner, *local.T)
+    joined = pair_marks(keys, *local.T) <= phi.phi_of_dist(np.sqrt(sq))
+    del keys, sq
+    # one sort of the union key I * N + J orders the edges realization by
+    # realization, and ascending in (i, j) within one
+    local, start = local[joined], starts[owner[joined]]
+    a, b = np.divmod(np.sort((local[:, 0] + start) * n_all
+                             + (local[:, 1] + start)), n_all)
+    batch.edges = np.column_stack([a, b])
+    batch.edge_starts = np.searchsorted(a, starts)
+    local = batch.edges - np.repeat(starts[:-1],
+                                    np.diff(batch.edge_starts))[:, None]
     return [RcmGraph(points=p, phi=phi, marks=m, rmax=rmax,
                      edges=local[batch.edge_starts[r]:
                                  batch.edge_starts[r + 1]])._join(batch, r)

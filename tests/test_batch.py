@@ -24,7 +24,7 @@ from rcmlab.census import (ComponentTable, canonical_form, component_table,
 from rcmlab.connection import ConnectionFunction
 from rcmlab.experiments import (emit, load_scenario, replicate_graphs,
                                 run_scenario)
-from rcmlab.geometry import Window, lex_order
+from rcmlab.geometry import Window, lex_order, squared_lengths
 from rcmlab.marks import PairMarkSource
 from rcmlab.sampling import PointSet, build_rcm, build_rcm_batch
 
@@ -180,9 +180,9 @@ def test_single_and_batched_edges_are_ordered_pairs():
 def test_batch_shares_one_kdtree(monkeypatch):
     built = []
 
-    def counting_tree(points):
+    def counting_tree(points, *args, **kwargs):
         built.append(len(points))
-        return cKDTree(points)
+        return cKDTree(points, *args, **kwargs)
 
     monkeypatch.setattr(sampling, "cKDTree", counting_tree)
     rng = np.random.default_rng(5)
@@ -193,6 +193,130 @@ def test_batch_shares_one_kdtree(monkeypatch):
     for g in graphs:
         g.neighbors_of_point(np.array([0.1, 0.2]), -1)
     assert built == [60]
+
+
+def _rule_pairs(rng, d, r, n):
+    """n base points, each with three partners at the edge of rcmlab's
+    length rule (squared_lengths <= r**2): the farthest first coordinate
+    along a random direction that the rule keeps, and that coordinate one
+    ulp nearer and one ulp farther, which the rule refuses. Returns
+    (base points, partners), each partner group in that order."""
+    base, partners = [], []
+    for _ in range(n):
+        x = rng.uniform(-2.0, 2.0, d)
+        u = rng.normal(size=d)
+        u[0] = np.copysign(max(abs(u[0]), 0.5), u[0])
+        y = x + r * u / np.sqrt(squared_lengths(u))
+        out = np.copysign(np.inf, u[0])
+
+        def kept(y0):
+            return squared_lengths(np.r_[y0, y[1:]] - x) <= r * r
+        while kept(y[0]):
+            y[0] = np.nextafter(y[0], out)
+        while not kept(y[0]):
+            y[0] = np.nextafter(y[0], -out)
+        base.append(x)
+        for y0 in (np.nextafter(y[0], -out), y[0], np.nextafter(y[0], out)):
+            partners.append(np.r_[y0, y[1:]])
+    return np.array(base), np.array(partners)
+
+
+def _rule_edges(points, r):
+    """Every pair (i < j) that rcmlab's length rule keeps, ascending."""
+    i, j = np.triu_indices(len(points), 1)
+    near = squared_lengths((points[i] - points[j]).T) <= r * r
+    return np.column_stack([i[near], j[near]])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [1.0, 0.7])
+def test_pairs_at_the_rule_radius_in_the_last_of_many_realizations(d, r):
+    # the shift is largest in the last realization, so the tree sees its
+    # coordinates rounded to ~1e-13, far coarser than the ulps that
+    # separate kept pairs from refused ones here
+    phi = ConnectionFunction("gilbert", d, r=r)
+    region = Window("box", 2.5, d)
+    rng = np.random.default_rng(40 + d)
+    sets = [PointSet(points=rng.uniform(-2.5, 2.5, (12, d)), seed=0,
+                     region=region, beta=1.0) for _ in range(150)]
+    base, partners = _rule_pairs(rng, d, r, 8)
+    # and a pair exactly r apart along the first axis, with a point one
+    # ulp beyond it
+    exact = np.zeros((3, d))
+    exact[1:, 0] = r, np.nextafter(r, np.inf)
+    last = np.concatenate([base, partners, exact])
+    sets.append(PointSet(points=last, seed=0, region=region, beta=1.0))
+    sources = [PairMarkSource(s) for s in range(len(sets))]
+    graphs = build_rcm_batch(sets, phi, sources)
+    assert graphs[-1].batch.shifted()[-1, 0] > 100.0 * region.extent
+    for g, pts, src in zip(graphs, sets, sources):
+        expect = _rule_edges(pts.points, r)
+        assert np.array_equal(g.edges, expect)
+        assert np.array_equal(build_rcm(pts, phi, src).edges, expect)
+    # every partner is on the rule's edge from its own base point: one
+    # ulp in and at the edge are kept, one ulp out is refused
+    kept = {tuple(e) for e in graphs[-1].edges.tolist()}
+    n = len(base)
+    for k in range(n):
+        assert [(k, n + 3 * k + q) in kept for q in range(3)] == [
+            True, True, False]
+    assert (4 * n, 4 * n + 1) in kept
+    assert (4 * n, 4 * n + 2) not in kept
+
+    # the partners again, now as fresh points of one insertion into the
+    # last realization, whose base points are the others
+    alone = PointSet(points=np.concatenate([base, exact]), seed=0,
+                     region=region, beta=1.0)
+    sets[-1] = alone
+    graphs = build_rcm_batch(sets, phi, sources)
+    additions = [(y, -1 - k) for k, y in enumerate(partners)]
+    a, b = _rule_edges(np.concatenate([partners, alone.points]), r).T
+    link, pair = (a < len(partners)) & (b >= len(partners)), b < len(partners)
+    expect = np.concatenate([
+        np.column_stack([-1 - a[link], b[link] - len(partners)]),
+        np.column_stack([-1 - a[pair], -1 - b[pair]])])
+    assert link.sum() >= 2 * len(base) and pair.sum() >= 3 * len(base)
+    got = graphs[-1].fresh_edges(additions)
+    assert np.array_equal(got, expect)
+    assert np.array_equal(
+        build_rcm(alone, phi, sources[-1]).fresh_edges(additions), expect)
+
+
+def test_a_realizations_edges_are_ascending_in_any_chunk():
+    rng = np.random.default_rng(8)
+    sets = [PointSet(points=rng.uniform(-2.5, 2.5, (n, 2)), seed=0,
+                     region=REGION, beta=1.0) for n in (30, 45, 0, 60, 25)]
+    sources = [PairMarkSource(70 + s) for s in range(len(sets))]
+    for phi in PHIS.values():
+        alone = build_rcm(sets[3], phi, sources[3]).edges
+        assert len(alone) > 0
+        i, j = alone.T
+        assert np.all((i[1:] > i[:-1])
+                      | ((i[1:] == i[:-1]) & (j[1:] > j[:-1])))
+        for lo, hi in ((0, 5), (3, 5), (0, 4), (2, 4)):
+            graphs = build_rcm_batch(sets[lo:hi], phi, sources[lo:hi])
+            assert np.array_equal(graphs[3 - lo].edges, alone)
+
+
+def test_fresh_point_beyond_its_realization_sees_only_its_own_points():
+    # a wide phi and points spread little along the first axis put the
+    # next realization's shifted points within reach of a fresh point two
+    # units right of its own
+    phi = ConnectionFunction("gilbert", 2, r=3.0)
+    region = Window("box", 5.0, 2)
+    a = PointSet(points=np.array([[0.0, 0.0], [0.1, 0.0]]), seed=0,
+                 region=region, beta=1.0)
+    b = PointSet(points=np.array([[0.0, 0.5]]), seed=1, region=region,
+                 beta=1.0)
+    ga, gb = build_rcm_batch([a, b], phi,
+                             [PairMarkSource(1), PairMarkSource(2)])
+    assert ga.batch.spacing < 2.0 + phi.r
+    x = np.array([2.0, 0.0])
+    assert ga.fresh_edges([(x, -1)]).tolist() == [[-1, 0], [-1, 1]]
+    # and a fresh point of b half a spacing left of its own, as near to
+    # a's points as to b's
+    y = np.array([-ga.batch.spacing / 2, 0.0])
+    assert gb.fresh_edges([(y, -1)]).tolist() == [[-1, 0]]
 
 
 def test_fresh_point_may_repeat_another_realizations_vertex():

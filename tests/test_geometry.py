@@ -5,7 +5,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rcmlab.connection import ConnectionFunction
 from rcmlab.geometry import Window, lex_order, unit_ball_volume
@@ -143,6 +143,24 @@ def test_lex_order_matches_python_sort(rows):
     order = lex_order(pts)
     expect = sorted(range(len(rows)), key=lambda i: tuple(pts[i]))
     assert list(order) == expect
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), st.lists(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-3, 3),
+             min_size=d, max_size=d), max_size=25))))
+def test_lex_order_equals_lexsort_with_first_coordinate_ties(case):
+    # 0.0 and -0.0 tie, so they keep their index order, as in lexsort
+    d, rows = case
+    pts = np.array(rows, dtype=float).reshape(len(rows), d)
+    assert np.array_equal(lex_order(pts), np.lexsort(pts.T[::-1]))
+
+
+def test_lex_order_keeps_signed_zeros_in_index_order():
+    pts = np.array([[0.0, 2.0], [-0.0, 1.0], [0.0, 1.0], [-1.0, 5.0],
+                    [-0.0, 1.0]])
+    assert lex_order(pts).tolist() == [3, 1, 2, 4, 0]
+    assert lex_order(pts[:, :1]).tolist() == [3, 0, 1, 2, 4]
 
 
 @pytest.mark.parametrize("shape", ["box", "ball"])

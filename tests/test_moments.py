@@ -18,7 +18,7 @@ from rcmlab.census import (GraphClass, canonical_form, census, edge_class,
                            enumerate_classes, path_class, single_vertex_class)
 from rcmlab.connection import ConnectionFunction, radial_sampler
 from rcmlab.experiments import run_scenario
-from rcmlab.geometry import Window, unit_ball_volume
+from rcmlab.geometry import Window, squared_lengths, unit_ball_volume
 from rcmlab.moments import (ENUM_CAP, AnchorProposal,
                             ClusterProposal, MomentEstimate, asy_cov,
                             asy_cov_kl,
@@ -1637,6 +1637,45 @@ def test_triple_free_row_memory_is_bounded_from_a_cold_cache():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_overlapping_triples_equal_a_loop_over_the_triples(d):
+    # spreads from packed to sparse give rows with and without triples;
+    # a pair of balls that touch is disjoint
+    rng = np.random.default_rng(60 + d)
+    for m in range(1, 13):
+        for spread in (0.3, 1.0, 2.5):
+            X = rng.normal(size=(150, m, d)) * spread
+            radii = rng.uniform(0.3, 1.2, m)
+            if m > 1:
+                X[0, 1] = X[0, 0] + np.eye(d)[0] * (radii[0] + radii[1])
+            dist = np.sqrt(squared_lengths(
+                np.moveaxis(X[:, :, None] - X[:, None], -1, 0)))
+            apart = dist >= radii[:, None] + radii[None, :]
+            expect = np.zeros(len(X), dtype=bool)
+            for a, b, c in itertools.combinations(range(m), 3):
+                expect |= ~(apart[:, a, b] | apart[:, a, c] | apart[:, b, c])
+            assert np.array_equal(_overlapping_triples(X, radii), expect)
+
+
+def test_triple_routing_memory_is_bounded_in_rows():
+    # the routing once held a (3-subsets x pairs) @ (pairs x rows) float
+    # product for all rows at once: 52.9 MB here
+    X, radii, scales = _triple_free_rows(20_000, 12, 2, 9)
+    indicator_union_exponent(X[:2], radii, scales, 1.0)
+    tracemalloc.start()
+    try:
+        assert not _overlapping_triples(X, radii).any()
+        routing = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        indicator_union_exponent(X, radii, scales, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert routing < 1_000_000
+    # X[rows] is a 3.8 MB copy of X
+    assert peak < 8_000_000
 
 
 # ---------------------------------------------------------------------------

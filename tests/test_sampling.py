@@ -67,9 +67,9 @@ def test_one_kdtree_per_graph(monkeypatch):
     from rcmlab import sampling
     built = []
 
-    def counting_tree(points):
+    def counting_tree(points, *args, **kwargs):
         built.append(len(points))
-        return cKDTree(points)
+        return cKDTree(points, *args, **kwargs)
 
     monkeypatch.setattr(sampling, "cKDTree", counting_tree)
     w = Window("box", 3.0, 2)
